@@ -89,36 +89,19 @@ def mod_inverse(a: int, m: int) -> ResidueClass:
         raise NonInvertible(a, m) from None
 
 
-def batch_mod_inverse(values: list[int], m: int) -> list[ResidueClass]:
-    """Invert many values modulo ``m`` with one inversion and O(k) multiplications.
+def batch_mod_inverse(values: list[int], m: int) -> list[int]:
+    """Inverses of many values modulo ``m``, as plain ints in [0, m).
 
-    Uses the prefix-product (Montgomery) trick.  If some value is not
-    invertible the raised :class:`NonInvertible` carries the first
-    offending index.
+    If some value is not invertible the raised :class:`NonInvertible`
+    carries the first offending index.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    vals = [v % m for v in values]
-    if not vals:
-        return []
-    prefix = []
-    acc = 1
-    for v in vals:
-        acc = acc * v % m
-        prefix.append(acc)
     try:
-        inv_acc = pow(prefix[-1], -1, m)
+        return [pow(v, -1, m) for v in values]
     except ValueError:
-        for i, v in enumerate(values):
-            if gcd(v, m) != 1:
-                raise NonInvertible(v, m, index=i) from None
-        raise  # pragma: no cover - total product invertible iff every factor is
-    out: list[ResidueClass] = [None] * len(vals)  # type: ignore[list-item]
-    for i in range(len(vals) - 1, -1, -1):
-        p_prev = prefix[i - 1] if i else 1
-        out[i] = ResidueClass(inv_acc * p_prev % m, m)
-        inv_acc = inv_acc * vals[i] % m
-    return out
+        index = next(i for i, v in enumerate(values) if gcd(v, m) != 1)
+        raise NonInvertible(values[index], m, index=index) from None
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -2,8 +2,9 @@
 
 Three subcommands:
 
-- ``klab verify --suite NAME`` runs one of the named invariant suites and
-  prints a pass/fail line per check (exit 1 on any failure);
+- ``klab verify --suite NAME`` runs one of the invariant suites defined in
+  :mod:`klab.checks` and prints a pass/fail line per check (exit 1 on any
+  failure);
 - ``klab sweep --config cfg.json --out table.csv [--jobs N]`` evaluates the
   trilinear form against a chosen bound formula over a parameter grid and
   writes a deterministic CSV (rows sorted by grid coordinates, floats at 17
@@ -24,21 +25,18 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import arith, bounds, dispersion, forms, sequences
+from . import bounds, forms, sequences
+from .checks import SUITES, CheckResult
 
 __all__ = [
     "ConfigError",
-    "CheckResult",
     "run_verify",
     "run_sweep",
     "run_ranges",
@@ -48,24 +46,15 @@ __all__ = [
 ]
 
 DEFAULT_GRID_CAP = 10**6
-GRID_AXES = ("M", "N", "A", "Q", "R", "theta", "a", "seed")
-_AXIS_DEFAULTS = {"Q": [1], "R": [1], "theta": [1], "a": [1], "seed": [0]}
-_CONFIG_KEYS = {"grid", "sequences", "bound", "cutoff", "limits", "seed"}
+GRID_AXES = ("M", "N", "A", "R", "theta", "seed")
+_AXIS_DEFAULTS = {"R": [1], "theta": [1], "seed": [0]}
+_CONFIG_KEYS = {"grid", "sequences", "bound"}
 _BOUND_KEYS = {"formula", "epsilon", "exponent_variant"}
-_CUTOFF_KEYS = {"support", "plateau", "quadrature_tolerance"}
-_LIMITS_KEYS = {"grid_cap"}
 _ROLE_OFFSET = {"alpha": 1, "beta": 2, "nu": 3}
 
 
 class ConfigError(ValueError):
     """Malformed sweep configuration."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def role_seed(seed: int, role: str) -> int:
@@ -128,7 +117,7 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"grid axis {axis!r} must be a nonempty list")
         if not all(isinstance(v, int) for v in vals):
             raise ConfigError(f"grid axis {axis!r} must hold integers")
-        if axis in ("M", "N", "A", "Q", "R") and any(v < 1 for v in vals):
+        if axis in ("M", "N", "A", "R") and any(v < 1 for v in vals):
             raise ConfigError(f"grid axis {axis!r} must hold positive integers")
         if axis == "theta" and any(v == 0 for v in vals):
             raise ConfigError("grid axis 'theta' must not contain 0")
@@ -143,39 +132,23 @@ def load_config(path: str) -> dict:
     formula = bound.get("formula", "bcr")
     if formula not in ("bcr", "bc"):
         raise ConfigError(f"bound.formula must be 'bcr' or 'bc', got {formula!r}")
+    epsilon = bound.get("epsilon", 0.01)
+    # type() excludes bools; abs() <= max rejects NaN, infinities and ints no float can hold
+    if type(epsilon) not in (int, float) or not abs(epsilon) <= sys.float_info.max:
+        raise ConfigError(f"bound.epsilon must be a finite number, got {epsilon!r}")
     variant = bound.get("exponent_variant", "statement")
     if variant not in ("statement", "proof"):
         raise ConfigError(f"bound.exponent_variant must be 'statement' or 'proof', got {variant!r}")
-    cutoff = cfg.get("cutoff", {})
-    if not isinstance(cutoff, dict) or set(cutoff) - _CUTOFF_KEYS:
-        raise ConfigError(f"'cutoff' keys must be among {sorted(_CUTOFF_KEYS)}")
-    if cutoff:
-        try:
-            dispersion.SmoothCutoff(
-                plateau=tuple(cutoff.get("plateau", (1.0, 2.0))),
-                support=tuple(cutoff.get("support", (0.5, 2.5))),
-                quadrature_tolerance=cutoff.get("quadrature_tolerance", 1e-10),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid cutoff: {exc}") from None
-    limits = cfg.get("limits", {})
-    if not isinstance(limits, dict) or set(limits) - _LIMITS_KEYS:
-        raise ConfigError(f"'limits' keys must be among {sorted(_LIMITS_KEYS)}")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("'seed' must be an integer")
     return cfg
 
 
 def _grid_points(cfg: dict) -> list[dict]:
     grid = dict(cfg["grid"])
     for axis, default in _AXIS_DEFAULTS.items():
-        grid.setdefault(axis, [cfg.get("seed", default[0])] if axis == "seed" else list(default))
+        grid.setdefault(axis, default)
     axes_values = [sorted(set(grid[axis])) for axis in GRID_AXES]
     count = math.prod(len(v) for v in axes_values)
-    cap = cfg.get("limits", {}).get("grid_cap", grid_cap())
-    env = os.environ.get("KLAB_GRID_CAP")
-    if env is not None:
-        cap = grid_cap()
+    cap = grid_cap()
     if count > cap:
         raise ConfigError(f"grid has {count} points, exceeding the cap of {cap}")
     return [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes_values)]
@@ -222,8 +195,13 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
-    """Run a sweep; returns the summary dict written to the JSON sidecar."""
+def run_sweep(
+    config_path: str, out_path: str, jobs: int = 1, exponent_variant: str | None = None
+) -> dict:
+    """Run a sweep; returns the summary dict written to the JSON sidecar.
+
+    ``exponent_variant``, when given, overrides the config's bound.exponent_variant.
+    """
     cfg = load_config(config_path)
     points = _grid_points(cfg)
     seqs = cfg.get("sequences", {})
@@ -231,7 +209,7 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     bound = cfg.get("bound", {})
     formula = bound.get("formula", "bcr")
     epsilon = float(bound.get("epsilon", 0.01))
-    variant = bound.get("exponent_variant", "statement")
+    variant = exponent_variant or bound.get("exponent_variant", "statement")
     tasks = [
         {"point": pt, "kinds": kinds, "epsilon": epsilon, "formula": formula, "variant": variant}
         for pt in points
@@ -322,344 +300,12 @@ def run_ranges(q_text: str, corollary: str = "new", out: str | None = None) -> s
     return table
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_arith() -> list[CheckResult]:
-    checks = []
-    bad = sum(
-        1
-        for m in range(1, 201)
-        for n in range(1, 201)
-        if gcd(m, n) == 1
-        and (m * arith.mod_inverse(m, n).value + n * arith.mod_inverse(n, m).value) % (m * n)
-        != 1 % (m * n)
-    )
-    checks.append(CheckResult("arith.reciprocity_coprime_pairs_200", bad == 0, f"{bad} failures"))
-
-    rng = random.Random(20260809)
-    bad = 0
-    for _ in range(10_000):
-        m = rng.randrange(2, 1 << 48)
-        a = rng.randrange(1, m)
-        while gcd(a, m) != 1:
-            a = rng.randrange(1, m)
-        if a * arith.mod_inverse(a, m).value % m != 1:
-            bad += 1
-    checks.append(CheckResult("arith.inverse_identity_random_1e4", bad == 0, f"{bad} failures"))
-
-    m = 10**9 + 7
-    vals = [rng.randrange(1, m) for _ in range(1000)]
-    batch = arith.batch_mod_inverse(vals, m)
-    ok = all(b.value == arith.mod_inverse(v, m).value for v, b in zip(vals, batch))
-    checks.append(CheckResult("arith.batch_matches_scalar_1000", ok))
-
-    bad = 0
-    for n in range(1, 100_001):
-        s = arith.squarefree_squarefull_split(n)
-        if s.product != n or gcd(s.squarefree_part, s.squarefull_part) != 1:
-            bad += 1
-    checks.append(CheckResult("arith.split_recombines_1e5", bad == 0, f"{bad} failures"))
-
-    bad = 0
-    for n in range(1, 2001):
-        count = 0
-        for d in range(1, n + 1):
-            if n % d == 0 and gcd(d, n // d) == 1:
-                if arith.is_squarefree(d) and arith.is_squarefull(n // d):
-                    count += 1
-        if count != 1:
-            bad += 1
-    checks.append(CheckResult("arith.split_unique_pair_scan_2000", bad == 0, f"{bad} failures"))
-    return checks
-
-
-def decomposition_grid() -> list[tuple[forms.TrilinearSpec, str]]:
-    """The fixed direct-vs-decomposed test grid (>= 240 specs)."""
-    specs = []
-    for mb in (4, 8, 16):
-        for nb in (4, 8, 16):
-            for ab in (2, 4):
-                for R in (1, 2, 3, 6, 12):
-                    for theta in (1, -3):
-                        key = f"M{mb}N{nb}A{ab}R{R}t{theta}"
-                        ones = lambda b: sequences.build_sequence("ones", sequences.DyadicRange(b))
-                        specs.append(
-                            (
-                                forms.TrilinearSpec(ones(mb), ones(nb), ones(ab), theta, R),
-                                f"ones:{key}",
-                            )
-                        )
-                        seed = hash((mb, nb, ab, R, theta)) % (1 << 30)
-                        ru = lambda b, s: sequences.build_sequence(
-                            "random_unit", sequences.DyadicRange(b), seed=s
-                        )
-                        specs.append(
-                            (
-                                forms.TrilinearSpec(
-                                    ru(mb, seed + 1), ru(nb, seed + 2), ru(ab, seed + 3), theta, R
-                                ),
-                                f"random:{key}",
-                            )
-                        )
-    return specs
-
-
-def _suite_decomposition() -> list[CheckResult]:
-    worst = 0.0
-    bad = 0
-    n = 0
-    for spec, _ in decomposition_grid():
-        direct = forms.mean_square_direct(spec)
-        decomposed = forms.mean_square_decomposed(spec)
-        dev = abs(direct - decomposed) / (1.0 + abs(direct))
-        worst = max(worst, dev)
-        bad += dev > 1e-9
-        n += 1
-    return [
-        CheckResult(
-            "forms.decomposition_identity_grid",
-            bad == 0,
-            f"{n} specs, worst relative deviation {worst:.3e}",
-        )
-    ]
-
-
-def random_unit_specs(count: int, seed: int = 7) -> list[forms.TrilinearSpec]:
-    rng = random.Random(seed)
-    specs = []
-    for _ in range(count):
-        mb = rng.choice((4, 6, 8, 12, 16))
-        nb = rng.choice((4, 6, 8, 12, 16))
-        ab = rng.choice((2, 3, 4))
-        R = rng.choice((1, 2, 3, 4, 6))
-        theta = rng.choice((1, -1, 2, -2, 3, -3))
-        mk = lambda b: sequences.build_sequence(
-            "random_unit", sequences.DyadicRange(b), seed=rng.randrange(1 << 30)
-        )
-        specs.append(forms.TrilinearSpec(mk(mb), mk(nb), mk(ab), theta, R))
-    return specs
-
-
-def _suite_cauchy_schwarz() -> list[CheckResult]:
-    checks = []
-    worst = -math.inf
-    bad = 0
-    for spec in random_unit_specs(100):
-        lhs = abs(forms.trilinear_form(spec).value)
-        rhs = spec.alpha.l2_norm * math.sqrt(forms.mean_square_direct(spec))
-        gap = lhs - rhs
-        worst = max(worst, gap)
-        bad += gap > 1e-12
-    checks.append(
-        CheckResult(
-            "forms.cs_chain_100_random_unit_specs", bad == 0, f"worst lhs-rhs gap {worst:.3e}"
-        )
-    )
-
-    # negating theta conjugates the form; for complex coefficients the
-    # sequences must be conjugated alongside
-    bad = 0
-    worst = 0.0
-    for spec in random_unit_specs(25, seed=11):
-        plus = forms.trilinear_form(spec).value
-        conj_seq = lambda s: sequences.make_sequence(
-            {n: v.conjugate() for n, v in s.values.items()}, s.support
-        )
-        minus_spec = forms.TrilinearSpec(
-            conj_seq(spec.alpha), conj_seq(spec.beta), conj_seq(spec.nu), -spec.theta, spec.R
-        )
-        minus = forms.trilinear_form(minus_spec).value
-        dev = abs(minus - plus.conjugate())
-        worst = max(worst, dev)
-        bad += dev > 1e-12
-    for spec, _ in decomposition_grid()[:40:2]:  # ones sequences: real case
-        plus = forms.trilinear_form(spec).value
-        minus_spec = forms.TrilinearSpec(spec.alpha, spec.beta, spec.nu, -spec.theta, spec.R)
-        dev = abs(forms.trilinear_form(minus_spec).value - plus.conjugate())
-        worst = max(worst, dev)
-        bad += dev > 1e-12
-    checks.append(
-        CheckResult("forms.conjugation_symmetry", bad == 0, f"worst |dev| {worst:.3e}")
-    )
-
-    bad = 0
-    for spec, _ in decomposition_grid()[:120]:
-        for b in (1, 2, 4):
-            cb = forms.squarefree_mean_square(spec, b)
-            cap = (
-                spec.nu.l2_norm**2
-                * spec.beta.l2_norm**2
-                * len(spec.nu.support_indices())
-                * len(spec.m_indices())
-                * len(spec.beta.support_indices())
-            )
-            bad += cb > cap + 1e-9
-    checks.append(CheckResult("forms.trivial_bound_counting_inequality", bad == 0))
-    return checks
-
-
-def dispersion_toy_grids(count: int = 20) -> list[dict]:
-    """Real-sequence toy grids for the dispersion checks."""
-    rng = random.Random(42)
-    grids = []
-    kinds = ("ones", "moebius", ("tau_k", 2), "random_real")
-    while len(grids) < count:
-        mb = rng.choice((2, 3, 4))
-        nb = rng.choice((2, 3, 4))
-        qb = rng.choice((2, 3, 4))
-        a = rng.choice((1, 2, 3, 5))
-        kind_a = rng.choice(kinds)
-        kind_b = rng.choice(kinds)
-
-        def mk(kind, base):
-            drange = sequences.DyadicRange(base)
-            if kind == "random_real":
-                vals = [complex(rng.uniform(-1, 1)) for _ in drange]
-                return sequences.build_sequence("explicit", drange, values=vals)
-            if isinstance(kind, tuple):
-                return sequences.build_sequence(kind[0], drange, k=kind[1])
-            return sequences.build_sequence(kind, drange)
-
-        grids.append(
-            {
-                "alpha": mk(kind_a, mb),
-                "beta": mk(kind_b, nb),
-                "moduli": sequences.DyadicRange(qb),
-                "a": a,
-                "m_scale": float(mb),
-            }
-        )
-    return grids
-
-
-def _suite_dispersion() -> list[CheckResult]:
-    checks = []
-    psi = dispersion.SmoothCutoff()
-    worst_q = 0.0
-    worst_gap = math.inf
-    bad_q = bad_gap = bad_c = bad_e = 0
-    for grid in dispersion_toy_grids():
-        split = dispersion.dispersion_split(
-            grid["alpha"], grid["beta"], grid["moduli"], grid["a"], psi, grid["m_scale"]
-        )
-        # quadratic identity against an independent recomputation
-        lhs_q = 0.0
-        for m in psi.window(grid["m_scale"]):
-            x = y = 0j
-            for q in grid["moduli"]:
-                cq = split.c[q]
-                if cq == 0:
-                    continue
-                phi_q = arith.euler_phi(q)
-                for n, bv in grid["beta"].values.items():
-                    if (m * n - grid["a"]) % q == 0:
-                        x += cq * bv
-                    if gcd(m * n, q) == 1:
-                        y += cq / phi_q * bv
-            lhs_q += psi(m / grid["m_scale"]) * abs(x - y) ** 2
-        dev = abs(lhs_q - split.quadratic()) / (1.0 + abs(lhs_q))
-        worst_q = max(worst_q, dev)
-        bad_q += dev > 1e-9
-
-        delta = dispersion.progression_error_total(
-            grid["alpha"], grid["beta"], grid["moduli"], grid["a"]
-        )
-        gap = dispersion.cauchy_schwarz_gap(split, grid["alpha"].l2_norm, delta)
-        worst_gap = min(worst_gap, gap)
-        bad_gap += gap < -1e-9
-
-        for q in grid["moduli"]:
-            cq = split.c[q]
-            if cq not in (-1, 0, 1) or (cq == 0) != (gcd(grid["a"], q) > 1):
-                bad_c += 1
-        direct = math.fsum(
-            abs(dispersion.progression_error(grid["alpha"], grid["beta"], q, grid["a"]))
-            for q in grid["moduli"]
-            if gcd(q, grid["a"]) == 1
-        )
-        bad_e += direct != delta
-    checks.append(
-        CheckResult("dispersion.quadratic_identity_20_grids", bad_q == 0, f"worst {worst_q:.3e}")
-    )
-    checks.append(
-        CheckResult("dispersion.majorant_inequality_20_grids", bad_gap == 0, f"min gap {worst_gap:.3e}")
-    )
-    checks.append(CheckResult("dispersion.sign_sequence_domain", bad_c == 0))
-    checks.append(CheckResult("dispersion.error_sum_consistency", bad_e == 0))
-    return checks
-
-
-def _suite_fourier() -> list[CheckResult]:
-    checks = []
-    psi = dispersion.SmoothCutoff()
-    worst = 0.0
-    for m_scale in (500.0, 1000.0):
-        for q in (1, 3, 5):
-            h = dispersion.default_completion_bandwidth(q, m_scale)
-            res = dispersion.completed_progression_sum(psi, m_scale, q, 1, h)
-            worst = max(worst, res.residual)
-    checks.append(
-        CheckResult("dispersion.completion_residual_small", worst <= 1e-6, f"worst {worst:.3e}")
-    )
-    worst_c = 0.0
-    for q in (1, 6, 12):
-        res = dispersion.completed_coprime_sum(psi, 500.0, q)
-        worst_c = max(worst_c, res.c_observed)
-    checks.append(
-        CheckResult("dispersion.coprime_main_term", worst_c <= 5.0, f"worst constant {worst_c:.3e}")
-    )
-    return checks
-
-
-def _suite_exponents() -> list[CheckResult]:
-    checks = []
-    f = Fraction
-    got = bounds.admissible_n_exponent("new", "i", f(1, 2)).ceiling
-    checks.append(CheckResult("bounds.new_i_at_half", got == f(1, 56), f"ceiling {got}"))
-    got = bounds.admissible_n_exponent("fr", "i", f(1, 2)).ceiling
-    checks.append(CheckResult("bounds.fr_i_at_half", got == f(1, 72), f"ceiling {got}"))
-    ext = bounds.extremal_q_exponent("new")
-    checks.append(
-        CheckResult(
-            "bounds.extremal_q_is_half_plus_1_66", ext == f(17, 33) == f(1, 2) + f(1, 66), f"{ext}"
-        )
-    )
-    caps_ok = (
-        bounds.COROLLARY_TABLES["new"]["q_cap"] == f(45, 89)
-        and bounds.COROLLARY_TABLES["fr"]["q_cap"] == f(53, 105)
-        and f(45, 89) > f(53, 105)
-    )
-    checks.append(CheckResult("bounds.q_caps_45_89_beats_53_105", caps_ok))
-    improved = all(
-        bounds.admissible_n_exponent("new", "i", q).ceiling
-        >= bounds.admissible_n_exponent("fr", "i", q).ceiling
-        for k in range(0, 101)
-        for q in [f(1, 2) + (f(17, 33) - f(1, 2)) * k / 100]
-        if 0 < q < 1
-    )
-    checks.append(CheckResult("bounds.new_ceiling_dominates_on_range", improved))
-    return checks
-
-
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "arith": _suite_arith,
-    "decomposition": _suite_decomposition,
-    "cauchy_schwarz": _suite_cauchy_schwarz,
-    "dispersion": _suite_dispersion,
-    "fourier": _suite_fourier,
-    "exponents": _suite_exponents,
-}
-
-
 def run_verify(suite: str) -> tuple[int, list[CheckResult]]:
-    """Run one suite; returns (exit_code, results)."""
-    fn = SUITES.get(suite)
-    if fn is None:
+    """Run one suite of :data:`klab.checks.SUITES`; returns (exit_code, results)."""
+    checks = SUITES.get(suite)
+    if checks is None:
         return 2, [CheckResult(f"unknown suite {suite!r}", False)]
-    results = fn()
+    results = [check() for check in checks]
     code = 0 if all(r.passed for r in results) else 1
     return code, results
 
@@ -703,18 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             if args.jobs < 1:
                 raise ConfigError("--jobs must be >= 1")
-            cfg_override = None
-            if args.exponent_variant is not None:
-                cfg = load_config(args.config)
-                cfg.setdefault("bound", {})["exponent_variant"] = args.exponent_variant
-                fd, cfg_override = tempfile.mkstemp(suffix=".json")
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(cfg, fh)
-            try:
-                summary = run_sweep(cfg_override or args.config, args.out, args.jobs)
-            finally:
-                if cfg_override:
-                    os.unlink(cfg_override)
+            summary = run_sweep(args.config, args.out, args.jobs, args.exponent_variant)
             if summary["max_ratio"] is not None:
                 print(
                     f"wrote {args.out} ({summary['points']} rows); "

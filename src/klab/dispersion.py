@@ -33,7 +33,7 @@ from scipy import integrate
 
 from .arith import divisor_count, euler_phi
 from .bounds import RhsReport
-from .sequences import CoefficientSequence
+from .sequences import CoefficientSequence, _csum
 
 __all__ = [
     "PsiDoesNotMajorize",
@@ -188,10 +188,6 @@ class SmoothCutoff:
             )
         self._hat_cache[xi] = val
         return val
-
-
-def _csum(parts: list[complex]) -> complex:
-    return complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
 
 
 def _class_sums(beta: CoefficientSequence, q: int) -> tuple[dict[int, complex], complex]:

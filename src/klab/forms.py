@@ -9,7 +9,7 @@ The central objects:
   part, r | R squarefree), with a machine-checked bijection audit,
 - the squarefree-restricted mean square with denominator n*b.
 
-Evaluation is by direct enumeration with batched modular inverses; phases
+Evaluation is by direct enumeration with one modular inverse per (m, n); phases
 are reduced exactly mod 1 as integers before any transcendental call, and
 accumulation is Kahan-compensated so identity checks hold to 1e-9 over
 grids with millions of summands.  All evaluators are pure functions; the
@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .arith import batch_mod_inverse, is_squarefree, is_squarefull, radical, squarefree_squarefull_split
-from .sequences import CoefficientSequence, DyadicRange, _support_indices
+from .sequences import CoefficientSequence, DyadicRange, _csum, _support_indices
 
 __all__ = [
     "DecompositionMismatch",
@@ -110,10 +110,6 @@ def _phase_block(t_vals: list[int], a_vals: list[int], L: int) -> np.ndarray:
     return out
 
 
-def _csum(parts: list[complex]) -> complex:
-    return complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
-
-
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
     """Evaluate the trilinear sum by direct triple enumeration.
 
@@ -136,7 +132,7 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
         if not sel or not a_idx:
             continue
         invs = batch_mod_inverse([m for m, _ in sel], L)
-        t_vals = [(spec.theta * inv.value) % L for inv in invs]
+        t_vals = [(spec.theta * inv) % L for inv in invs]
         block = _phase_block(t_vals, a_idx, L)
         inner = block @ nu_arr  # per-m sums over a
         alpha_arr = np.asarray([am for _, am in sel], dtype=complex)
@@ -176,7 +172,7 @@ def _inner_columns(
         if not sel:
             continue
         invs = batch_mod_inverse([ms[i] for i in sel], L)
-        t_vals = [(spec.theta * inv.value) % L for inv in invs]
+        t_vals = [(spec.theta * inv) % L for inv in invs]
         block = _phase_block(t_vals, a_idx, L)
         _kahan_vadd(inner, comp, sel, bn * (block @ nu_arr))
     return inner

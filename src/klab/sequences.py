@@ -25,8 +25,6 @@ __all__ = [
     "DyadicRange",
     "CoefficientSequence",
     "Norms",
-    "set_default_convention",
-    "default_convention",
     "make_sequence",
     "build_sequence",
     "sequence_norms",
@@ -37,8 +35,6 @@ __all__ = [
 ]
 
 CONVENTIONS = ("half-open", "closed")
-
-_default_convention = "half-open"
 
 
 class EmptySupport(ValueError):
@@ -53,32 +49,20 @@ class DivisorBoundViolation(ValueError):
     """Raised when divisor_bound_k is asserted but some |value(n)| > tau_k(n)."""
 
 
-def set_default_convention(convention: str) -> None:
-    """Set the global dyadic-range convention ("half-open" (T, 2T] or "closed" [T, 2T])."""
-    global _default_convention
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    _default_convention = convention
-
-
-def default_convention() -> str:
-    return _default_convention
-
-
 @dataclass(frozen=True)
 class DyadicRange:
     """The integers in (T, 2T] (half-open) or [T, 2T] (closed) for base T."""
 
     base: int
-    convention: str | None = None
+    convention: str = "half-open"
 
     def __post_init__(self):
         if self.base < 1:
             raise ValueError(f"base must be positive, got {self.base}")
-        conv = self.convention if self.convention is not None else _default_convention
-        if conv not in CONVENTIONS:
-            raise ValueError(f"unknown convention {conv!r}; expected one of {CONVENTIONS}")
-        object.__setattr__(self, "convention", conv)
+        if self.convention not in CONVENTIONS:
+            raise ValueError(
+                f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
+            )
 
     def indices(self) -> range:
         if self.convention == "half-open":

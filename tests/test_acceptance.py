@@ -1,21 +1,23 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 7 archives its sweep tables under reports/ as the
-repository's desk-scale evidence for the bound's shape.
+lines.  Criteria 1-4 are defined in :mod:`klab.checks`, the same checks that
+``klab verify`` runs, and each check runs in exactly one test.  Where a unit
+test already stood for one check it calls that check, and the criterion
+names it: the dispersion quadratic identity and majorant of criterion 3 run
+in ``tests/test_dispersion.py``, the reciprocity identity of criterion 4 in
+``tests/test_arith.py``.  Criterion 7 archives its sweep tables under
+reports/ as the repository's desk-scale evidence for the bound's shape.
 """
 
 import functools
 import json
 import math
 import os
-import random
 from fractions import Fraction
-from math import fsum, gcd
 
-from klab import bounds, dispersion, forms, sequences
-from klab.arith import euler_phi, mod_inverse
-from klab.cli import decomposition_grid, dispersion_toy_grids, random_unit_specs, run_sweep
+from klab import bounds, checks, dispersion
+from klab.cli import run_sweep
 
 F = Fraction
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,87 +39,31 @@ def criterion(num, name):
     return deco
 
 
+def assert_checks(*fns):
+    failed = [f"{r.name}: {r.detail}" for r in (fn() for fn in fns) if not r.passed]
+    assert not failed, failed
+
+
 @criterion(1, "exponent arithmetic, exact rationals")
 def test_c1_exponent_arithmetic():
-    assert bounds.admissible_n_exponent("new", "i", F(1, 2)).ceiling == F(1, 56)
-    assert bounds.admissible_n_exponent("fr", "i", F(1, 2)).ceiling == F(1, 72)
-    assert bounds.extremal_q_exponent("new") == F(17, 33) == F(1, 2) + F(1, 66)
-    at_extremal = bounds.admissible_n_exponent("new", "i", F(17, 33))
-    assert at_extremal.ceiling == F(0) and not at_extremal.feasible
-    assert bounds.COROLLARY_TABLES["new"]["q_cap"] == F(45, 89)
-    assert bounds.COROLLARY_TABLES["fr"]["q_cap"] == F(53, 105)
-    assert F(45, 89) > F(53, 105)
-    for var in ("ii", "iii"):
-        assert bounds.admissible_n_exponent("new", var, F(1, 2)).extremal_q == F(45, 89)
-        assert bounds.admissible_n_exponent("fr", var, F(1, 2)).extremal_q == F(53, 105)
+    assert_checks(*checks.SUITES["exponents"])
 
 
 @criterion(2, "complementary-divisor decomposition identity")
 def test_c2_decomposition_identity():
-    grid = decomposition_grid()
-    assert len(grid) >= 240
-    # the fixed grid: M,N in {4,8,16}, A in {2,4}, R in {1,2,3,6,12}, theta in {1,-3},
-    # with both ones and random-unit sequences
-    assert len(grid) == 3 * 3 * 2 * 5 * 2 * 2
-    for spec, label in grid:
-        direct = forms.mean_square_direct(spec)
-        decomposed = forms.mean_square_decomposed(spec)
-        assert abs(direct - decomposed) <= 1e-9 * (1 + abs(direct)), label
+    assert_checks(*checks.SUITES["decomposition"])
 
 
 @criterion(3, "Cauchy-Schwarz chains and quadratic identity")
 def test_c3_cauchy_schwarz_chains():
-    specs = random_unit_specs(100)
-    assert len(specs) == 100
-    for spec in specs:
-        lhs = abs(forms.trilinear_form(spec).value)
-        rhs = spec.alpha.l2_norm * math.sqrt(forms.mean_square_direct(spec))
-        assert lhs <= rhs + 1e-12
-
-    psi = dispersion.SmoothCutoff()
-    grids = dispersion_toy_grids(20)
-    assert len(grids) == 20
-    for grid in grids:
-        split = dispersion.dispersion_split(
-            grid["alpha"], grid["beta"], grid["moduli"], grid["a"], psi, grid["m_scale"]
-        )
-        delta = dispersion.progression_error_total(
-            grid["alpha"], grid["beta"], grid["moduli"], grid["a"]
-        )
-        assert dispersion.cauchy_schwarz_gap(split, grid["alpha"].l2_norm, delta) >= -1e-9
-        # quadratic identity against an independent recomputation of X and Y
-        direct = 0.0
-        for m in psi.window(grid["m_scale"]):
-            x = y = 0j
-            for q in grid["moduli"]:
-                cq = split.c[q]
-                if cq == 0:
-                    continue
-                for n, bv in grid["beta"].values.items():
-                    if (m * n - grid["a"]) % q == 0:
-                        x += cq * bv
-                    if gcd(m * n, q) == 1:
-                        y += cq / euler_phi(q) * bv
-            direct += psi(m / grid["m_scale"]) * abs(x - y) ** 2
-        assert abs(direct - split.quadratic()) <= 1e-9 * (1 + abs(direct))
+    # checks.quadratic_identity and checks.majorant_inequality: tests/test_dispersion.py
+    assert_checks(checks.cs_chain)
 
 
 @criterion(4, "reciprocity and inverse identities")
 def test_c4_reciprocity_and_inverses():
-    for m in range(1, 201):
-        for n in range(1, 201):
-            if gcd(m, n) == 1:
-                lhs = m * mod_inverse(m, n).value + n * mod_inverse(n, m).value
-                assert lhs % (m * n) == 1 % (m * n)
-    rng = random.Random(314159)
-    done = 0
-    while done < 10_000:
-        m = rng.randrange(2, 1 << 52)
-        a = rng.randrange(1, m)
-        if gcd(a, m) != 1:
-            continue
-        assert a * mod_inverse(a, m).value % m == 1
-        done += 1
+    # checks.reciprocity: tests/test_arith.py
+    assert_checks(checks.inverse_identity_random, checks.batch_matches_scalar)
 
 
 @criterion(5, "Fourier completion residual scaling")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klab import checks
 from klab.arith import (
     NonInvertible,
     batch_mod_inverse,
@@ -72,13 +73,13 @@ class TestModInverse:
 
 class TestBatchModInverse:
     def test_single(self):
-        assert [r.value for r in batch_mod_inverse([1], 5)] == [1]
+        assert batch_mod_inverse([1], 5) == [1]
 
     def test_example(self):
         # oracle: elementwise extended-gcd inversion
         vals = [2, 3, 4]
-        assert [r.value for r in batch_mod_inverse(vals, 5)] == [xgcd_inverse(v, 5) for v in vals]
-        assert [r.value for r in batch_mod_inverse(vals, 5)] == [3, 2, 4]
+        assert batch_mod_inverse(vals, 5) == [xgcd_inverse(v, 5) for v in vals]
+        assert batch_mod_inverse(vals, 5) == [3, 2, 4]
 
     def test_first_offending_index(self):
         with pytest.raises(NonInvertible) as exc:
@@ -98,8 +99,7 @@ class TestBatchModInverse:
     @settings(max_examples=200)
     def test_matches_scalar(self, vals, m):
         coprime = [v for v in vals if gcd(v, m) == 1]
-        got = batch_mod_inverse(coprime, m)
-        assert [r.value for r in got] == [xgcd_inverse(v, m) for v in coprime]
+        assert batch_mod_inverse(coprime, m) == [xgcd_inverse(v, m) for v in coprime]
 
 
 class TestSplit:
@@ -139,18 +139,13 @@ class TestSplit:
                 assert (s.squarefree_part, s.squarefull_part) == (sf, full)
             assert sf * full == n and gcd(sf, full) == 1
 
+    def test_recombines_to_1e5(self):
+        result = checks.split_recombines()
+        assert result.passed, result.detail
+
     def test_uniqueness_pair_scan_1e4(self):
-        # no other coprime (squarefree, squarefull) pair multiplies to n
-        for n in range(1, 10**4 + 1):
-            count = 0
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    for s, f in ((d, n // d), (n // d, d)) if d * d != n else ((d, d),):
-                        if gcd(s, f) == 1 and is_squarefree(s) and is_squarefull(f):
-                            count += 1
-                d += 1
-            assert count == 1, n
+        result = checks.split_unique_pairs()
+        assert result.passed, result.detail
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_parts_properties(self, n):
@@ -201,12 +196,8 @@ class TestMultiplicative:
 
 class TestReciprocity:
     def test_coprime_pairs_up_to_200(self):
-        # m*inv(m mod n) + n*inv(n mod m) = 1 (mod mn), exact integers
-        for m in range(1, 201):
-            for n in range(1, 201):
-                if gcd(m, n) == 1:
-                    lhs = m * mod_inverse(m, n).value + n * mod_inverse(n, m).value
-                    assert lhs % (m * n) == 1 % (m * n)
+        result = checks.reciprocity()
+        assert result.passed, result.detail
 
 
 class TestKloostermanPhase:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from klab import bounds, forms, sequences
+from klab import bounds, checks, forms, sequences
 from klab.cli import (
     ConfigError,
     load_config,
@@ -31,7 +31,8 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["exponents", "fourier"])
+    # the other suites' checks run in the acceptance and unit tests
+    @pytest.mark.parametrize("suite", ["fourier"])
     def test_suites_pass(self, suite, capsys):
         code = main(["verify", "--suite", suite])
         out = capsys.readouterr().out
@@ -44,12 +45,10 @@ class TestVerify:
         assert main(["verify", "--suite", "nonexistent"]) == 2
 
     def test_invariant_failure_exit_1(self, monkeypatch, capsys):
-        import klab.cli as cli_mod
+        def failing_check():
+            return checks.CheckResult("synthetic.always_fails", False, "forced")
 
-        def failing_suite():
-            return [cli_mod.CheckResult("synthetic.always_fails", False, "forced")]
-
-        monkeypatch.setitem(cli_mod.SUITES, "synthetic", failing_suite)
+        monkeypatch.setitem(checks.SUITES, "synthetic", (failing_check,))
         assert main(["verify", "--suite", "synthetic"]) == 1
         assert "FAIL synthetic.always_fails" in capsys.readouterr().out
 
@@ -91,22 +90,21 @@ class TestSweep:
             assert float(row["rhs_total"]) == rhs.total
             assert float(row["ratio"]) == lhs / rhs.total
 
-    def test_deterministic_across_jobs(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        run_sweep(cfg, str(out1), jobs=1)
-        run_sweep(cfg, str(out2), jobs=2)
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_empty_axis_rejected(self, tmp_path):
         cfg = write_config(tmp_path, grid={"M": [4], "N": [4], "A": []})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, extras={"oops": 1})
-        with pytest.raises(ConfigError):
-            load_config(cfg)
+        for extra in (
+            {"extras": {"oops": 1}},
+            {"cutoff": {"support": [0.5, 2.5]}},
+            {"limits": {"grid_cap": "5"}},
+            {"seed": 3},
+        ):
+            cfg = write_config(tmp_path, **extra)
+            with pytest.raises(ConfigError):
+                load_config(cfg)
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_unknown_axis_rejected(self, tmp_path):
         cfg = write_config(tmp_path, grid={"M": [4], "N": [4], "A": [2], "W": [1]})
@@ -124,9 +122,17 @@ class TestSweep:
                 load_config(cfg)
 
     def test_invalid_cutoff_rejected(self, tmp_path):
+        # the cutoff key is no longer read, so any cutoff block is an unknown key
         cfg = write_config(tmp_path, cutoff={"support": [1.5, 2.5], "plateau": [1.0, 2.0]})
         with pytest.raises(ConfigError):
             load_config(cfg)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("epsilon", ["abc", True, float("nan"), 10**400])
+    def test_invalid_epsilon_rejected(self, tmp_path, epsilon):
+        cfg = write_config(tmp_path, bound={"formula": "bcr", "epsilon": epsilon})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_grid_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KLAB_GRID_CAP", "4")
@@ -146,6 +152,20 @@ class TestSweep:
         with open(out, newline="") as fh:
             header = next(csv.reader(fh))
         assert "term2" in header and "term3" not in header
+
+        statement_cfg = write_config(tmp_path, "statement.json")
+        proof_cfg = write_config(
+            tmp_path, "proof.json", bound={"formula": "bcr", "exponent_variant": "proof"}
+        )
+        outs = {name: tmp_path / f"{name}.csv" for name in ("flag", "proof", "statement")}
+        flag = ["--exponent-variant", "proof"]
+        assert main(["sweep", "--config", statement_cfg, "--out", str(outs["flag"])] + flag) == 0
+        assert main(["sweep", "--config", proof_cfg, "--out", str(outs["proof"])]) == 0
+        assert main(["sweep", "--config", statement_cfg, "--out", str(outs["statement"])]) == 0
+        assert outs["flag"].read_bytes() == outs["proof"].read_bytes()
+        with open(outs["flag"], newline="") as fh, open(outs["statement"], newline="") as gh:
+            flag_rows, statement_rows = list(csv.DictReader(fh)), list(csv.DictReader(gh))
+        assert [r["term3"] for r in flag_rows] != [r["term3"] for r in statement_rows]
 
     def test_float_format_17_digits(self, tmp_path):
         cfg = write_config(tmp_path)

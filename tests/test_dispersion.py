@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klab import checks
 from klab.arith import euler_phi
 from klab.dispersion import (
     DISPERSION_TAIL_EXPONENTS,
@@ -187,21 +188,9 @@ class TestProgressionErrorTotal:
         got = progression_error_total(alpha, beta, DyadicRange(4), 1)
         assert math.isclose(got, want, rel_tol=1e-12)
 
-
-def toy_real_grids(count=20, seed=42):
-    rng = random.Random(seed)
-    grids = []
-    while len(grids) < count:
-        mb = rng.choice((2, 3, 4))
-        nb = rng.choice((2, 3, 4))
-        qb = rng.choice((2, 3, 4))
-        a = rng.choice((1, 2, 3, 5))
-        mk = lambda base: build_sequence(
-            "explicit", DyadicRange(base),
-            values=[complex(rng.uniform(-1, 1)) for _ in DyadicRange(base)],
-        )
-        grids.append((mk(mb), mk(nb), DyadicRange(qb), a, float(mb)))
-    return grids
+    def test_sum_of_per_modulus_errors(self):
+        result = checks.error_sum_consistency()
+        assert result.passed, result.detail
 
 
 class TestDispersionSplit:
@@ -231,8 +220,6 @@ class TestDispersionSplit:
                 c[q] = 1 if e.real >= 0 else -1
         U = W = 0.0
         V = 0j
-        xs = {}
-        ys = {}
         for m in psi.window(m_scale):
             x = y = 0j
             for q in moduli:
@@ -247,41 +234,30 @@ class TestDispersionSplit:
             U += w * abs(y) ** 2
             W += w * abs(x) ** 2
             V += w * x * y.conjugate()
-            xs[m], ys[m] = x, y
-        return U, V, W, c, xs, ys
+        return U, V, W, c
 
     def test_toy_grids_match_brute_force(self):
         psi = SmoothCutoff()
-        for alpha, beta, moduli, a, m_scale in toy_real_grids(8):
-            split = dispersion_split(alpha, beta, moduli, a, psi, m_scale)
-            U, V, W, c, _, _ = self.brute_split(alpha, beta, moduli, a, psi, m_scale)
+        for grid in checks.dispersion_toy_grids(8):
+            args = (grid["alpha"], grid["beta"], grid["moduli"], grid["a"], psi, grid["m_scale"])
+            split = dispersion_split(*args)
+            U, V, W, c = self.brute_split(*args)
             assert math.isclose(split.U, U, rel_tol=1e-11, abs_tol=1e-12)
             assert math.isclose(split.W, W, rel_tol=1e-11, abs_tol=1e-12)
             assert abs(split.V - V) <= 1e-11 * (1 + abs(V))
             assert dict(split.c) == c
 
     def test_quadratic_identity(self):
-        psi = SmoothCutoff()
-        for alpha, beta, moduli, a, m_scale in toy_real_grids(20):
-            split = dispersion_split(alpha, beta, moduli, a, psi, m_scale)
-            _, _, _, _, xs, ys = self.brute_split(alpha, beta, moduli, a, psi, m_scale)
-            direct = fsum(psi(m / m_scale) * abs(xs[m] - ys[m]) ** 2 for m in xs)
-            assert abs(direct - split.quadratic()) <= 1e-9 * (1 + abs(direct))
+        result = checks.quadratic_identity()
+        assert result.passed, result.detail
 
     def test_majorant_inequality(self):
-        psi = SmoothCutoff()
-        for alpha, beta, moduli, a, m_scale in toy_real_grids(20):
-            split = dispersion_split(alpha, beta, moduli, a, psi, m_scale)
-            delta = progression_error_total(alpha, beta, moduli, a)
-            assert cauchy_schwarz_gap(split, alpha.l2_norm, delta) >= -1e-9
+        result = checks.majorant_inequality()
+        assert result.passed, result.detail
 
     def test_sign_domain(self):
-        psi = SmoothCutoff()
-        for alpha, beta, moduli, a, m_scale in toy_real_grids(10, seed=3):
-            split = dispersion_split(alpha, beta, moduli, a, psi, m_scale)
-            for q in moduli:
-                assert split.c[q] in (-1, 0, 1)
-                assert (split.c[q] == 0) == (gcd(a, q) > 1)
+        result = checks.sign_domain()
+        assert result.passed, result.detail
 
 
 class TestCauchySchwarzGap:

@@ -14,12 +14,10 @@ from klab.sequences import (
     EmptySupport,
     NotCoprime,
     build_sequence,
-    default_convention,
     make_sequence,
     sequence_from_text,
     sequence_norms,
     sequence_to_text,
-    set_default_convention,
     sw_discrepancy,
 )
 
@@ -27,17 +25,10 @@ from klab.sequences import (
 class TestDyadicRange:
     def test_half_open_default(self):
         assert list(DyadicRange(2)) == [3, 4]
-        assert default_convention() == "half-open"
+        assert DyadicRange(2).convention == "half-open"
 
     def test_closed(self):
         assert list(DyadicRange(2, "closed")) == [2, 3, 4]
-
-    def test_global_convention_switch(self):
-        set_default_convention("closed")
-        try:
-            assert list(DyadicRange(2)) == [2, 3, 4]
-        finally:
-            set_default_convention("half-open")
 
     def test_contains(self):
         r = DyadicRange(8)
