@@ -9,11 +9,13 @@ The central objects:
   part, r | R squarefree), with a machine-checked bijection audit,
 - the squarefree-restricted mean square with denominator n*b.
 
-Evaluation is by direct enumeration with one modular inverse per (m, n); phases
-are reduced exactly mod 1 as integers before any transcendental call, and
-accumulation is Kahan-compensated so identity checks hold to 1e-9 over
-grids with millions of summands.  All evaluators are pure functions; the
-outer loops can be partitioned across workers and merged in index order.
+Evaluation is by direct enumeration.  The inner a-sum depends only on m mod
+L (L = nR): it takes one modular inverse and one row of phases per m, or per
+residue class of m mod L once the m's outnumber L.  Phases are reduced
+exactly mod 1 as integers before any transcendental call, and accumulation
+is Kahan-compensated so identity checks hold to 1e-9 over grids with
+millions of summands.  All evaluators are pure functions; the outer loops
+can be partitioned across workers and merged in index order.
 """
 
 from __future__ import annotations
@@ -110,6 +112,27 @@ def _phase_block(t_vals: list[int], a_vals: list[int], L: int) -> np.ndarray:
     return out
 
 
+def _inner_sums(theta: int, ms: list[int], L: int, a_idx: list[int], nu_arr: np.ndarray) -> np.ndarray:
+    """Per-m inner sums sum_a nu_a e(theta a m^{-1} / L) for m coprime to L.
+
+    The sum depends only on m mod L, so once the m's outnumber L (residues
+    must repeat) it is evaluated once per distinct residue and gathered back.
+    A residue has the same inverse as its m's, so each phase row is built from
+    the same integers and each sum equals the direct path's bit for bit.  A
+    single residue is left on the direct path: numpy reduces a one-row block
+    with a dot product, which rounds differently from the matrix-vector one.
+    """
+    back = None
+    if len(ms) > L:
+        residues, inverse = np.unique([m % L for m in ms], return_inverse=True)
+        if len(residues) > 1:
+            ms, back = residues.tolist(), inverse
+    invs = batch_mod_inverse(ms, L)
+    t_vals = [(theta * inv) % L for inv in invs]
+    sums = _phase_block(t_vals, a_idx, L) @ nu_arr
+    return sums if back is None else sums[back]
+
+
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
     """Evaluate the trilinear sum by direct triple enumeration.
 
@@ -131,10 +154,7 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
         sel = [(m, am) for m, am in m_items if gcd(m, L) == 1]
         if not sel or not a_idx:
             continue
-        invs = batch_mod_inverse([m for m, _ in sel], L)
-        t_vals = [(spec.theta * inv) % L for inv in invs]
-        block = _phase_block(t_vals, a_idx, L)
-        inner = block @ nu_arr  # per-m sums over a
+        inner = _inner_sums(spec.theta, [m for m, _ in sel], L, a_idx, nu_arr)
         alpha_arr = np.asarray([am for _, am in sel], dtype=complex)
         parts.append(bn * complex(alpha_arr @ inner))
         terms += len(sel) * len(a_idx)
@@ -171,10 +191,8 @@ def _inner_columns(
         sel = [i for i, m in enumerate(ms) if gcd(m, n) == 1]
         if not sel:
             continue
-        invs = batch_mod_inverse([ms[i] for i in sel], L)
-        t_vals = [(spec.theta * inv) % L for inv in invs]
-        block = _phase_block(t_vals, a_idx, L)
-        _kahan_vadd(inner, comp, sel, bn * (block @ nu_arr))
+        sums = _inner_sums(spec.theta, [ms[i] for i in sel], L, a_idx, nu_arr)
+        _kahan_vadd(inner, comp, sel, bn * sums)
     return inner
 
 

@@ -1,12 +1,12 @@
-"""Regenerates the golden bound values frozen in the test modules.
+"""Golden bound values, and the oracle that regenerates them.
 
 Independent oracle: every displayed formula is re-typed here against
 mpmath at 50 digits, with no imports from the package under test.  Run as
 
     python3 tests/golden_oracle.py
 
-and compare the printed tables against the literals in test_bounds.py /
-test_acceptance.py.
+and compare the printed tables against the frozen ``*_GOLDEN`` tables at the
+end of this module, which test_bounds.py and test_acceptance.py import.
 """
 
 import mpmath as mp
@@ -98,6 +98,39 @@ DISP_PTS = [
     (256, 16, 128, 8, 1.0, 0.0, 0.0, 3.0, 0.02, 4096),
     (1000, 30, 500, 2, 2.0, 900.0, 1.0, 5.0, 0.01, 30000),
 ]
+
+
+# Frozen output of main(): (argument tuple, value) pairs, checked at 1e-12.
+BC_GOLDEN = list(zip(BC_PTS, (
+    3.2240036559153699097,
+    25.655601199120836933,
+    293.82045738553497005,
+    85.743268601660146073,
+    981.41436149399228577,
+)))
+BCR_GOLDEN = {
+    "statement": list(zip(BCR_PTS, (
+        5.9460355750136053336,
+        75.816560755692846699,
+        700.23931153559041739,
+        266.59236619816477731,
+        3847.376317920252507,
+    ))),
+    "proof": list(zip(BCR_PTS, (
+        5.9460355750136053336,
+        73.984485360766501957,
+        647.39005864821459411,
+        242.60884466428241929,
+        3477.6402313218758082,
+    ))),
+}
+CB_GOLDEN = list(zip(CB_PTS, (
+    8.4852813742385702928,
+    210.61032274007227289,
+    11623.942058348350875,
+    8400.8872458365196302,
+    1365923.8580661879114,
+)))
 
 
 def main():

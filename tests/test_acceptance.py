@@ -6,16 +6,19 @@ lines.  Criteria 1-4 are defined in :mod:`klab.checks`, the same checks that
 test already stood for one check it calls that check, and the criterion
 names it: the dispersion quadratic identity and majorant of criterion 3 run
 in ``tests/test_dispersion.py``, the reciprocity identity of criterion 4 in
-``tests/test_arith.py``.  Criterion 7 archives its sweep tables under
-reports/ as the repository's desk-scale evidence for the bound's shape.
+``tests/test_arith.py``.  Criterion 7 reruns the sweeps whose tables are
+archived under reports/ as the repository's desk-scale evidence for the
+bound's shape, and checks the archive against them.
 """
 
+import csv
 import functools
 import json
 import math
 import os
 from fractions import Fraction
 
+from golden_oracle import BC_GOLDEN, BCR_GOLDEN, CB_GOLDEN
 from klab import bounds, checks, dispersion
 from klab.cli import run_sweep
 
@@ -92,37 +95,7 @@ def test_c5_fourier_completion():
 
 
 # Golden values frozen from an independent 50-digit mpmath evaluation of the
-# displayed formulas.
-BC_GOLDEN = [
-    ((1, 1, 1, 1, (1, 1, 1), 0.0), 3.2240036559153699097),
-    ((4, 8, 2, -3, (1.5, 0.5, 2.0), 0.01), 25.655601199120836933),
-    ((16, 9, 5, 7, (1, 2, 3), 0.0), 293.82045738553497005),
-    ((100, 50, 10, -1, (0.3, 0.7, 1.1), 0.02), 85.743268601660146073),
-    ((256, 128, 16, 2, (1, 1, 1), 0.01), 981.41436149399228577),
-]
-BCR_GOLDEN = {
-    "statement": [
-        ((1, 1, 1, 1, 1, (1, 1, 1), 0.0), 5.9460355750136053336),
-        ((4, 8, 2, 3, -3, (1.5, 0.5, 2.0), 0.01), 75.816560755692846699),
-        ((16, 9, 5, 2, 7, (1, 2, 3), 0.0), 700.23931153559041739),
-        ((100, 50, 10, 8, -1, (0.3, 0.7, 1.1), 0.02), 266.59236619816477731),
-        ((256, 128, 16, 16, 2, (1, 1, 1), 0.01), 3847.376317920252507),
-    ],
-    "proof": [
-        ((1, 1, 1, 1, 1, (1, 1, 1), 0.0), 5.9460355750136053336),
-        ((4, 8, 2, 3, -3, (1.5, 0.5, 2.0), 0.01), 73.984485360766501957),
-        ((16, 9, 5, 2, 7, (1, 2, 3), 0.0), 647.39005864821459411),
-        ((100, 50, 10, 8, -1, (0.3, 0.7, 1.1), 0.02), 242.60884466428241929),
-        ((256, 128, 16, 16, 2, (1, 1, 1), 0.01), 3477.6402313218758082),
-    ],
-}
-CB_GOLDEN = [
-    ((1, 1, 1, 1, 1, (1, 1), 0.0), 8.4852813742385702928),
-    ((4, 8, 2, 2, -3, (1.5, 0.5), 0.01), 210.61032274007227289),
-    ((16, 9, 5, 4, 7, (1, 2), 0.0), 11623.942058348350875),
-    ((100, 50, 10, 9, -1, (0.3, 0.7), 0.02), 8400.8872458365196302),
-    ((256, 128, 16, 8, 2, (1, 1), 0.01), 1365923.8580661879114),
-]
+# displayed formulas; the BC, BCR and CB tables live in tests/golden_oracle.py.
 DISP_GOLDEN = [
     ((1, 1, 1, 1, 1.0, 0.0, 0.0, 0.0, 0.0, 1), 2.0),
     ((8, 4, 16, 2, 1.5, 3.0, 1.0, 2.0, 0.01, 64), 350.34968748202232387),
@@ -153,18 +126,50 @@ def test_c6_bound_formula_regression():
     assert s4 == F(-1, 8) and s5 == F(-2, 5)
 
 
+def _parsed(cell):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _csv_cells(path):
+    with open(path, newline="") as fh:
+        return [[_parsed(cell) for cell in row] for row in csv.reader(fh)]
+
+
+def _same(got, want):
+    """Equal, except that floats agree within the golden 1e-12 relative."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want)
+    return got == want
+
+
 @criterion(7, "empirical implied constant, desk-scale sweep")
-def test_c7_empirical_implied_constant():
-    reports_dir = os.path.join(REPO_ROOT, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
+def test_c7_empirical_implied_constant(tmp_path):
+    # the sweep runs into tmp_path and is compared cell by cell with the
+    # archive in reports/: float bytes follow the OpenBLAS kernel
     maxima = {}
     for scale in ("full", "half"):
         cfg = os.path.join(REPO_ROOT, "sweeps", f"bcr_desk_{scale}.json")
-        out = os.path.join(reports_dir, f"bcr_desk_{scale}.csv")
+        archived = os.path.join(REPO_ROOT, "reports", f"bcr_desk_{scale}.csv")
+        out = str(tmp_path / f"bcr_desk_{scale}.csv")
         summary = run_sweep(cfg, out, jobs=os.cpu_count() or 1)
         assert summary["points"] == 16
         assert math.isfinite(summary["max_ratio"]) and summary["max_ratio"] > 0
         maxima[scale] = summary["max_ratio"]
+        got, want = _csv_cells(out), _csv_cells(archived)
+        assert len(got) == len(want)
+        for row, ref in zip(got, want):
+            assert _same(row, ref), (scale, row, ref)
+        with open(out + ".summary.json") as fg, open(archived + ".summary.json") as fw:
+            assert _same(json.load(fg), json.load(fw)), scale
     variation = maxima["full"] / maxima["half"]
     print(f"\n[acceptance] criterion 7 max ratios: full {maxima['full']:.6e}, "
           f"half {maxima['half']:.6e}, variation x{variation:.3f}")

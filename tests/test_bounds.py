@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden_oracle as oracle
 from klab.bounds import (
     BoundReport,
     EmptyList,
@@ -23,36 +24,16 @@ from klab.bounds import (
 
 F = Fraction
 
-# Golden values frozen from an independent 50-digit mpmath evaluation of the
-# displayed formulas (tests/golden oracle; see the module docstring note).
-BC_GOLDEN = [
-    ((1, 1, 1, 1, (1, 1, 1), 0.0), 3.2240036559153699097),
-    ((4, 8, 2, -3, (1.5, 0.5, 2.0), 0.01), 25.655601199120836933),
-    ((16, 9, 5, 7, (1, 2, 3), 0.0), 293.82045738553497005),
-    ((100, 50, 10, -1, (0.3, 0.7, 1.1), 0.02), 85.743268601660146073),
-    ((256, 128, 16, 2, (1, 1, 1), 0.01), 981.41436149399228577),
-]
-BCR_GOLDEN_STATEMENT = [
-    ((1, 1, 1, 1, 1, (1, 1, 1), 0.0), 5.9460355750136053336),
-    ((4, 8, 2, 3, -3, (1.5, 0.5, 2.0), 0.01), 75.816560755692846699),
-    ((16, 9, 5, 2, 7, (1, 2, 3), 0.0), 700.23931153559041739),
-    ((100, 50, 10, 8, -1, (0.3, 0.7, 1.1), 0.02), 266.59236619816477731),
-    ((256, 128, 16, 16, 2, (1, 1, 1), 0.01), 3847.376317920252507),
-]
-BCR_GOLDEN_PROOF = [
-    ((1, 1, 1, 1, 1, (1, 1, 1), 0.0), 5.9460355750136053336),
-    ((4, 8, 2, 3, -3, (1.5, 0.5, 2.0), 0.01), 73.984485360766501957),
-    ((16, 9, 5, 2, 7, (1, 2, 3), 0.0), 647.39005864821459411),
-    ((100, 50, 10, 8, -1, (0.3, 0.7, 1.1), 0.02), 242.60884466428241929),
-    ((256, 128, 16, 16, 2, (1, 1, 1), 0.01), 3477.6402313218758082),
-]
-CB_GOLDEN = [
-    ((1, 1, 1, 1, 1, (1, 1), 0.0), 8.4852813742385702928),
-    ((4, 8, 2, 2, -3, (1.5, 0.5), 0.01), 210.61032274007227289),
-    ((16, 9, 5, 4, 7, (1, 2), 0.0), 11623.942058348350875),
-    ((100, 50, 10, 9, -1, (0.3, 0.7), 0.02), 8400.8872458365196302),
-    ((256, 128, 16, 8, 2, (1, 1), 0.01), 1365923.8580661879114),
-]
+def test_frozen_goldens_match_oracle():
+    # the frozen tables are the 50-digit oracle's output printed to 20 digits
+    pairs = [(oracle.coprime_trilinear(*args), want) for args, want in oracle.BC_GOLDEN]
+    for variant, x3 in (("statement", oracle.R(1) / 20), ("proof", oracle.R(3) / 10)):
+        pairs += [(oracle.fixed_factor_trilinear(*args, x3), want)
+                  for args, want in oracle.BCR_GOLDEN[variant]]
+    pairs += [(oracle.mean_square(*args), want) for args, want in oracle.CB_GOLDEN]
+    assert len(pairs) == 20
+    for got, want in pairs:
+        assert abs(float(got) - want) <= 1e-12 * abs(want)
 
 
 class TestTrilinearCoprimeBound:
@@ -71,7 +52,7 @@ class TestTrilinearCoprimeBound:
         assert hi.total > lo.total
         assert hi.meta["prefactor"] ** 2 == pytest.approx(1 + 2 / 4)
 
-    @pytest.mark.parametrize("args,want", BC_GOLDEN)
+    @pytest.mark.parametrize("args,want", oracle.BC_GOLDEN)
     def test_golden(self, args, want):
         rep = rhs_trilinear_coprime(*args)
         assert math.isclose(rep.total, want, rel_tol=1e-12)
@@ -91,12 +72,12 @@ class TestTrilinearFixedFactorBound:
     def test_zero_norm(self):
         assert rhs_trilinear_fixed_factor(4, 4, 2, 2, 1, (1, 0.0, 1)).total == 0.0
 
-    @pytest.mark.parametrize("args,want", BCR_GOLDEN_STATEMENT)
+    @pytest.mark.parametrize("args,want", oracle.BCR_GOLDEN["statement"])
     def test_golden_statement(self, args, want):
         rep = rhs_trilinear_fixed_factor(*args, exponent_variant="statement")
         assert math.isclose(rep.total, want, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("args,want", BCR_GOLDEN_PROOF)
+    @pytest.mark.parametrize("args,want", oracle.BCR_GOLDEN["proof"])
     def test_golden_proof(self, args, want):
         rep = rhs_trilinear_fixed_factor(*args, exponent_variant="proof")
         assert math.isclose(rep.total, want, rel_tol=1e-12)
@@ -150,7 +131,7 @@ class TestMeanSquareBound:
         t4 = rhs_mean_square_bound(1, 1, 1, 4, 1, (1, 1)).term("term1")
         assert math.isclose(t4, 2 * t1, rel_tol=1e-14)
 
-    @pytest.mark.parametrize("args,want", CB_GOLDEN)
+    @pytest.mark.parametrize("args,want", oracle.CB_GOLDEN)
     def test_golden(self, args, want):
         rep = rhs_mean_square_bound(*args)
         assert math.isclose(rep.total, want, rel_tol=1e-12)

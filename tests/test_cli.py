@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import random
 
 import pytest

@@ -3,16 +3,18 @@ import math
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import checks
-from klab.arith import is_squarefree, is_squarefull, kloosterman_phase, radical
+from klab import checks, forms
+from klab.arith import euler_phi, is_squarefree, is_squarefull, kloosterman_phase, radical
 from klab.forms import (
     _INT64_SAFE,
     DecompositionMismatch,
     TrilinearSpec,
+    _inner_sums,
     _phase_block,
     complementary_split,
     mean_square_decomposed,
@@ -142,6 +144,66 @@ class TestPhaseBlock:
         for i, m in enumerate(ms):
             for j, a in enumerate(a_vals):
                 assert abs(block[i, j] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
+
+
+def random_spec(M, N, A, R, theta, seed):
+    alpha, beta, nu = (build_sequence("random_unit", DyadicRange(base), seed=seed + k)
+                       for k, base in enumerate((M, N, A)))
+    return TrilinearSpec(alpha, beta, nu, theta, R)
+
+
+class TestResiduePath:
+    """Once the m's outnumber L = nR the inner a-sum is evaluated once per
+    residue class of m mod L and gathered back."""
+
+    @pytest.mark.parametrize("theta", (1, -3))
+    def test_unbalanced_against_naive(self, theta):
+        # L = nR <= 16 for n in (4, 8]: every n takes the residue path
+        spec = random_spec(256, 4, 16, 2, theta, seed=40)
+        res = trilinear_form(spec)
+        want, count = naive_trilinear(spec)
+        assert abs(res.value - want) <= 1e-10 * (1 + abs(want))
+        assert res.terms == count == 16 * sum(
+            1 for n in range(5, 9) for m in range(257, 513) if gcd(m, 2 * n) == 1)
+        assert math.isclose(mean_square_direct(spec), naive_mean_square(spec), rel_tol=1e-10)
+        assert math.isclose(squarefree_mean_square(spec, 3), naive_cb(spec, 3), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("M,N,A,R,residue", ((256, 4, 16, 2, True), (128, 128, 8, 8, False)))
+    def test_block_rows(self, monkeypatch, M, N, A, R, residue):
+        # a block has at most phi(L) rows once len(sel) > L, else one row per
+        # m, and the direct path never pays for the residue grouping
+        blocks = []
+        uniques = []
+        unique = np.unique
+
+        def recording(t_vals, a_vals, L):
+            blocks.append((L, len(t_vals)))
+            return _phase_block(t_vals, a_vals, L)
+
+        monkeypatch.setattr(forms, "_phase_block", recording)
+        monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
+        spec = random_spec(M, N, A, R, 1, seed=7)
+        trilinear_form(spec)
+        mean_square_direct(spec)
+        assert len(blocks) == 2 * N
+        assert len(uniques) == (2 * N if residue else 0)
+        for L, rows in blocks:
+            sel = sum(1 for m in range(M + 1, 2 * M + 1) if gcd(m, L) == 1)
+            assert (sel > L) == residue
+            assert rows <= euler_phi(L) if residue else rows == sel
+
+    @pytest.mark.parametrize("ms,L", (
+        (list(range(1, 200, 2)), 2),  # one residue class: stays direct
+        ([1, 4, 7, 10, 13], 3),  # sparse m, one residue class
+        ([m for m in range(300, 700) if gcd(m, 36) == 1], 36),
+        ([m for m in range(5, 400) if gcd(m, 97) == 1], 97),
+    ))
+    def test_bit_identical_to_direct(self, ms, L):
+        a_idx = list(range(3, 40))
+        nu_arr = np.exp(2j * np.pi * np.arange(len(a_idx)) / 7.3)
+        for theta in (1, -5):
+            direct = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L) @ nu_arr
+            assert np.array_equal(_inner_sums(theta, ms, L, a_idx, nu_arr), direct)
 
 
 class TestMeanSquareDirect:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from klab.arith import euler_phi, moebius
 from klab.sequences import (
-    CoefficientSequence,
     DivisorBoundViolation,
     DyadicRange,
     EmptySupport,
