@@ -9,7 +9,6 @@ deterministic sweep/verification CLI (``klab``).
 
 from .arith import (
     NonInvertible,
-    ResidueClass,
     SqfSplit,
     batch_mod_inverse,
     kloosterman_phase,

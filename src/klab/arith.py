@@ -15,7 +15,6 @@ from math import comb, gcd, isqrt
 
 __all__ = [
     "NonInvertible",
-    "ResidueClass",
     "SqfSplit",
     "mod_inverse",
     "batch_mod_inverse",
@@ -47,23 +46,6 @@ class NonInvertible(ValueError):
 
 
 @dataclass(frozen=True)
-class ResidueClass:
-    """A residue ``value`` modulo ``modulus``, normalized to 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class SqfSplit:
     """Coprime factorization n = squarefree_part * squarefull_part.
 
@@ -79,12 +61,12 @@ class SqfSplit:
         return self.squarefree_part * self.squarefull_part
 
 
-def mod_inverse(a: int, m: int) -> ResidueClass:
-    """Inverse of ``a`` modulo ``m``; raises :class:`NonInvertible` if gcd(a, m) > 1."""
+def mod_inverse(a: int, m: int) -> int:
+    """Inverse of ``a`` modulo ``m`` in [0, m); raises :class:`NonInvertible` if gcd(a, m) > 1."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     try:
-        return ResidueClass(pow(a, -1, m), m)
+        return pow(a, -1, m)
     except ValueError:
         raise NonInvertible(a, m) from None
 
@@ -209,6 +191,6 @@ def kloosterman_phase(theta: int, a: int, m: int, n: int, R: int = 1) -> complex
     part to cancellation.
     """
     L = n * R
-    inv = mod_inverse(m, L).value
+    inv = mod_inverse(m, L)
     x = (theta * a * inv) % L
     return cmath.exp(2j * math.pi * (x / L))

@@ -145,14 +145,6 @@ def rhs_trilinear_coprime(
     return _sum_report(terms, scale, meta={"prefactor": prefactor})
 
 
-_VARIANT_ALIASES = {
-    "statement": "statement",
-    "theorem_statement": "statement",
-    "proof": "proof",
-    "proof_final": "proof",
-}
-
-
 def rhs_trilinear_fixed_factor(
     M: float,
     N: float,
@@ -176,10 +168,9 @@ def rhs_trilinear_fixed_factor(
     enforced; violations are reported as flags and the value is still
     computed so sweeps can map where the formula degrades.
     """
-    variant = _VARIANT_ALIASES.get(exponent_variant)
-    if variant is None:
+    if exponent_variant not in ("statement", "proof"):
         raise ValueError(f"unknown exponent_variant {exponent_variant!r}")
-    x3 = 1 / 20 if variant == "statement" else 3 / 10
+    x3 = 1 / 20 if exponent_variant == "statement" else 3 / 10
     terms = [
         ("term1", N ** (-1 / 8)),
         ("term2", R ** (1 / 8) * N ** (1 / 8) / M ** (1 / 4)),
@@ -284,19 +275,11 @@ FIXED_N_CAPS: dict[str, Fraction] = {
 # wide-modulus ranges: the variant-(i) ceiling evaluated at the Q-cap.
 HANDOFF_N_EXPONENT = Fraction(1, 89)
 
-_COROLLARY_ALIASES = {
-    "new": "new",
-    "new_cor": "new",
-    "fr": "fr",
-    "fr_cor11": "fr",
-}
 
-
-def _corollary_key(corollary: str) -> str:
-    key = _COROLLARY_ALIASES.get(str(corollary).lower())
-    if key is None:
+def _corollary_table(corollary: str) -> dict[str, Fraction]:
+    if corollary not in COROLLARY_TABLES:
         raise ValueError(f"unknown corollary {corollary!r}; expected 'fr' or 'new'")
-    return key
+    return COROLLARY_TABLES[corollary]
 
 
 @dataclass(frozen=True)
@@ -314,7 +297,7 @@ class NExponentCeiling:
 
 def extremal_q_exponent(corollary: str) -> Fraction:
     """The Q-exponent at which the variant-(i) ceiling hits zero."""
-    tab = COROLLARY_TABLES[_corollary_key(corollary)]
+    tab = _corollary_table(corollary)
     return tab["i_const"] / tab["i_slope"]
 
 
@@ -326,19 +309,18 @@ def admissible_n_exponent(corollary: str, variant: str, q_exp: Fraction) -> NExp
     caps and report whether q_exp lies under the corollary's Q-cap; the -eps
     slack of the actual statements is left to the caller.
     """
-    key = _corollary_key(corollary)
+    tab = _corollary_table(corollary)
     q = Fraction(q_exp)
     if not Fraction(0) < q < Fraction(1):
         raise InvalidExponent(f"q-exponent must lie in (0, 1), got {q}")
-    tab = COROLLARY_TABLES[key]
     if variant == "i":
         ceiling = tab["i_const"] - tab["i_slope"] * q
         extremal = tab["i_const"] / tab["i_slope"]
-        return NExponentCeiling(key, variant, q, ceiling, ceiling > 0, q < extremal, extremal)
+        return NExponentCeiling(corollary, variant, q, ceiling, ceiling > 0, q < extremal, extremal)
     if variant in ("ii", "iii"):
         cap = FIXED_N_CAPS[variant]
         ok = q <= tab["q_cap"]
-        return NExponentCeiling(key, variant, q, cap, ok, ok, tab["q_cap"])
+        return NExponentCeiling(corollary, variant, q, cap, ok, ok, tab["q_cap"])
     raise ValueError(f"unknown variant {variant!r}; expected 'i', 'ii' or 'iii'")
 
 
@@ -370,7 +352,7 @@ def check_range_conditions(
     complementary ranges Q <= min(sqrt(NX), X^(4/7) N^(-6/7)) and
     Q <= min(sqrt(NX), X^(5/8) N^(-3/4)).
     """
-    key = _corollary_key(corollary)
+    tab = _corollary_table(corollary)
     n = Fraction(n_exp)
     q = Fraction(q_exp)
     a = Fraction(a_exp)
@@ -384,7 +366,6 @@ def check_range_conditions(
     if eps < 0 or eps >= 1:
         raise InvalidExponent(f"epsilon must lie in [0, 1), got {eps}")
     m = 1 - n
-    tab = COROLLARY_TABLES[key]
 
     def strict(slack: Fraction) -> ConditionResult:
         return ConditionResult(slack > 0, slack)

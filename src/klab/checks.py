@@ -115,7 +115,7 @@ def reciprocity() -> CheckResult:
         for m in range(1, 201)
         for n in range(1, 201)
         if gcd(m, n) == 1
-        and (m * arith.mod_inverse(m, n).value + n * arith.mod_inverse(n, m).value) % (m * n)
+        and (m * arith.mod_inverse(m, n) + n * arith.mod_inverse(n, m)) % (m * n)
         != 1 % (m * n)
     )
     return CheckResult("arith.reciprocity_coprime_pairs_200", bad == 0, f"{bad} failures")
@@ -130,7 +130,7 @@ def inverse_identity_random() -> CheckResult:
         a = rng.randrange(1, m)
         if gcd(a, m) != 1:
             continue
-        bad += a * arith.mod_inverse(a, m).value % m != 1
+        bad += a * arith.mod_inverse(a, m) % m != 1
         done += 1
     return CheckResult("arith.inverse_identity_random_1e4", bad == 0, f"{bad} failures")
 
@@ -139,7 +139,7 @@ def batch_matches_scalar() -> CheckResult:
     rng = random.Random(20260809)
     m = 10**9 + 7
     vals = [rng.randrange(1, m) for _ in range(1000)]
-    ok = arith.batch_mod_inverse(vals, m) == [arith.mod_inverse(v, m).value for v in vals]
+    ok = arith.batch_mod_inverse(vals, m) == [arith.mod_inverse(v, m) for v in vals]
     return CheckResult("arith.batch_matches_scalar_1000", ok)
 
 

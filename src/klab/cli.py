@@ -271,11 +271,10 @@ def run_sweep(
 def run_ranges(q_text: str, corollary: str = "new", out: str | None = None) -> str:
     """Exact N-exponent ceilings for both corollaries at the given Q-exponent."""
     q = bounds.parse_exponent(q_text)
-    order = [corollary] + [c for c in ("new", "fr") if c != bounds._corollary_key(corollary)]
+    order = [corollary] + [c for c in ("new", "fr") if c != corollary]
     lines = [f"q-exponent: {q}"]
     ceilings: dict[str, Fraction] = {}
-    for cor in order:
-        key = bounds._corollary_key(cor)
+    for key in order:
         ci = bounds.admissible_n_exponent(key, "i", q)
         ceilings[key] = ci.ceiling
         status = "feasible" if ci.feasible else "infeasible (negative ceiling)"

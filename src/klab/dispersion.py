@@ -10,6 +10,10 @@ Contents:
 - the dispersion split U / V / W against a sign sequence c_q derived from
   the error signs, with V stored as the cross term so that
   sum_m psi(m/M) |X_m - Y_m|^2 = W - 2 Re V + U holds identically;
+- behind both, one residue table per modulus: for each residue r mod q, the
+  beta sum over the classes solving r x = a (mod q), plus the coprime beta
+  sum.  It feeds E_q, c_q, X_m and Y_m; dispersion_split builds it once per
+  modulus coprime to a;
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
   phi(q)/q main term;
@@ -190,15 +194,53 @@ class SmoothCutoff:
         return val
 
 
-def _class_sums(beta: CoefficientSequence, q: int) -> tuple[dict[int, complex], complex]:
-    """Per-residue-class sums of beta mod q, and the sum over (n, q) = 1."""
+def _residue_table(
+    beta: CoefficientSequence, q: int, a: int, residues: Iterable[int]
+) -> tuple[dict[int, complex], complex]:
+    """The per-modulus congruence table of beta, and its sum over (n, q) = 1.
+
+    Maps each residue r in ``residues`` for which r x = a (mod q) is solvable
+    to the sum of beta over its gcd(r, q) solution classes x mod q, taken in
+    ascending order (0j when beta misses them all).  With gcd(a, q) = 1 the
+    solvable r are exactly those coprime to q.  Only the residues a caller
+    looks up are tabulated, so a large q with small supports stays cheap.
+    """
     cls: dict[int, list[complex]] = {}
     cop: list[complex] = []
     for n, v in sorted(beta.values.items()):
         cls.setdefault(n % q, []).append(v)
         if gcd(n, q) == 1:
             cop.append(v)
-    return {r: _csum(parts) for r, parts in cls.items()}, _csum(cop)
+    sums = {x: _csum(parts) for x, parts in cls.items()}
+    a_red = a % q
+    table: dict[int, complex] = {}
+    for r in residues:
+        g = gcd(r, q)
+        if a_red % g:
+            continue
+        # g solutions spaced q/g apart, starting at x0 < q/g
+        step = q // g
+        x0 = (a_red // g) * pow(r // g, -1, step) % step
+        table[r] = _csum([sums[x] for k in range(g) if (x := x0 + k * step) in sums])
+    return table, _csum(cop)
+
+
+def _table_error(
+    alpha: CoefficientSequence, q: int, table: dict[int, complex], cop_beta: complex, phi_q: int
+) -> complex:
+    """The progression error of alpha against a residue table of beta mod q.
+
+    A 0j entry adds exact zeros to the main sum, which fsum leaves out.
+    """
+    main_parts: list[complex] = []
+    cop_alpha_parts: list[complex] = []
+    for m, am in sorted(alpha.values.items()):
+        if gcd(m, q) == 1:
+            cop_alpha_parts.append(am)
+        s = table.get(m % q)
+        if s is not None:
+            main_parts.append(am * s)
+    return _csum(main_parts) - _csum(cop_alpha_parts) * cop_beta / phi_q
 
 
 def progression_error(
@@ -212,32 +254,17 @@ def progression_error(
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    cls, cop_beta = _class_sums(beta, q)
-    a_red = a % q
-    main_parts: list[complex] = []
-    cop_alpha_parts: list[complex] = []
-    for m, am in sorted(alpha.values.items()):
-        g = gcd(m, q)
-        if g == 1:
-            cop_alpha_parts.append(am)
-        # solve m x = a (mod q); g solutions spaced q/g when g | a
-        if a_red % g == 0:
-            step = q // g
-            x0 = (a_red // g) * pow((m % q) // g, -1, step) % step if step > 1 else 0
-            acc = [cls[c] for k in range(g) if (c := (x0 + k * step) % q) in cls]
-            if acc:
-                main_parts.append(am * _csum(acc))
-    main = _csum(main_parts)
-    secondary = _csum(cop_alpha_parts) * cop_beta / euler_phi(q)
-    return main - secondary
+    table, cop_beta = _residue_table(beta, q, a, {m % q for m in alpha.values})
+    return _table_error(alpha, q, table, cop_beta, euler_phi(q))
 
 
 def progression_error_total(
     alpha: CoefficientSequence, beta: CoefficientSequence, moduli: Iterable[int], a: int
 ) -> float:
     """Sum over q in ``moduli`` coprime to a of |progression_error(q)|."""
+    # q < 1 goes on to progression_error, which rejects it whatever gcd(q, a) is
     return fsum(
-        abs(progression_error(alpha, beta, q, a)) for q in moduli if gcd(q, a) == 1
+        abs(progression_error(alpha, beta, q, a)) for q in moduli if q < 1 or gcd(q, a) == 1
     )
 
 
@@ -281,31 +308,25 @@ def dispersion_split(
     if not psi.plateau_covers(1.0, 2.0):
         raise PsiDoesNotMajorize(f"plateau {psi.plateau} does not cover [1, 2]")
     qs = sorted(set(moduli))
+    if qs and qs[0] < 1:
+        raise ValueError(f"q must be positive, got {qs[0]}")
+    window = psi.window(m_scale)
+    x_vals = {m: 0j for m in window}
+    y_vals = {m: 0j for m in window}
     c: dict[int, int] = {}
     for q in qs:
         if gcd(a, q) != 1:
             c[q] = 0
-        else:
-            err = progression_error(alpha, beta, q, a)
-            c[q] = 1 if err.real >= 0 else -1
-    window = psi.window(m_scale)
-    x_vals = {m: 0j for m in window}
-    y_vals = {m: 0j for m in window}
-    for q in qs:
-        cq = c[q]
-        if cq == 0:
             continue
-        cls, cop_beta = _class_sums(beta, q)
+        table, cop_beta = _residue_table(beta, q, a, range(q))
         phi_q = euler_phi(q)
-        a_red = a % q
-        inv = {r: pow(r, -1, q) for r in range(q) if gcd(r, q) == 1} if q > 1 else {0: 0}
+        cq = c[q] = 1 if _table_error(alpha, q, table, cop_beta, phi_q).real >= 0 else -1
+        y_q = (cq / phi_q) * cop_beta
         for m in window:
-            r = m % q
-            if q > 1 and r not in inv:
-                continue  # gcd(m, q) > 1: no class solution, no coprime pair
-            target = (a_red * inv[r]) % q if q > 1 else 0
-            x_vals[m] += cq * cls.get(target, 0j)
-            y_vals[m] += (cq / phi_q) * cop_beta
+            s = table.get(m % q)
+            if s is not None:  # gcd(m, q) = 1: one solution class, one coprime pair
+                x_vals[m] += cq * s
+                y_vals[m] += y_q
     weights = {m: psi(m / m_scale) for m in window}
     U = fsum(weights[m] * abs(y_vals[m]) ** 2 for m in window)
     W = fsum(weights[m] * abs(x_vals[m]) ** 2 for m in window)

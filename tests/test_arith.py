@@ -46,21 +46,26 @@ def tau_k_brute(n, k):
 
 class TestModInverse:
     def test_identity(self):
-        assert mod_inverse(1, 7).value == 1
+        assert mod_inverse(1, 7) == 1
 
     def test_three_mod_seven(self):
-        assert mod_inverse(3, 7).value == 5
+        assert mod_inverse(3, 7) == 5
 
     def test_non_invertible(self):
         with pytest.raises(NonInvertible):
             mod_inverse(2, 4)
 
     def test_modulus_one(self):
-        assert mod_inverse(5, 1).value == 0
+        assert mod_inverse(5, 1) == 0
+
+    def test_plain_int_and_bad_modulus(self):
+        assert type(mod_inverse(3, 7)) is int
+        with pytest.raises(ValueError):
+            mod_inverse(1, 0)
 
     def test_negative_value_normalized(self):
         r = mod_inverse(-1, 7)
-        assert r.value == 6 and (-1 * r.value) % 7 == 1
+        assert r == 6 and (-1 * r) % 7 == 1
 
     @given(st.integers(min_value=2, max_value=10**12), st.integers(min_value=1, max_value=10**12))
     def test_inverse_identity_property(self, m, a):
@@ -68,7 +73,7 @@ class TestModInverse:
             with pytest.raises(NonInvertible):
                 mod_inverse(a, m)
         else:
-            assert a * mod_inverse(a, m).value % m == 1
+            assert a * mod_inverse(a, m) % m == 1
 
 
 class TestBatchModInverse:

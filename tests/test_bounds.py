@@ -65,7 +65,7 @@ class TestTrilinearCoprimeBound:
 class TestTrilinearFixedFactorBound:
     def test_unit_point_both_variants(self):
         # oracle: 2^(1/4) * 5 (all sizes 1, the bracket has five unit terms)
-        for variant in ("statement", "proof", "theorem_statement", "proof_final"):
+        for variant in ("statement", "proof"):
             rep = rhs_trilinear_fixed_factor(1, 1, 1, 1, 1, (1, 1, 1), 0.0, variant)
             assert math.isclose(rep.total, 5 * 2 ** 0.25, rel_tol=1e-14)
 
@@ -169,11 +169,11 @@ class TestAdmissibleNExponent:
         assert got.feasible
 
     def test_fr_i_at_half(self):
-        got = admissible_n_exponent("fr_cor11", "i", F(1, 2))
+        got = admissible_n_exponent("fr", "i", F(1, 2))
         assert got.ceiling == F(17, 36) - F(11, 12) * F(1, 2) == F(1, 72)
 
     def test_extremal_q(self):
-        assert extremal_q_exponent("new_cor") == F(17, 33) == F(1, 2) + F(1, 66)
+        assert extremal_q_exponent("new") == F(17, 33) == F(1, 2) + F(1, 66)
         got = admissible_n_exponent("new", "i", F(17, 33))
         assert got.ceiling == 0 and not got.feasible
 
@@ -194,6 +194,18 @@ class TestAdmissibleNExponent:
             admissible_n_exponent("new", "iv", F(1, 2))
         with pytest.raises(ValueError):
             admissible_n_exponent("older", "i", F(1, 2))
+
+    def test_only_canonical_names_accepted(self):
+        for variant in ("theorem_statement", "proof_final", "Statement"):
+            with pytest.raises(ValueError):
+                rhs_trilinear_fixed_factor(1, 1, 1, 1, 1, (1, 1, 1), 0.0, variant)
+        for cor in ("new_cor", "fr_cor11", "NEW", "Fr"):
+            with pytest.raises(ValueError):
+                admissible_n_exponent(cor, "i", F(1, 2))
+            with pytest.raises(ValueError):
+                extremal_q_exponent(cor)
+            with pytest.raises(ValueError):
+                check_range_conditions(F(1, 2), F(1, 2), F(0), F(0), cor)
 
     def test_results_are_reduced_rationals(self):
         got = admissible_n_exponent("new", "i", F(100, 200))

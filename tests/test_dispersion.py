@@ -258,6 +258,54 @@ class TestDispersionSplit:
         result = checks.sign_domain()
         assert result.passed, result.detail
 
+    @pytest.mark.parametrize("moduli,a", [([0], 2), ([-4], 2), ([0, 3], 1), ([-3, 3], 1)])
+    def test_non_positive_modulus_rejected(self, moduli, a):
+        s = ones({3, 4})
+        with pytest.raises(ValueError, match="q must be positive"):
+            dispersion_split(s, s, moduli, a, SmoothCutoff(), 2.0)
+        with pytest.raises(ValueError, match="q must be positive"):
+            progression_error_total(s, s, moduli, a)
+
+    # repr values of the commit before the per-modulus residue table, which
+    # summed in the same order
+    PINNED = {
+        1: (7230.619052877003, 7159.530142553515 + 0j, 13981.634276685789, 20.741580386774597,
+            [1, 1, 1, -1, -1, -1, 1, -1, -1, -1, 1, 1, -1, -1, -1, -1]),
+        3: (57324.24138618272, 57284.6438110332 + 0j, 63583.649158980275, 28.186141409196203,
+            [1, 0, 1, 1, 0, -1, 1, 0, 1, -1, 0, -1, -1, 0, 1, -1]),
+    }
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_pinned_values_exact(self, a):
+        alpha = build_sequence("random_unit", DyadicRange(64), seed=11)
+        beta = build_sequence("tau_k", DyadicRange(32), k=2)
+        split = dispersion_split(alpha, beta, DyadicRange(16), a, SmoothCutoff(), 64.0)
+        delta = progression_error_total(alpha, beta, DyadicRange(16), a)
+        U, V, W, want_delta, signs = self.PINNED[a]
+        assert (split.U, split.V, split.W, delta) == (U, V, W, want_delta)
+        assert dict(split.c) == dict(zip(range(17, 33), signs))
+
+    def test_one_residue_table_per_coprime_modulus(self, monkeypatch):
+        import klab.dispersion as disp
+
+        built = []
+        table = disp._residue_table
+
+        def counted(beta, q, a, residues):
+            built.append(q)
+            return table(beta, q, a, residues)
+
+        def forbidden(*args):
+            raise AssertionError("dispersion_split called progression_error")
+
+        monkeypatch.setattr(disp, "_residue_table", counted)
+        monkeypatch.setattr(disp, "progression_error", forbidden)
+        alpha = build_sequence("random_unit", DyadicRange(16), seed=3)
+        split = disp.dispersion_split(alpha, ones(DyadicRange(8)), [12, 5, 9, 6, 5, 7], 3,
+                                      SmoothCutoff(), 16.0)
+        assert built == [5, 7]
+        assert dict(split.c)[6] == dict(split.c)[9] == dict(split.c)[12] == 0
+
 
 class TestCauchySchwarzGap:
     def test_zero_split(self):
@@ -327,11 +375,6 @@ class TestCompletedCoprimeSum:
         res = completed_coprime_sum(psi, m_scale, 1009)
         all_m = fsum(psi(m / m_scale) for m in psi.window(m_scale))
         assert res.lhs == all_m
-
-    def test_q6_bound(self):
-        res = completed_coprime_sum(SmoothCutoff(), 500.0, 6)
-        assert abs(res.lhs - res.main) <= 5.0 * res.error_bound
-        assert res.c_observed <= 5.0
 
 
 class TestFrequencyCutoff:
