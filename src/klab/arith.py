@@ -1,9 +1,10 @@
 """Exact modular and multiplicative arithmetic primitives.
 
-Everything here works on plain Python integers, so moduli far beyond 64
-bits are handled exactly; the evaluators built on top of this module stay
-at desk scale regardless.  All functions are pure and safe to call from
-concurrent workers.
+Everything here is exact at any size: moduli far beyond 64 bits are handled
+with plain Python integers, and :func:`batch_mod_inverse` inverts int64
+arrays with a vectorised extended Euclid only when every input fits it.  The
+evaluators built on top of this module stay at desk scale regardless.  All
+functions are pure and safe to call from concurrent workers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
+
+import numpy as np
 
 __all__ = [
     "NonInvertible",
@@ -30,6 +33,9 @@ __all__ = [
     "squarefree_squarefull_split",
     "kloosterman_phase",
 ]
+
+# The vectorised extended Euclid stays inside int64 for moduli below this.
+_EUCLID_SAFE = 2**62
 
 
 class NonInvertible(ValueError):
@@ -71,19 +77,70 @@ def mod_inverse(a: int, m: int) -> int:
         raise NonInvertible(a, m) from None
 
 
-def batch_mod_inverse(values: list[int], m: int) -> list[int]:
-    """Inverses of many values modulo ``m``, as plain ints in [0, m).
+def _euclid(v: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lane-wise extended Euclid on int64 arrays with 0 <= v < m < 2**62:
+    g = gcd(v, m) and x with v * x = g (mod m).  Finished lanes are written
+    out and dropped, so each step only touches lanes still running.
 
-    If some value is not invertible the raised :class:`NonInvertible`
-    carries the first offending index.
+    Every remainder lies in [0, m] and every Bezout coefficient in [-m, m], so
+    no step leaves int64.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    g = np.empty_like(m)
+    x = np.empty_like(m)
+    lanes = np.arange(m.size)
+    # the first step from (v, m) only swaps, since v < m
+    r0, r1, s0, s1 = m, v, np.zeros_like(m), np.ones_like(m)
+    while lanes.size:
+        done = r1 == 0
+        if done.any():
+            g[lanes[done]] = r0[done]
+            x[lanes[done]] = s0[done]
+            live = ~done
+            lanes, r0, r1, s0, s1 = lanes[live], r0[live], r1[live], s0[live], s1[live]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    return g, x
+
+
+def batch_mod_inverse(values, m):
+    """Inverses of ``values[i]`` modulo ``m``, or modulo ``m[i]`` when ``m``
+    gives one modulus per value, each in [0, modulus).
+
+    An int64 array whose moduli all lie below 2**62 is inverted at once by a
+    vectorised extended Euclid and gives an int64 array.  Every other input
+    (a list, or big integers) goes through ``pow`` one value at a time and
+    gives a list of plain ints, or an object array for an array input; the
+    integers are the same either way.  Lists stay on ``pow`` because their
+    callers pass short batches, where the Euclid's fixed cost per step
+    outweighs its per-value saving.  If some value is not invertible the
+    raised :class:`NonInvertible` carries the first offending index.
+    """
+    as_array = isinstance(values, np.ndarray)
+    if isinstance(m, int) and not as_array:
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
+        vs, ms = values, [m] * len(values)
+    else:
+        moduli = np.broadcast_to(np.asarray(m), np.shape(values))
+        if np.any(moduli < 1):
+            raise ValueError(f"modulus must be positive, got {m}")
+        if as_array and values.dtype.kind == "i" and moduli.dtype.kind == "i" and (
+            not values.size or moduli.max() < _EUCLID_SAFE
+        ):
+            g, x = _euclid(values % moduli, moduli)
+            bad = np.flatnonzero(g != 1)
+            if bad.size:
+                index = int(bad[0])
+                raise NonInvertible(int(values[index]), int(moduli[index]), index=index)
+            return x % moduli
+        vs, ms = (values.tolist() if as_array else list(values)), moduli.tolist()
     try:
-        return [pow(v, -1, m) for v in values]
+        invs = [pow(v, -1, mi) for v, mi in zip(vs, ms)]
     except ValueError:
-        index = next(i for i, v in enumerate(values) if gcd(v, m) != 1)
-        raise NonInvertible(values[index], m, index=index) from None
+        index = next(i for i, (v, mi) in enumerate(zip(vs, ms)) if gcd(v, mi) != 1)
+        raise NonInvertible(vs[index], ms[index], index=index) from None
+    return np.array(invs, dtype=object) if as_array else invs
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -9,9 +9,11 @@ The central objects:
   part, r | R squarefree), with a machine-checked bijection audit,
 - the squarefree-restricted mean square with denominator n*b.
 
-Evaluation is by direct enumeration.  The inner a-sum depends only on m mod
-L (L = nR): it takes one modular inverse and one row of phases per m, or per
-residue class of m mod L once the m's outnumber L.  Phases are reduced
+Evaluation is by direct enumeration.  The coprime (m, n) pairs are found
+and inverted a chunk of n's at a time, with one gcd mask and one batch of
+inverses per chunk.  The inner a-sum depends only on m mod L (L = nR): it
+takes one row of phases per m, or per residue class of m mod L once the m's
+outnumber L, and each n keeps its own phase block.  Phases are reduced
 exactly mod 1 as integers before any transcendental call, and accumulation
 is Kahan-compensated so identity checks hold to 1e-9 over grids with
 millions of summands.  All evaluators are pure functions; the outer loops
@@ -24,7 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum, gcd
-from typing import Callable, Iterable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +46,8 @@ __all__ = [
 
 # int64 is safe in the vectorized phase kernel as long as modulus * max(a) fits.
 _INT64_SAFE = 2**62
+# About this many (m, L) pairs share one gcd mask and one batch of inverses.
+_CHUNK_PAIRS = 2**14
 
 
 class DecompositionMismatch(ValueError):
@@ -98,15 +102,19 @@ class FormResult:
     elapsed: float
 
 
-def _phase_block(t_vals: list[int], a_vals: list[int], L: int) -> np.ndarray:
-    """Matrix of e(t*a / L) over (t, a); exact integer reduction mod L first."""
-    if t_vals and a_vals and L * max(a_vals) < _INT64_SAFE:
+def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray:
+    """Matrix of e(t*a / L) over (t, a); exact integer reduction mod L first.
+
+    ``t_vals`` may be a list or an array; past the int64 guard each t is
+    taken back to a Python int so that t * a cannot wrap.
+    """
+    if len(t_vals) and a_vals and L * max(a_vals) < _INT64_SAFE:
         t_arr = np.asarray(t_vals, dtype=np.int64)
         a_arr = np.asarray(a_vals, dtype=np.int64)
         residue = (t_arr[:, None] * a_arr[None, :]) % L
         return np.exp((2j * np.pi) * (residue / L))
     out = np.empty((len(t_vals), len(a_vals)), dtype=complex)
-    for i, t in enumerate(t_vals):
+    for i, t in enumerate(map(int, t_vals)):
         for j, a in enumerate(a_vals):
             out[i, j] = np.exp(2j * np.pi * ((t * a) % L) / L)
     return out
@@ -133,6 +141,52 @@ def _inner_sums(theta: int, ms: list[int], L: int, a_idx: list[int], nu_arr: np.
     return sums if back is None else sums[back]
 
 
+def _coprime_inner_sums(
+    theta: int, ms: list[int], Ls: list[int], a_idx: list[int], nu_arr: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For each modulus ``Ls[j]`` in order that some m in ``ms`` is coprime to,
+    yield j, the positions ``sel`` of those m's in ``ms`` and their inner sums
+    sum_a nu_a e(theta a m^{-1} / L).
+
+    The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
+    pairs per chunk: one gcd mask and one :func:`batch_mod_inverse` call
+    cover the whole chunk, and t = theta * m^{-1} mod L is formed as an array.
+    A modulus whose coprime m's outnumber it goes through :func:`_inner_sums`
+    and its residue classes instead.  Each modulus still gets its own phase
+    block from the same integers, so every sum equals the one-modulus-at-a-time
+    evaluation bit for bit.  The arithmetic runs in int64 when every m, L and
+    theta * L fits, and on Python integers in object arrays otherwise.
+    """
+    if not ms or not a_idx:
+        return
+    fits = max(map(abs, ms)) < _INT64_SAFE and max(map(abs, Ls), default=0) * abs(theta) < _INT64_SAFE
+    m_arr = np.asarray(ms, dtype=np.int64 if fits else object)
+    rows = max(1, _CHUNK_PAIRS // len(ms))
+    for j0 in range(0, len(Ls), rows):
+        L_chunk = Ls[j0:j0 + rows]
+        L_arr = np.asarray(L_chunk, dtype=m_arr.dtype)[:, None]
+        mask = np.gcd(m_arr, L_arr) == 1
+        counts = mask.sum(axis=1).tolist()
+        residue = [c > L for c, L in zip(counts, L_chunk)]
+        direct = mask & ~np.asarray(residue)[:, None]
+        m_grid, L_grid = np.broadcast_arrays(m_arr, L_arr)
+        L_pairs = L_grid[direct]
+        t = theta * batch_mod_inverse(m_grid[direct], L_pairs) % L_pairs if L_pairs.size else L_pairs
+        cols = np.nonzero(mask)[1]
+        pos = start = 0
+        for i, (L, count) in enumerate(zip(L_chunk, counts)):
+            if not count:
+                continue
+            sel = cols[pos:pos + count]
+            pos += count
+            if residue[i]:
+                sums = _inner_sums(theta, m_arr[sel].tolist(), L, a_idx, nu_arr)
+            else:
+                sums = _phase_block(t[start:start + count], a_idx, L) @ nu_arr
+                start += count
+            yield j0 + i, sel, sums
+
+
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
     """Evaluate the trilinear sum by direct triple enumeration.
 
@@ -146,23 +200,19 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
     n_items = spec.beta.nonzero_items()
     a_idx = [a for a, _ in a_items]
     nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
+    alpha_arr = np.asarray([am for _, am in m_items], dtype=complex)
 
     parts: list[complex] = []
     terms = 0
-    for n, bn in n_items:
-        L = n * spec.R
-        sel = [(m, am) for m, am in m_items if gcd(m, L) == 1]
-        if not sel or not a_idx:
-            continue
-        inner = _inner_sums(spec.theta, [m for m, _ in sel], L, a_idx, nu_arr)
-        alpha_arr = np.asarray([am for _, am in sel], dtype=complex)
-        parts.append(bn * complex(alpha_arr @ inner))
+    Ls = [n * spec.R for n, _ in n_items]
+    for j, sel, inner in _coprime_inner_sums(spec.theta, [m for m, _ in m_items], Ls, a_idx, nu_arr):
+        parts.append(n_items[j][1] * complex(alpha_arr[sel] @ inner))
         terms += len(sel) * len(a_idx)
     value = _csum(parts) if parts else 0j
     return FormResult(value, terms, time.perf_counter() - t0)
 
 
-def _kahan_vadd(total: np.ndarray, comp: np.ndarray, idx: list[int], delta: np.ndarray) -> None:
+def _kahan_vadd(total: np.ndarray, comp: np.ndarray, idx: np.ndarray | list[int], delta: np.ndarray) -> None:
     """Compensated in-place total[idx] += delta."""
     y = delta - comp[idx]
     t = total[idx] + y
@@ -170,13 +220,12 @@ def _kahan_vadd(total: np.ndarray, comp: np.ndarray, idx: list[int], delta: np.n
     total[idx] = t
 
 
-def _inner_columns(
-    spec: TrilinearSpec,
-    ms: list[int],
-    groups: Iterable[tuple[int, complex, int]],
-) -> np.ndarray:
+def _inner_columns(spec: TrilinearSpec, ms: list[int], groups: list[tuple[int, complex, int]]) -> np.ndarray:
     """Accumulate, for each m in ms, the inner sum over the supplied (n, beta_n,
-    denominator) triples of beta_n * sum_a nu_a e(theta a m^{-1} / denominator).
+    denominator) triples of beta_n * sum_a nu_a e(theta a m^{-1} / denominator)
+    over the m's coprime to the denominator.  Every caller has already dropped
+    the m's sharing a factor with its fixed part (R or b), so that is
+    coprimality to n.
 
     Kahan-compensated accumulation over the group order given by the caller.
     """
@@ -185,14 +234,9 @@ def _inner_columns(
     nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
     inner = np.zeros(len(ms), dtype=complex)
     comp = np.zeros(len(ms), dtype=complex)
-    if not a_idx:
-        return inner
-    for n, bn, L in groups:
-        sel = [i for i, m in enumerate(ms) if gcd(m, n) == 1]
-        if not sel:
-            continue
-        sums = _inner_sums(spec.theta, [ms[i] for i in sel], L, a_idx, nu_arr)
-        _kahan_vadd(inner, comp, sel, bn * sums)
+    Ls = [L for _, _, L in groups]
+    for j, sel, sums in _coprime_inner_sums(spec.theta, ms, Ls, a_idx, nu_arr):
+        _kahan_vadd(inner, comp, sel, groups[j][1] * sums)
     return inner
 
 

@@ -259,11 +259,15 @@ def sw_discrepancy_table(
 
 
 def sequence_to_text(s: CoefficientSequence) -> str:
-    """Serialize as a text table: header line, then "index value_re value_im" lines."""
+    """Serialize as a text table: header line, then "index value_re value_im" lines.
+
+    An explicit support is listed in full in the header, so indices that carry
+    no value survive the round trip.
+    """
     if isinstance(s.support, DyadicRange):
         header = f"# support {s.support.base} {s.support.convention}"
     else:
-        header = "# support explicit"
+        header = "# support explicit " + " ".join(map(str, sorted(s.support)))
     lines = [header]
     for n in sorted(s.values):
         v = s.values[n]
@@ -272,12 +276,17 @@ def sequence_to_text(s: CoefficientSequence) -> str:
 
 
 def sequence_from_text(text: str) -> CoefficientSequence:
-    """Parse the table format written by :func:`sequence_to_text`."""
+    """Parse the table format written by :func:`sequence_to_text`.
+
+    A bare ``# support explicit`` header, which lists no indices, takes the
+    support to be the indices of the rows.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing '# support ...' header line")
     head = lines[0].lstrip("#").split()
-    if not head or head[0] != "support":
+    explicit = head[1:2] == ["explicit"]
+    if head[:1] != ["support"] or (not explicit and len(head) != 3):
         raise ValueError(f"malformed header {lines[0]!r}")
     vals: dict[int, complex] = {}
     for ln in lines[1:]:
@@ -285,8 +294,11 @@ def sequence_from_text(text: str) -> CoefficientSequence:
         if len(parts) != 3:
             raise ValueError(f"malformed row {ln!r}")
         vals[int(parts[0])] = complex(float(parts[1]), float(parts[2]))
-    if head[1] == "explicit":
-        support: DyadicRange | frozenset[int] = frozenset(vals)
-    else:
-        support = DyadicRange(int(head[1]), head[2])
+    try:
+        if explicit:
+            support: DyadicRange | frozenset[int] = frozenset(map(int, head[2:])) or frozenset(vals)
+        else:
+            support = DyadicRange(int(head[1]), head[2])
+    except ValueError as exc:
+        raise ValueError(f"malformed header {lines[0]!r}: {exc}") from None
     return make_sequence(vals, support)

@@ -1,6 +1,8 @@
 import math
+import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,50 @@ class TestBatchModInverse:
     def test_matches_scalar(self, vals, m):
         coprime = [v for v in vals if gcd(v, m) == 1]
         assert batch_mod_inverse(coprime, m) == [xgcd_inverse(v, m) for v in coprime]
+
+    def test_per_value_moduli_match_pow(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            size = rng.randrange(1, 60)
+            mods = [rng.choice((1, 2, rng.randrange(1, 100), rng.randrange(1, 2**61))) for _ in range(size)]
+            vals = [rng.choice((rng.randrange(-50, 50), rng.randrange(-2**62, 2**62))) for _ in range(size)]
+            coprime = [(v, m) for v, m in zip(vals, mods) if gcd(v, m) == 1]
+            vals, mods = [v for v, _ in coprime], [m for _, m in coprime]
+            want = [pow(v, -1, m) for v, m in coprime]
+            assert batch_mod_inverse(vals, mods) == want
+            got = batch_mod_inverse(np.asarray(vals, dtype=np.int64), np.asarray(mods, dtype=np.int64))
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    @pytest.mark.parametrize("vals,mods,dtype", (
+        ([2**64 + 1, -(2**70) - 1, 5], [7, 11, 13], object),  # values past int64
+        ([3, 5, -7], [2**62 + 1, 2**62, 2**100 + 3], object),  # moduli past the Euclid guard
+        ([2**63 - 1, 5], 2**62 - 1, np.int64),  # largest int64 value, largest vectorised modulus
+    ))
+    def test_beyond_int64_guard(self, vals, mods, dtype):
+        per_value = mods if isinstance(mods, list) else [mods] * len(vals)
+        want = [pow(v, -1, m) for v, m in zip(vals, per_value)]
+        got = batch_mod_inverse(vals, mods)
+        assert got == want and all(type(x) is int for x in got)
+        got = batch_mod_inverse(np.asarray(vals), np.asarray(mods))
+        assert got.dtype == dtype and got.tolist() == want
+
+    @pytest.mark.parametrize("as_array", (False, True))
+    def test_per_value_first_offending_index(self, as_array):
+        vals, mods = [3, 4, 6, 9, 10], [10, 9, 9, 9, 4]
+        if as_array:
+            vals, mods = np.asarray(vals), np.asarray(mods)
+        with pytest.raises(NonInvertible) as exc:
+            batch_mod_inverse(vals, mods)
+        assert (exc.value.index, exc.value.value, exc.value.modulus) == (2, 6, 9)
+        with pytest.raises(NonInvertible) as exc:
+            batch_mod_inverse([1, 2**64 + 2, 4], [5, 4, 3])
+        assert (exc.value.index, exc.value.value, exc.value.modulus) == (1, 2**64 + 2, 4)
+
+    def test_bad_moduli(self):
+        with pytest.raises(ValueError, match="positive"):
+            batch_mod_inverse([1, 2], [3, 0])
+        with pytest.raises(ValueError, match="positive"):
+            batch_mod_inverse([], -1)
 
 
 class TestSplit:

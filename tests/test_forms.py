@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab import checks, forms
-from klab.arith import euler_phi, is_squarefree, is_squarefull, kloosterman_phase, radical
+from klab.arith import batch_mod_inverse, euler_phi, is_squarefree, is_squarefull, kloosterman_phase, radical
 from klab.forms import (
     _INT64_SAFE,
     DecompositionMismatch,
@@ -22,7 +22,7 @@ from klab.forms import (
     squarefree_mean_square,
     trilinear_form,
 )
-from klab.sequences import DyadicRange, build_sequence, make_sequence
+from klab.sequences import DyadicRange, _csum, build_sequence, make_sequence
 
 
 def ones(support):
@@ -204,6 +204,99 @@ class TestResiduePath:
         for theta in (1, -5):
             direct = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L) @ nu_arr
             assert np.array_equal(_inner_sums(theta, ms, L, a_idx, nu_arr), direct)
+
+
+def per_n_form(spec):
+    """The form evaluated one modulus at a time, with Python gcd selection and
+    per-modulus inverses: the reference that the chunked path must equal bit
+    for bit."""
+    a_items = spec.nu.nonzero_items()
+    a_idx = [a for a, _ in a_items]
+    nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
+    parts, terms = [], 0
+    for n, bn in spec.beta.nonzero_items():
+        L = n * spec.R
+        sel = [(m, am) for m, am in spec.alpha.nonzero_items() if gcd(m, L) == 1]
+        if not sel or not a_idx:
+            continue
+        inner = _inner_sums(spec.theta, [m for m, _ in sel], L, a_idx, nu_arr)
+        parts.append(bn * complex(np.asarray([am for _, am in sel], dtype=complex) @ inner))
+        terms += len(sel) * len(a_idx)
+    return _csum(parts) if parts else 0j, terms
+
+
+def per_n_mean_square(spec):
+    """mean_square_direct one modulus at a time: the chunked path's reference."""
+    a_items = spec.nu.nonzero_items()
+    a_idx = [a for a, _ in a_items]
+    nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
+    ms = [m for m in spec.m_indices() if gcd(m, spec.R) == 1]
+    inner = np.zeros(len(ms), dtype=complex)
+    comp = np.zeros(len(ms), dtype=complex)
+    for n, bn in spec.beta.nonzero_items():
+        sel = [i for i, m in enumerate(ms) if gcd(m, n) == 1]
+        if sel:
+            sums = _inner_sums(spec.theta, [ms[i] for i in sel], n * spec.R, a_idx, nu_arr)
+            forms._kahan_vadd(inner, comp, sel, bn * sums)
+    return math.fsum(z.real * z.real + z.imag * z.imag for z in inner)
+
+
+class TestChunkedPath:
+    """The (m, n) pairs are selected and inverted a chunk of moduli at a time."""
+
+    @pytest.mark.parametrize("M,N,A,R,seed", (
+        (128, 128, 8, 8, 2), (512, 128, 16, 16, 3), (256, 256, 8, 16, 5),
+    ))
+    def test_sweep_points_bit_identical_to_per_n(self, M, N, A, R, seed):
+        spec = random_spec(M, N, A, R, 1, seed)
+        res = trilinear_form(spec)
+        assert (res.value, res.terms) == per_n_form(spec)
+        assert res.terms == A * sum(
+            1 for n in range(N + 1, 2 * N + 1) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1)
+        assert mean_square_direct(spec) == per_n_mean_square(spec)
+
+    @pytest.mark.parametrize("theta", (10**6, -7))
+    @pytest.mark.parametrize("m_support,n_support,a_support,R", (
+        (set(range(-9, 12)), {1, 2, 3, 4, 6, 9}, {1, 2, 5}, 2),  # negative m
+        (set(range(3, 20)), {12}, {1, 2, 3}, 5),  # N = 1
+        (set(range(-5, 9)), {7, 2**64, 3**41}, {1, 3}, 3),  # n past 2**63: object arrays
+        (set(range(1, 6)), {7, 9, 11}, {2**61 + 5, 2**61 + 12}, 1),  # int64 t, big a
+        (set(range(1, 80)), {2, 3, 5, 9}, {1, 2, 7}, 2),  # residue path mixed in
+    ))
+    def test_against_naive(self, m_support, n_support, a_support, R, theta):
+        alpha = build_sequence("random_unit", m_support, seed=len(m_support))
+        beta = build_sequence("random_unit", n_support, seed=3)
+        nu = build_sequence("random_unit", a_support, seed=4)
+        spec = TrilinearSpec(alpha, beta, nu, theta, R)
+        res = trilinear_form(spec)
+        want, count = naive_trilinear(spec)
+        assert abs(res.value - want) <= 1e-10 * (1 + abs(want))
+        assert res.terms == count
+        assert (res.value, res.terms) == per_n_form(spec)
+        direct = mean_square_direct(spec)
+        assert math.isclose(direct, naive_mean_square(spec), rel_tol=1e-10)
+        assert direct == per_n_mean_square(spec)
+        assert math.isclose(mean_square_decomposed(spec), direct, rel_tol=1e-9)
+        assert math.isclose(squarefree_mean_square(spec, 3), naive_cb(spec, 3), rel_tol=1e-10)
+
+    def test_one_inverse_batch_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(values, m):
+            calls.append(len(values))
+            return batch_mod_inverse(values, m)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        M, N, R = 512, 256, 8
+        spec = random_spec(M, N, 8, R, 1, seed=1)
+        trilinear_form(spec)
+        rows = forms._CHUNK_PAIRS // M
+        assert len(calls) == -(-N // rows) < N
+        assert sum(calls) == sum(
+            1 for n in range(N + 1, 2 * N + 1) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1)
+        calls.clear()
+        mean_square_direct(spec)  # over the M / 2 odd m's
+        assert len(calls) == -(-N // (2 * rows))
 
 
 class TestMeanSquareDirect:
