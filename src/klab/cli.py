@@ -2,9 +2,10 @@
 
 Three subcommands:
 
-- ``klab verify --suite NAME`` runs one of the invariant suites defined in
-  :mod:`klab.checks` and prints a pass/fail line per check (exit 1 on any
-  failure);
+- ``klab verify --suite NAME [--json]`` runs one of the invariant suites
+  defined in :mod:`klab.checks` and prints a pass/fail line per check, or
+  one JSON object ``{"suite", "passed", "checks"}`` with ``--json`` (exit 1
+  on any failure);
 - ``klab sweep --config cfg.json --out table.csv [--jobs N]`` evaluates the
   trilinear form against a chosen bound formula over a parameter grid and
   writes a deterministic CSV (rows sorted by grid coordinates, floats at 17
@@ -29,8 +30,9 @@ import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import bounds, forms, sequences
 from .checks import SUITES, CheckResult
@@ -195,6 +197,24 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+@contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """Open ``path`` for writing through a temporary file in its directory
+    (created if missing) that replaces it on success, so a write that fails
+    leaves any previous file intact."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    os.makedirs(out_dir, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def run_sweep(
     config_path: str, out_path: str, jobs: int = 1, exponent_variant: str | None = None
 ) -> dict:
@@ -214,9 +234,11 @@ def run_sweep(
         {"point": pt, "kinds": kinds, "epsilon": epsilon, "formula": formula, "variant": variant}
         for pt in points
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        # every worker is started up front, so never more than there are points
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_point, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         rows = [_sweep_point(t) for t in tasks]
     rows.sort(key=lambda r: tuple(r[axis] for axis in GRID_AXES))
@@ -224,20 +246,11 @@ def run_sweep(
     header = list(GRID_AXES) + ["lhs", "rhs_total", "ratio", "terms"]
     header += [f"term{i}" for i in range(1, _TERM_COUNT[formula] + 1)]
     header += ["flags"]
-    out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row[col]) for col in header])
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with _atomic_open(out_path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(row[col]) for col in header])
 
     reports = [
         bounds.BoundReport(
@@ -262,7 +275,7 @@ def run_sweep(
     else:
         summary["max_ratio"] = None
         summary["argmax"] = None
-    with open(out_path + ".summary.json", "w", encoding="utf-8") as fh:
+    with _atomic_open(out_path + ".summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -315,6 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("--suite", required=True, help=f"one of {sorted(SUITES)}")
+    p_verify.add_argument("--json", action="store_true", help="print one JSON object, not a line per check")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV")
     p_sweep.add_argument("--config", required=True, help="JSON sweep configuration")
@@ -338,10 +352,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             code, results = run_verify(args.suite)
-            for r in results:
-                status = "PASS" if r.passed else "FAIL"
-                detail = f"  ({r.detail})" if r.detail else ""
-                print(f"{status} {r.name}{detail}")
+            if args.json:
+                checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+                print(json.dumps({"suite": args.suite, "passed": code == 0, "checks": checks}))
+            else:
+                for r in results:
+                    status = "PASS" if r.passed else "FAIL"
+                    detail = f"  ({r.detail})" if r.detail else ""
+                    print(f"{status} {r.name}{detail}")
             if code == 2:
                 print(f"error: unknown suite; choose from {sorted(SUITES)}", file=sys.stderr)
             return code

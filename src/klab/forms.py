@@ -14,10 +14,13 @@ and inverted a chunk of n's at a time, with one gcd mask and one batch of
 inverses per chunk.  The inner a-sum depends only on m mod L (L = nR): it
 takes one row of phases per m, or per residue class of m mod L once the m's
 outnumber L, and each n keeps its own phase block.  Phases are reduced
-exactly mod 1 as integers before any transcendental call, and accumulation
-is Kahan-compensated so identity checks hold to 1e-9 over grids with
-millions of summands.  All evaluators are pure functions; the outer loops
-can be partitioned across workers and merged in index order.
+exactly mod 1 as integers before any transcendental call.  A block with at
+least L cells gathers its phases from a table of the L values e(k / L),
+each computed by the same expression as a per-cell phase, so the table
+changes no bit of any value.  Accumulation is Kahan-compensated so
+identity checks hold to 1e-9 over grids with millions of summands.  All
+evaluators are pure functions; the outer loops can be partitioned across
+workers and merged in index order.
 """
 
 from __future__ import annotations
@@ -105,13 +108,20 @@ class FormResult:
 def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray:
     """Matrix of e(t*a / L) over (t, a); exact integer reduction mod L first.
 
-    ``t_vals`` may be a list or an array; past the int64 guard each t is
-    taken back to a Python int so that t * a cannot wrap.
+    In int64, once the block has at least L cells, the L possible phases are
+    tabulated once, ``e(k / L)`` for k in [0, L), and gathered at the
+    residues.  Each entry is the same float expression on the same integer
+    as the one-exponential-per-cell evaluation, so both give the same bits;
+    a smaller block keeps one exponential per cell.  ``t_vals`` may be a
+    list or an array; past the int64 guard each t is taken back to a Python
+    int so that t * a cannot wrap.
     """
     if len(t_vals) and a_vals and L * max(a_vals) < _INT64_SAFE:
         t_arr = np.asarray(t_vals, dtype=np.int64)
         a_arr = np.asarray(a_vals, dtype=np.int64)
         residue = (t_arr[:, None] * a_arr[None, :]) % L
+        if L <= residue.size:
+            return np.exp((2j * np.pi) * (np.arange(L) / L))[residue]
         return np.exp((2j * np.pi) * (residue / L))
     out = np.empty((len(t_vals), len(a_vals)), dtype=complex)
     for i, t in enumerate(map(int, t_vals)):
@@ -120,19 +130,23 @@ def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray
     return out
 
 
-def _inner_sums(theta: int, ms: list[int], L: int, a_idx: list[int], nu_arr: np.ndarray) -> np.ndarray:
+def _inner_sums(
+    theta: int, ms: Sequence[int] | np.ndarray, L: int, a_idx: list[int], nu_arr: np.ndarray
+) -> np.ndarray:
     """Per-m inner sums sum_a nu_a e(theta a m^{-1} / L) for m coprime to L.
 
     The sum depends only on m mod L, so once the m's outnumber L (residues
-    must repeat) it is evaluated once per distinct residue and gathered back.
+    must repeat) it is evaluated once per distinct residue and gathered back;
+    the residues are grouped in numpy, on int64 or object arrays alike.
     A residue has the same inverse as its m's, so each phase row is built from
-    the same integers and each sum equals the direct path's bit for bit.  A
-    single residue is left on the direct path: numpy reduces a one-row block
-    with a dot product, which rounds differently from the matrix-vector one.
+    the same integers and each sum equals the direct path's bit for bit, with
+    or without the phase table of :func:`_phase_block`.  A single residue is
+    left on the direct path: numpy reduces a one-row block with a dot
+    product, which rounds differently from the matrix-vector one.
     """
     back = None
     if len(ms) > L:
-        residues, inverse = np.unique([m % L for m in ms], return_inverse=True)
+        residues, inverse = np.unique(np.asarray(ms) % L, return_inverse=True)
         if len(residues) > 1:
             ms, back = residues.tolist(), inverse
     invs = batch_mod_inverse(ms, L)
@@ -180,7 +194,7 @@ def _coprime_inner_sums(
             sel = cols[pos:pos + count]
             pos += count
             if residue[i]:
-                sums = _inner_sums(theta, m_arr[sel].tolist(), L, a_idx, nu_arr)
+                sums = _inner_sums(theta, m_arr[sel], L, a_idx, nu_arr)
             else:
                 sums = _phase_block(t[start:start + count], a_idx, L) @ nu_arr
                 start += count

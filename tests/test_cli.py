@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from klab import bounds, checks, forms, sequences
+from klab import bounds, checks, cli, forms, sequences
 from klab.cli import (
     ConfigError,
     load_config,
@@ -51,6 +51,22 @@ class TestVerify:
         assert main(["verify", "--suite", "synthetic"]) == 1
         assert "FAIL synthetic.always_fails" in capsys.readouterr().out
 
+    def test_json_output(self, capsys):
+        assert main(["verify", "--suite", "arith", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["suite"] == "arith" and report["passed"] is True
+        assert len(report["checks"]) == len(checks.SUITES["arith"])
+        for check in report["checks"]:
+            assert set(check) == {"name", "passed", "detail"}
+            assert check["name"].startswith("arith.") and check["passed"] is True
+        assert main(["verify", "--suite", "nonexistent", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "suite": "nonexistent",
+            "passed": False,
+            "checks": [{"name": "unknown suite 'nonexistent'", "passed": False, "detail": ""}],
+        }
+
 
 class TestSweep:
     def test_eight_point_grid(self, tmp_path):
@@ -65,6 +81,47 @@ class TestSweep:
         assert coords == sorted(coords)
         sidecar = json.loads((tmp_path / "table.csv.summary.json").read_text())
         assert math.isclose(sidecar["max_ratio"], max(float(r["ratio"]) for r in rows))
+
+    def test_workers_capped_at_points(self, tmp_path, monkeypatch):
+        # a recorder in place of the process pool maps serially and starts no process
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = write_config(tmp_path)  # 8 points
+        run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
+        run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=64)
+        assert pools == [8]
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_failed_summary_write_keeps_previous(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "table.csv"
+        run_sweep(cfg, str(out), jobs=1)
+        sidecar = tmp_path / "table.csv.summary.json"
+        before = sidecar.read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(cfg, str(out), jobs=1)
+        assert sidecar.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_rows_recomputable_from_coordinates(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -145,6 +145,25 @@ class TestPhaseBlock:
             for j, a in enumerate(a_vals):
                 assert abs(block[i, j] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
 
+    @pytest.mark.parametrize("t_vals,a_vals", (
+        ([5], list(range(1, 7))),  # one row
+        (np.array([3, 10, 0, 7], dtype=np.int64), [1, 4, 9]),  # int64 array t
+    ))
+    def test_table_gate(self, monkeypatch, t_vals, a_vals):
+        # a block of L cells gathers from a table of the L phases, a block of
+        # L - 1 cells evaluates one exponential per cell; both give the
+        # per-cell bits
+        cells = len(t_vals) * len(a_vals)
+        exp = np.exp
+        shapes = []
+        monkeypatch.setattr(forms.np, "exp", lambda x: shapes.append(np.shape(x)) or exp(x))
+        for L, evaluated in ((cells, (cells,)), (cells + 1, (len(t_vals), len(a_vals)))):
+            shapes.clear()
+            block = _phase_block(t_vals, a_vals, L)
+            assert shapes == [evaluated]
+            residue = (np.asarray(t_vals, dtype=np.int64)[:, None] * np.asarray(a_vals)[None, :]) % L
+            assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
+
 
 def random_spec(M, N, A, R, theta, seed):
     alpha, beta, nu = (build_sequence("random_unit", DyadicRange(base), seed=seed + k)
@@ -262,6 +281,7 @@ class TestChunkedPath:
         (set(range(-5, 9)), {7, 2**64, 3**41}, {1, 3}, 3),  # n past 2**63: object arrays
         (set(range(1, 6)), {7, 9, 11}, {2**61 + 5, 2**61 + 12}, 1),  # int64 t, big a
         (set(range(1, 80)), {2, 3, 5, 9}, {1, 2, 7}, 2),  # residue path mixed in
+        (set(range(1, 80)), {2, 3, 2**64}, {1, 2, 7}, 2),  # residue path on object arrays
     ))
     def test_against_naive(self, m_support, n_support, a_support, R, theta):
         alpha = build_sequence("random_unit", m_support, seed=len(m_support))
