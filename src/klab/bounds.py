@@ -44,6 +44,7 @@ __all__ = [
     "extremal_q_exponent",
     "check_range_conditions",
     "COROLLARY_TABLES",
+    "DISPERSION_TAIL_EXPONENTS",
     "FIXED_N_CAPS",
     "HANDOFF_N_EXPONENT",
 ]
@@ -253,12 +254,32 @@ def implied_constant_estimate(reports: Sequence[BoundReport]) -> ConstantEstimat
 # "new" is the fixed-factor improvement; "fr" the baseline it improves on.
 # ---------------------------------------------------------------------------
 
+# Exact exponents of the dispersion bound's two tail terms D^C X^eps M^e_M Q^e_Q N^e_N
+# and of the baseline terms they improve on; everything below reads them here.
+DISPERSION_TAIL_EXPONENTS: dict[str, dict[str, Fraction]] = {
+    "new_term4": {"Q": Fraction(15, 8), "N": Fraction(11, 4), "M": Fraction(0)},
+    "new_term5": {"Q": Fraction(33, 20), "N": Fraction(51, 20), "M": Fraction(3, 20)},
+    "old_term4": {"Q": Fraction(15, 8), "N": Fraction(23, 8), "M": Fraction(0)},
+    "old_term5": {"Q": Fraction(33, 20), "N": Fraction(59, 20), "M": Fraction(3, 10)},
+}
+
+
+def _size_slack(term: str, m: Fraction, q: Fraction, n: Fraction, eps: Fraction) -> Fraction:
+    """Slack of ||alpha|| * sqrt(term) < X^(1-eps), ||alpha|| = M^(1/2), in exponents of X."""
+    e = DISPERSION_TAIL_EXPONENTS[term]
+    return (1 - eps) - (m + e["M"] * m + e["Q"] * q + e["N"] * n) / 2
+
+
+def _variant_i_line(term: str) -> dict[str, Fraction]:
+    """The line n = i_const - i_slope * q where ``term``'s size slack is 0 at m = 1 - n, eps = 0."""
+    e = DISPERSION_TAIL_EXPONENTS[term]
+    denom = e["N"] - 1 - e["M"]
+    return {"i_const": (1 - e["M"]) / denom, "i_slope": e["Q"] / denom}
+
+
 COROLLARY_TABLES: dict[str, dict[str, Fraction]] = {
-    "new": {
-        "i_const": Fraction(17, 28),
-        "i_slope": Fraction(33, 28),
-        "q_cap": Fraction(45, 89),
-    },
+    # new_term5's line, 17/28 - (33/28) q; new_term4's, 4/7 - (15/14) q, binds only below q = 1/3
+    "new": {**_variant_i_line("new_term5"), "q_cap": Fraction(45, 89)},
     "fr": {
         "i_const": Fraction(17, 36),
         "i_slope": Fraction(11, 12),
@@ -271,15 +292,16 @@ FIXED_N_CAPS: dict[str, Fraction] = {
     "iii": Fraction(101, 630),
 }
 
-# N-exponent where variants (ii)/(iii) hand off to the complementary
-# wide-modulus ranges: the variant-(i) ceiling evaluated at the Q-cap.
-HANDOFF_N_EXPONENT = Fraction(1, 89)
-
 
 def _corollary_table(corollary: str) -> dict[str, Fraction]:
     if corollary not in COROLLARY_TABLES:
         raise ValueError(f"unknown corollary {corollary!r}; expected 'fr' or 'new'")
     return COROLLARY_TABLES[corollary]
+
+
+def _require_open_unit(name: str, x: Fraction) -> None:
+    if not Fraction(0) < x < Fraction(1):
+        raise InvalidExponent(f"{name}-exponent must lie in (0, 1), got {x}")
 
 
 @dataclass(frozen=True)
@@ -304,24 +326,28 @@ def extremal_q_exponent(corollary: str) -> Fraction:
 def admissible_n_exponent(corollary: str, variant: str, q_exp: Fraction) -> NExponentCeiling:
     """Exact rational N-exponent ceiling for the given corollary and variant.
 
-    Variant "i" returns const - slope * q_exp (negative means the variant is
-    infeasible at that Q-exponent).  Variants "ii"/"iii" return their fixed
-    caps and report whether q_exp lies under the corollary's Q-cap; the -eps
-    slack of the actual statements is left to the caller.
+    Variant "i" returns const - slope * q_exp (zero or negative means the
+    variant is infeasible at that Q-exponent).  Variants "ii"/"iii" return
+    their fixed caps and report whether q_exp lies under the corollary's
+    Q-cap; the -eps slack of the actual statements is left to the caller.
     """
     tab = _corollary_table(corollary)
     q = Fraction(q_exp)
-    if not Fraction(0) < q < Fraction(1):
-        raise InvalidExponent(f"q-exponent must lie in (0, 1), got {q}")
+    _require_open_unit("q", q)
     if variant == "i":
         ceiling = tab["i_const"] - tab["i_slope"] * q
-        extremal = tab["i_const"] / tab["i_slope"]
+        extremal = extremal_q_exponent(corollary)
         return NExponentCeiling(corollary, variant, q, ceiling, ceiling > 0, q < extremal, extremal)
     if variant in ("ii", "iii"):
         cap = FIXED_N_CAPS[variant]
         ok = q <= tab["q_cap"]
         return NExponentCeiling(corollary, variant, q, cap, ok, ok, tab["q_cap"])
     raise ValueError(f"unknown variant {variant!r}; expected 'i', 'ii' or 'iii'")
+
+
+# N-exponent where variants (ii)/(iii) hand off to the complementary
+# wide-modulus ranges: the variant-(i) ceiling evaluated at the Q-cap.
+HANDOFF_N_EXPONENT = admissible_n_exponent("new", "i", COROLLARY_TABLES["new"]["q_cap"]).ceiling
 
 
 @dataclass(frozen=True)
@@ -357,10 +383,8 @@ def check_range_conditions(
     q = Fraction(q_exp)
     a = Fraction(a_exp)
     eps = Fraction(epsilon)
-    if not Fraction(0) < n < Fraction(1):
-        raise InvalidExponent(f"n-exponent must lie in (0, 1), got {n}")
-    if not Fraction(0) < q < Fraction(1):
-        raise InvalidExponent(f"q-exponent must lie in (0, 1), got {q}")
+    _require_open_unit("n", n)
+    ceiling_i = admissible_n_exponent(corollary, "i", q).ceiling  # requires q in (0, 1)
     if a < 0 or a > 1:
         raise InvalidExponent(f"a-exponent must lie in [0, 1], got {a}")
     if eps < 0 or eps >= 1:
@@ -374,12 +398,9 @@ def check_range_conditions(
         return ConditionResult(slack >= 0, slack)
 
     conds: dict[str, ConditionResult] = {}
-    # The two size conditions the variant-(i) ceiling is solved from.
-    conds["mqn1"] = strict((1 - eps) - (m / 2 + q * Fraction(15, 16) + n * Fraction(11, 8)))
-    conds["mqn2"] = strict(
-        (1 - eps) - (m * Fraction(23, 40) + q * Fraction(33, 40) + n * Fraction(51, 40))
-    )
-    ceiling_i = tab["i_const"] - tab["i_slope"] * q
+    # Size conditions of the two new tail terms; mqn2 at m = 1 - n gives the "new" line.
+    conds["mqn1"] = strict(_size_slack("new_term4", m, q, n, eps))
+    conds["mqn2"] = strict(_size_slack("new_term5", m, q, n, eps))
     conds["n_ceiling_i"] = weak((ceiling_i - eps) - n)
     conds["n_cap_ii"] = weak((FIXED_N_CAPS["ii"] - eps) - n)
     conds["n_cap_iii"] = weak((FIXED_N_CAPS["iii"] - eps) - n)

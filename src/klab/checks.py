@@ -388,6 +388,16 @@ def new_dominates_on_range() -> CheckResult:
     return CheckResult("bounds.new_ceiling_dominates_on_range", ok)
 
 
+def abstract_in_tables() -> CheckResult:
+    """The abstract's N <= Q^(-11/12) X^(17/36-eps), vanishing at Q = X^(1/2+1/66),
+    is the fr variant-(i) row, and its Q <= X^(45/89) is the new Q-cap."""
+    qs = (F(1, 3), F(1, 2) + F(1, 66))
+    fr = [bounds.admissible_n_exponent("fr", "i", q).ceiling for q in qs]
+    cap = bounds.COROLLARY_TABLES["new"]["q_cap"]
+    ok = fr == [F(17, 36) - F(11, 12) * q for q in qs] and fr[1] == 0 and cap == F(45, 89)
+    return CheckResult("bounds.abstract_in_tables", ok, f"fr ceilings {fr[0]}, {fr[1]}; new q-cap {cap}")
+
+
 SUITES: dict[str, tuple[Callable[[], CheckResult], ...]] = {
     "arith": (
         reciprocity,
@@ -400,5 +410,12 @@ SUITES: dict[str, tuple[Callable[[], CheckResult], ...]] = {
     "cauchy_schwarz": (cs_chain, conjugation_symmetry, trivial_bound),
     "dispersion": (quadratic_identity, majorant_inequality, sign_domain, error_sum_consistency),
     "fourier": (completion_residual, coprime_main_term),
-    "exponents": (new_i_at_half, fr_i_at_half, extremal_q, q_caps, new_dominates_on_range),
+    "exponents": (
+        new_i_at_half,
+        fr_i_at_half,
+        extremal_q,
+        q_caps,
+        new_dominates_on_range,
+        abstract_in_tables,
+    ),
 }

@@ -156,9 +156,6 @@ def _grid_points(cfg: dict) -> list[dict]:
     return [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes_values)]
 
 
-_TERM_COUNT = {"bcr": 5, "bc": 2}
-
-
 def _sweep_point(task: dict) -> dict:
     """Evaluate one grid point: |trilinear form| against the chosen bound."""
     pt = task["point"]
@@ -185,8 +182,7 @@ def _sweep_point(task: dict) -> dict:
     row["rhs_total"] = rhs.total
     row["ratio"] = ratio
     row["terms"] = result.terms
-    for i, (_, val) in enumerate(rhs.terms, start=1):
-        row[f"term{i}"] = val
+    row.update(rhs.terms)  # term1, term2, ... in formula order
     row["flags"] = ";".join(rhs.flags)
     return row
 
@@ -243,9 +239,8 @@ def run_sweep(
         rows = [_sweep_point(t) for t in tasks]
     rows.sort(key=lambda r: tuple(r[axis] for axis in GRID_AXES))
 
-    header = list(GRID_AXES) + ["lhs", "rhs_total", "ratio", "terms"]
-    header += [f"term{i}" for i in range(1, _TERM_COUNT[formula] + 1)]
-    header += ["flags"]
+    # every row has the same keys, written by _sweep_point in column order
+    header = list(rows[0])
     with _atomic_open(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -290,7 +285,7 @@ def run_ranges(q_text: str, corollary: str = "new", out: str | None = None) -> s
     for key in order:
         ci = bounds.admissible_n_exponent(key, "i", q)
         ceilings[key] = ci.ceiling
-        status = "feasible" if ci.feasible else "infeasible (negative ceiling)"
+        status = "feasible" if ci.feasible else "infeasible (ceiling <= 0)"
         lines.append(f"[{key}] variant (i):   N <= X^({ci.ceiling})  [{status}]")
         for var in ("ii", "iii"):
             cv = bounds.admissible_n_exponent(key, var, q)

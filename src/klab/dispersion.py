@@ -17,7 +17,7 @@ Contents:
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
   phi(q)/q main term;
-- the closed-form dispersion bound evaluator with exact exponent tables.
+- the closed-form dispersion bound evaluator (tail exponents from klab.bounds).
 
 All evaluators are pure; the q- and m-loops can be partitioned across
 workers and reduced in index order.  The Fourier cache of a cutoff may be
@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, NamedTuple
 from scipy import integrate
 
 from .arith import divisor_count, euler_phi
-from .bounds import RhsReport
+from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport
 from .sequences import CoefficientSequence, _csum
 
 __all__ = [
@@ -414,16 +414,6 @@ def frequency_cutoff(L: float, Q: float, M: float) -> float:
     return 4.0 * L**4 * Q * Q / M
 
 
-# Exponent tables (exact) for the two tail terms of the dispersion bound and
-# the corresponding baseline terms they improve on.
-DISPERSION_TAIL_EXPONENTS: dict[str, dict[str, Fraction]] = {
-    "new_term4": {"Q": Fraction(15, 8), "N": Fraction(11, 4), "M": Fraction(0)},
-    "new_term5": {"Q": Fraction(33, 20), "N": Fraction(51, 20), "M": Fraction(3, 20)},
-    "old_term4": {"Q": Fraction(15, 8), "N": Fraction(23, 8), "M": Fraction(0)},
-    "old_term5": {"Q": Fraction(33, 20), "N": Fraction(59, 20), "M": Fraction(3, 10)},
-}
-
-
 def dispersion_tail_savings() -> tuple[Fraction, Fraction]:
     """Exact N-exponent savings of the two tail terms at N = Q (Q and N
     exponents merge; the M-exponents are reported in the tables)."""
@@ -462,20 +452,21 @@ def rhs_dispersion(
         raise ValueError("sizes must be positive")
     lk = math.log(X) ** kappa
     dc = D**C_exp * X**epsilon
+    tails = {
+        name: dc * M ** float(e["M"]) * Q ** float(e["Q"]) * N ** float(e["N"])
+        for name, e in DISPERSION_TAIL_EXPONENTS.items()
+    }
     terms = [
         ("term1", M / Q * Estar),
         ("term2", lk * N * N * Q),
         ("term3", lk * N * N * M / math.sqrt(D)),
-        ("term4", dc * Q ** (15 / 8) * N ** (11 / 4)),
-        ("term5", dc * M ** (3 / 20) * Q ** (33 / 20) * N ** (51 / 20)),
+        ("term4", tails["new_term4"]),
+        ("term5", tails["new_term5"]),
     ]
-    old4 = dc * Q ** (15 / 8) * N ** (23 / 8)
-    old5 = dc * M ** (3 / 10) * Q ** (33 / 20) * N ** (59 / 20)
-    meta = {"old_term4": old4, "old_term5": old5}
-    if old4 > 0:
-        meta["ratio_term4"] = terms[3][1] / old4
-    if old5 > 0:
-        meta["ratio_term5"] = terms[4][1] / old5
+    meta = {"old_term4": tails["old_term4"], "old_term5": tails["old_term5"]}
+    for k in (4, 5):
+        if tails[f"old_term{k}"] > 0:
+            meta[f"ratio_term{k}"] = tails[f"new_term{k}"] / tails[f"old_term{k}"]
     flags = []
     if not N > D**10:
         flags.append("N<=D^10")

@@ -234,15 +234,17 @@ def _kahan_vadd(total: np.ndarray, comp: np.ndarray, idx: np.ndarray | list[int]
     total[idx] = t
 
 
-def _inner_columns(spec: TrilinearSpec, ms: list[int], groups: list[tuple[int, complex, int]]) -> np.ndarray:
-    """Accumulate, for each m in ms, the inner sum over the supplied (n, beta_n,
-    denominator) triples of beta_n * sum_a nu_a e(theta a m^{-1} / denominator)
-    over the m's coprime to the denominator.  Every caller has already dropped
-    the m's sharing a factor with its fixed part (R or b), so that is
-    coprimality to n.
+def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, complex, int]]) -> float:
+    """Sum over the m coprime to ``fixed`` (R or b) of |S_m|^2, where S_m sums
+    beta_n * sum_a nu_a e(theta a m^{-1} / L) over the supplied (n, beta_n, L)
+    triples with (m, L) = 1; 0.0 when no m remains.
 
-    Kahan-compensated accumulation over the group order given by the caller.
+    S_m is Kahan-accumulated in the group order given by the caller, and the
+    squares are summed with fsum.
     """
+    ms = [m for m in spec.m_indices() if gcd(m, fixed) == 1]
+    if not ms:
+        return 0.0
     a_items = spec.nu.nonzero_items()
     a_idx = [a for a, _ in a_items]
     nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
@@ -251,18 +253,14 @@ def _inner_columns(spec: TrilinearSpec, ms: list[int], groups: list[tuple[int, c
     Ls = [L for _, _, L in groups]
     for j, sel, sums in _coprime_inner_sums(spec.theta, ms, Ls, a_idx, nu_arr):
         _kahan_vadd(inner, comp, sel, groups[j][1] * sums)
-    return inner
+    return fsum(z.real * z.real + z.imag * z.imag for z in inner)
 
 
 def mean_square_direct(spec: TrilinearSpec) -> float:
     """Mean square over m in the M-range with (m, R) = 1 of the inner (a, n)
     double sum with phases e(theta a m^{-1} / (n R)) restricted to (m, n) = 1."""
-    ms = [m for m in spec.m_indices() if gcd(m, spec.R) == 1]
-    if not ms:
-        return 0.0
     groups = [(n, bn, n * spec.R) for n, bn in spec.beta.nonzero_items()]
-    inner = _inner_columns(spec, ms, groups)
-    return fsum(z.real * z.real + z.imag * z.imag for z in inner)
+    return _mean_square(spec, spec.R, groups)
 
 
 def complementary_split(n: int, R: int) -> tuple[int, int, int]:
@@ -307,16 +305,12 @@ def mean_square_decomposed(
     if Counter(reassembled) != Counter(n for n, _ in n_items):
         raise DecompositionMismatch("reassembled indices do not match the originals")
 
-    ms = [m for m in spec.m_indices() if gcd(m, R) == 1]
-    if not ms:
-        return 0.0
     ordered = []
     for (b, r) in sorted(groups):
         for nprime, bn in sorted(groups[(b, r)]):
             n = nprime * b * r
             ordered.append((n, bn, n * R))
-    inner = _inner_columns(spec, ms, ordered)
-    return fsum(z.real * z.real + z.imag * z.imag for z in inner)
+    return _mean_square(spec, R, ordered)
 
 
 def squarefree_mean_square(spec: TrilinearSpec, b: int) -> float:
@@ -329,13 +323,9 @@ def squarefree_mean_square(spec: TrilinearSpec, b: int) -> float:
     """
     if b < 1:
         raise ValueError(f"b must be positive, got {b}")
-    ms = [m for m in spec.m_indices() if gcd(m, b) == 1]
-    if not ms:
-        return 0.0
     groups = [
         (n, bn, n * b)
         for n, bn in spec.beta.nonzero_items()
         if gcd(n, b) == 1 and is_squarefree(n)
     ]
-    inner = _inner_columns(spec, ms, groups)
-    return fsum(z.real * z.real + z.imag * z.imag for z in inner)
+    return _mean_square(spec, b, groups)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_oracle as oracle
+from klab import bounds
 from klab.bounds import (
     BoundReport,
     EmptyList,
@@ -228,6 +229,30 @@ class TestAdmissibleNExponent:
         assert new >= old
 
 
+class TestDerivedExponents:
+    """The values derived from DISPERSION_TAIL_EXPONENTS equal their values
+    worked out by hand."""
+
+    def test_new_line_and_handoff(self):
+        new = bounds.COROLLARY_TABLES["new"]
+        assert (new["i_const"], new["i_slope"]) == (F(17, 28), F(33, 28))
+        assert bounds.HANDOFF_N_EXPONENT == F(1, 89)
+        # the baseline terms do not give the fr line 17/36 - (11/12) q
+        assert bounds._variant_i_line("old_term4") == {"i_const": F(8, 15), "i_slope": 1}
+        assert bounds._variant_i_line("old_term5") == {"i_const": F(14, 33), "i_slope": 1}
+
+    @pytest.mark.parametrize("term, cond, const, slope", [
+        ("new_term4", "mqn1", F(4, 7), F(15, 14)),
+        ("new_term5", "mqn2", F(17, 28), F(33, 28)),
+    ])
+    def test_variant_i_lines(self, term, cond, const, slope):
+        assert bounds._variant_i_line(term) == {"i_const": const, "i_slope": slope}
+        # on the line, at eps = 0, the size condition holds with equality
+        for q in (F(1, 10), F(1, 5), F(1, 4)):
+            chk = check_range_conditions(const - slope * q, q, F(0), F(0), "new")
+            assert chk.conditions[cond].slack == 0
+
+
 class TestRangeConditions:
     def test_variant_ii_example(self):
         chk = check_range_conditions(F(1, 90), F(45, 89) - F(1, 100), F(0), F(1, 200), "new")
@@ -262,6 +287,18 @@ class TestRangeConditions:
         above = check_range_conditions(n_at + F(1, 10**6), q, F(0), F(0), "new")
         assert below.conditions["mqn2"].satisfied
         assert not above.conditions["mqn2"].satisfied
+
+    def test_size_conditions_match_literal_coefficients(self):
+        # mqn1/mqn2 with their coefficients written out by hand: new_term4
+        # and new_term5 under ||alpha|| = M^(1/2)
+        for n, q, eps in ((F(1, 56), F(1, 2), F(0)), (F(1, 7), F(1, 3), F(1, 100)),
+                          (F(88, 89), F(65, 66), F(99, 1000)), (F(1, 90), F(44, 89), F(1, 200))):
+            m = 1 - n
+            chk = check_range_conditions(n, q, F(0), eps, "new")
+            assert chk.conditions["mqn1"].slack == (1 - eps) - (m / 2 + q * F(15, 16) + n * F(11, 8))
+            assert chk.conditions["mqn2"].slack == (1 - eps) - (
+                m * F(23, 40) + q * F(33, 40) + n * F(51, 40)
+            )
 
     def test_complement_range_flags(self):
         chk = check_range_conditions(F(1, 90), F(44, 89), F(0), F(1, 1000), "new")

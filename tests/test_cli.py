@@ -260,6 +260,11 @@ class TestRanges:
         table = run_ranges("2/3", "new")
         assert "infeasible" in table
 
+    def test_zero_ceiling_is_not_negative(self):
+        table = run_ranges("17/33", "new")
+        assert table.count("N <= X^(0)  [infeasible (ceiling <= 0)]") == 2
+        assert "negative" not in table
+
     def test_extremal_line(self):
         table = run_ranges("1/2", "new")
         assert "17/33" in table

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import checks
+from golden_oracle import DISP_PTS
+from klab import bounds, checks
 from klab.arith import euler_phi
 from klab.dispersion import (
     DISPERSION_TAIL_EXPONENTS,
@@ -404,6 +405,31 @@ class TestRhsDispersion:
             rep = rhs_dispersion(M, N, Q, D, al2, estar, kappa, c, eps, X)
             assert math.isclose(rep.total, want, rel_tol=1e-12)
 
+    def test_golden_points_exact(self):
+        # every term, meta entry, flag and total to the last bit (the goldens
+        # above check only the total, at 1e-12)
+        exact = [
+            ((0.0, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), ("N<=D^10", "D>=N^10"), 2.0),
+            ((1.5, 1064.674069340076, 376.41912709192206, 34159.518051241874, 18951.17920510422),
+             (40622.741911600715, 45073.75429680313, 0.8408964152537147, 0.42044820762685703),
+             ("N<=D^10",), 350.3496874820223),
+            ((240.0, 238585.41497152788, 238585.41497152788, 3448488.241248215, 1800364.7389863867),
+             (4598632.978267702, 9023198.230526738, 0.7498942093324559, 0.19952623149688783),
+             ("N<=D^10",), 1675.0729139315256),
+            ((0.0, 32768.0, 23170.475005920787, 11062818959.727777, 4899542852.11831),
+             (15645188610.92524, 34122398318.440784, 0.7071067811865475, 0.14358729437462922),
+             ("N<=D^10",), 126342.46218243925),
+            ((1800.0, 4639028.6972899325, 6560577.299945413, 47051492004.60566, 16591318389.006586),
+             (71980284078.92896, 182275962188.8613, 0.6536719409583327, 0.09102307396855681),
+             ("N<=D^10",), 504594.93378197716),
+        ]
+        meta_keys = ("old_term4", "old_term5", "ratio_term4", "ratio_term5")
+        for args, (terms, meta, flags, total) in zip(DISP_PTS, exact, strict=True):
+            rep = rhs_dispersion(*args)
+            assert rep.terms == tuple((f"term{i}", v) for i, v in enumerate(terms, start=1))
+            assert rep.meta == dict(zip(meta_keys, meta))
+            assert rep.flags == flags and rep.total == total
+
     def test_tail_ratio_at_N_eq_Q(self):
         n = 7.0
         rep = rhs_dispersion(64, n, n, 1, 1.0, 0.0)
@@ -418,6 +444,7 @@ class TestRhsDispersion:
         assert s5 == Fraction(-2, 5)
         assert DISPERSION_TAIL_EXPONENTS["new_term5"]["M"] == Fraction(3, 20)
         assert DISPERSION_TAIL_EXPONENTS["old_term5"]["M"] == Fraction(3, 10)
+        assert DISPERSION_TAIL_EXPONENTS is bounds.DISPERSION_TAIL_EXPONENTS
 
     def test_hypothesis_flags(self):
         rep = rhs_dispersion(8, 4, 16, 2, 1.0, 0.0)
