@@ -13,7 +13,14 @@ Contents:
 - behind both, one residue table per modulus: for each residue r mod q, the
   beta sum over the classes solving r x = a (mod q), plus the coprime beta
   sum.  It feeds E_q, c_q, X_m and Y_m; dispersion_split builds it once per
-  modulus coprime to a;
+  modulus coprime to a, over the residues of alpha's support and the window;
+- all of it on numpy arrays, one modulus at a time: the sequences become
+  index and value arrays once per call, each table is built from one sort
+  of the residues and one batch of inverses, and X and Y are arrays over the
+  window.  Every sum is still math.fsum (or a single rounding that equals
+  it), and every product is formed as Python forms it, so the values are
+  those of a per-element Python loop, bit for bit.  Residues are int64 for
+  q < 2**31 and Python integers in object arrays past it;
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
   phi(q)/q main term;
@@ -33,10 +40,12 @@ from fractions import Fraction
 from math import fsum, gcd
 from typing import Iterable, Mapping, NamedTuple
 
+import numpy as np
 from scipy import integrate
 
-from .arith import divisor_count, euler_phi
+from .arith import batch_mod_inverse, divisor_count, euler_phi
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport
+from .forms import _INT64_SAFE
 from .sequences import CoefficientSequence, _csum
 
 __all__ = [
@@ -60,6 +69,9 @@ __all__ = [
     "DISPERSION_TAIL_EXPONENTS",
     "dispersion_tail_savings",
 ]
+
+# A product of two residues mod q fits in int64 while q < 2**31.
+_INT64_RESIDUE_PRODUCT = 2**31
 
 
 class PsiDoesNotMajorize(ValueError):
@@ -194,53 +206,143 @@ class SmoothCutoff:
         return val
 
 
+class _Coeffs(NamedTuple):
+    """A sequence as arrays: its indices in ascending order (int64, or Python
+    integers in an object array once one leaves int64) and its complex values."""
+
+    n: np.ndarray
+    v: np.ndarray
+
+
+def _int_array(ints: list[int]) -> np.ndarray:
+    fits = not ints or max(map(abs, ints)) < _INT64_SAFE
+    return np.array(ints, dtype=np.int64 if fits else object)
+
+
+def _coeffs(seq: CoefficientSequence) -> _Coeffs:
+    items = sorted(seq.values.items())
+    return _Coeffs(_int_array([n for n, _ in items]), np.array([v for _, v in items], dtype=complex))
+
+
+def _residues(ints: np.ndarray, q: int) -> np.ndarray:
+    """``ints`` mod q: int64 while the product of two residues fits, Python
+    integers in an object array from q = 2**31 on."""
+    if q < _INT64_RESIDUE_PRODUCT:
+        return (ints % q).astype(np.int64, copy=False)
+    return ints.astype(object) % q
+
+
+def _fsum(z: np.ndarray) -> complex:
+    """math.fsum of the real parts and of the imaginary parts of ``z``."""
+    return complex(fsum(z.real.tolist()), fsum(z.imag.tolist()))
+
+
+def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal ``keys``: the distinct keys in ascending order, the class
+    of each key, and the key positions in class order with each class's start.
+
+    One stable argsort gives all four; np.unique gives only the first two,
+    from a sort of its own.
+    """
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    inverse = np.empty(len(k), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    return k[start], inverse, order, start
+
+
+def _class_sums(v: np.ndarray, order: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The _fsum of ``v`` over each class that :func:`_classes` found.
+
+    One or two values need a single rounding: fsum's sum is the plain ``+``,
+    and ``+ 0.0`` takes -0.0 to +0.0 as fsum does.  Only a class of three or
+    more values goes through fsum.
+    """
+    end = np.append(start[1:], len(v))
+    counts = end - start
+    first = v[order[start]]
+    second = v[order[np.minimum(start + 1, len(v) - 1)]]
+    sums = first + np.where(counts == 2, second, 0.0) + 0.0
+    big = np.flatnonzero(counts > 2)
+    if big.size:
+        re, im = v.real[order].tolist(), v.imag[order].tolist()
+        for k, i, j in zip(big.tolist(), start[big].tolist(), end[big].tolist()):
+            sums[k] = complex(fsum(re[i:j]), fsum(im[i:j]))
+    return sums
+
+
 def _residue_table(
-    beta: CoefficientSequence, q: int, a: int, residues: Iterable[int]
-) -> tuple[dict[int, complex], complex]:
+    beta: _Coeffs, q: int, a: int, residues: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
     """The per-modulus congruence table of beta, and its sum over (n, q) = 1.
 
-    Maps each residue r in ``residues`` for which r x = a (mod q) is solvable
-    to the sum of beta over its gcd(r, q) solution classes x mod q, taken in
-    ascending order (0j when beta misses them all).  With gcd(a, q) = 1 the
-    solvable r are exactly those coprime to q.  Only the residues a caller
-    looks up are tabulated, so a large q with small supports stays cheap.
+    For each of the distinct ``residues`` r (from :func:`_residues`), the
+    table holds the sum of beta over the gcd(r, q) solution classes x mod q
+    of r x = a (mod q): an fsum over the classes of the per-class fsums, 0j
+    when beta misses them all or no class solves it.  Two masks come with
+    it: the r for which some class solves it, and the r coprime to q.  With
+    gcd(a, q) = 1 they agree, and each r has the single class a r^{-1}; one
+    batch of inverses finds them all.  Only the residues a caller looks up
+    are tabulated, so a large q with small supports stays cheap.
     """
-    cls: dict[int, list[complex]] = {}
-    cop: list[complex] = []
-    for n, v in sorted(beta.values.items()):
-        cls.setdefault(n % q, []).append(v)
-        if gcd(n, q) == 1:
-            cop.append(v)
-    sums = {x: _csum(parts) for x, parts in cls.items()}
+    cls, inverse, order, start = _classes(_residues(beta.n, q))
+    sums = _class_sums(beta.v, order, start)
+    cop_beta = _fsum(beta.v[(np.gcd(cls, q) == 1)[inverse]])
     a_red = a % q
-    table: dict[int, complex] = {}
-    for r in residues:
-        g = gcd(r, q)
-        if a_red % g:
-            continue
-        # g solutions spaced q/g apart, starting at x0 < q/g
-        step = q // g
-        x0 = (a_red // g) * pow(r // g, -1, step) % step
-        table[r] = _csum([sums[x] for k in range(g) if (x := x0 + k * step) in sums])
-    return table, _csum(cop)
+    g = np.gcd(residues, q)
+    solvable = a_red % g == 0
+    coprime = g == 1
+    table = np.zeros(len(residues), dtype=complex)
+    unit = np.flatnonzero(coprime)
+    # as a list the batch goes through pow, which beats the array Euclid on
+    # one modulus's residues
+    inv = batch_mod_inverse(residues[unit].tolist(), q)
+    x0 = a_red * np.array(inv, dtype=residues.dtype) % q
+    pos = np.searchsorted(cls, x0)
+    hit = np.append(cls, q)[pos] == x0
+    table[unit[hit]] = sums[pos[hit]]
+    # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
+    for j in np.flatnonzero(solvable & ~coprime).tolist():
+        gj = int(g[j])
+        step = q // gj
+        x0 = (a_red // gj) * pow(int(residues[j]) // gj, -1, step) % step
+        table[j] = _fsum(sums[cls % step == x0])
+    return table, solvable, coprime, cop_beta
 
 
 def _table_error(
-    alpha: CoefficientSequence, q: int, table: dict[int, complex], cop_beta: complex, phi_q: int
+    alpha: _Coeffs,
+    at: np.ndarray,
+    table: np.ndarray,
+    solvable: np.ndarray,
+    coprime: np.ndarray,
+    cop_beta: complex,
+    phi_q: int,
 ) -> complex:
-    """The progression error of alpha against a residue table of beta mod q.
+    """The progression error of alpha against a residue table of beta mod q,
+    where ``at`` gives the table row of each alpha index.
 
-    A 0j entry adds exact zeros to the main sum, which fsum leaves out.
+    alpha_m s is formed from the float parts as Python's complex product
+    forms it (numpy's complex ``*`` may round differently).  A 0j entry adds
+    exact zeros to the main sum, which fsum leaves out.
     """
-    main_parts: list[complex] = []
-    cop_alpha_parts: list[complex] = []
-    for m, am in sorted(alpha.values.items()):
-        if gcd(m, q) == 1:
-            cop_alpha_parts.append(am)
-        s = table.get(m % q)
-        if s is not None:
-            main_parts.append(am * s)
-    return _csum(main_parts) - _csum(cop_alpha_parts) * cop_beta / phi_q
+    on = solvable[at]
+    am, s = alpha.v[on], table[at[on]]
+    ar, ai, sr, si = am.real, am.imag, s.real, s.imag
+    main = complex(fsum((ar * sr - ai * si).tolist()), fsum((ar * si + ai * sr).tolist()))
+    return main - _fsum(alpha.v[coprime[at]]) * cop_beta / phi_q
+
+
+def _error(alpha: _Coeffs, beta: _Coeffs, q: int, a: int) -> complex:
+    """:func:`progression_error` on the array forms of alpha and beta."""
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    residues, at, _, _ = _classes(_residues(alpha.n, q))
+    table, solvable, coprime, cop_beta = _residue_table(beta, q, a, residues)
+    return _table_error(alpha, at, table, solvable, coprime, cop_beta, euler_phi(q))
 
 
 def progression_error(
@@ -252,20 +354,16 @@ def progression_error(
 
     computed exactly over the supports.
     """
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
-    table, cop_beta = _residue_table(beta, q, a, {m % q for m in alpha.values})
-    return _table_error(alpha, q, table, cop_beta, euler_phi(q))
+    return _error(_coeffs(alpha), _coeffs(beta), q, a)
 
 
 def progression_error_total(
     alpha: CoefficientSequence, beta: CoefficientSequence, moduli: Iterable[int], a: int
 ) -> float:
     """Sum over q in ``moduli`` coprime to a of |progression_error(q)|."""
-    # q < 1 goes on to progression_error, which rejects it whatever gcd(q, a) is
-    return fsum(
-        abs(progression_error(alpha, beta, q, a)) for q in moduli if q < 1 or gcd(q, a) == 1
-    )
+    alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
+    # q < 1 goes on to _error, which rejects it whatever gcd(q, a) is
+    return fsum(abs(_error(alpha_c, beta_c, q, a)) for q in moduli if q < 1 or gcd(q, a) == 1)
 
 
 @dataclass(frozen=True)
@@ -311,26 +409,33 @@ def dispersion_split(
     if qs and qs[0] < 1:
         raise ValueError(f"q must be positive, got {qs[0]}")
     window = psi.window(m_scale)
-    x_vals = {m: 0j for m in window}
-    y_vals = {m: 0j for m in window}
+    alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
+    ms = _int_array(list(window))
+    x_vals = np.zeros(len(window), dtype=complex)
+    y_vals = np.zeros(len(window), dtype=complex)
     c: dict[int, int] = {}
     for q in qs:
         if gcd(a, q) != 1:
             c[q] = 0
             continue
-        table, cop_beta = _residue_table(beta, q, a, range(q))
+        # one table for the residues of alpha's support and of the window
+        residues, at, _, _ = _classes(np.concatenate([_residues(alpha_c.n, q), _residues(ms, q)]))
+        table, solvable, coprime, cop_beta = _residue_table(beta_c, q, a, residues)
         phi_q = euler_phi(q)
-        cq = c[q] = 1 if _table_error(alpha, q, table, cop_beta, phi_q).real >= 0 else -1
-        y_q = (cq / phi_q) * cop_beta
-        for m in window:
-            s = table.get(m % q)
-            if s is not None:  # gcd(m, q) = 1: one solution class, one coprime pair
-                x_vals[m] += cq * s
-                y_vals[m] += y_q
-    weights = {m: psi(m / m_scale) for m in window}
-    U = fsum(weights[m] * abs(y_vals[m]) ** 2 for m in window)
-    W = fsum(weights[m] * abs(x_vals[m]) ** 2 for m in window)
-    v_parts = [weights[m] * x_vals[m] * y_vals[m].conjugate() for m in window]
+        at_alpha, at_m = at[:len(alpha_c.n)], at[len(alpha_c.n):]
+        error = _table_error(alpha_c, at_alpha, table, solvable, coprime, cop_beta, phi_q)
+        cq = c[q] = 1 if error.real >= 0 else -1
+        # gcd(m, q) = 1: one solution class, one coprime pair.  X and Y take
+        # their terms in ascending q, as a per-m loop would; cq = +-1 makes
+        # cq * s exact under either complex product
+        on = coprime[at_m]
+        x_vals[on] += cq * table[at_m[on]]
+        y_vals[on] += (cq / phi_q) * cop_beta
+    weights = [psi(m / m_scale) for m in window]
+    xs, ys = x_vals.tolist(), y_vals.tolist()
+    U = fsum(w * abs(y) ** 2 for w, y in zip(weights, ys))
+    W = fsum(w * abs(x) ** 2 for w, x in zip(weights, xs))
+    v_parts = [w * x * y.conjugate() for w, x, y in zip(weights, xs, ys)]
     return DispersionSplit(U, _csum(v_parts), W, c)
 
 

@@ -6,7 +6,8 @@ mpmath at 50 digits, with no imports from the package under test.  Run as
     python3 tests/golden_oracle.py
 
 and compare the printed tables against the frozen ``*_GOLDEN`` tables at the
-end of this module, which test_bounds.py and test_acceptance.py import.
+end of this module, which test_bounds.py, test_dispersion.py and
+test_acceptance.py import.
 """
 
 import mpmath as mp
@@ -130,6 +131,13 @@ CB_GOLDEN = list(zip(CB_PTS, (
     11623.942058348350875,
     8400.8872458365196302,
     1365923.8580661879114,
+)))
+DISP_GOLDEN = list(zip(DISP_PTS, (
+    2.0,
+    350.34968748202232387,
+    1675.072913931525759,
+    126342.46218243928018,
+    504594.9337819772429,
 )))
 
 

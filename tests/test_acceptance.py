@@ -18,7 +18,7 @@ import math
 import os
 from fractions import Fraction
 
-from golden_oracle import BC_GOLDEN, BCR_GOLDEN, CB_GOLDEN
+from golden_oracle import BC_GOLDEN, BCR_GOLDEN, CB_GOLDEN, DISP_GOLDEN
 from klab import bounds, checks, dispersion
 from klab.cli import run_sweep
 
@@ -92,17 +92,6 @@ def test_c5_fourier_completion():
             f"residual*M grew by more than x4 from M={lo} to M={hi}: "
             f"{per_scale[lo]:.3e} -> {per_scale[hi]:.3e}"
         )
-
-
-# Golden values frozen from an independent 50-digit mpmath evaluation of the
-# displayed formulas; the BC, BCR and CB tables live in tests/golden_oracle.py.
-DISP_GOLDEN = [
-    ((1, 1, 1, 1, 1.0, 0.0, 0.0, 0.0, 0.0, 1), 2.0),
-    ((8, 4, 16, 2, 1.5, 3.0, 1.0, 2.0, 0.01, 64), 350.34968748202232387),
-    ((100, 10, 50, 4, 0.7, 120.0, 2.0, 1.0, 0.0, 1000), 1675.072913931525759),
-    ((256, 16, 128, 8, 1.0, 0.0, 0.0, 3.0, 0.02, 4096), 126342.46218243928018),
-    ((1000, 30, 500, 2, 2.0, 900.0, 1.0, 5.0, 0.01, 30000), 504594.9337819772429),
-]
 
 
 @criterion(6, "bound-formula regression against golden values")

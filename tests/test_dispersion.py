@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import fsum, gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_oracle import DISP_PTS
+from golden_oracle import DISP_GOLDEN, DISP_PTS
 from klab import bounds, checks
 from klab.arith import euler_phi
 from klab.dispersion import (
@@ -27,7 +28,7 @@ from klab.dispersion import (
     rhs_dispersion,
     smooth_step,
 )
-from klab.sequences import DyadicRange, build_sequence, make_sequence
+from klab.sequences import DyadicRange, _csum, build_sequence, make_sequence
 
 
 def ones(support):
@@ -158,6 +159,70 @@ class TestProgressionError:
         want = self.brute(alpha, beta, q, a)
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
+    @staticmethod
+    def python_loop(alpha, beta, q, a):
+        """progression_error as a per-element Python loop: an fsum per class
+        of beta mod q, then fsums over the solution classes, over alpha and
+        over (n, q) = 1."""
+        classes, cop_beta = {}, []
+        for n, v in sorted(beta.values.items()):
+            classes.setdefault(n % q, []).append(v)
+            if gcd(n, q) == 1:
+                cop_beta.append(v)
+        sums = {x: _csum(parts) for x, parts in classes.items()}
+        main, cop_alpha = [], []
+        for m, am in sorted(alpha.values.items()):
+            g = gcd(m, q)
+            if g == 1:
+                cop_alpha.append(am)
+            if a % g == 0:
+                step = q // g
+                x0 = (a % q // g) * pow(m % q // g, -1, step) % step
+                main.append(am * _csum([sums[x] for x in range(x0, q, step) if x in sums]))
+        return _csum(main) - _csum(cop_alpha) * _csum(cop_beta) / euler_phi(q)
+
+    @given(st.integers(1, 40), st.integers(-40, 40), st.integers(0, 2**30))
+    @settings(max_examples=150)
+    def test_bit_for_bit_against_python_loop(self, q, a, seed):
+        # signed zeros, exact cancellations and classes of one to many values;
+        # repr tells -0.0 from 0.0
+        rng = random.Random(seed)
+        parts = (-0.0, 0.0, 1.0, -1.0, 0.1, -0.3)
+
+        def seq(base):
+            if rng.random() < 0.5:
+                return build_sequence("random_unit", DyadicRange(base), seed=rng.randrange(1 << 20))
+            return make_sequence({n: complex(rng.choice(parts), rng.choice(parts))
+                                  for n in DyadicRange(base)})
+
+        alpha, beta = seq(rng.choice((2, 8, 32))), seq(rng.choice((2, 8, 32)))
+        got = progression_error(alpha, beta, q, a)
+        assert repr(got) == repr(self.python_loop(alpha, beta, q, a))
+
+    @pytest.mark.parametrize("q", [2**31 + 11, 2**32 + 15, 10**12, 5**27, 3**40])
+    def test_large_moduli_small_supports(self, q):
+        # n near q and small m make a r^-1 mod q a product of two residues
+        # near q, which leaves int64 from q = 2**31 on; 3**40 > 2**63 leaves
+        # it with q itself.  m = 3 with q = 3**40 and m = 10 k with q = 10**12
+        # = 2**12 5**12 have gcd(m, q) > 1.  Nothing of size q may be
+        # allocated.
+        rng = random.Random(q % 1000)
+        ms = [3, 7, 11, 13, 10 * rng.randrange(1, 10**5), rng.randrange(10**5, 10**6)]
+        ns = [rng.randrange(q // 2, q) for _ in range(6)]
+        alpha = make_sequence({m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in ms})
+        beta = make_sequence({n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns})
+        for a in [m * ns[0] for m in ms] + [1]:
+            tracemalloc.start()
+            try:
+                got = progression_error(alpha, beta, q, a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            want = self.brute(alpha, beta, q, a)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want))
+            assert repr(got) == repr(self.python_loop(alpha, beta, q, a))
+
     def test_non_coprime_modulus_class(self):
         # m = 4, q = 6, a = 2: gcd(4,6)=2 | 2, classes n = 2, 5 mod 6... direct check
         alpha = ones({4})
@@ -286,6 +351,27 @@ class TestDispersionSplit:
         assert (split.U, split.V, split.W, delta) == (U, V, W, want_delta)
         assert dict(split.c) == dict(zip(range(17, 33), signs))
 
+    # repr values of the per-element Python loop.  Mod q in (16, 32], the 64
+    # complex values of beta fall into classes of two to four, where the
+    # summation order and the one-, two- and three-value handling show; the
+    # tau_2 pin above sums integers, which come out the same in any order.
+    PINNED_COMPLEX = {
+        1: (1.789690856894728, 1.5903362996107389 + 0.39348733202937514j, 42.212482241315904,
+            2.2201986209235054, [1, -1, -1, 1, -1, 1, 1, -1, -1, -1, -1, 1, -1, -1, -1, 1]),
+        3: (1.5817403775905587, 1.4997432087870881 - 0.035235750843721575j, 37.68099088516224,
+            1.4729111772418493, [-1, 0, 1, 1, 0, 1, -1, 0, 1, -1, 0, -1, 1, 0, 1, 1]),
+    }
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_pinned_complex_values_exact(self, a):
+        alpha = build_sequence("random_unit", DyadicRange(64), seed=11)
+        beta = build_sequence("random_unit", DyadicRange(64), seed=5)
+        split = dispersion_split(alpha, beta, DyadicRange(16), a, SmoothCutoff(), 64.0)
+        delta = progression_error_total(alpha, beta, DyadicRange(16), a)
+        U, V, W, want_delta, signs = self.PINNED_COMPLEX[a]
+        assert (split.U, split.V, split.W, delta) == (U, V, W, want_delta)
+        assert dict(split.c) == dict(zip(range(17, 33), signs))
+
     def test_one_residue_table_per_coprime_modulus(self, monkeypatch):
         import klab.dispersion as disp
 
@@ -395,15 +481,8 @@ class TestRhsDispersion:
         assert rhs_dispersion(8, 4, 16, 2, alpha_l2=0.0, Estar=5.0).total == 0.0
 
     def test_golden_points(self):
-        golden = [
-            ((8, 4, 16, 2, 1.5, 3.0, 1.0, 2.0, 0.01, 64), 350.34968748202232387),
-            ((100, 10, 50, 4, 0.7, 120.0, 2.0, 1.0, 0.0, 1000), 1675.072913931525759),
-            ((256, 16, 128, 8, 1.0, 0.0, 0.0, 3.0, 0.02, 4096), 126342.46218243928018),
-            ((1000, 30, 500, 2, 2.0, 900.0, 1.0, 5.0, 0.01, 30000), 504594.9337819772429),
-        ]
-        for (M, N, Q, D, al2, estar, kappa, c, eps, X), want in golden:
-            rep = rhs_dispersion(M, N, Q, D, al2, estar, kappa, c, eps, X)
-            assert math.isclose(rep.total, want, rel_tol=1e-12)
+        for args, want in DISP_GOLDEN:
+            assert math.isclose(rhs_dispersion(*args).total, want, rel_tol=1e-12)
 
     def test_golden_points_exact(self):
         # every term, meta entry, flag and total to the last bit (the goldens
