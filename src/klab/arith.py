@@ -2,9 +2,13 @@
 
 Everything here is exact at any size: moduli far beyond 64 bits are handled
 with plain Python integers, and :func:`batch_mod_inverse` inverts int64
-arrays with a vectorised extended Euclid only when every input fits it.  The
-evaluators built on top of this module stay at desk scale regardless.  All
-functions are pure and safe to call from concurrent workers.
+arrays with a vectorised extended Euclid only when every input fits it.
+Whether an integer array may be int64 or must hold Python integers is
+decided in one place, :func:`_exact_ints`, from a magnitude bound that its
+caller supplies; forms and dispersion build their integer arrays through
+it.  The evaluators built on top of this module stay at desk scale
+regardless.  All functions are pure and safe to call from concurrent
+workers.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ __all__ = [
     "kloosterman_phase",
 ]
 
-# The vectorised extended Euclid stays inside int64 for moduli below this.
-_EUCLID_SAFE = 2**62
+# Integer arithmetic stays exact in int64 while every magnitude it forms is below this.
+_INT64_SAFE = 2**62
 
 
 class NonInvertible(ValueError):
@@ -65,6 +69,14 @@ class SqfSplit:
     @property
     def product(self) -> int:
         return self.squarefree_part * self.squarefull_part
+
+
+def _exact_ints(ints, bound: int) -> np.ndarray:
+    """``ints`` (a list or an array) as an integer array on which the caller's
+    arithmetic is exact: int64 when ``bound``, the caller's bound on every
+    magnitude it forms from them, is below 2**62, and Python integers in an
+    object array otherwise."""
+    return np.asarray(ints, dtype=np.int64 if bound < _INT64_SAFE else object)
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -107,14 +119,15 @@ def batch_mod_inverse(values, m):
     """Inverses of ``values[i]`` modulo ``m``, or modulo ``m[i]`` when ``m``
     gives one modulus per value, each in [0, modulus).
 
-    An int64 array whose moduli all lie below 2**62 is inverted at once by a
-    vectorised extended Euclid and gives an int64 array.  Every other input
-    (a list, or big integers) goes through ``pow`` one value at a time and
-    gives a list of plain ints, or an object array for an array input; the
-    integers are the same either way.  Lists stay on ``pow`` because their
-    callers pass short batches, where the Euclid's fixed cost per step
-    outweighs its per-value saving.  If some value is not invertible the
-    raised :class:`NonInvertible` carries the first offending index.
+    An integer array whose moduli :func:`_exact_ints` keeps in int64 is
+    inverted at once by a vectorised extended Euclid and gives an int64
+    array.  Every other input (a list, or big integers) goes through ``pow``
+    one value at a time and gives a list of plain ints, or an object array
+    for an array input; the integers are the same either way.  Lists stay
+    on ``pow`` because their callers pass short batches, where the Euclid's
+    fixed cost per step outweighs its per-value saving.  If some value is
+    not invertible the raised :class:`NonInvertible` carries the first
+    offending index.
     """
     as_array = isinstance(values, np.ndarray)
     if isinstance(m, int) and not as_array:
@@ -125,15 +138,16 @@ def batch_mod_inverse(values, m):
         moduli = np.broadcast_to(np.asarray(m), np.shape(values))
         if np.any(moduli < 1):
             raise ValueError(f"modulus must be positive, got {m}")
-        if as_array and values.dtype.kind == "i" and moduli.dtype.kind == "i" and (
-            not values.size or moduli.max() < _EUCLID_SAFE
-        ):
-            g, x = _euclid(values % moduli, moduli)
-            bad = np.flatnonzero(g != 1)
-            if bad.size:
-                index = int(bad[0])
-                raise NonInvertible(int(values[index]), int(moduli[index]), index=index)
-            return x % moduli
+        if as_array and values.dtype.kind == "i" and moduli.dtype.kind == "i":
+            # the Euclid's remainders and coefficients are bounded by the moduli
+            moduli = _exact_ints(moduli, int(moduli.max(initial=0)))
+            if moduli.dtype == np.int64:
+                g, x = _euclid(values % moduli, moduli)
+                bad = np.flatnonzero(g != 1)
+                if bad.size:
+                    index = int(bad[0])
+                    raise NonInvertible(int(values[index]), int(moduli[index]), index=index)
+                return x % moduli
         vs, ms = (values.tolist() if as_array else list(values)), moduli.tolist()
     try:
         invs = [pow(v, -1, mi) for v, mi in zip(vs, ms)]

@@ -94,9 +94,6 @@ class RhsReport:
                 return val
         raise KeyError(name)
 
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.terms)
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -247,29 +247,20 @@ def run_sweep(
         for row in rows:
             writer.writerow([_fmt(row[col]) for col in header])
 
-    reports = [
-        bounds.BoundReport(
-            row["lhs"],
-            bounds.RhsReport((), 1.0, row["rhs_total"]),
-            params={axis: row[axis] for axis in GRID_AXES},
-        )
-        for row in rows
-        if row["rhs_total"] > 0
-    ]
+    positive = [row for row in rows if row["rhs_total"] > 0]
     summary = {
         "points": len(rows),
-        "degenerate_points": len(rows) - len(reports),
+        "degenerate_points": len(rows) - len(positive),
         "formula": formula,
         "epsilon": epsilon,
         "exponent_variant": variant,
+        "max_ratio": None,
+        "argmax": None,
     }
-    if reports:
-        estimate = bounds.implied_constant_estimate(reports)
-        summary["max_ratio"] = estimate.max_ratio
-        summary["argmax"] = dict(estimate.argmax_params)
-    else:
-        summary["max_ratio"] = None
-        summary["argmax"] = None
+    if positive:
+        best = max(positive, key=lambda row: row["ratio"])  # the first of equal maxima
+        summary["max_ratio"] = best["ratio"]
+        summary["argmax"] = {axis: best[axis] for axis in GRID_AXES}
     with _atomic_open(out_path + ".summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -19,8 +19,8 @@ Contents:
   of the residues and one batch of inverses, and X and Y are arrays over the
   window.  Every sum is still math.fsum (or a single rounding that equals
   it), and every product is formed as Python forms it, so the values are
-  those of a per-element Python loop, bit for bit.  Residues are int64 for
-  q < 2**31 and Python integers in object arrays past it;
+  those of a per-element Python loop, bit for bit.  Indices and residues
+  are int64 or Python integers as klab.arith decides;
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
   phi(q)/q main term;
@@ -43,9 +43,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .arith import batch_mod_inverse, divisor_count, euler_phi
+from .arith import _exact_ints, batch_mod_inverse, divisor_count, euler_phi
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport
-from .forms import _INT64_SAFE
 from .sequences import CoefficientSequence, _csum
 
 __all__ = [
@@ -69,9 +68,6 @@ __all__ = [
     "DISPERSION_TAIL_EXPONENTS",
     "dispersion_tail_savings",
 ]
-
-# A product of two residues mod q fits in int64 while q < 2**31.
-_INT64_RESIDUE_PRODUCT = 2**31
 
 
 class PsiDoesNotMajorize(ValueError):
@@ -207,34 +203,28 @@ class SmoothCutoff:
 
 
 class _Coeffs(NamedTuple):
-    """A sequence as arrays: its indices in ascending order (int64, or Python
-    integers in an object array once one leaves int64) and its complex values."""
+    """A sequence as arrays: its indices in ascending order (an exact integer
+    array, see klab.arith) and its complex values."""
 
     n: np.ndarray
     v: np.ndarray
 
 
-def _int_array(ints: list[int]) -> np.ndarray:
-    fits = not ints or max(map(abs, ints)) < _INT64_SAFE
-    return np.array(ints, dtype=np.int64 if fits else object)
-
-
 def _coeffs(seq: CoefficientSequence) -> _Coeffs:
     items = sorted(seq.values.items())
-    return _Coeffs(_int_array([n for n, _ in items]), np.array([v for _, v in items], dtype=complex))
+    ns = [n for n, _ in items]
+    values = np.array([v for _, v in items], dtype=complex)
+    return _Coeffs(_exact_ints(ns, max(map(abs, ns), default=0)), values)
 
 
 def _residues(ints: np.ndarray, q: int) -> np.ndarray:
-    """``ints`` mod q: int64 while the product of two residues fits, Python
-    integers in an object array from q = 2**31 on."""
-    if q < _INT64_RESIDUE_PRODUCT:
-        return (ints % q).astype(np.int64, copy=False)
-    return ints.astype(object) % q
+    """``ints`` mod q, exact for a product of two residues (bound q * q).
 
-
-def _fsum(z: np.ndarray) -> complex:
-    """math.fsum of the real parts and of the imaginary parts of ``z``."""
-    return complex(fsum(z.real.tolist()), fsum(z.imag.tolist()))
+    Python-integer ``ints`` are reduced before they can narrow to int64, and
+    int64 ``ints`` widen first when q itself needs Python integers.
+    """
+    wide = ints if ints.dtype == object else _exact_ints(ints, q)
+    return _exact_ints(wide % q, q * q)
 
 
 def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -255,7 +245,7 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def _class_sums(v: np.ndarray, order: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The _fsum of ``v`` over each class that :func:`_classes` found.
+    """The _csum of ``v`` over each class that :func:`_classes` found.
 
     One or two values need a single rounding: fsum's sum is the plain ``+``,
     and ``+ 0.0`` takes -0.0 to +0.0 as fsum does.  Only a class of three or
@@ -290,7 +280,7 @@ def _residue_table(
     """
     cls, inverse, order, start = _classes(_residues(beta.n, q))
     sums = _class_sums(beta.v, order, start)
-    cop_beta = _fsum(beta.v[(np.gcd(cls, q) == 1)[inverse]])
+    cop_beta = _csum(beta.v[(np.gcd(cls, q) == 1)[inverse]])
     a_red = a % q
     g = np.gcd(residues, q)
     solvable = a_red % g == 0
@@ -309,7 +299,7 @@ def _residue_table(
         gj = int(g[j])
         step = q // gj
         x0 = (a_red // gj) * pow(int(residues[j]) // gj, -1, step) % step
-        table[j] = _fsum(sums[cls % step == x0])
+        table[j] = _csum(sums[cls % step == x0])
     return table, solvable, coprime, cop_beta
 
 
@@ -333,7 +323,7 @@ def _table_error(
     am, s = alpha.v[on], table[at[on]]
     ar, ai, sr, si = am.real, am.imag, s.real, s.imag
     main = complex(fsum((ar * sr - ai * si).tolist()), fsum((ar * si + ai * sr).tolist()))
-    return main - _fsum(alpha.v[coprime[at]]) * cop_beta / phi_q
+    return main - _csum(alpha.v[coprime[at]]) * cop_beta / phi_q
 
 
 def _error(alpha: _Coeffs, beta: _Coeffs, q: int, a: int) -> complex:
@@ -410,7 +400,7 @@ def dispersion_split(
         raise ValueError(f"q must be positive, got {qs[0]}")
     window = psi.window(m_scale)
     alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
-    ms = _int_array(list(window))
+    ms = _exact_ints(window, max(map(abs, window), default=0))
     x_vals = np.zeros(len(window), dtype=complex)
     y_vals = np.zeros(len(window), dtype=complex)
     c: dict[int, int] = {}

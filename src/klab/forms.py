@@ -14,13 +14,14 @@ and inverted a chunk of n's at a time, with one gcd mask and one batch of
 inverses per chunk.  The inner a-sum depends only on m mod L (L = nR): it
 takes one row of phases per m, or per residue class of m mod L once the m's
 outnumber L, and each n keeps its own phase block.  Phases are reduced
-exactly mod 1 as integers before any transcendental call.  A block with at
-least L cells gathers its phases from a table of the L values e(k / L),
-each computed by the same expression as a per-cell phase, so the table
-changes no bit of any value.  Accumulation is Kahan-compensated so
-identity checks hold to 1e-9 over grids with millions of summands.  All
-evaluators are pure functions; the outer loops can be partitioned across
-workers and merged in index order.
+exactly mod 1 as integers before any transcendental call, on int64 or on
+Python integers as klab.arith decides.  A block with at least L cells
+gathers its phases from a table of the L values e(k / L), each computed by
+the same expression as a per-cell phase, so the table changes no bit of
+any value.  Accumulation is Kahan-compensated so identity checks hold to
+1e-9 over grids with millions of summands.  All evaluators are pure
+functions; the outer loops can be partitioned across workers and merged in
+index order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import batch_mod_inverse, is_squarefree, is_squarefull, radical, squarefree_squarefull_split
+from .arith import (
+    _exact_ints, batch_mod_inverse, is_squarefree, is_squarefull, radical, squarefree_squarefull_split,
+)
 from .sequences import CoefficientSequence, DyadicRange, _csum, _support_indices
 
 __all__ = [
@@ -47,8 +50,6 @@ __all__ = [
     "complementary_split",
 ]
 
-# int64 is safe in the vectorized phase kernel as long as modulus * max(a) fits.
-_INT64_SAFE = 2**62
 # About this many (m, L) pairs share one gcd mask and one batch of inverses.
 _CHUNK_PAIRS = 2**14
 
@@ -106,28 +107,25 @@ class FormResult:
 
 
 def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray:
-    """Matrix of e(t*a / L) over (t, a); exact integer reduction mod L first.
+    """Matrix of e(t*a / L) over (t, a) for t in [0, L); exact integer
+    reduction mod L first, on the arrays that :func:`_exact_ints` gives for
+    the bound L * max |a|.
 
     In int64, once the block has at least L cells, the L possible phases are
     tabulated once, ``e(k / L)`` for k in [0, L), and gathered at the
     residues.  Each entry is the same float expression on the same integer
     as the one-exponential-per-cell evaluation, so both give the same bits;
-    a smaller block keeps one exponential per cell.  ``t_vals`` may be a
-    list or an array; past the int64 guard each t is taken back to a Python
-    int so that t * a cannot wrap.
+    a smaller block keeps one exponential per cell.  On Python integers the
+    angle is formed as ``2j * pi * residue / L``, one Python operation per
+    cell, before a single ``np.exp``.  ``t_vals`` may be a list or an array.
     """
-    if len(t_vals) and a_vals and L * max(a_vals) < _INT64_SAFE:
-        t_arr = np.asarray(t_vals, dtype=np.int64)
-        a_arr = np.asarray(a_vals, dtype=np.int64)
-        residue = (t_arr[:, None] * a_arr[None, :]) % L
-        if L <= residue.size:
-            return np.exp((2j * np.pi) * (np.arange(L) / L))[residue]
-        return np.exp((2j * np.pi) * (residue / L))
-    out = np.empty((len(t_vals), len(a_vals)), dtype=complex)
-    for i, t in enumerate(map(int, t_vals)):
-        for j, a in enumerate(a_vals):
-            out[i, j] = np.exp(2j * np.pi * ((t * a) % L) / L)
-    return out
+    bound = L * max(map(abs, a_vals), default=0)
+    residue = (_exact_ints(t_vals, bound)[:, None] * _exact_ints(a_vals, bound)[None, :]) % L
+    if residue.dtype == object:
+        return np.exp((2j * np.pi * residue / L).astype(complex))
+    if L <= residue.size:
+        return np.exp((2j * np.pi) * (np.arange(L) / L))[residue]
+    return np.exp((2j * np.pi) * (residue / L))
 
 
 def _inner_sums(
@@ -168,17 +166,17 @@ def _coprime_inner_sums(
     A modulus whose coprime m's outnumber it goes through :func:`_inner_sums`
     and its residue classes instead.  Each modulus still gets its own phase
     block from the same integers, so every sum equals the one-modulus-at-a-time
-    evaluation bit for bit.  The arithmetic runs in int64 when every m, L and
-    theta * L fits, and on Python integers in object arrays otherwise.
+    evaluation bit for bit.  The m's and L's are exact integer arrays for the
+    bound max(|m|, |theta| * L), which covers theta * m^{-1}.
     """
     if not ms or not a_idx:
         return
-    fits = max(map(abs, ms)) < _INT64_SAFE and max(map(abs, Ls), default=0) * abs(theta) < _INT64_SAFE
-    m_arr = np.asarray(ms, dtype=np.int64 if fits else object)
+    bound = max(max(map(abs, ms)), max(map(abs, Ls), default=0) * abs(theta))
+    m_arr = _exact_ints(ms, bound)
     rows = max(1, _CHUNK_PAIRS // len(ms))
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
-        L_arr = np.asarray(L_chunk, dtype=m_arr.dtype)[:, None]
+        L_arr = _exact_ints(L_chunk, bound)[:, None]
         mask = np.gcd(m_arr, L_arr) == 1
         counts = mask.sum(axis=1).tolist()
         residue = [c > L for c, L in zip(counts, L_chunk)]
@@ -222,7 +220,7 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
     for j, sel, inner in _coprime_inner_sums(spec.theta, [m for m, _ in m_items], Ls, a_idx, nu_arr):
         parts.append(n_items[j][1] * complex(alpha_arr[sel] @ inner))
         terms += len(sel) * len(a_idx)
-    value = _csum(parts) if parts else 0j
+    value = _csum(parts)
     return FormResult(value, terms, time.perf_counter() - t0)
 
 

@@ -14,7 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 from math import fsum, gcd
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .arith import euler_phi, moebius, tau_k
 
@@ -224,8 +226,10 @@ def sequence_norms(s: CoefficientSequence) -> Norms:
     return Norms(l1, l2, ceiling)
 
 
-def _csum(parts: list[complex]) -> complex:
-    return complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
+def _csum(parts: Sequence[complex] | np.ndarray) -> complex:
+    """math.fsum of the real parts and of the imaginary parts (0j when empty)."""
+    z = np.asarray(parts, dtype=complex)
+    return complex(fsum(z.real.tolist()), fsum(z.imag.tolist()))
 
 
 def sw_discrepancy(beta: CoefficientSequence, q: int, a: int, r: int = 1) -> float:

@@ -199,11 +199,12 @@ class TestProgressionError:
         got = progression_error(alpha, beta, q, a)
         assert repr(got) == repr(self.python_loop(alpha, beta, q, a))
 
-    @pytest.mark.parametrize("q", [2**31 + 11, 2**32 + 15, 10**12, 5**27, 3**40])
+    @pytest.mark.parametrize("q", [2**31 - 1, 2**31, 2**31 + 11, 2**32 + 15, 10**12, 5**27, 3**40])
     def test_large_moduli_small_supports(self, q):
         # n near q and small m make a r^-1 mod q a product of two residues
-        # near q, which leaves int64 from q = 2**31 on; 3**40 > 2**63 leaves
-        # it with q itself.  m = 3 with q = 3**40 and m = 10 k with q = 10**12
+        # near q, which leaves int64 from q = 2**31 on (2**31 - 1 is the last
+        # int64 modulus, 2**31 the first on Python integers); 3**40 > 2**63
+        # leaves it with q itself.  m = 3 with q = 3**40 and m = 10 k with q = 10**12
         # = 2**12 5**12 have gcd(m, q) > 1.  Nothing of size q may be
         # allocated.
         rng = random.Random(q % 1000)

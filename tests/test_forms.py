@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab import checks, forms
-from klab.arith import batch_mod_inverse, euler_phi, is_squarefree, is_squarefull, kloosterman_phase, radical
-from klab.forms import (
+from klab.arith import (
     _INT64_SAFE,
+    batch_mod_inverse,
+    euler_phi,
+    is_squarefree,
+    is_squarefull,
+    kloosterman_phase,
+    radical,
+)
+from klab.forms import (
     DecompositionMismatch,
     TrilinearSpec,
     _inner_sums,
@@ -120,6 +127,16 @@ class TestTrilinearForm:
             assert abs(res.value - want) <= 1e-10 * (1 + abs(want))
             assert res.terms == count
 
+    def test_negative_index_past_int64(self):
+        # nu at -2**61 beside 1: the int64 guard must take the largest |a|,
+        # or t * a wraps and the form comes out wrong
+        nu = make_sequence({-(2**61): 1, 1: 1})
+        spec = spec_of(ones(DyadicRange(8)), ones(DyadicRange(16)), nu)
+        res = trilinear_form(spec)
+        want, count = naive_trilinear(spec)
+        assert abs(res.value - want) <= 1e-12 * (1 + abs(want))
+        assert res.terms == count
+
     def test_elapsed_and_validation(self):
         spec = spec_of(ones({2}), ones({3}), ones({1}))
         assert trilinear_form(spec).elapsed >= 0
@@ -140,10 +157,13 @@ class TestPhaseBlock:
         ms = [m for m in range(2, 40) if gcd(m, L) == 1]
         a_vals = [2**61 + 5, 2**61 + 12]
         assert L * max(a_vals) >= _INT64_SAFE
-        block = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_vals, L)
-        for i, m in enumerate(ms):
-            for j, a in enumerate(a_vals):
-                assert abs(block[i, j] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
+        # the bound is on |a|: a large negative a beside a small one must not
+        # wrap in int64, and one past int64 itself must not overflow
+        for a_vals in (a_vals, [-(2**61) - 5, 1], [-(2**70)]):
+            block = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_vals, L)
+            for i, m in enumerate(ms):
+                for j, a in enumerate(a_vals):
+                    assert abs(block[i, j] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
 
     @pytest.mark.parametrize("t_vals,a_vals", (
         ([5], list(range(1, 7))),  # one row
