@@ -67,11 +67,13 @@ def role_seed(seed: int, role: str) -> int:
 
 def _parse_kind(kind: str) -> tuple[str, int | None]:
     m = re.fullmatch(r"tau_k:(\d+)", kind)
-    if m:
+    if m and int(m.group(1)) >= 1:
         return "tau_k", int(m.group(1))
     if kind in ("ones", "moebius", "random_unit"):
         return kind, None
-    raise ConfigError(f"unknown sequence kind {kind!r} (expected ones, moebius, random_unit or tau_k:K)")
+    raise ConfigError(
+        f"unknown sequence kind {kind!r} (expected ones, moebius, random_unit or tau_k:K with K >= 1)"
+    )
 
 
 def _build_role(kind: str, base: int, seed: int, role: str) -> sequences.CoefficientSequence:
@@ -117,7 +119,7 @@ def load_config(path: str) -> dict:
     for axis, vals in grid.items():
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"grid axis {axis!r} must be a nonempty list")
-        if not all(isinstance(v, int) for v in vals):
+        if not all(type(v) is int for v in vals):  # type() excludes bools
             raise ConfigError(f"grid axis {axis!r} must hold integers")
         if axis in ("M", "N", "A", "R") and any(v < 1 for v in vals):
             raise ConfigError(f"grid axis {axis!r} must hold positive integers")

@@ -9,19 +9,19 @@ The central objects:
   part, r | R squarefree), with a machine-checked bijection audit,
 - the squarefree-restricted mean square with denominator n*b.
 
-Evaluation is by direct enumeration.  The coprime (m, n) pairs are found
-and inverted a chunk of n's at a time, with one gcd mask and one batch of
-inverses per chunk.  The inner a-sum depends only on m mod L (L = nR): it
-takes one row of phases per m, or per residue class of m mod L once the m's
-outnumber L, and each n keeps its own phase block.  Phases are reduced
-exactly mod 1 as integers before any transcendental call, on int64 or on
-Python integers as klab.arith decides.  A block with at least L cells
-gathers its phases from a table of the L values e(k / L), each computed by
-the same expression as a per-cell phase, so the table changes no bit of
-any value.  Accumulation is Kahan-compensated so identity checks hold to
-1e-9 over grids with millions of summands.  All evaluators are pure
-functions; the outer loops can be partitioned across workers and merged in
-index order.
+Evaluation is by direct enumeration, along one path.  The coprime (m, n)
+pairs are found and inverted a chunk of n's at a time, with one gcd mask
+and one batch of inverses per chunk.  The inner a-sum depends only on m mod
+L (L = nR): each n contributes one row of phases per m, or per residue
+class of m mod L once the m's outnumber L, to that batch, and keeps its own
+phase block.  Phases are reduced exactly mod 1 as integers before any
+transcendental call, on int64 or on Python integers as klab.arith decides.
+A block with at least L cells gathers its phases from a table of the L
+values e(k / L), each computed by the same expression as a per-cell phase,
+so the table changes no bit of any value.  Accumulation is
+Kahan-compensated so identity checks hold to 1e-9 over grids with millions
+of summands.  All evaluators are pure functions; the outer loops can be
+partitioned across workers and merged in index order.
 """
 
 from __future__ import annotations
@@ -62,36 +62,29 @@ class DecompositionMismatch(ValueError):
 class TrilinearSpec:
     """Inputs of the trilinear form: three coefficient sequences, the integer
     phase multiplier theta != 0, the fixed denominator factor R >= 1, and the
-    (A, M, N) ranges containing the nu/alpha/beta supports."""
+    M range containing the alpha support, over whose m's the mean squares
+    run (the support by default)."""
 
     alpha: CoefficientSequence
     beta: CoefficientSequence
     nu: CoefficientSequence
     theta: int
     R: int = 1
-    a_range: DyadicRange | frozenset[int] | None = None
     m_range: DyadicRange | frozenset[int] | None = None
-    n_range: DyadicRange | frozenset[int] | None = None
 
     def __post_init__(self):
         if self.theta == 0:
             raise ValueError("theta must be a nonzero integer")
         if self.R < 1:
             raise ValueError(f"R must be positive, got {self.R}")
-        for name, seq, rng in (
-            ("a_range", self.nu, self.a_range),
-            ("m_range", self.alpha, self.m_range),
-            ("n_range", self.beta, self.n_range),
-        ):
-            if rng is None:
-                object.__setattr__(self, name, seq.support)
-            else:
-                missing = set(seq.support_indices()) - set(_support_indices(rng))
-                if missing:
-                    raise ValueError(
-                        f"{name} does not contain the sequence support "
-                        f"(e.g. {sorted(missing)[:3]})"
-                    )
+        if self.m_range is None:
+            object.__setattr__(self, "m_range", self.alpha.support)
+        else:
+            missing = set(self.alpha.support_indices()) - set(_support_indices(self.m_range))
+            if missing:
+                raise ValueError(
+                    f"m_range does not contain the sequence support (e.g. {sorted(missing)[:3]})"
+                )
 
     def m_indices(self) -> list[int]:
         return _support_indices(self.m_range)
@@ -128,31 +121,6 @@ def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray
     return np.exp((2j * np.pi) * (residue / L))
 
 
-def _inner_sums(
-    theta: int, ms: Sequence[int] | np.ndarray, L: int, a_idx: list[int], nu_arr: np.ndarray
-) -> np.ndarray:
-    """Per-m inner sums sum_a nu_a e(theta a m^{-1} / L) for m coprime to L.
-
-    The sum depends only on m mod L, so once the m's outnumber L (residues
-    must repeat) it is evaluated once per distinct residue and gathered back;
-    the residues are grouped in numpy, on int64 or object arrays alike.
-    A residue has the same inverse as its m's, so each phase row is built from
-    the same integers and each sum equals the direct path's bit for bit, with
-    or without the phase table of :func:`_phase_block`.  A single residue is
-    left on the direct path: numpy reduces a one-row block with a dot
-    product, which rounds differently from the matrix-vector one.
-    """
-    back = None
-    if len(ms) > L:
-        residues, inverse = np.unique(np.asarray(ms) % L, return_inverse=True)
-        if len(residues) > 1:
-            ms, back = residues.tolist(), inverse
-    invs = batch_mod_inverse(ms, L)
-    t_vals = [(theta * inv) % L for inv in invs]
-    sums = _phase_block(t_vals, a_idx, L) @ nu_arr
-    return sums if back is None else sums[back]
-
-
 def _coprime_inner_sums(
     theta: int, ms: list[int], Ls: list[int], a_idx: list[int], nu_arr: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -163,11 +131,15 @@ def _coprime_inner_sums(
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
     pairs per chunk: one gcd mask and one :func:`batch_mod_inverse` call
     cover the whole chunk, and t = theta * m^{-1} mod L is formed as an array.
-    A modulus whose coprime m's outnumber it goes through :func:`_inner_sums`
-    and its residue classes instead.  Each modulus still gets its own phase
-    block from the same integers, so every sum equals the one-modulus-at-a-time
-    evaluation bit for bit.  The m's and L's are exact integer arrays for the
-    bound max(|m|, |theta| * L), which covers theta * m^{-1}.
+    The sum depends only on m mod L, so a modulus whose coprime m's outnumber
+    it contributes one row per residue class of m mod L to that batch, and
+    its sums are gathered back; a residue has the same inverse as its m's.
+    A single residue class keeps its m's as rows: numpy reduces a one-row
+    block with a dot product, which rounds differently from the
+    matrix-vector one.  Each modulus gets its own phase block from the same
+    integers, so every sum equals the one-modulus-at-a-time evaluation bit
+    for bit.  The m's and L's are exact integer arrays for the bound
+    max(|m|, |theta| * L), which covers theta * m^{-1}.
     """
     if not ms or not a_idx:
         return
@@ -176,27 +148,32 @@ def _coprime_inner_sums(
     rows = max(1, _CHUNK_PAIRS // len(ms))
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
-        L_arr = _exact_ints(L_chunk, bound)[:, None]
-        mask = np.gcd(m_arr, L_arr) == 1
-        counts = mask.sum(axis=1).tolist()
-        residue = [c > L for c, L in zip(counts, L_chunk)]
-        direct = mask & ~np.asarray(residue)[:, None]
-        m_grid, L_grid = np.broadcast_arrays(m_arr, L_arr)
-        L_pairs = L_grid[direct]
-        t = theta * batch_mod_inverse(m_grid[direct], L_pairs) % L_pairs if L_pairs.size else L_pairs
+        L_arr = _exact_ints(L_chunk, bound)
+        mask = np.gcd(m_arr, L_arr[:, None]) == 1
         cols = np.nonzero(mask)[1]
-        pos = start = 0
-        for i, (L, count) in enumerate(zip(L_chunk, counts)):
+        m_cols = m_arr[cols]
+        blocks = []
+        pos = 0
+        for i, count in enumerate(mask.sum(axis=1).tolist()):
             if not count:
                 continue
-            sel = cols[pos:pos + count]
+            sel, key, back = cols[pos:pos + count], m_cols[pos:pos + count], None
             pos += count
-            if residue[i]:
-                sums = _inner_sums(theta, m_arr[sel], L, a_idx, nu_arr)
-            else:
-                sums = _phase_block(t[start:start + count], a_idx, L) @ nu_arr
-                start += count
-            yield j0 + i, sel, sums
+            if count > L_chunk[i]:
+                residues, inverse = np.unique(key % L_chunk[i], return_inverse=True)
+                if len(residues) > 1:
+                    key, back = residues, inverse
+            blocks.append((i, sel, key, back))
+        if not blocks:
+            continue
+        keys = [key for _, _, key, _ in blocks]
+        L_rows = np.repeat(L_arr[[i for i, *_ in blocks]], [len(key) for key in keys])
+        t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
+        start = 0
+        for i, sel, key, back in blocks:
+            sums = _phase_block(t[start:start + len(key)], a_idx, L_chunk[i]) @ nu_arr
+            start += len(key)
+            yield j0 + i, sel, sums if back is None else sums[back]
 
 
 def trilinear_form(spec: TrilinearSpec) -> FormResult:

@@ -172,10 +172,20 @@ class TestSweep:
             {"M": [0], "N": [4], "A": [2]},
             {"M": [4], "N": [4], "A": [2], "theta": [0]},
             {"M": [4], "N": [4], "A": [2.5]},
+            {"M": [True], "N": [4], "A": [2]},  # bools are not integers here
+            {"M": [4], "N": [4], "A": [2], "seed": [False]},
         ):
             cfg = write_config(tmp_path, grid=grid)
             with pytest.raises(ConfigError):
                 load_config(cfg)
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_tau_k_zero_rejected(self, tmp_path):
+        seqs = {"alpha": "random_unit", "beta": "tau_k:0", "nu": "random_unit"}
+        cfg = write_config(tmp_path, sequences=seqs)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_invalid_cutoff_rejected(self, tmp_path):
         # the cutoff key is no longer read, so any cutoff block is an unknown key

@@ -21,7 +21,7 @@ from klab.arith import (
 from klab.forms import (
     DecompositionMismatch,
     TrilinearSpec,
-    _inner_sums,
+    _coprime_inner_sums,
     _phase_block,
     complementary_split,
     mean_square_decomposed,
@@ -185,6 +185,13 @@ class TestPhaseBlock:
             assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
 
 
+def one_modulus_sums(theta, ms, L, a_idx, nu_arr):
+    """Inner sums over m's all coprime to L, from the chunked path given L alone."""
+    ((_, sel, sums),) = _coprime_inner_sums(theta, ms, [L], a_idx, nu_arr)
+    assert len(sel) == len(ms)
+    return sums
+
+
 def random_spec(M, N, A, R, theta, seed):
     alpha, beta, nu = (build_sequence("random_unit", DyadicRange(base), seed=seed + k)
                        for k, base in enumerate((M, N, A)))
@@ -242,7 +249,7 @@ class TestResiduePath:
         nu_arr = np.exp(2j * np.pi * np.arange(len(a_idx)) / 7.3)
         for theta in (1, -5):
             direct = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L) @ nu_arr
-            assert np.array_equal(_inner_sums(theta, ms, L, a_idx, nu_arr), direct)
+            assert np.array_equal(one_modulus_sums(theta, ms, L, a_idx, nu_arr), direct)
 
 
 def per_n_form(spec):
@@ -258,7 +265,7 @@ def per_n_form(spec):
         sel = [(m, am) for m, am in spec.alpha.nonzero_items() if gcd(m, L) == 1]
         if not sel or not a_idx:
             continue
-        inner = _inner_sums(spec.theta, [m for m, _ in sel], L, a_idx, nu_arr)
+        inner = one_modulus_sums(spec.theta, [m for m, _ in sel], L, a_idx, nu_arr)
         parts.append(bn * complex(np.asarray([am for _, am in sel], dtype=complex) @ inner))
         terms += len(sel) * len(a_idx)
     return _csum(parts) if parts else 0j, terms
@@ -275,7 +282,7 @@ def per_n_mean_square(spec):
     for n, bn in spec.beta.nonzero_items():
         sel = [i for i, m in enumerate(ms) if gcd(m, n) == 1]
         if sel:
-            sums = _inner_sums(spec.theta, [ms[i] for i in sel], n * spec.R, a_idx, nu_arr)
+            sums = one_modulus_sums(spec.theta, [ms[i] for i in sel], n * spec.R, a_idx, nu_arr)
             forms._kahan_vadd(inner, comp, sel, bn * sums)
     return math.fsum(z.real * z.real + z.imag * z.imag for z in inner)
 
@@ -337,6 +344,14 @@ class TestChunkedPath:
         calls.clear()
         mean_square_direct(spec)  # over the M / 2 odd m's
         assert len(calls) == -(-N // (2 * rows))
+        # residue-path moduli (L = 2n <= 16) join the chunk's one batch with
+        # one value per residue class
+        calls.clear()
+        M, N, R = 256, 4, 2
+        trilinear_form(random_spec(M, N, 8, R, 1, seed=1))
+        assert calls == [sum(
+            len({m % (n * R) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1})
+            for n in range(N + 1, 2 * N + 1))]
 
 
 class TestMeanSquareDirect:
@@ -390,8 +405,7 @@ class TestDecomposition:
         for n in idx:
             assert complementary_split(n, R)[1:] == (1, 1)
         beta = build_sequence("ones", set(idx))
-        spec = TrilinearSpec(ones(DyadicRange(4)), beta, ones(DyadicRange(2)), 1, R,
-                             n_range=frozenset(idx))
+        spec = TrilinearSpec(ones(DyadicRange(4)), beta, ones(DyadicRange(2)), 1, R)
         assert math.isclose(mean_square_decomposed(spec), mean_square_direct(spec), rel_tol=1e-12)
 
     def test_mismatch_detected_for_corrupted_split(self):
