@@ -11,19 +11,15 @@ from .arith import (
     NonInvertible,
     SqfSplit,
     batch_mod_inverse,
-    kloosterman_phase,
     mod_inverse,
     squarefree_squarefull_split,
     tau_k,
 )
 from .bounds import (
-    BoundReport,
     InvalidExponent,
-    RationalExponent,
     RhsReport,
     admissible_n_exponent,
     check_range_conditions,
-    implied_constant_estimate,
     parse_exponent,
     rhs_mean_square_bound,
     rhs_trilinear_coprime,
@@ -59,10 +55,8 @@ from .sequences import (
     build_sequence,
     make_sequence,
     sequence_from_text,
-    sequence_norms,
     sequence_to_text,
     sw_discrepancy,
-    sw_discrepancy_table,
 )
 
 __version__ = "0.1.0"

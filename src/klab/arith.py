@@ -13,10 +13,8 @@ workers.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 import numpy as np
 
@@ -26,7 +24,6 @@ __all__ = [
     "mod_inverse",
     "batch_mod_inverse",
     "factorize",
-    "spf_sieve",
     "moebius",
     "euler_phi",
     "radical",
@@ -35,7 +32,6 @@ __all__ = [
     "is_squarefree",
     "is_squarefull",
     "squarefree_squarefull_split",
-    "kloosterman_phase",
 ]
 
 # Integer arithmetic stays exact in int64 while every magnitude it forms is below this.
@@ -179,17 +175,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def spf_sieve(limit: int) -> list[int]:
-    """Smallest-prime-factor table for 0..limit (bulk factorization helper)."""
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for k in range(p * p, limit + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    return spf
-
-
 def moebius(n: int) -> int:
     """Moebius function: (-1)^(#prime factors) on squarefree n, else 0."""
     mu = 1
@@ -254,15 +239,3 @@ def squarefree_squarefull_split(n: int) -> SqfSplit:
             full *= p**e
     return SqfSplit(sf, full)
 
-
-def kloosterman_phase(theta: int, a: int, m: int, n: int, R: int = 1) -> complex:
-    """The unit phase e(theta * a * m^{-1} / (n R)) with the inverse taken mod nR.
-
-    The numerator is reduced mod nR exactly (integer arithmetic) before any
-    transcendental evaluation, so large inputs cannot lose the fractional
-    part to cancellation.
-    """
-    L = n * R
-    inv = mod_inverse(m, L)
-    x = (theta * a * inv) % L
-    return cmath.exp(2j * math.pi * (x / L))

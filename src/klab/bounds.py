@@ -5,8 +5,7 @@ Two kinds of machinery live here:
 - floating-point evaluators for the proven right-hand sides (the coprime
   trilinear bound, its fixed-denominator-factor refinement, and the
   squarefree mean-square bound), each reporting its additive terms
-  separately so term dominance can be studied, plus an empirical
-  implied-constant estimator over a list of reports;
+  separately so term dominance can be studied;
 - exact ``fractions.Fraction`` arithmetic for the admissible exponent
   ranges of the unbalanced-convolution corollaries (nothing here ever
   rounds: every comparison is a rational comparison).
@@ -25,13 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 __all__ = [
-    "EmptyList",
-    "ZeroRHS",
     "InvalidExponent",
-    "RationalExponent",
     "RhsReport",
-    "BoundReport",
-    "ConstantEstimate",
     "NExponentCeiling",
     "ConditionResult",
     "RangeCheck",
@@ -39,7 +33,6 @@ __all__ = [
     "rhs_trilinear_coprime",
     "rhs_trilinear_fixed_factor",
     "rhs_mean_square_bound",
-    "implied_constant_estimate",
     "admissible_n_exponent",
     "extremal_q_exponent",
     "check_range_conditions",
@@ -48,22 +41,6 @@ __all__ = [
     "FIXED_N_CAPS",
     "HANDOFF_N_EXPONENT",
 ]
-
-# Exponents of X are exact rationals throughout the range arithmetic.
-RationalExponent = Fraction
-
-
-class EmptyList(ValueError):
-    """Raised when an estimate is requested over no reports."""
-
-
-class ZeroRHS(ValueError):
-    """Raised when a report in an estimate has rhs_total = 0."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"report at index {index} has zero right-hand side")
-
 
 class InvalidExponent(ValueError):
     """Raised for exponents outside their admissible interval or unparseable text."""
@@ -93,21 +70,6 @@ class RhsReport:
             if key == name:
                 return val
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A measured left-hand side against an evaluated right-hand side."""
-
-    lhs: float
-    rhs: RhsReport
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs.total > 0:
-            return self.lhs / self.rhs.total
-        return math.nan
 
 
 def _sum_report(
@@ -221,25 +183,6 @@ def rhs_mean_square_bound(
     prefactor = math.sqrt(1.0 + abs(theta) * A / (b * M * N))
     scale = norms_beta_nu[0] ** 2 * norms_beta_nu[1] ** 2 * M**epsilon * prefactor
     return _sum_report(terms, scale, meta={"prefactor": prefactor})
-
-
-@dataclass(frozen=True)
-class ConstantEstimate:
-    max_ratio: float
-    argmax_index: int
-    argmax_params: Mapping[str, object]
-
-
-def implied_constant_estimate(reports: Sequence[BoundReport]) -> ConstantEstimate:
-    """Empirical implied constant: the max lhs/rhs ratio over the reports,
-    together with the parameter point achieving it."""
-    if not reports:
-        raise EmptyList("no reports supplied")
-    for i, rep in enumerate(reports):
-        if not rep.rhs.total > 0:
-            raise ZeroRHS(i)
-    best = max(range(len(reports)), key=lambda i: reports[i].ratio)
-    return ConstantEstimate(reports[best].ratio, best, dict(reports[best].params))
 
 
 # ---------------------------------------------------------------------------

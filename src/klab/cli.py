@@ -14,8 +14,9 @@ Three subcommands:
 - ``klab ranges --q p/q [--corollary fr|new]`` prints the exact admissible
   N-exponent ceilings per corollary variant.
 
-Exit codes: 0 pass, 1 invariant failure, 2 usage/config error.  The grid
-cap defaults to 10^6 points and can be overridden with KLAB_GRID_CAP.
+Exit codes: 0 pass, 1 invariant failure, 2 usage/config error or an OS
+error such as an unwritable ``--out``.  The grid cap defaults to 10^6
+points and can be overridden with KLAB_GRID_CAP.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
@@ -199,12 +199,12 @@ def _fmt(value: object) -> str:
 def _atomic_open(path: str) -> Iterator[TextIO]:
     """Open ``path`` for writing through a temporary file in its directory
     (created if missing) that replaces it on success, so a write that fails
-    leaves any previous file intact."""
-    out_dir = os.path.dirname(os.path.abspath(path))
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+    leaves any previous file intact.  The temporary file is opened as
+    ``open(path, "w")`` would open ``path``, so the umask sets its mode."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp_path = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+        with open(tmp_path, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp_path, path)
     except BaseException:
@@ -295,7 +295,7 @@ def run_ranges(q_text: str, corollary: str = "new", out: str | None = None) -> s
     )
     table = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _atomic_open(out) as fh:
             fh.write(table)
     return table
 
@@ -366,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "ranges":
             print(run_ranges(args.q, args.corollary, args.out), end="")
             return 0
-    except (ConfigError, bounds.InvalidExponent) as exc:
+    except (ConfigError, bounds.InvalidExponent, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2  # pragma: no cover

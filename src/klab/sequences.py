@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from math import fsum, gcd
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,12 +26,9 @@ __all__ = [
     "DivisorBoundViolation",
     "DyadicRange",
     "CoefficientSequence",
-    "Norms",
     "make_sequence",
     "build_sequence",
-    "sequence_norms",
     "sw_discrepancy",
-    "sw_discrepancy_table",
     "sequence_to_text",
     "sequence_from_text",
 ]
@@ -97,14 +94,8 @@ class CoefficientSequence:
     l2_norm: float
     divisor_bound_k: int | None = None
 
-    def value(self, n: int) -> complex:
-        return self.values.get(n, 0j)
-
     def __getitem__(self, n: int) -> complex:
         return self.values.get(n, 0j)
-
-    def indices(self) -> list[int]:
-        return sorted(self.values)
 
     def nonzero_items(self) -> list[tuple[int, complex]]:
         return [(n, v) for n, v in sorted(self.values.items()) if v != 0]
@@ -204,28 +195,6 @@ def build_sequence(
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
-class Norms(NamedTuple):
-    l1: float
-    l2: float
-    l2_ceiling: float | None
-
-
-def sequence_norms(s: CoefficientSequence) -> Norms:
-    """Recompute l1/l2 norms; for divisor-bounded sequences also return the
-    T^(1/2) (log 2T)^(k^2-1) ceiling that such an l2 norm is expected to obey."""
-    l1 = fsum(abs(v) for v in s.values.values())
-    l2 = math.sqrt(fsum(abs(v) ** 2 for v in s.values.values()))
-    ceiling = None
-    if s.divisor_bound_k is not None:
-        if isinstance(s.support, DyadicRange):
-            t = s.support.base
-        else:
-            t = max(s.support)
-        k = s.divisor_bound_k
-        ceiling = math.sqrt(t) * math.log(2 * t) ** (k * k - 1)
-    return Norms(l1, l2, ceiling)
-
-
 def _csum(parts: Sequence[complex] | np.ndarray) -> complex:
     """math.fsum of the real parts and of the imaginary parts (0j when empty)."""
     z = np.asarray(parts, dtype=complex)
@@ -247,19 +216,6 @@ def sw_discrepancy(beta: CoefficientSequence, q: int, a: int, r: int = 1) -> flo
     ap_terms = [v for n, v in sorted(beta.values.items()) if n % q == cls and gcd(n, r) == 1]
     cop_terms = [v for n, v in sorted(beta.values.items()) if gcd(n, q * r) == 1]
     return abs(_csum(ap_terms) - _csum(cop_terms) / euler_phi(q))
-
-
-def sw_discrepancy_table(
-    beta: CoefficientSequence,
-    pairs: Iterable[tuple[int, int]],
-    r: int = 1,
-) -> list[tuple[int, int, float]]:
-    """Finite-scale discrepancy table: one (q, a, discrepancy) row per pair.
-
-    The tool only reports this table; whether the sequence satisfies the
-    asymptotic equidistribution property is deliberately not decided here.
-    """
-    return [(q, a, sw_discrepancy(beta, q, a, r)) for q, a in pairs]
 
 
 def sequence_to_text(s: CoefficientSequence) -> str:

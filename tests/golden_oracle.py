@@ -1,4 +1,4 @@
-"""Golden bound values, and the oracle that regenerates them.
+"""Golden bound values, the oracle that regenerates them, and a per-cell phase.
 
 Independent oracle: every displayed formula is re-typed here against
 mpmath at 50 digits, with no imports from the package under test.  Run as
@@ -7,7 +7,8 @@ mpmath at 50 digits, with no imports from the package under test.  Run as
 
 and compare the printed tables against the frozen ``*_GOLDEN`` tables at the
 end of this module, which test_bounds.py, test_dispersion.py and
-test_acceptance.py import.
+test_acceptance.py import.  :func:`kloosterman_phase` is the one-cell
+reference that test_arith.py and test_forms.py check the phase kernel against.
 """
 
 import mpmath as mp
@@ -69,6 +70,15 @@ def dispersion_rhs(M, N, Q, D, al2, estar, kappa, c, eps, X):
         + dc * M ** (R(3) / 20) * Q ** (R(33) / 20) * N ** (R(51) / 20)
     )
     return al2 * mp.sqrt(s)
+
+
+def kloosterman_phase(theta, a, m, n, RR=1):
+    """e(theta a m^-1 / (n RR)) with the inverse taken mod n RR; the numerator
+    is reduced mod n RR in integers before the exponential.  ``pow`` raises
+    ValueError when m is not invertible."""
+    L = n * RR
+    x = (theta * a * pow(m, -1, L)) % L
+    return complex(mp.expjpi(2 * R(x) / L))
 
 
 BC_PTS = [

@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 import golden_oracle as oracle
 from klab import bounds
 from klab.bounds import (
-    BoundReport,
-    EmptyList,
     InvalidExponent,
-    RhsReport,
-    ZeroRHS,
     admissible_n_exponent,
     check_range_conditions,
     extremal_q_exponent,
-    implied_constant_estimate,
     parse_exponent,
     rhs_mean_square_bound,
     rhs_trilinear_coprime,
@@ -136,31 +131,6 @@ class TestMeanSquareBound:
     def test_golden(self, args, want):
         rep = rhs_mean_square_bound(*args)
         assert math.isclose(rep.total, want, rel_tol=1e-12)
-
-
-class TestImpliedConstant:
-    def rep(self, lhs, total, **params):
-        return BoundReport(lhs, RhsReport((), 1.0, total), params)
-
-    def test_single(self):
-        est = implied_constant_estimate([self.rep(0.3, 1.0)])
-        assert est.max_ratio == 0.3 and est.argmax_index == 0
-
-    def test_max(self):
-        est = implied_constant_estimate(
-            [self.rep(0.1, 1.0), self.rep(0.7, 1.0, M=8), self.rep(0.2, 1.0)]
-        )
-        assert est.max_ratio == 0.7
-        assert est.argmax_index == 1 and est.argmax_params == {"M": 8}
-
-    def test_zero_rhs(self):
-        with pytest.raises(ZeroRHS) as exc:
-            implied_constant_estimate([self.rep(0.1, 1.0), self.rep(0.1, 0.0)])
-        assert exc.value.index == 1
-
-    def test_empty(self):
-        with pytest.raises(EmptyList):
-            implied_constant_estimate([])
 
 
 class TestAdmissibleNExponent:

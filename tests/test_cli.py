@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import random
+import stat
 
 import pytest
 
@@ -241,20 +243,40 @@ class TestSweep:
             row = list(csv.DictReader(fh))[0]
         assert float(row["lhs"]) == float(f"{float(row['lhs']):.17g}")
 
-    def test_degenerate_rows_do_not_crash_summary(self, tmp_path):
-        # moebius on (4, 8] has a nonzero norm, but on a squarefull-only
-        # explicit range it would vanish; use a zero-lhs-safe setup with a
-        # beta of moebius over a range that still has nonzero entries and
-        # confirm the summary machinery tolerates rhs-positive rows only
-        cfg = write_config(
-            tmp_path,
-            grid={"M": [4], "N": [4], "A": [2], "R": [1], "theta": [1], "seed": [0]},
-            sequences={"alpha": "ones", "beta": "moebius", "nu": "ones"},
-        )
-        out = tmp_path / "m.csv"
-        summary = run_sweep(cfg, str(out), jobs=1)
-        assert summary["points"] == 1
-        assert summary["degenerate_points"] in (0, 1)
+    @pytest.mark.parametrize("ratios,degenerate,max_ratio,argmax_m", (
+        ([0.3], 0, 0.3, 1),  # one row
+        ([None, 0.2, 0.7, 0.1], 1, 0.7, 3),  # a row with rhs_total 0 is counted and skipped
+        ([0.5, 0.7, 0.3, 0.7], 0, 0.7, 2),  # equal maxima: the first row in grid order
+        ([None, None], 2, None, None),  # every row degenerate
+    ), ids=("one-row", "zero-rhs-skipped", "first-of-equal-maxima", "all-degenerate"))
+    def test_summary_rule(self, tmp_path, monkeypatch, capsys, ratios, degenerate, max_ratio,
+                          argmax_m):
+        # fixed rows in place of the form: grid point M gets ratios[M - 1], None
+        # a degenerate row whose nan ratio would win max() if it were kept
+        def fixed_row(task):
+            row = dict(task["point"])
+            ratio = ratios[row["M"] - 1]
+            row["lhs"] = 1.0 if ratio is None else ratio
+            row["rhs_total"] = 0.0 if ratio is None else 1.0
+            row["ratio"] = math.nan if ratio is None else ratio
+            return row
+
+        monkeypatch.setattr(cli, "_sweep_point", fixed_row)
+        cfg = write_config(tmp_path, grid={"M": list(range(1, len(ratios) + 1)), "N": [4], "A": [2]})
+        out = tmp_path / "fixed.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "fixed.csv.summary.json").read_text())
+        assert summary["points"] == len(ratios)
+        assert summary["degenerate_points"] == degenerate
+        assert summary["max_ratio"] == max_ratio
+        printed = capsys.readouterr().out
+        if argmax_m is None:
+            assert summary["argmax"] is None
+            assert "all rows degenerate" in printed
+        else:
+            point = {"M": argmax_m, "N": 4, "A": 2, "R": 1, "theta": 1, "seed": 0}
+            assert summary["argmax"] == point
+            assert f"max ratio {max_ratio:.6g} at {point}" in printed
 
 
 class TestRanges:
@@ -287,6 +309,40 @@ class TestRanges:
         out = tmp_path / "ranges.txt"
         assert main(["ranges", "--q", "1/2", "--corollary", "new", "--out", str(out)]) == 0
         assert "1/56" in out.read_text()
+
+
+
+class TestOut:
+    """``--out`` of both commands, written through one temporary-file path."""
+
+    @staticmethod
+    def argv(tmp_path, command, out):
+        if command == "sweep":
+            cfg = write_config(tmp_path, grid={"M": [4], "N": [4], "A": [2]})
+            return ["sweep", "--config", cfg, "--out", str(out)]
+        return ["ranges", "--q", "1/2", "--out", str(out)]
+
+    @pytest.mark.parametrize("leaf", ("out.txt", "sub/out.txt"))
+    @pytest.mark.parametrize("command", ("sweep", "ranges"))
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command, leaf):
+        # the output's parent is a regular file: an OSError, reported as a usage error
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        assert main(self.argv(tmp_path, command, blocker / leaf)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert blocker.read_text() == "keep"
+
+    def test_outputs_follow_umask(self, tmp_path):
+        # each output gets the mode open(path, "w") would give it
+        old = os.umask(0o027)
+        try:
+            for command in ("sweep", "ranges"):
+                assert main(self.argv(tmp_path, command, tmp_path / f"{command}.out")) == 0
+        finally:
+            os.umask(old)
+        for name in ("sweep.out", "sweep.out.summary.json", "ranges.out"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640, name
 
 
 class TestRoleSeed:

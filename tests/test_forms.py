@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_oracle import kloosterman_phase
 from klab import checks, forms
 from klab.arith import (
     _INT64_SAFE,
@@ -15,7 +16,6 @@ from klab.arith import (
     euler_phi,
     is_squarefree,
     is_squarefull,
-    kloosterman_phase,
     radical,
 )
 from klab.forms import (

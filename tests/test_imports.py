@@ -1,10 +1,13 @@
-"""Every imported name in src/klab and tests is read somewhere in its module.
+"""Every imported name in src/klab and tests is read somewhere in its module,
+and the package's exports name what exists.
 
 A standard-library AST scan stands in for a linter.  ``klab/__init__.py`` is
-exempt: its imports are the package's re-exports.
+exempt from the unused-import scan: its imports are the package's re-exports,
+and each must be in its module's ``__all__``.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -42,3 +45,38 @@ def test_scan_flags_unused_and_keeps_used():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+MODULES = sorted(
+    name[:-3] for name in os.listdir(os.path.join(ROOT, "src", "klab"))
+    if name.endswith(".py") and name != "__init__.py"
+)
+
+
+def parse(*parts):
+    with open(os.path.join(ROOT, *parts), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist(module):
+    mod = importlib.import_module(f"klab.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_reexports_are_in_all():
+    missing = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(parse("src", "klab", "__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"klab.{node.module}").__all__
+    ]
+    assert missing == []
+
+
+def test_golden_oracle_imports_nothing_from_klab():
+    tree = parse("tests", "golden_oracle.py")
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] == "klab"] == []
