@@ -46,6 +46,7 @@ from .forms import (
     mean_square_direct,
     squarefree_mean_square,
     trilinear_form,
+    trilinear_forms,
 )
 from .sequences import (
     CoefficientSequence,
@@ -54,8 +55,6 @@ from .sequences import (
     NotCoprime,
     build_sequence,
     make_sequence,
-    sequence_from_text,
-    sequence_to_text,
     sw_discrepancy,
 )
 

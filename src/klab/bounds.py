@@ -65,12 +65,6 @@ class RhsReport:
     flags: tuple[str, ...] = ()
     meta: Mapping[str, float] = field(default_factory=dict)
 
-    def term(self, name: str) -> float:
-        for key, val in self.terms:
-            if key == name:
-                return val
-        raise KeyError(name)
-
 
 def _sum_report(
     terms: Sequence[tuple[str, float]],

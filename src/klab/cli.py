@@ -158,35 +158,40 @@ def _grid_points(cfg: dict) -> list[dict]:
     return [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes_values)]
 
 
-def _sweep_point(task: dict) -> dict:
-    """Evaluate one grid point: |trilinear form| against the chosen bound."""
-    pt = task["point"]
+def _sweep_run(task: dict) -> list[dict]:
+    """Evaluate a run of grid points that differ only in seed, one row each:
+    |trilinear form| against the chosen bound.  The points share one
+    enumeration in :func:`klab.forms.trilinear_forms`."""
     kinds = task["kinds"]
     epsilon = task["epsilon"]
     formula = task["formula"]
     variant = task["variant"]
-    alpha = _build_role(kinds["alpha"], pt["M"], pt["seed"], "alpha")
-    beta = _build_role(kinds["beta"], pt["N"], pt["seed"], "beta")
-    nu = _build_role(kinds["nu"], pt["A"], pt["seed"], "nu")
-    spec = forms.TrilinearSpec(alpha, beta, nu, theta=pt["theta"], R=pt["R"])
-    result = forms.trilinear_form(spec)
-    lhs = abs(result.value)
-    norms = (alpha.l2_norm, beta.l2_norm, nu.l2_norm)
-    if formula == "bcr":
-        rhs = bounds.rhs_trilinear_fixed_factor(
-            pt["M"], pt["N"], pt["A"], pt["R"], pt["theta"], norms, epsilon, variant
-        )
-    else:
-        rhs = bounds.rhs_trilinear_coprime(pt["M"], pt["N"], pt["A"], pt["theta"], norms, epsilon)
-    ratio = lhs / rhs.total if rhs.total > 0 else math.nan
-    row = dict(pt)
-    row["lhs"] = lhs
-    row["rhs_total"] = rhs.total
-    row["ratio"] = ratio
-    row["terms"] = result.terms
-    row.update(rhs.terms)  # term1, term2, ... in formula order
-    row["flags"] = ";".join(rhs.flags)
-    return row
+    specs = []
+    for pt in task["points"]:
+        alpha = _build_role(kinds["alpha"], pt["M"], pt["seed"], "alpha")
+        beta = _build_role(kinds["beta"], pt["N"], pt["seed"], "beta")
+        nu = _build_role(kinds["nu"], pt["A"], pt["seed"], "nu")
+        specs.append(forms.TrilinearSpec(alpha, beta, nu, theta=pt["theta"], R=pt["R"]))
+    rows = []
+    for pt, spec, result in zip(task["points"], specs, forms.trilinear_forms(specs)):
+        lhs = abs(result.value)
+        norms = (spec.alpha.l2_norm, spec.beta.l2_norm, spec.nu.l2_norm)
+        if formula == "bcr":
+            rhs = bounds.rhs_trilinear_fixed_factor(
+                pt["M"], pt["N"], pt["A"], pt["R"], pt["theta"], norms, epsilon, variant
+            )
+        else:
+            rhs = bounds.rhs_trilinear_coprime(pt["M"], pt["N"], pt["A"], pt["theta"], norms, epsilon)
+        ratio = lhs / rhs.total if rhs.total > 0 else math.nan
+        row = dict(pt)
+        row["lhs"] = lhs
+        row["rhs_total"] = rhs.total
+        row["ratio"] = ratio
+        row["terms"] = result.terms
+        row.update(rhs.terms)  # term1, term2, ... in formula order
+        row["flags"] = ";".join(rhs.flags)
+        rows.append(row)
+    return rows
 
 
 def _fmt(value: object) -> str:
@@ -228,20 +233,23 @@ def run_sweep(
     formula = bound.get("formula", "bcr")
     epsilon = float(bound.get("epsilon", 0.01))
     variant = exponent_variant or bound.get("exponent_variant", "statement")
+    # seed is the innermost axis, so the points that differ only in seed are consecutive
+    runs = itertools.groupby(points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])
     tasks = [
-        {"point": pt, "kinds": kinds, "epsilon": epsilon, "formula": formula, "variant": variant}
-        for pt in points
+        {"points": list(run), "kinds": kinds, "epsilon": epsilon, "formula": formula, "variant": variant}
+        for _, run in runs
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
-        # every worker is started up front, so never more than there are points
+        # every worker is started up front, so never more than there are runs
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            chunksize = max(1, len(tasks) // (4 * workers))
+            rows = [row for run in pool.map(_sweep_run, tasks, chunksize=chunksize) for row in run]
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        rows = [row for task in tasks for row in _sweep_run(task)]
     rows.sort(key=lambda r: tuple(r[axis] for axis in GRID_AXES))
 
-    # every row has the same keys, written by _sweep_point in column order
+    # every row has the same keys, written by _sweep_run in column order
     header = list(rows[0])
     with _atomic_open(out_path) as fh:
         writer = csv.writer(fh)

@@ -18,7 +18,12 @@ phase block.  Phases are reduced exactly mod 1 as integers before any
 transcendental call, on int64 or on Python integers as klab.arith decides.
 A block with at least L cells gathers its phases from a table of the L
 values e(k / L), each computed by the same expression as a per-cell phase,
-so the table changes no bit of any value.  Accumulation is
+so the table changes no bit of any value.  Forms whose coefficients differ
+in value but not in which indices are nonzero, as the points of a sweep's
+seed axis do, share one enumeration through :func:`trilinear_forms`: each
+phase block is built once and reduced against each nu in turn, with the
+same products as a lone evaluation, so sharing changes no bit either.
+Accumulation is
 Kahan-compensated so identity checks hold to 1e-9 over grids with millions
 of summands.  All evaluators are pure functions; the outer loops can be
 partitioned across workers and merged in index order.
@@ -44,6 +49,7 @@ __all__ = [
     "TrilinearSpec",
     "FormResult",
     "trilinear_form",
+    "trilinear_forms",
     "mean_square_direct",
     "mean_square_decomposed",
     "squarefree_mean_square",
@@ -92,7 +98,8 @@ class TrilinearSpec:
 
 @dataclass(frozen=True)
 class FormResult:
-    """Value of a sum, the number of accumulated summands, and wall time."""
+    """Value of a sum, the number of accumulated summands, and wall time
+    (for :func:`trilinear_forms`, that of the spec's whole group)."""
 
     value: complex
     terms: int
@@ -122,10 +129,11 @@ def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray
 
 
 def _coprime_inner_sums(
-    theta: int, ms: list[int], Ls: list[int], a_idx: list[int], nu_arr: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    theta: int, ms: list[int], Ls: list[int], a_idx: list[int], nus: list[np.ndarray]
+) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
     """For each modulus ``Ls[j]`` in order that some m in ``ms`` is coprime to,
-    yield j, the positions ``sel`` of those m's in ``ms`` and their inner sums
+    yield j, the positions ``sel`` of those m's in ``ms`` and, for each
+    coefficient vector nu in ``nus`` (indexed by ``a_idx``), their inner sums
     sum_a nu_a e(theta a m^{-1} / L).
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
@@ -137,9 +145,11 @@ def _coprime_inner_sums(
     A single residue class keeps its m's as rows: numpy reduces a one-row
     block with a dot product, which rounds differently from the
     matrix-vector one.  Each modulus gets its own phase block from the same
-    integers, so every sum equals the one-modulus-at-a-time evaluation bit
-    for bit.  The m's and L's are exact integer arrays for the bound
-    max(|m|, |theta| * L), which covers theta * m^{-1}.
+    integers, built once and multiplied by each nu in turn, so every sum
+    equals the one-modulus-at-a-time, one-vector-at-a-time evaluation bit
+    for bit.  The block is released before the yield.  The m's and L's are
+    exact integer arrays for the bound max(|m|, |theta| * L), which covers
+    theta * m^{-1}.
     """
     if not ms or not a_idx:
         return
@@ -171,9 +181,11 @@ def _coprime_inner_sums(
         t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
         start = 0
         for i, sel, key, back in blocks:
-            sums = _phase_block(t[start:start + len(key)], a_idx, L_chunk[i]) @ nu_arr
+            block = _phase_block(t[start:start + len(key)], a_idx, L_chunk[i])
+            sums = [block @ nu for nu in nus]
+            del block
             start += len(key)
-            yield j0 + i, sel, sums if back is None else sums[back]
+            yield j0 + i, sel, sums if back is None else [s[back] for s in sums]
 
 
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
@@ -183,22 +195,42 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
     condition; indices whose coefficient vanishes produce no summand, so
     ``terms`` counts exactly the accumulated triples.
     """
-    t0 = time.perf_counter()
-    a_items = spec.nu.nonzero_items()
-    m_items = spec.alpha.nonzero_items()
-    n_items = spec.beta.nonzero_items()
-    a_idx = [a for a, _ in a_items]
-    nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
-    alpha_arr = np.asarray([am for _, am in m_items], dtype=complex)
+    return trilinear_forms([spec])[0]
 
-    parts: list[complex] = []
-    terms = 0
-    Ls = [n * spec.R for n, _ in n_items]
-    for j, sel, inner in _coprime_inner_sums(spec.theta, [m for m, _ in m_items], Ls, a_idx, nu_arr):
-        parts.append(n_items[j][1] * complex(alpha_arr[sel] @ inner))
-        terms += len(sel) * len(a_idx)
-    value = _csum(parts)
-    return FormResult(value, terms, time.perf_counter() - t0)
+
+def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
+    """:func:`trilinear_form` of each spec, in order.
+
+    Specs that agree in what the enumeration reads (the nonzero indices of
+    alpha, beta and nu, theta and R) form one group, which selects, inverts
+    and builds its phase blocks once; each spec keeps its own reductions,
+    so every value has the bits of a lone evaluation.  ``elapsed`` is the
+    wall time of the spec's whole group.
+    """
+    groups: dict[tuple, list[tuple[int, np.ndarray, list[complex], np.ndarray]]] = {}
+    for i, spec in enumerate(specs):
+        alpha, beta, nu = (seq.nonzero_items() for seq in (spec.alpha, spec.beta, spec.nu))
+        key = (spec.theta, spec.R, *(tuple(k for k, _ in items) for items in (alpha, beta, nu)))
+        groups.setdefault(key, []).append((
+            i,
+            np.asarray([v for _, v in alpha], dtype=complex),
+            [v for _, v in beta],
+            np.asarray([v for _, v in nu], dtype=complex),
+        ))
+    results: dict[int, FormResult] = {}
+    for (theta, R, ms, ns, a_idx), members in groups.items():
+        t0 = time.perf_counter()
+        parts: list[list[complex]] = [[] for _ in members]
+        terms = 0
+        nus = [nu for *_, nu in members]
+        for j, sel, inners in _coprime_inner_sums(theta, list(ms), [n * R for n in ns], list(a_idx), nus):
+            for part, (_, alpha_arr, beta_vals, _), inner in zip(parts, members, inners):
+                part.append(beta_vals[j] * complex(alpha_arr[sel] @ inner))
+            terms += len(sel) * len(a_idx)
+        elapsed = time.perf_counter() - t0
+        for (i, *_), part in zip(members, parts):
+            results[i] = FormResult(_csum(part), terms, elapsed)
+    return [results[i] for i in range(len(specs))]
 
 
 def _kahan_vadd(total: np.ndarray, comp: np.ndarray, idx: np.ndarray | list[int], delta: np.ndarray) -> None:
@@ -226,7 +258,7 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     inner = np.zeros(len(ms), dtype=complex)
     comp = np.zeros(len(ms), dtype=complex)
     Ls = [L for _, _, L in groups]
-    for j, sel, sums in _coprime_inner_sums(spec.theta, ms, Ls, a_idx, nu_arr):
+    for j, sel, (sums,) in _coprime_inner_sums(spec.theta, ms, Ls, a_idx, [nu_arr]):
         _kahan_vadd(inner, comp, sel, groups[j][1] * sums)
     return fsum(z.real * z.real + z.imag * z.imag for z in inner)
 

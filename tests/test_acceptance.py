@@ -167,15 +167,17 @@ def test_c7_empirical_implied_constant(tmp_path):
 
 @criterion(8, "sweep determinism across worker counts")
 def test_c8_sweep_determinism(tmp_path):
+    # two seeds make runs of two points that share one enumeration; the
+    # moebius beta has zeros, so its support differs from the random ones
     cfg = {
-        "grid": {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1], "seed": [3]},
-        "sequences": {"alpha": "random_unit", "beta": "random_unit", "nu": "random_unit"},
+        "grid": {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1], "seed": [3, 4]},
+        "sequences": {"alpha": "random_unit", "beta": "moebius", "nu": "random_unit"},
         "bound": {"formula": "bcr", "epsilon": 0.01, "exponent_variant": "statement"},
     }
     cfg_path = tmp_path / "det.json"
     cfg_path.write_text(json.dumps(cfg))
     out1 = tmp_path / "jobs1.csv"
-    out8 = tmp_path / "jobs8.csv"
+    out3 = tmp_path / "jobs3.csv"
     run_sweep(str(cfg_path), str(out1), jobs=1)
-    run_sweep(str(cfg_path), str(out8), jobs=8)
-    assert out1.read_bytes() == out8.read_bytes()
+    run_sweep(str(cfg_path), str(out3), jobs=3)
+    assert out1.read_bytes() == out3.read_bytes()

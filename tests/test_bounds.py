@@ -82,8 +82,8 @@ class TestTrilinearFixedFactorBound:
         a = rhs_trilinear_fixed_factor(16, 9, 5, 2, 7, (1, 2, 3), 0.0, "statement")
         b = rhs_trilinear_fixed_factor(16, 9, 5, 2, 7, (1, 2, 3), 0.0, "proof")
         for name in ("term1", "term2", "term4", "term5"):
-            assert a.term(name) == b.term(name)
-        assert math.isclose(a.term("term3") / b.term("term3"), 5 ** (3 / 10 - 1 / 20),
+            assert dict(a.terms)[name] == dict(b.terms)[name]
+        assert math.isclose(dict(a.terms)["term3"] / dict(b.terms)["term3"], 5 ** (3 / 10 - 1 / 20),
                             rel_tol=1e-12)
 
     def test_r1_regression_lock(self):
@@ -123,8 +123,8 @@ class TestMeanSquareBound:
 
     def test_term1_scaling_in_b(self):
         # term1 = AM (bN)^(1/2): quadrupling b doubles it
-        t1 = rhs_mean_square_bound(1, 1, 1, 1, 1, (1, 1)).term("term1")
-        t4 = rhs_mean_square_bound(1, 1, 1, 4, 1, (1, 1)).term("term1")
+        t1 = dict(rhs_mean_square_bound(1, 1, 1, 1, 1, (1, 1)).terms)["term1"]
+        t4 = dict(rhs_mean_square_bound(1, 1, 1, 4, 1, (1, 1)).terms)["term1"]
         assert math.isclose(t4, 2 * t1, rel_tol=1e-14)
 
     @pytest.mark.parametrize("args,want", oracle.CB_GOLDEN)

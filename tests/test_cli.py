@@ -126,7 +126,9 @@ class TestSweep:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_rows_recomputable_from_coordinates(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # two seeds: each row comes from a run that shares one enumeration
+        grid = {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1], "seed": [3, 4]}
+        cfg = write_config(tmp_path, grid=grid)
         out = tmp_path / "table.csv"
         run_sweep(cfg, str(out), jobs=1)
         with open(out, newline="") as fh:
@@ -253,15 +255,15 @@ class TestSweep:
                           argmax_m):
         # fixed rows in place of the form: grid point M gets ratios[M - 1], None
         # a degenerate row whose nan ratio would win max() if it were kept
-        def fixed_row(task):
-            row = dict(task["point"])
+        def fixed_row(point):
+            row = dict(point)
             ratio = ratios[row["M"] - 1]
             row["lhs"] = 1.0 if ratio is None else ratio
             row["rhs_total"] = 0.0 if ratio is None else 1.0
             row["ratio"] = math.nan if ratio is None else ratio
             return row
 
-        monkeypatch.setattr(cli, "_sweep_point", fixed_row)
+        monkeypatch.setattr(cli, "_sweep_run", lambda task: [fixed_row(pt) for pt in task["points"]])
         cfg = write_config(tmp_path, grid={"M": list(range(1, len(ratios) + 1)), "N": [4], "A": [2]})
         out = tmp_path / "fixed.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0

@@ -28,6 +28,7 @@ from klab.forms import (
     mean_square_direct,
     squarefree_mean_square,
     trilinear_form,
+    trilinear_forms,
 )
 from klab.sequences import DyadicRange, _csum, build_sequence, make_sequence
 
@@ -187,7 +188,7 @@ class TestPhaseBlock:
 
 def one_modulus_sums(theta, ms, L, a_idx, nu_arr):
     """Inner sums over m's all coprime to L, from the chunked path given L alone."""
-    ((_, sel, sums),) = _coprime_inner_sums(theta, ms, [L], a_idx, nu_arr)
+    ((_, sel, (sums,)),) = _coprime_inner_sums(theta, ms, [L], a_idx, [nu_arr])
     assert len(sel) == len(ms)
     return sums
 
@@ -352,6 +353,54 @@ class TestChunkedPath:
         assert calls == [sum(
             len({m % (n * R) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1})
             for n in range(N + 1, 2 * N + 1))]
+
+
+class TestSharedEnumeration:
+    """Specs that differ only in their coefficient values share one enumeration."""
+
+    def test_each_spec_as_alone(self):
+        seeded = [random_spec(64, 16, 8, 3, 1, seed) for seed in (1, 2)]
+        alpha, beta, nu = seeded[0].alpha, seeded[0].beta, seeded[0].nu
+        big = [
+            TrilinearSpec(build_sequence("random_unit", set(range(-5, 9)), seed=seed),
+                          build_sequence("random_unit", {7, 2**64, 3**41}, seed=seed + 1),
+                          build_sequence("random_unit", {1, 3}, seed=seed + 2), 10**6, 3)
+            for seed in (5, 6)
+        ]
+        specs = seeded + [
+            TrilinearSpec(alpha, beta, build_sequence("random_unit", DyadicRange(4), seed=9), 1, 3),
+            TrilinearSpec(alpha, build_sequence("moebius", DyadicRange(16)), nu, 1, 3),
+            TrilinearSpec(alpha, build_sequence("random_unit", DyadicRange(16), seed=11), nu, 1, 3),
+        ] + big
+        results = trilinear_forms(specs)
+        assert len(results) == len(specs)
+        for spec, res in zip(specs, results):
+            lone = trilinear_form(spec)
+            assert (res.value, res.terms) == (lone.value, lone.terms)
+            assert (res.value, res.terms) == per_n_form(spec)
+        assert trilinear_forms([]) == []
+
+    @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
+    def test_group_makes_the_calls_of_one_spec(self, monkeypatch, M, N, A, R):
+        calls = []
+
+        def counting(values, m):
+            calls.append(("inverse", np.asarray(values).tolist(), np.asarray(m).tolist()))
+            return batch_mod_inverse(values, m)
+
+        def recording(t_vals, a_vals, L):
+            calls.append(("phase", np.asarray(t_vals).tolist(), list(a_vals), L))
+            return _phase_block(t_vals, a_vals, L)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        monkeypatch.setattr(forms, "_phase_block", recording)
+        specs = [random_spec(M, N, A, R, 1, seed) for seed in (1, 2)]
+        trilinear_forms(specs[:1])
+        one = list(calls)
+        calls.clear()
+        trilinear_forms(specs)
+        assert calls == one
+        assert sum(kind == "phase" for kind, *_ in one) == N
 
 
 class TestMeanSquareDirect:
