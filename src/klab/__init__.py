@@ -55,6 +55,8 @@ from .sequences import (
     NotCoprime,
     build_sequence,
     make_sequence,
+    sequence_from_text,
+    sequence_to_text,
     sw_discrepancy,
 )
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab.arith import euler_phi, moebius
+from klab.forms import TrilinearSpec, mean_square_direct
 from klab.sequences import (
     DivisorBoundViolation,
     DyadicRange,
@@ -14,6 +15,8 @@ from klab.sequences import (
     NotCoprime,
     build_sequence,
     make_sequence,
+    sequence_from_text,
+    sequence_to_text,
     sw_discrepancy,
 )
 
@@ -162,3 +165,58 @@ class TestSwDiscrepancy:
                 for a in (1, 2, q - 1, q // 2):
                     if a >= 0 and gcd(a, q) == 1:
                         assert sw_discrepancy(s, q, a) <= 2.0, (base, q, a)
+
+
+class TestTextRoundTrip:
+    def test_dyadic_header(self):
+        s = build_sequence("moebius", DyadicRange(4))
+        text = sequence_to_text(s)
+        assert text.splitlines()[0] == "# support 4 half-open"
+        back = sequence_from_text(text)
+        assert back.values == s.values
+        assert isinstance(back.support, DyadicRange) and back.support.base == 4
+
+    def test_explicit_header(self):
+        s = make_sequence({2: 1 - 2j, 7: 0.5 + 0j})
+        back = sequence_from_text(sequence_to_text(s))
+        assert back.values == s.values
+
+    def test_explicit_support_without_values_survives(self):
+        # indices 5 and 7 carry no value; m_range defaults to the support, so
+        # dropping them would change the mean square over m
+        alpha = make_sequence({3: 1 + 0j}, support={3, 5, 7})
+        text = sequence_to_text(alpha)
+        assert text.splitlines()[0] == "# support explicit 3 5 7"
+        back = sequence_from_text(text)
+        assert back.support == frozenset({3, 5, 7}) and back.values == alpha.values
+        beta, nu = build_sequence("ones", {4, 9}), build_sequence("ones", {1, 2})
+        assert mean_square_direct(TrilinearSpec(back, beta, nu, 1)) == \
+            mean_square_direct(TrilinearSpec(alpha, beta, nu, 1))
+
+    def test_old_explicit_header(self):
+        back = sequence_from_text("# support explicit\n2 1 0\n7 0.5 0\n")
+        assert back.support == frozenset({2, 7})
+
+    def test_malformed(self):
+        with pytest.raises(ValueError):
+            sequence_from_text("3 1.0 0.0\n")
+        with pytest.raises(ValueError):
+            sequence_from_text("# support 4 half-open\n3 1.0\n")
+
+    @pytest.mark.parametrize("header", (
+        "# support 5", "# support", "# support 5 closed extra", "# support x half-open",
+        "# support 5 weird", "# support explicit 6 a",
+    ))
+    def test_malformed_header(self, header):
+        with pytest.raises(ValueError, match="malformed header") as exc:
+            sequence_from_text(header + "\n6 1 0\n")
+        assert header in str(exc.value)
+
+    @given(st.integers(0, 2**31))
+    @settings(max_examples=50)
+    def test_random_round_trip(self, seed):
+        rng = random.Random(seed)
+        s = build_sequence("random_unit", DyadicRange(rng.randrange(1, 30)), seed=seed)
+        back = sequence_from_text(sequence_to_text(s))
+        assert back.values == s.values
+        assert abs(back.l2_norm - s.l2_norm) < 1e-12
