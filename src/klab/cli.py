@@ -22,6 +22,7 @@ points and can be overridden with KLAB_GRID_CAP.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import itertools
 import json
@@ -29,7 +30,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
@@ -242,7 +242,7 @@ def run_sweep(
     workers = min(jobs, len(tasks))
     if workers > 1:
         # every worker is started up front, so never more than there are runs
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))
             rows = [row for run in pool.map(_sweep_run, tasks, chunksize=chunksize) for row in run]
     else:

@@ -4,7 +4,8 @@ Contents:
 
 - :class:`SmoothCutoff`: a C-infinity plateau function built from the
   exp(-1/t) blend, with an exactly-known mass and a cached, quadrature-based
-  Fourier transform;
+  Fourier transform (the only use of scipy in klab: ``scipy.integrate``
+  loads on the first quadrature, so importing this module needs numpy only);
 - the progression error E (one modulus) and its absolute sum over a modulus
   range;
 - the dispersion split U / V / W against a sign sequence c_q derived from
@@ -41,7 +42,6 @@ from math import fsum, gcd
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .arith import _exact_ints, batch_mod_inverse, divisor_count, euler_phi
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport
@@ -105,7 +105,8 @@ class SmoothCutoff:
     between; 0 <= psi <= 1 everywhere.  The default majorizes the indicator
     of [1, 2].  ``hat`` evaluates the Fourier transform
     psi^(xi) = integral psi(x) e(-xi x) dx by adaptive quadrature (plateau
-    part in closed form) and caches per frequency.
+    part in closed form) and caches per frequency.  The first quadrature in
+    a process imports ``scipy.integrate``; nothing else in klab needs scipy.
     """
 
     plateau: tuple[float, float] = (1.0, 2.0)
@@ -174,6 +175,8 @@ class SmoothCutoff:
         p0, p1 = self.plateau
         if s0 >= s1:
             return 0j
+        from scipy import integrate
+
         w = 2.0 * math.pi * xi
         val = 0j
         if p1 > p0:

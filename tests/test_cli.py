@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -101,7 +102,7 @@ class TestSweep:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = write_config(tmp_path)  # 8 points
         run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
         run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=64)

@@ -1,5 +1,6 @@
 """Every imported name in src/klab and tests is read somewhere in its module,
-and the package's exports name what exists.
+the package's exports name what exists, and ``import klab`` loads numpy but
+not scipy, which waits for the first Fourier quadrature.
 
 A standard-library AST scan stands in for a linter.  ``klab/__init__.py`` is
 exempt from the unused-import scan: its imports are the package's re-exports,
@@ -9,8 +10,12 @@ and each must be in its module's ``__all__``.
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
+
+from klab.dispersion import SmoothCutoff
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(
@@ -80,3 +85,28 @@ def test_golden_oracle_imports_nothing_from_klab():
     imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [name for name in imported if name.split(".")[0] == "klab"] == []
+
+
+def fresh_python(code: str) -> str:
+    """stdout of ``code`` in a new interpreter that imports klab from src/ (the
+    pytest process has scipy loaded already)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    out = fresh_python(
+        "import sys, klab, klab.cli\n"
+        "print([m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])"
+    )
+    assert out == "[]\n"
+
+
+def test_first_quadrature_loads_scipy_integrate():
+    out = fresh_python(
+        "import sys\n"
+        "from klab.dispersion import SmoothCutoff\n"
+        "print('scipy.integrate' in sys.modules, repr(SmoothCutoff().hat(0.7)), 'scipy.integrate' in sys.modules)"
+    )
+    assert out == f"False {SmoothCutoff().hat(0.7)!r} True\n"
