@@ -159,9 +159,9 @@ def _grid_points(cfg: dict) -> list[dict]:
 
 
 def _sweep_run(task: dict) -> list[dict]:
-    """Evaluate a run of grid points that differ only in seed, one row each:
-    |trilinear form| against the chosen bound.  The points share one
-    enumeration in :func:`klab.forms.trilinear_forms`."""
+    """Evaluate a task's grid points, one row each: |trilinear form| against
+    the chosen bound.  The points share one (N, R, theta), so they form one
+    family of :func:`klab.forms.trilinear_forms` and share its enumeration."""
     kinds = task["kinds"]
     epsilon = task["epsilon"]
     formula = task["formula"]
@@ -234,14 +234,24 @@ def run_sweep(
     epsilon = float(bound.get("epsilon", 0.01))
     variant = exponent_variant or bound.get("exponent_variant", "statement")
     # seed is the innermost axis, so the points that differ only in seed are consecutive
-    runs = itertools.groupby(points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])
-    tasks = [
-        {"points": list(run), "kinds": kinds, "epsilon": epsilon, "formula": formula, "variant": variant}
-        for _, run in runs
-    ]
+    runs = [list(run) for _, run in itertools.groupby(
+        points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])]
+    # a family's points (same N, R and theta) share the moduli nR and one enumeration
+    families: dict[tuple, list[list[dict]]] = {}
+    for run in runs:
+        families.setdefault((run[0]["N"], run[0]["R"], run[0]["theta"]), []).append(run)
+    # with fewer families than workers, each is cut into contiguous slices of its runs
+    cuts = -(-jobs // len(families))
+    tasks = []
+    for family in families.values():
+        parts = min(cuts, len(family))
+        for k in range(parts):
+            chunk = family[len(family) * k // parts:len(family) * (k + 1) // parts]
+            tasks.append({"points": [pt for run in chunk for pt in run], "kinds": kinds,
+                          "epsilon": epsilon, "formula": formula, "variant": variant})
     workers = min(jobs, len(tasks))
     if workers > 1:
-        # every worker is started up front, so never more than there are runs
+        # every worker is started up front, so never more than there are tasks
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))
             rows = [row for run in pool.map(_sweep_run, tasks, chunksize=chunksize) for row in run]

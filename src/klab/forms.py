@@ -11,19 +11,21 @@ The central objects:
 
 Evaluation is by direct enumeration, along one path.  The coprime (m, n)
 pairs are found and inverted a chunk of n's at a time, with one gcd mask
-and one batch of inverses per chunk.  The inner a-sum depends only on m mod
-L (L = nR): each n contributes one row of phases per m, or per residue
-class of m mod L once the m's outnumber L, to that batch, and keeps its own
-phase block.  Phases are reduced exactly mod 1 as integers before any
-transcendental call, on int64 or on Python integers as klab.arith decides.
-A block with at least L cells gathers its phases from a table of the L
-values e(k / L), each computed by the same expression as a per-cell phase,
-so the table changes no bit of any value.  Forms whose coefficients differ
-in value but not in which indices are nonzero, as the points of a sweep's
-seed axis do, share one enumeration through :func:`trilinear_forms`: each
-phase block is built once and reduced against each nu in turn, with the
-same products as a lone evaluation, so sharing changes no bit either.
-Accumulation is
+per m list and one batch of inverses per chunk.  The inner a-sum depends
+only on m mod L (L = nR): each n contributes one row of phases per m, or
+per residue class of m mod L once the m's outnumber L, to that batch, and
+keeps its own phase block.  Phases are reduced exactly mod 1 as integers
+before any transcendental call, on int64 or on Python integers as
+klab.arith decides.  Once the blocks at one modulus have at least L cells
+together, they gather their phases from one table of the L values
+e(k / L), each computed by the same expression as a per-cell phase, so the
+table changes no bit of any value.  :func:`trilinear_forms` evaluates a
+family of forms with the same theta, R and nonzero beta indices, as the
+points of a sweep with the same (N, R, theta) are, in one enumeration of
+their moduli: forms with the same alpha support share its gcd masks and
+inverses, those with the same nu support as well share each phase block,
+built once and reduced against each nu in turn with the same products as a
+lone evaluation, so sharing changes no bit either.  Accumulation is
 Kahan-compensated so identity checks hold to 1e-9 over grids with millions
 of summands.  All evaluators are pure functions; the outer loops can be
 partitioned across workers and merged in index order.
@@ -99,93 +101,132 @@ class TrilinearSpec:
 @dataclass(frozen=True)
 class FormResult:
     """Value of a sum, the number of accumulated summands, and wall time
-    (for :func:`trilinear_forms`, that of the spec's whole group)."""
+    (for :func:`trilinear_forms`, that of the spec's whole family)."""
 
     value: complex
     terms: int
     elapsed: float
 
 
-def _phase_block(t_vals: Sequence[int], a_vals: list[int], L: int) -> np.ndarray:
+class _SharedTable:
+    """The phase blocks of one modulus that may share one table of e(k / L):
+    their cells together, and the table once a block has built it."""
+
+    __slots__ = ("cells", "table")
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.table: np.ndarray | None = None
+
+
+def _phase_block(
+    t_vals: Sequence[int], a_vals: list[int], L: int, shared: _SharedTable | None = None
+) -> np.ndarray:
     """Matrix of e(t*a / L) over (t, a) for t in [0, L); exact integer
     reduction mod L first, on the arrays that :func:`_exact_ints` gives for
     the bound L * max |a|.
 
-    In int64, once the block has at least L cells, the L possible phases are
-    tabulated once, ``e(k / L)`` for k in [0, L), and gathered at the
-    residues.  Each entry is the same float expression on the same integer
-    as the one-exponential-per-cell evaluation, so both give the same bits;
-    a smaller block keeps one exponential per cell.  On Python integers the
-    angle is formed as ``2j * pi * residue / L``, one Python operation per
-    cell, before a single ``np.exp``.  ``t_vals`` may be a list or an array.
+    In int64, once the blocks of L have at least L cells (this block alone,
+    or all the blocks that share ``shared``), the L possible phases are
+    tabulated, ``e(k / L)`` for k in [0, L), and gathered at the residues;
+    the first block to need the table builds it and leaves it in ``shared``
+    for the others.  Each entry is the same float expression on the same
+    integer as the one-exponential-per-cell evaluation, so both give the
+    same bits; below the gate a block keeps one exponential per cell.  On
+    Python integers the angle is formed as ``2j * pi * residue / L``, one
+    Python operation per cell, before a single ``np.exp``.  ``t_vals`` may
+    be a list or an array.
     """
     bound = L * max(map(abs, a_vals), default=0)
     residue = (_exact_ints(t_vals, bound)[:, None] * _exact_ints(a_vals, bound)[None, :]) % L
     if residue.dtype == object:
         return np.exp((2j * np.pi * residue / L).astype(complex))
-    if L <= residue.size:
-        return np.exp((2j * np.pi) * (np.arange(L) / L))[residue]
-    return np.exp((2j * np.pi) * (residue / L))
+    if shared is None:
+        shared = _SharedTable(residue.size)
+    if L > shared.cells:
+        return np.exp((2j * np.pi) * (residue / L))
+    if shared.table is None:
+        shared.table = np.exp((2j * np.pi) * (np.arange(L) / L))
+    return shared.table[residue]
+
+
+# A kernel group: the m's, the a's, and the coefficient vectors nu indexed by the a's.
+_Group = tuple[list[int], list[int], list[np.ndarray]]
 
 
 def _coprime_inner_sums(
-    theta: int, ms: list[int], Ls: list[int], a_idx: list[int], nus: list[np.ndarray]
-) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
-    """For each modulus ``Ls[j]`` in order that some m in ``ms`` is coprime to,
-    yield j, the positions ``sel`` of those m's in ``ms`` and, for each
-    coefficient vector nu in ``nus`` (indexed by ``a_idx``), their inner sums
-    sum_a nu_a e(theta a m^{-1} / L).
+    theta: int, Ls: list[int], groups: Sequence[_Group]
+) -> Iterator[tuple[int, int, np.ndarray, list[np.ndarray]]]:
+    """For each modulus ``Ls[j]`` in order, and each group g = (ms, a_idx,
+    nus) of ``groups`` in order with some m in ms coprime to it, yield j, g,
+    the positions ``sel`` of those m's in ms and, for each nu in nus, their
+    inner sums sum_a nu_a e(theta a m^{-1} / L).
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
-    pairs per chunk: one gcd mask and one :func:`batch_mod_inverse` call
-    cover the whole chunk, and t = theta * m^{-1} mod L is formed as an array.
-    The sum depends only on m mod L, so a modulus whose coprime m's outnumber
-    it contributes one row per residue class of m mod L to that batch, and
-    its sums are gathered back; a residue has the same inverse as its m's.
-    A single residue class keeps its m's as rows: numpy reduces a one-row
-    block with a dot product, which rounds differently from the
-    matrix-vector one.  Each modulus gets its own phase block from the same
-    integers, built once and multiplied by each nu in turn, so every sum
-    equals the one-modulus-at-a-time, one-vector-at-a-time evaluation bit
-    for bit.  The block is released before the yield.  The m's and L's are
-    exact integer arrays for the bound max(|m|, |theta| * L), which covers
-    theta * m^{-1}.
+    pairs per chunk over the distinct m lists: each distinct m list gets one
+    gcd mask per chunk, and one :func:`batch_mod_inverse` call covers the
+    chunk's rows of all of them, so groups that differ only in their a's
+    share both; t = theta * m^{-1} mod L is formed as an array.  The sum
+    depends only on m mod L, so an m list whose coprime m's outnumber the
+    modulus contributes one row per residue class of m mod L to that batch,
+    and its sums are gathered back; a residue has the same inverse as its
+    m's.  A single residue class keeps its m's as rows: numpy reduces a
+    one-row block with a dot product, which rounds differently from the
+    matrix-vector one.  Each group gets its own phase block at each modulus,
+    built once and multiplied by each nu in turn, and the blocks of one
+    modulus share one :class:`_SharedTable`, so every sum equals the
+    one-modulus-at-a-time, one-vector-at-a-time evaluation bit for bit.  A
+    block is released before the yield, and a table once its modulus is
+    done.  The m's and L's are exact integer arrays for the bound max(|m|,
+    |theta| * L), which covers theta * m^{-1}.
     """
-    if not ms or not a_idx:
+    supports: dict[tuple[int, ...], list[int]] = {}
+    for g, (ms, a_idx, _) in enumerate(groups):
+        if ms and a_idx:
+            supports.setdefault(tuple(ms), []).append(g)
+    if not supports:
         return
-    bound = max(max(map(abs, ms)), max(map(abs, Ls), default=0) * abs(theta))
-    m_arr = _exact_ints(ms, bound)
-    rows = max(1, _CHUNK_PAIRS // len(ms))
+    bound = max(max(max(map(abs, ms)) for ms in supports), max(map(abs, Ls), default=0) * abs(theta))
+    m_arrs = [_exact_ints(ms, bound) for ms in supports]
+    members = list(supports.values())
+    rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
         L_arr = _exact_ints(L_chunk, bound)
-        mask = np.gcd(m_arr, L_arr[:, None]) == 1
-        cols = np.nonzero(mask)[1]
-        m_cols = m_arr[cols]
-        blocks = []
-        pos = 0
-        for i, count in enumerate(mask.sum(axis=1).tolist()):
-            if not count:
-                continue
-            sel, key, back = cols[pos:pos + count], m_cols[pos:pos + count], None
-            pos += count
-            if count > L_chunk[i]:
-                residues, inverse = np.unique(key % L_chunk[i], return_inverse=True)
-                if len(residues) > 1:
-                    key, back = residues, inverse
-            blocks.append((i, sel, key, back))
-        if not blocks:
+        found: list[list[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]] = [[] for _ in L_chunk]
+        for s, m_arr in enumerate(m_arrs):
+            mask = np.gcd(m_arr, L_arr[:, None]) == 1
+            cols = np.nonzero(mask)[1]
+            m_cols = m_arr[cols]
+            pos = 0
+            for i, count in enumerate(mask.sum(axis=1).tolist()):
+                if not count:
+                    continue
+                sel, key, back = cols[pos:pos + count], m_cols[pos:pos + count], None
+                pos += count
+                if count > L_chunk[i]:
+                    residues, inverse = np.unique(key % L_chunk[i], return_inverse=True)
+                    if len(residues) > 1:
+                        key, back = residues, inverse
+                found[i].append((s, sel, key, back))
+        keys = [key for row in found for _, _, key, _ in row]
+        if not keys:
             continue
-        keys = [key for _, _, key, _ in blocks]
-        L_rows = np.repeat(L_arr[[i for i, *_ in blocks]], [len(key) for key in keys])
+        L_rows = np.repeat(L_arr[[i for i, row in enumerate(found) for _ in row]], [len(key) for key in keys])
         t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
         start = 0
-        for i, sel, key, back in blocks:
-            block = _phase_block(t[start:start + len(key)], a_idx, L_chunk[i])
-            sums = [block @ nu for nu in nus]
-            del block
-            start += len(key)
-            yield j0 + i, sel, sums if back is None else [s[back] for s in sums]
+        for i, row in enumerate(found):
+            cells = sum(len(key) * len(groups[g][1]) for s, _, key, _ in row for g in members[s])
+            shared = _SharedTable(cells)
+            for s, sel, key, back in row:
+                t_rows = t[start:start + len(key)]
+                start += len(key)
+                for g in members[s]:
+                    _, a_idx, nus = groups[g]
+                    block = _phase_block(t_rows, a_idx, L_chunk[i], shared)
+                    sums = [block @ nu for nu in nus]
+                    del block
+                    yield j0 + i, g, sel, sums if back is None else [x[back] for x in sums]
 
 
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
@@ -201,35 +242,43 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
 def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     """:func:`trilinear_form` of each spec, in order.
 
-    Specs that agree in what the enumeration reads (the nonzero indices of
-    alpha, beta and nu, theta and R) form one group, which selects, inverts
-    and builds its phase blocks once; each spec keeps its own reductions,
-    so every value has the bits of a lone evaluation.  ``elapsed`` is the
-    wall time of the spec's whole group.
+    Specs with the same theta, R and nonzero beta indices form one family:
+    they have the same moduli L = nR and run one
+    :func:`_coprime_inner_sums` enumeration.  Within it, specs with the
+    same nonzero alpha indices share their gcd masks and inverses; those
+    that also have the same nonzero nu indices form one kernel group and
+    share their phase blocks; and the blocks at one modulus share one table
+    of e(k / L).  Each spec keeps its own reductions, so every value has the
+    bits of a lone evaluation.  ``elapsed`` is the wall time of the spec's
+    whole family.
     """
-    groups: dict[tuple, list[tuple[int, np.ndarray, list[complex], np.ndarray]]] = {}
+    families: dict[tuple, dict[tuple, list[int]]] = {}
+    coeffs = []
     for i, spec in enumerate(specs):
         alpha, beta, nu = (seq.nonzero_items() for seq in (spec.alpha, spec.beta, spec.nu))
-        key = (spec.theta, spec.R, *(tuple(k for k, _ in items) for items in (alpha, beta, nu)))
-        groups.setdefault(key, []).append((
-            i,
+        family = (spec.theta, spec.R, tuple(n for n, _ in beta))
+        group = (tuple(m for m, _ in alpha), tuple(a for a, _ in nu))
+        families.setdefault(family, {}).setdefault(group, []).append(i)
+        coeffs.append((
             np.asarray([v for _, v in alpha], dtype=complex),
             [v for _, v in beta],
             np.asarray([v for _, v in nu], dtype=complex),
         ))
     results: dict[int, FormResult] = {}
-    for (theta, R, ms, ns, a_idx), members in groups.items():
+    for (theta, R, ns), family in families.items():
         t0 = time.perf_counter()
-        parts: list[list[complex]] = [[] for _ in members]
-        terms = 0
-        nus = [nu for *_, nu in members]
-        for j, sel, inners in _coprime_inner_sums(theta, list(ms), [n * R for n in ns], list(a_idx), nus):
-            for part, (_, alpha_arr, beta_vals, _), inner in zip(parts, members, inners):
-                part.append(beta_vals[j] * complex(alpha_arr[sel] @ inner))
-            terms += len(sel) * len(a_idx)
+        members = list(family.values())
+        groups = [(list(ms), list(a_idx), [coeffs[i][2] for i in idx]) for (ms, a_idx), idx in family.items()]
+        parts: dict[int, list[complex]] = {i: [] for idx in members for i in idx}
+        terms = dict.fromkeys(parts, 0)
+        for j, g, sel, inners in _coprime_inner_sums(theta, [n * R for n in ns], groups):
+            for i, inner in zip(members[g], inners):
+                alpha_arr, beta_vals, _ = coeffs[i]
+                parts[i].append(beta_vals[j] * complex(alpha_arr[sel] @ inner))
+                terms[i] += len(sel) * len(groups[g][1])
         elapsed = time.perf_counter() - t0
-        for (i, *_), part in zip(members, parts):
-            results[i] = FormResult(_csum(part), terms, elapsed)
+        for i, part in parts.items():
+            results[i] = FormResult(_csum(part), terms[i], elapsed)
     return [results[i] for i in range(len(specs))]
 
 
@@ -258,7 +307,7 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     inner = np.zeros(len(ms), dtype=complex)
     comp = np.zeros(len(ms), dtype=complex)
     Ls = [L for _, _, L in groups]
-    for j, sel, (sums,) in _coprime_inner_sums(spec.theta, ms, Ls, a_idx, [nu_arr]):
+    for j, _, sel, (sums,) in _coprime_inner_sums(spec.theta, Ls, [(ms, a_idx, [nu_arr])]):
         _kahan_vadd(inner, comp, sel, groups[j][1] * sums)
     return fsum(z.real * z.real + z.imag * z.imag for z in inner)
 

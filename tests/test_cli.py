@@ -32,6 +32,29 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A recorder in place of the process pool: it maps serially, starts no
+    process and lists the worker count of each pool."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
 class TestVerify:
     # the other suites' checks run in the acceptance and unit tests
     @pytest.mark.parametrize("suite", ["fourier"])
@@ -108,6 +131,27 @@ class TestSweep:
         run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=64)
         assert pools == [8]
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_one_task_per_family(self, tmp_path, monkeypatch, serial_pool):
+        # a task is one (N, R, theta) family; with fewer families than
+        # workers, each is cut into contiguous slices of its seed-runs
+        batches = []
+        batch = forms.trilinear_forms
+        monkeypatch.setattr(forms, "trilinear_forms",
+                            lambda specs: batches.append(len(specs)) or batch(specs))
+        run_sweep(write_config(tmp_path), str(tmp_path / "eight.csv"), jobs=1)
+        assert batches == [2, 2, 2, 2]  # four (N, R) families of two M's
+        batches.clear()
+        grid = {"M": [16, 32, 64], "N": [8], "A": [2, 4], "R": [2], "seed": [3, 4]}
+        cfg = write_config(tmp_path, grid=grid)
+        run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
+        assert serial_pool == [] and batches == [12]
+        batches.clear()
+        run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=4)
+        assert serial_pool == [4] and batches == [2, 4, 2, 4]  # six seed-runs in slices of 1, 2, 1, 2
+        for suffix in ("", ".summary.json"):
+            pooled = (tmp_path / f"pooled.csv{suffix}").read_bytes()
+            assert pooled == (tmp_path / f"serial.csv{suffix}").read_bytes()
 
     def test_failed_summary_write_keeps_previous(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

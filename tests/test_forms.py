@@ -185,10 +185,24 @@ class TestPhaseBlock:
             residue = (np.asarray(t_vals, dtype=np.int64)[:, None] * np.asarray(a_vals)[None, :]) % L
             assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
 
+    def test_shared_table(self, monkeypatch):
+        # two blocks of L = 13 with 8 cells each: alone neither reaches the
+        # gate, together they build one table, and both keep the per-cell bits
+        L, a_vals = 13, [1, 5]
+        exp = np.exp
+        shapes = []
+        monkeypatch.setattr(forms.np, "exp", lambda x: shapes.append(np.shape(x)) or exp(x))
+        shared = forms._SharedTable(16)
+        for t_vals in ([1, 2, 3, 4], [7, 9, 11, 12]):
+            block = _phase_block(t_vals, a_vals, L, shared)
+            residue = (np.asarray(t_vals)[:, None] * np.asarray(a_vals)[None, :]) % L
+            assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
+        assert shapes == [(L,)]
+
 
 def one_modulus_sums(theta, ms, L, a_idx, nu_arr):
     """Inner sums over m's all coprime to L, from the chunked path given L alone."""
-    ((_, sel, (sums,)),) = _coprime_inner_sums(theta, ms, [L], a_idx, [nu_arr])
+    ((_, _, sel, (sums,)),) = _coprime_inner_sums(theta, [L], [(ms, a_idx, [nu_arr])])
     assert len(sel) == len(ms)
     return sums
 
@@ -223,9 +237,9 @@ class TestResiduePath:
         uniques = []
         unique = np.unique
 
-        def recording(t_vals, a_vals, L):
+        def recording(t_vals, a_vals, L, shared=None):
             blocks.append((L, len(t_vals)))
-            return _phase_block(t_vals, a_vals, L)
+            return _phase_block(t_vals, a_vals, L, shared)
 
         monkeypatch.setattr(forms, "_phase_block", recording)
         monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
@@ -356,18 +370,25 @@ class TestChunkedPath:
 
 
 class TestSharedEnumeration:
-    """Specs that differ only in their coefficient values share one enumeration."""
+    """Specs with the same theta, R and nonzero beta indices share one enumeration."""
 
     def test_each_spec_as_alone(self):
-        seeded = [random_spec(64, 16, 8, 3, 1, seed) for seed in (1, 2)]
+        # one family (N, R and theta shared) over M, A and seed, beside specs
+        # that differ in nu's support, beta's support or R
+        seeded = [random_spec(M, 16, A, 3, 1, seed) for M in (64, 32) for A in (8, 4) for seed in (1, 2)]
         alpha, beta, nu = seeded[0].alpha, seeded[0].beta, seeded[0].nu
         big = [
-            TrilinearSpec(build_sequence("random_unit", set(range(-5, 9)), seed=seed),
+            TrilinearSpec(build_sequence("random_unit", m_support, seed=seed),
                           build_sequence("random_unit", {7, 2**64, 3**41}, seed=seed + 1),
-                          build_sequence("random_unit", {1, 3}, seed=seed + 2), 10**6, 3)
-            for seed in (5, 6)
+                          build_sequence("random_unit", a_support, seed=seed + 2), 10**6, 3)
+            for seed, m_support, a_support in (
+                (5, set(range(-5, 9)), {1, 3}),
+                (6, set(range(-5, 9)), {1, 3}),
+                (7, set(range(1, 30)), {2, 5, 9}),
+            )
         ]
         specs = seeded + [
+            random_spec(32, 16, 4, 5, 1, seed=1),
             TrilinearSpec(alpha, beta, build_sequence("random_unit", DyadicRange(4), seed=9), 1, 3),
             TrilinearSpec(alpha, build_sequence("moebius", DyadicRange(16)), nu, 1, 3),
             TrilinearSpec(alpha, build_sequence("random_unit", DyadicRange(16), seed=11), nu, 1, 3),
@@ -388,9 +409,9 @@ class TestSharedEnumeration:
             calls.append(("inverse", np.asarray(values).tolist(), np.asarray(m).tolist()))
             return batch_mod_inverse(values, m)
 
-        def recording(t_vals, a_vals, L):
+        def recording(t_vals, a_vals, L, shared=None):
             calls.append(("phase", np.asarray(t_vals).tolist(), list(a_vals), L))
-            return _phase_block(t_vals, a_vals, L)
+            return _phase_block(t_vals, a_vals, L, shared)
 
         monkeypatch.setattr(forms, "batch_mod_inverse", counting)
         monkeypatch.setattr(forms, "_phase_block", recording)
@@ -401,6 +422,44 @@ class TestSharedEnumeration:
         trilinear_forms(specs)
         assert calls == one
         assert sum(kind == "phase" for kind, *_ in one) == N
+
+    def test_family_shares_one_table_per_modulus(self, monkeypatch):
+        # alone, no block reaches the table gate L <= cells; the family's blocks
+        # at one modulus reach it together, build one table and keep every bit
+        specs = [random_spec(M, 16, A, 5, 1, seed) for M in (16, 32) for A in (1, 2) for seed in (1, 2)]
+        lone = [trilinear_form(spec) for spec in specs]
+        exp = np.exp
+        tables = []
+        monkeypatch.setattr(forms.np, "exp", lambda x: np.ndim(x) == 1 and tables.append(len(x)) or exp(x))
+        for spec in specs:
+            trilinear_form(spec)
+        assert tables == []
+        results = trilinear_forms(specs)
+        assert len(tables) >= 2 and len(set(tables)) == len(tables)
+        assert [(r.value, r.terms) for r in results] == [(r.value, r.terms) for r in lone]
+
+    @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
+    def test_family_makes_the_inverses_of_one_a(self, monkeypatch, M, N, A, R):
+        # the inverses depend on the m's and the moduli, not on the a's; a
+        # moebius beta at the same (N, R, theta) has other moduli and makes
+        # its own calls
+        calls = []
+
+        def counting(values, m):
+            calls.append((np.asarray(values).tolist(), np.asarray(m).tolist()))
+            return batch_mod_inverse(values, m)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        specs = [random_spec(M, N, a, R, 1, seed) for a in (A, 2 * A) for seed in (1, 2)]
+        moebius = TrilinearSpec(specs[0].alpha, build_sequence("moebius", DyadicRange(N)), specs[0].nu, 1, R)
+        trilinear_forms(specs[:1])
+        trilinear_forms([moebius])
+        apart = list(calls)
+        calls.clear()
+        results = trilinear_forms(specs + [moebius])
+        assert calls == apart
+        for spec, res in zip(specs + [moebius], results):
+            assert (res.value, res.terms) == per_n_form(spec)
 
 
 class TestMeanSquareDirect:
