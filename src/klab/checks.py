@@ -79,8 +79,7 @@ def dispersion_toy_grids(count: int = 20) -> list[dict]:
     def mk(kind, base):
         drange = sequences.DyadicRange(base)
         if kind == "random_real":
-            vals = [complex(rng.uniform(-1, 1)) for _ in drange]
-            return sequences.build_sequence("explicit", drange, values=vals)
+            return sequences.make_sequence({n: complex(rng.uniform(-1, 1)) for n in drange}, drange)
         if isinstance(kind, tuple):
             return sequences.build_sequence(kind[0], drange, k=kind[1])
         return sequences.build_sequence(kind, drange)

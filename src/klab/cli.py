@@ -218,13 +218,8 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
         raise
 
 
-def run_sweep(
-    config_path: str, out_path: str, jobs: int = 1, exponent_variant: str | None = None
-) -> dict:
-    """Run a sweep; returns the summary dict written to the JSON sidecar.
-
-    ``exponent_variant``, when given, overrides the config's bound.exponent_variant.
-    """
+def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
+    """Run a sweep; returns the summary dict written to the JSON sidecar."""
     cfg = load_config(config_path)
     points = _grid_points(cfg)
     seqs = cfg.get("sequences", {})
@@ -232,7 +227,7 @@ def run_sweep(
     bound = cfg.get("bound", {})
     formula = bound.get("formula", "bcr")
     epsilon = float(bound.get("epsilon", 0.01))
-    variant = exponent_variant or bound.get("exponent_variant", "statement")
+    variant = bound.get("exponent_variant", "statement")
     # seed is the innermost axis, so the points that differ only in seed are consecutive
     runs = [list(run) for _, run in itertools.groupby(
         points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])]
@@ -340,10 +335,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sweep.add_argument("--config", required=True, help="JSON sweep configuration")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p_sweep.add_argument(
-        "--exponent-variant", choices=("statement", "proof"), default=None,
-        help="override the bound's exponent variant",
-    )
 
     p_ranges = sub.add_parser("ranges", help="exact exponent-range table")
     p_ranges.add_argument("--q", required=True, help="Q-exponent as a rational p/q")
@@ -372,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             if args.jobs < 1:
                 raise ConfigError("--jobs must be >= 1")
-            summary = run_sweep(args.config, args.out, args.jobs, args.exponent_variant)
+            summary = run_sweep(args.config, args.out, args.jobs)
             if summary["max_ratio"] is not None:
                 print(
                     f"wrote {args.out} ({summary['points']} rows); "

@@ -353,10 +353,10 @@ def progression_error(
 def progression_error_total(
     alpha: CoefficientSequence, beta: CoefficientSequence, moduli: Iterable[int], a: int
 ) -> float:
-    """Sum over q in ``moduli`` coprime to a of |progression_error(q)|."""
+    """Sum over the distinct q in ``moduli`` coprime to a of |progression_error(q)|."""
     alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
     # q < 1 goes on to _error, which rejects it whatever gcd(q, a) is
-    return fsum(abs(_error(alpha_c, beta_c, q, a)) for q in moduli if q < 1 or gcd(q, a) == 1)
+    return fsum(abs(_error(alpha_c, beta_c, q, a)) for q in set(moduli) if q < 1 or gcd(q, a) == 1)
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,23 @@ per residue class of m mod L once the m's outnumber L, to that batch, and
 keeps its own phase block.  Phases are reduced exactly mod 1 as integers
 before any transcendental call, on int64 or on Python integers as
 klab.arith decides.  Once the blocks at one modulus have at least L cells
-together, they gather their phases from one table of the L values
-e(k / L), each computed by the same expression as a per-cell phase, so the
-table changes no bit of any value.  :func:`trilinear_forms` evaluates a
-family of forms with the same theta, R and nonzero beta indices, as the
-points of a sweep with the same (N, R, theta) are, in one enumeration of
-their moduli: forms with the same alpha support share its gcd masks and
-inverses, those with the same nu support as well share each phase block,
-built once and reduced against each nu in turn with the same products as a
-lone evaluation, so sharing changes no bit either.  Accumulation is
-Kahan-compensated so identity checks hold to 1e-9 over grids with millions
-of summands.  All evaluators are pure functions; the outer loops can be
-partitioned across workers and merged in index order.
+together, the kernel computes the L values e(k / L) once and the int64
+blocks gather their phases from that table; each entry is the same
+expression as a per-cell phase, so the table changes no bit of any value.
+:func:`trilinear_forms` evaluates a family of forms with the same theta, R
+and nonzero beta indices, as the points of a sweep with the same (N, R,
+theta) are, in one enumeration of their moduli: forms with the same alpha
+support share its gcd masks and inverses, those with the same nu support
+as well share each phase block, built once and reduced against each nu in
+turn with the same products as a lone evaluation, so sharing changes no
+bit either.  Accumulation is Kahan-compensated so identity checks hold to
+1e-9 over grids with millions of summands.  All evaluators are pure
+functions; the outer loops can be partitioned across workers and merged in
+index order.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum, gcd
@@ -100,54 +100,34 @@ class TrilinearSpec:
 
 @dataclass(frozen=True)
 class FormResult:
-    """Value of a sum, the number of accumulated summands, and wall time
-    (for :func:`trilinear_forms`, that of the spec's whole family)."""
+    """Value of a sum and the number of accumulated summands."""
 
     value: complex
     terms: int
-    elapsed: float
-
-
-class _SharedTable:
-    """The phase blocks of one modulus that may share one table of e(k / L):
-    their cells together, and the table once a block has built it."""
-
-    __slots__ = ("cells", "table")
-
-    def __init__(self, cells: int):
-        self.cells = cells
-        self.table: np.ndarray | None = None
 
 
 def _phase_block(
-    t_vals: Sequence[int], a_vals: list[int], L: int, shared: _SharedTable | None = None
+    t_vals: Sequence[int], a_vals: list[int], L: int, table: np.ndarray | None = None
 ) -> np.ndarray:
     """Matrix of e(t*a / L) over (t, a) for t in [0, L); exact integer
     reduction mod L first, on the arrays that :func:`_exact_ints` gives for
     the bound L * max |a|.
 
-    In int64, once the blocks of L have at least L cells (this block alone,
-    or all the blocks that share ``shared``), the L possible phases are
-    tabulated, ``e(k / L)`` for k in [0, L), and gathered at the residues;
-    the first block to need the table builds it and leaves it in ``shared``
-    for the others.  Each entry is the same float expression on the same
-    integer as the one-exponential-per-cell evaluation, so both give the
-    same bits; below the gate a block keeps one exponential per cell.  On
-    Python integers the angle is formed as ``2j * pi * residue / L``, one
-    Python operation per cell, before a single ``np.exp``.  ``t_vals`` may
-    be a list or an array.
+    In int64, a block gathers from ``table``, the L values e(k / L) for k
+    in [0, L), at its residues when one is given, and otherwise computes
+    one exponential per cell; each table entry is the same float expression
+    on the same integer as the per-cell phase, so both give the same bits.
+    On Python integers the angle is formed as ``2j * pi * residue / L``,
+    one Python operation per cell, before a single ``np.exp``, and
+    ``table`` is not used.  ``t_vals`` may be a list or an array.
     """
     bound = L * max(map(abs, a_vals), default=0)
     residue = (_exact_ints(t_vals, bound)[:, None] * _exact_ints(a_vals, bound)[None, :]) % L
     if residue.dtype == object:
         return np.exp((2j * np.pi * residue / L).astype(complex))
-    if shared is None:
-        shared = _SharedTable(residue.size)
-    if L > shared.cells:
+    if table is None:
         return np.exp((2j * np.pi) * (residue / L))
-    if shared.table is None:
-        shared.table = np.exp((2j * np.pi) * (np.arange(L) / L))
-    return shared.table[residue]
+    return table[residue]
 
 
 # A kernel group: the m's, the a's, and the coefficient vectors nu indexed by the a's.
@@ -173,8 +153,9 @@ def _coprime_inner_sums(
     m's.  A single residue class keeps its m's as rows: numpy reduces a
     one-row block with a dot product, which rounds differently from the
     matrix-vector one.  Each group gets its own phase block at each modulus,
-    built once and multiplied by each nu in turn, and the blocks of one
-    modulus share one :class:`_SharedTable`, so every sum equals the
+    built once and multiplied by each nu in turn.  When the blocks of one
+    modulus L have at least L cells together, one table of e(k / L) is
+    built for them all, and otherwise none; every sum equals the
     one-modulus-at-a-time, one-vector-at-a-time evaluation bit for bit.  A
     block is released before the yield, and a table once its modulus is
     done.  The m's and L's are exact integer arrays for the bound max(|m|,
@@ -216,14 +197,15 @@ def _coprime_inner_sums(
         t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
         start = 0
         for i, row in enumerate(found):
+            L = L_chunk[i]
             cells = sum(len(key) * len(groups[g][1]) for s, _, key, _ in row for g in members[s])
-            shared = _SharedTable(cells)
+            table = np.exp((2j * np.pi) * (np.arange(L) / L)) if cells >= L else None
             for s, sel, key, back in row:
                 t_rows = t[start:start + len(key)]
                 start += len(key)
                 for g in members[s]:
                     _, a_idx, nus = groups[g]
-                    block = _phase_block(t_rows, a_idx, L_chunk[i], shared)
+                    block = _phase_block(t_rows, a_idx, L, table)
                     sums = [block @ nu for nu in nus]
                     del block
                     yield j0 + i, g, sel, sums if back is None else [x[back] for x in sums]
@@ -248,9 +230,8 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     same nonzero alpha indices share their gcd masks and inverses; those
     that also have the same nonzero nu indices form one kernel group and
     share their phase blocks; and the blocks at one modulus share one table
-    of e(k / L).  Each spec keeps its own reductions, so every value has the
-    bits of a lone evaluation.  ``elapsed`` is the wall time of the spec's
-    whole family.
+    of e(k / L) once they have at least L cells together.  Each spec keeps
+    its own reductions, so every value has the bits of a lone evaluation.
     """
     families: dict[tuple, dict[tuple, list[int]]] = {}
     coeffs = []
@@ -266,7 +247,6 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
         ))
     results: dict[int, FormResult] = {}
     for (theta, R, ns), family in families.items():
-        t0 = time.perf_counter()
         members = list(family.values())
         groups = [(list(ms), list(a_idx), [coeffs[i][2] for i in idx]) for (ms, a_idx), idx in family.items()]
         parts: dict[int, list[complex]] = {i: [] for idx in members for i in idx}
@@ -276,9 +256,8 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
                 alpha_arr, beta_vals, _ = coeffs[i]
                 parts[i].append(beta_vals[j] * complex(alpha_arr[sel] @ inner))
                 terms[i] += len(sel) * len(groups[g][1])
-        elapsed = time.perf_counter() - t0
         for i, part in parts.items():
-            results[i] = FormResult(_csum(part), terms[i], elapsed)
+            results[i] = FormResult(_csum(part), terms[i])
     return [results[i] for i in range(len(specs))]
 
 

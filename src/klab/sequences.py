@@ -146,7 +146,6 @@ def build_sequence(
     *,
     k: int | None = None,
     seed: int | None = None,
-    values: Mapping[int, complex] | Iterable[complex] | None = None,
 ) -> CoefficientSequence:
     """Build one of the standard test sequences on the given support.
 
@@ -158,8 +157,8 @@ def build_sequence(
     - ``"random_unit"`` i.i.d. uniform phases e(u) drawn from
       ``random.Random(seed)`` in increasing index order, then scaled so the
       whole sequence has l2 norm exactly 1; requires ``seed``
-    - ``"explicit"``  caller-supplied values (mapping, or iterable aligned
-      with the sorted support)
+
+    Sequences with caller-supplied values come from :func:`make_sequence`.
     """
     idx = _support_indices(support)
     if not idx:
@@ -181,17 +180,6 @@ def build_sequence(
         raw = {n: cmath.exp(2j * math.pi * rng.random()) for n in idx}
         scale = 1.0 / math.sqrt(len(idx))
         return make_sequence({n: v * scale for n, v in raw.items()}, supp)
-    if kind == "explicit":
-        if values is None:
-            raise ValueError("kind 'explicit' requires values")
-        if isinstance(values, Mapping):
-            vals = dict(values)
-        else:
-            seq = list(values)
-            if len(seq) != len(idx):
-                raise ValueError(f"{len(seq)} values for a support of size {len(idx)}")
-            vals = dict(zip(idx, seq))
-        return make_sequence(vals, supp)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 

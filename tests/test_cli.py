@@ -108,28 +108,11 @@ class TestSweep:
         sidecar = json.loads((tmp_path / "table.csv.summary.json").read_text())
         assert math.isclose(sidecar["max_ratio"], max(float(r["ratio"]) for r in rows))
 
-    def test_workers_capped_at_points(self, tmp_path, monkeypatch):
-        # a recorder in place of the process pool maps serially and starts no process
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_workers_capped_at_points(self, tmp_path, serial_pool):
         cfg = write_config(tmp_path)  # 8 points
         run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
         run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=64)
-        assert pools == [8]
+        assert serial_pool == [8]
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_one_task_per_family(self, tmp_path, monkeypatch, serial_pool):
@@ -272,15 +255,12 @@ class TestSweep:
         proof_cfg = write_config(
             tmp_path, "proof.json", bound={"formula": "bcr", "exponent_variant": "proof"}
         )
-        outs = {name: tmp_path / f"{name}.csv" for name in ("flag", "proof", "statement")}
-        flag = ["--exponent-variant", "proof"]
-        assert main(["sweep", "--config", statement_cfg, "--out", str(outs["flag"])] + flag) == 0
+        outs = {name: tmp_path / f"{name}.csv" for name in ("proof", "statement")}
         assert main(["sweep", "--config", proof_cfg, "--out", str(outs["proof"])]) == 0
         assert main(["sweep", "--config", statement_cfg, "--out", str(outs["statement"])]) == 0
-        assert outs["flag"].read_bytes() == outs["proof"].read_bytes()
-        with open(outs["flag"], newline="") as fh, open(outs["statement"], newline="") as gh:
-            flag_rows, statement_rows = list(csv.DictReader(fh)), list(csv.DictReader(gh))
-        assert [r["term3"] for r in flag_rows] != [r["term3"] for r in statement_rows]
+        with open(outs["proof"], newline="") as fh, open(outs["statement"], newline="") as gh:
+            proof_rows, statement_rows = list(csv.DictReader(fh)), list(csv.DictReader(gh))
+        assert [r["term3"] for r in proof_rows] != [r["term3"] for r in statement_rows]
 
     def test_float_format_17_digits(self, tmp_path):
         cfg = write_config(tmp_path)

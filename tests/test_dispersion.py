@@ -254,6 +254,23 @@ class TestProgressionErrorTotal:
         got = progression_error_total(alpha, beta, DyadicRange(4), 1)
         assert math.isclose(got, want, rel_tol=1e-12)
 
+    def test_repeated_moduli_counted_once(self):
+        # dispersion_split sums over the distinct moduli, and so must delta,
+        # or the Cauchy-Schwarz gap shrinks with each repeat
+        alpha = build_sequence("random_unit", DyadicRange(16), seed=3)
+        beta = build_sequence("tau_k", DyadicRange(8), k=2)
+        psi = SmoothCutoff()
+        distinct = [5, 7, 9]
+        delta = progression_error_total(alpha, beta, distinct, 1)
+        split = dispersion_split(alpha, beta, distinct, 1, psi, 16.0)
+        gap = cauchy_schwarz_gap(split, alpha.l2_norm, delta)
+        assert delta > 0
+        for moduli in (distinct * 3, distinct * 4, [9, 5, 7, 5, 9]):
+            split = dispersion_split(alpha, beta, moduli, 1, psi, 16.0)
+            repeated = progression_error_total(alpha, beta, moduli, 1)
+            assert repeated == delta
+            assert cauchy_schwarz_gap(split, alpha.l2_norm, repeated) == gap
+
     def test_sum_of_per_modulus_errors(self):
         result = checks.error_sum_consistency()
         assert result.passed, result.detail
@@ -412,7 +429,7 @@ class TestCauchySchwarzGap:
         psi = SmoothCutoff()
         m0 = 3
         alpha = ones({m0})
-        beta = build_sequence("explicit", DyadicRange(2), values=[0.7, -0.4])
+        beta = make_sequence({3: 0.7, 4: -0.4}, DyadicRange(2))
         moduli = DyadicRange(2)
         split = dispersion_split(alpha, beta, moduli, 1, psi, float(2))
         delta = progression_error_total(alpha, beta, moduli, 1)

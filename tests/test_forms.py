@@ -138,15 +138,41 @@ class TestTrilinearForm:
         assert abs(res.value - want) <= 1e-12 * (1 + abs(want))
         assert res.terms == count
 
-    def test_elapsed_and_validation(self):
-        spec = spec_of(ones({2}), ones({3}), ones({1}))
-        assert trilinear_form(spec).elapsed >= 0
+    def test_validation(self):
         with pytest.raises(ValueError):
             TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=0)
         with pytest.raises(ValueError):
             TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=1, R=0)
         with pytest.raises(ValueError):
             TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=1, m_range=DyadicRange(4))
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    """Runs the kernel at one modulus L and returns the shapes that np.exp
+    was called on and the (t_vals, a_vals) of each phase block, after
+    checking that every block has the per-cell bits."""
+    exp = np.exp
+    shapes, blocks = [], []
+    monkeypatch.setattr(forms.np, "exp", lambda x: shapes.append(np.shape(x)) or exp(x))
+
+    def recording(t_vals, a_vals, L, table=None):
+        block = _phase_block(t_vals, a_vals, L, table)
+        blocks.append((np.asarray(t_vals).tolist(), list(a_vals), block))
+        return block
+
+    monkeypatch.setattr(forms, "_phase_block", recording)
+
+    def run(theta, L, groups):
+        shapes.clear()
+        blocks.clear()
+        list(_coprime_inner_sums(theta, [L], groups))
+        for t_vals, a_vals, block in blocks:
+            residue = (np.asarray(t_vals, dtype=np.int64)[:, None] * np.asarray(a_vals)[None, :]) % L
+            assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
+        return list(shapes), [(t_vals, a_vals) for t_vals, a_vals, _ in blocks]
+
+    return run
 
 
 class TestPhaseBlock:
@@ -158,6 +184,7 @@ class TestPhaseBlock:
         ms = [m for m in range(2, 40) if gcd(m, L) == 1]
         a_vals = [2**61 + 5, 2**61 + 12]
         assert L * max(a_vals) >= _INT64_SAFE
+        table = np.exp((2j * np.pi) * (np.arange(L) / L))
         # the bound is on |a|: a large negative a beside a small one must not
         # wrap in int64, and one past int64 itself must not overflow
         for a_vals in (a_vals, [-(2**61) - 5, 1], [-(2**70)]):
@@ -165,39 +192,41 @@ class TestPhaseBlock:
             for i, m in enumerate(ms):
                 for j, a in enumerate(a_vals):
                     assert abs(block[i, j] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
+            # a table given for a Python-integer block is not used; over every
+            # t, some of its entries differ in the last bit from this branch's
+            every_t = list(range(L))
+            assert np.array_equal(_phase_block(every_t, a_vals, L, table), _phase_block(every_t, a_vals, L))
 
     @pytest.mark.parametrize("t_vals,a_vals", (
         ([5], list(range(1, 7))),  # one row
-        (np.array([3, 10, 0, 7], dtype=np.int64), [1, 4, 9]),  # int64 array t
+        ([5, 11, 1, 7], [1, 4, 9]),  # four rows
     ))
-    def test_table_gate(self, monkeypatch, t_vals, a_vals):
-        # a block of L cells gathers from a table of the L phases, a block of
-        # L - 1 cells evaluates one exponential per cell; both give the
-        # per-cell bits
+    def test_table_gate(self, kernel_blocks, t_vals, a_vals):
+        # the kernel builds a table of the L phases for a modulus whose
+        # blocks have L cells, and none for one with L - 1 cells, where the
+        # block evaluates one exponential per cell; both give the per-cell
+        # bits.  The m's are the inverses of the t's, so theta = 1 gives t.
         cells = len(t_vals) * len(a_vals)
-        exp = np.exp
-        shapes = []
-        monkeypatch.setattr(forms.np, "exp", lambda x: shapes.append(np.shape(x)) or exp(x))
-        for L, evaluated in ((cells, (cells,)), (cells + 1, (len(t_vals), len(a_vals)))):
-            shapes.clear()
-            block = _phase_block(t_vals, a_vals, L)
-            assert shapes == [evaluated]
-            residue = (np.asarray(t_vals, dtype=np.int64)[:, None] * np.asarray(a_vals)[None, :]) % L
-            assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
+        nu = np.ones(len(a_vals), dtype=complex)
+        for L, evaluated in ((cells, [(cells,)]), (cells + 1, [(len(t_vals), len(a_vals))])):
+            ms = [pow(t, -1, L) for t in t_vals]
+            shapes, blocks = kernel_blocks(1, L, [(ms, a_vals, [nu])])
+            assert shapes == evaluated
+            assert blocks == [(t_vals, a_vals)]
 
-    def test_shared_table(self, monkeypatch):
+    def test_shared_table(self, kernel_blocks):
         # two blocks of L = 13 with 8 cells each: alone neither reaches the
         # gate, together they build one table, and both keep the per-cell bits
         L, a_vals = 13, [1, 5]
-        exp = np.exp
-        shapes = []
-        monkeypatch.setattr(forms.np, "exp", lambda x: shapes.append(np.shape(x)) or exp(x))
-        shared = forms._SharedTable(16)
-        for t_vals in ([1, 2, 3, 4], [7, 9, 11, 12]):
-            block = _phase_block(t_vals, a_vals, L, shared)
-            residue = (np.asarray(t_vals)[:, None] * np.asarray(a_vals)[None, :]) % L
-            assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
+        t_rows = ([1, 2, 3, 4], [7, 9, 11, 12])
+        nu = np.ones(len(a_vals), dtype=complex)
+        groups = [([pow(t, -1, L) for t in t_vals], a_vals, [nu]) for t_vals in t_rows]
+        for group in groups:
+            shapes, _ = kernel_blocks(1, L, [group])
+            assert shapes == [(4, 2)]
+        shapes, blocks = kernel_blocks(1, L, groups)
         assert shapes == [(L,)]
+        assert blocks == [(t_vals, a_vals) for t_vals in t_rows]
 
 
 def one_modulus_sums(theta, ms, L, a_idx, nu_arr):
@@ -237,9 +266,9 @@ class TestResiduePath:
         uniques = []
         unique = np.unique
 
-        def recording(t_vals, a_vals, L, shared=None):
+        def recording(t_vals, a_vals, L, table=None):
             blocks.append((L, len(t_vals)))
-            return _phase_block(t_vals, a_vals, L, shared)
+            return _phase_block(t_vals, a_vals, L, table)
 
         monkeypatch.setattr(forms, "_phase_block", recording)
         monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
@@ -409,9 +438,9 @@ class TestSharedEnumeration:
             calls.append(("inverse", np.asarray(values).tolist(), np.asarray(m).tolist()))
             return batch_mod_inverse(values, m)
 
-        def recording(t_vals, a_vals, L, shared=None):
+        def recording(t_vals, a_vals, L, table=None):
             calls.append(("phase", np.asarray(t_vals).tolist(), list(a_vals), L))
-            return _phase_block(t_vals, a_vals, L, shared)
+            return _phase_block(t_vals, a_vals, L, table)
 
         monkeypatch.setattr(forms, "batch_mod_inverse", counting)
         monkeypatch.setattr(forms, "_phase_block", recording)

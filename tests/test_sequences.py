@@ -70,10 +70,6 @@ class TestBuildSequence:
         assert s1.values == s2.values
         assert math.isclose(s1.l2_norm, 1.0, abs_tol=1e-12)
 
-    def test_explicit_from_list(self):
-        s = build_sequence("explicit", {1, 3}, values=[1j, 2.0])
-        assert s.values == {1: 1j, 3: 2 + 0j}
-
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
             build_sequence("ones", set())
