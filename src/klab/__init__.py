@@ -32,7 +32,6 @@ from .dispersion import (
     completed_coprime_sum,
     completed_progression_sum,
     dispersion_split,
-    frequency_cutoff,
     progression_error,
     progression_error_total,
     rhs_dispersion,

@@ -247,7 +247,7 @@ def trivial_bound() -> CheckResult:
             spec.nu.l2_norm**2
             * spec.beta.l2_norm**2
             * len(spec.nu.support_indices())
-            * len(spec.m_indices())
+            * len(spec.alpha.support_indices())
             * len(spec.beta.support_indices())
         )
         for b in (1, 2, 3, 4):

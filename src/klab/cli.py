@@ -7,16 +7,16 @@ Three subcommands:
   one JSON object ``{"suite", "passed", "checks"}`` with ``--json`` (exit 1
   on any failure);
 - ``klab sweep --config cfg.json --out table.csv [--jobs N]`` evaluates the
-  trilinear form against a chosen bound formula over a parameter grid and
-  writes a deterministic CSV (rows sorted by grid coordinates, floats at 17
+  trilinear form against a chosen bound formula over a parameter grid of at
+  most ``GRID_CAP`` = 10^6 points with nonnegative seeds and writes a
+  deterministic CSV (rows sorted by grid coordinates, floats at 17
   significant digits) plus a JSON sidecar with the max observed lhs/rhs
   ratio;
 - ``klab ranges --q p/q [--corollary fr|new]`` prints the exact admissible
   N-exponent ceilings per corollary variant.
 
 Exit codes: 0 pass, 1 invariant failure, 2 usage/config error or an OS
-error such as an unwritable ``--out``.  The grid cap defaults to 10^6
-points and can be overridden with KLAB_GRID_CAP.
+error such as an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "entrypoint",
 ]
 
-DEFAULT_GRID_CAP = 10**6
+GRID_CAP = 10**6
 GRID_AXES = ("M", "N", "A", "R", "theta", "seed")
 _AXIS_DEFAULTS = {"R": [1], "theta": [1], "seed": [0]}
 _CONFIG_KEYS = {"grid", "sequences", "bound"}
@@ -66,7 +66,7 @@ def role_seed(seed: int, role: str) -> int:
 
 
 def _parse_kind(kind: str) -> tuple[str, int | None]:
-    m = re.fullmatch(r"tau_k:(\d+)", kind)
+    m = re.fullmatch(r"tau_k:(\d+)", kind) if isinstance(kind, str) else None
     if m and int(m.group(1)) >= 1:
         return "tau_k", int(m.group(1))
     if kind in ("ones", "moebius", "random_unit"):
@@ -78,25 +78,13 @@ def _parse_kind(kind: str) -> tuple[str, int | None]:
 
 def _build_role(kind: str, base: int, seed: int, role: str) -> sequences.CoefficientSequence:
     name, k = _parse_kind(kind)
-    rng = sequences.DyadicRange(base)
-    if name == "tau_k":
-        return sequences.build_sequence("tau_k", rng, k=k)
-    if name == "random_unit":
-        return sequences.build_sequence("random_unit", rng, seed=role_seed(seed, role))
-    return sequences.build_sequence(name, rng)
-
-
-def grid_cap() -> int:
-    env = os.environ.get("KLAB_GRID_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"KLAB_GRID_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_GRID_CAP
+    return sequences.build_sequence(name, sequences.DyadicRange(base), k=k, seed=role_seed(seed, role))
 
 
 def load_config(path: str) -> dict:
+    """Read and validate a sweep config; return it with every default filled
+    in: the R, theta and seed axes, each role's kind and the three bound
+    keys, with epsilon as a float."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -125,36 +113,38 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"grid axis {axis!r} must hold positive integers")
         if axis == "theta" and any(v == 0 for v in vals):
             raise ConfigError("grid axis 'theta' must not contain 0")
-    seqs = cfg.get("sequences", {})
+        # random.Random(n) seeds with |n|, so a negative seed would repeat another point's stream
+        if axis == "seed" and any(v < 0 for v in vals):
+            raise ConfigError("grid axis 'seed' must hold nonnegative integers")
+    for axis, default in _AXIS_DEFAULTS.items():
+        grid.setdefault(axis, default)
+    seqs = cfg.setdefault("sequences", {})
     if not isinstance(seqs, dict) or set(seqs) - set(_ROLE_OFFSET):
         raise ConfigError(f"'sequences' must map roles among {tuple(_ROLE_OFFSET)}")
     for role in _ROLE_OFFSET:
-        _parse_kind(seqs.get(role, "random_unit"))
-    bound = cfg.get("bound", {})
+        _parse_kind(seqs.setdefault(role, "random_unit"))
+    bound = cfg.setdefault("bound", {})
     if not isinstance(bound, dict) or set(bound) - _BOUND_KEYS:
         raise ConfigError(f"'bound' keys must be among {sorted(_BOUND_KEYS)}")
-    formula = bound.get("formula", "bcr")
+    formula = bound.setdefault("formula", "bcr")
     if formula not in ("bcr", "bc"):
         raise ConfigError(f"bound.formula must be 'bcr' or 'bc', got {formula!r}")
     epsilon = bound.get("epsilon", 0.01)
     # type() excludes bools; abs() <= max rejects NaN, infinities and ints no float can hold
     if type(epsilon) not in (int, float) or not abs(epsilon) <= sys.float_info.max:
         raise ConfigError(f"bound.epsilon must be a finite number, got {epsilon!r}")
-    variant = bound.get("exponent_variant", "statement")
+    bound["epsilon"] = float(epsilon)
+    variant = bound.setdefault("exponent_variant", "statement")
     if variant not in ("statement", "proof"):
         raise ConfigError(f"bound.exponent_variant must be 'statement' or 'proof', got {variant!r}")
     return cfg
 
 
 def _grid_points(cfg: dict) -> list[dict]:
-    grid = dict(cfg["grid"])
-    for axis, default in _AXIS_DEFAULTS.items():
-        grid.setdefault(axis, default)
-    axes_values = [sorted(set(grid[axis])) for axis in GRID_AXES]
+    axes_values = [sorted(set(cfg["grid"][axis])) for axis in GRID_AXES]
     count = math.prod(len(v) for v in axes_values)
-    cap = grid_cap()
-    if count > cap:
-        raise ConfigError(f"grid has {count} points, exceeding the cap of {cap}")
+    if count > GRID_CAP:
+        raise ConfigError(f"grid has {count} points, exceeding the cap of {GRID_CAP}")
     return [dict(zip(GRID_AXES, combo)) for combo in itertools.product(*axes_values)]
 
 
@@ -162,10 +152,8 @@ def _sweep_run(task: dict) -> list[dict]:
     """Evaluate a task's grid points, one row each: |trilinear form| against
     the chosen bound.  The points share one (N, R, theta), so they form one
     family of :func:`klab.forms.trilinear_forms` and share its enumeration."""
-    kinds = task["kinds"]
-    epsilon = task["epsilon"]
-    formula = task["formula"]
-    variant = task["variant"]
+    kinds = task["sequences"]
+    formula, epsilon, variant = (task["bound"][key] for key in ("formula", "epsilon", "exponent_variant"))
     specs = []
     for pt in task["points"]:
         alpha = _build_role(kinds["alpha"], pt["M"], pt["seed"], "alpha")
@@ -222,12 +210,6 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     """Run a sweep; returns the summary dict written to the JSON sidecar."""
     cfg = load_config(config_path)
     points = _grid_points(cfg)
-    seqs = cfg.get("sequences", {})
-    kinds = {role: seqs.get(role, "random_unit") for role in _ROLE_OFFSET}
-    bound = cfg.get("bound", {})
-    formula = bound.get("formula", "bcr")
-    epsilon = float(bound.get("epsilon", 0.01))
-    variant = bound.get("exponent_variant", "statement")
     # seed is the innermost axis, so the points that differ only in seed are consecutive
     runs = [list(run) for _, run in itertools.groupby(
         points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])]
@@ -242,8 +224,8 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
         parts = min(cuts, len(family))
         for k in range(parts):
             chunk = family[len(family) * k // parts:len(family) * (k + 1) // parts]
-            tasks.append({"points": [pt for run in chunk for pt in run], "kinds": kinds,
-                          "epsilon": epsilon, "formula": formula, "variant": variant})
+            tasks.append({"points": [pt for run in chunk for pt in run],
+                          "sequences": cfg["sequences"], "bound": cfg["bound"]})
     workers = min(jobs, len(tasks))
     if workers > 1:
         # every worker is started up front, so never more than there are tasks
@@ -266,9 +248,7 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     summary = {
         "points": len(rows),
         "degenerate_points": len(rows) - len(positive),
-        "formula": formula,
-        "epsilon": epsilon,
-        "exponent_variant": variant,
+        **cfg["bound"],  # formula, epsilon and exponent_variant
         "max_ratio": None,
         "argmax": None,
     }

@@ -63,10 +63,8 @@ __all__ = [
     "completed_progression_sum",
     "completed_coprime_sum",
     "default_completion_bandwidth",
-    "frequency_cutoff",
     "rhs_dispersion",
     "DISPERSION_TAIL_EXPONENTS",
-    "dispersion_tail_savings",
 ]
 
 
@@ -121,11 +119,6 @@ class SmoothCutoff:
             raise ValueError(f"need support[0] <= plateau <= support[1], got {self}")
         if self.quadrature_tolerance <= 0:
             raise ValueError("quadrature_tolerance must be positive")
-
-    @classmethod
-    def zero(cls) -> "SmoothCutoff":
-        """The identically-zero cutoff (degenerate empty support)."""
-        return cls(plateau=(0.0, 0.0), support=(0.0, 0.0))
 
     def __call__(self, x: float) -> float:
         s0, s1 = self.support
@@ -505,20 +498,6 @@ def completed_coprime_sum(psi: SmoothCutoff, m_scale: float, q: int) -> CoprimeC
     main = (euler_phi(q) / q) * psi.mass() * m_scale
     error_bound = divisor_count(q) * math.log(2 * m_scale) ** 2
     return CoprimeCompletionResult(lhs, main, error_bound, abs(lhs - main) / error_bound)
-
-
-def frequency_cutoff(L: float, Q: float, M: float) -> float:
-    """The completion bandwidth formula 4 L^4 Q^2 / M."""
-    return 4.0 * L**4 * Q * Q / M
-
-
-def dispersion_tail_savings() -> tuple[Fraction, Fraction]:
-    """Exact N-exponent savings of the two tail terms at N = Q (Q and N
-    exponents merge; the M-exponents are reported in the tables)."""
-    e = DISPERSION_TAIL_EXPONENTS
-    s4 = (e["new_term4"]["Q"] + e["new_term4"]["N"]) - (e["old_term4"]["Q"] + e["old_term4"]["N"])
-    s5 = (e["new_term5"]["Q"] + e["new_term5"]["N"]) - (e["old_term5"]["Q"] + e["old_term5"]["N"])
-    return s4, s5
 
 
 def rhs_dispersion(

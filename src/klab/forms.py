@@ -3,7 +3,8 @@
 The central objects:
 
 - the trilinear form  sum_{a,m,n, (m,nR)=1} alpha_m beta_n nu_a e(theta a m^{-1} / (n R)),
-- its mean square over m (outer |.|^2 over the inner a,n double sum),
+- its mean square over the m's of the alpha support (outer |.|^2 over the
+  inner a,n double sum),
 - the same mean square re-evaluated through the complementary-divisor
   rewriting n = n' * b * r (n' squarefree and coprime to R, b the squarefull
   part, r | R squarefree), with a machine-checked bijection audit,
@@ -34,7 +35,6 @@ index order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import fsum, gcd
 from typing import Callable, Iterator, Sequence
@@ -44,7 +44,7 @@ import numpy as np
 from .arith import (
     _exact_ints, batch_mod_inverse, is_squarefree, is_squarefull, radical, squarefree_squarefull_split,
 )
-from .sequences import CoefficientSequence, DyadicRange, _csum, _support_indices
+from .sequences import CoefficientSequence, _csum
 
 __all__ = [
     "DecompositionMismatch",
@@ -69,33 +69,21 @@ class DecompositionMismatch(ValueError):
 @dataclass(frozen=True)
 class TrilinearSpec:
     """Inputs of the trilinear form: three coefficient sequences, the integer
-    phase multiplier theta != 0, the fixed denominator factor R >= 1, and the
-    M range containing the alpha support, over whose m's the mean squares
-    run (the support by default)."""
+    phase multiplier theta != 0 and the fixed denominator factor R >= 1.
+    The mean squares run over the m's of the alpha support, including those
+    where alpha vanishes."""
 
     alpha: CoefficientSequence
     beta: CoefficientSequence
     nu: CoefficientSequence
     theta: int
     R: int = 1
-    m_range: DyadicRange | frozenset[int] | None = None
 
     def __post_init__(self):
         if self.theta == 0:
             raise ValueError("theta must be a nonzero integer")
         if self.R < 1:
             raise ValueError(f"R must be positive, got {self.R}")
-        if self.m_range is None:
-            object.__setattr__(self, "m_range", self.alpha.support)
-        else:
-            missing = set(self.alpha.support_indices()) - set(_support_indices(self.m_range))
-            if missing:
-                raise ValueError(
-                    f"m_range does not contain the sequence support (e.g. {sorted(missing)[:3]})"
-                )
-
-    def m_indices(self) -> list[int]:
-        return _support_indices(self.m_range)
 
 
 @dataclass(frozen=True)
@@ -277,7 +265,7 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     S_m is Kahan-accumulated in the group order given by the caller, and the
     squares are summed with fsum.
     """
-    ms = [m for m in spec.m_indices() if gcd(m, fixed) == 1]
+    ms = [m for m in spec.alpha.support_indices() if gcd(m, fixed) == 1]
     if not ms:
         return 0.0
     a_items = spec.nu.nonzero_items()
@@ -292,7 +280,7 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
 
 
 def mean_square_direct(spec: TrilinearSpec) -> float:
-    """Mean square over m in the M-range with (m, R) = 1 of the inner (a, n)
+    """Mean square over m in the alpha support with (m, R) = 1 of the inner (a, n)
     double sum with phases e(theta a m^{-1} / (n R)) restricted to (m, n) = 1."""
     groups = [(n, bn, n * spec.R) for n, bn in spec.beta.nonzero_items()]
     return _mean_square(spec, spec.R, groups)
@@ -317,15 +305,13 @@ def mean_square_decomposed(
     Every original index n is split as n = n' * b * r and the sum is
     re-accumulated group by group (b, r) in increasing order, so the result
     must agree with the direct evaluation up to summation order.  The split
-    is audited: if reassembly does not reproduce every original index
-    exactly once with the advertised part properties,
-    :class:`DecompositionMismatch` is raised.
+    of each n is audited: if n' * b * r is not n, or a part lacks its
+    advertised property, :class:`DecompositionMismatch` is raised, so the
+    groups hold each original index exactly once.
     """
     R = spec.R
-    n_items = spec.beta.nonzero_items()
     groups: dict[tuple[int, int], list[tuple[int, complex]]] = {}
-    reassembled: list[int] = []
-    for n, bn in n_items:
+    for n, bn in spec.beta.nonzero_items():
         nprime, b, r = _split(n, R)
         if nprime * b * r != n:
             raise DecompositionMismatch(f"split of {n} reassembles to {nprime * b * r}")
@@ -336,9 +322,6 @@ def mean_square_decomposed(
         if gcd(nprime, R) != 1 or gcd(nprime, b) != 1:
             raise DecompositionMismatch(f"split of {n} leaves n' = {nprime} sharing factors")
         groups.setdefault((b, r), []).append((nprime, bn))
-        reassembled.append(nprime * b * r)
-    if Counter(reassembled) != Counter(n for n, _ in n_items):
-        raise DecompositionMismatch("reassembled indices do not match the originals")
 
     ordered = []
     for (b, r) in sorted(groups):

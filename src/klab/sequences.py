@@ -2,9 +2,9 @@
 
 A :class:`CoefficientSequence` is an immutable complex-valued map on a
 finite integer support with cached l1/l2 norms and an optional divisor
-bound tag (|value(n)| <= tau_k(n)).  Sequences can be built from a few
-standard kinds, serialized to a plain text table, and probed for their
-discrepancy in arithmetic progressions.
+bound tag (|value(n)| <= tau_k(n)).  A dyadic support is (T, 2T].
+Sequences can be built from a few standard kinds, serialized to a plain
+text table, and probed for their discrepancy in arithmetic progressions.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "sequence_from_text",
 ]
 
-CONVENTIONS = ("half-open", "closed")
-
 
 class EmptySupport(ValueError):
     """Raised when a sequence is requested on an empty support."""
@@ -50,23 +48,16 @@ class DivisorBoundViolation(ValueError):
 
 @dataclass(frozen=True)
 class DyadicRange:
-    """The integers in (T, 2T] (half-open) or [T, 2T] (closed) for base T."""
+    """The integers in (T, 2T] for base T."""
 
     base: int
-    convention: str = "half-open"
 
     def __post_init__(self):
         if self.base < 1:
             raise ValueError(f"base must be positive, got {self.base}")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(
-                f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
-            )
 
     def indices(self) -> range:
-        if self.convention == "half-open":
-            return range(self.base + 1, 2 * self.base + 1)
-        return range(self.base, 2 * self.base + 1)
+        return range(self.base + 1, 2 * self.base + 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
@@ -94,17 +85,11 @@ class CoefficientSequence:
     l2_norm: float
     divisor_bound_k: int | None = None
 
-    def __getitem__(self, n: int) -> complex:
-        return self.values.get(n, 0j)
-
     def nonzero_items(self) -> list[tuple[int, complex]]:
         return [(n, v) for n, v in sorted(self.values.items()) if v != 0]
 
     def support_indices(self) -> list[int]:
         return _support_indices(self.support)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def make_sequence(
@@ -158,6 +143,7 @@ def build_sequence(
       ``random.Random(seed)`` in increasing index order, then scaled so the
       whole sequence has l2 norm exactly 1; requires ``seed``
 
+    ``k`` and ``seed`` are ignored by the kinds that do not take them.
     Sequences with caller-supplied values come from :func:`make_sequence`.
     """
     idx = _support_indices(support)
@@ -209,11 +195,12 @@ def sw_discrepancy(beta: CoefficientSequence, q: int, a: int, r: int = 1) -> flo
 def sequence_to_text(s: CoefficientSequence) -> str:
     """Serialize as a text table: header line, then "index value_re value_im" lines.
 
-    An explicit support is listed in full in the header, so indices that carry
+    A dyadic support (T, 2T] is written ``# support T half-open``; an
+    explicit support is listed in full in the header, so indices that carry
     no value survive the round trip.
     """
     if isinstance(s.support, DyadicRange):
-        header = f"# support {s.support.base} {s.support.convention}"
+        header = f"# support {s.support.base} half-open"
     else:
         header = "# support explicit " + " ".join(map(str, sorted(s.support)))
     lines = [header]
@@ -234,7 +221,7 @@ def sequence_from_text(text: str) -> CoefficientSequence:
         raise ValueError("missing '# support ...' header line")
     head = lines[0].lstrip("#").split()
     explicit = head[1:2] == ["explicit"]
-    if head[:1] != ["support"] or (not explicit and len(head) != 3):
+    if head[:1] != ["support"] or (not explicit and head[2:] != ["half-open"]):
         raise ValueError(f"malformed header {lines[0]!r}")
     vals: dict[int, complex] = {}
     for ln in lines[1:]:
@@ -246,7 +233,7 @@ def sequence_from_text(text: str) -> CoefficientSequence:
         if explicit:
             support: DyadicRange | frozenset[int] = frozenset(map(int, head[2:])) or frozenset(vals)
         else:
-            support = DyadicRange(int(head[1]), head[2])
+            support = DyadicRange(int(head[1]))
     except ValueError as exc:
         raise ValueError(f"malformed header {lines[0]!r}: {exc}") from None
     return make_sequence(vals, support)

@@ -156,31 +156,62 @@ class TestSweep:
     def test_rows_recomputable_from_coordinates(self, tmp_path):
         # two seeds: each row comes from a run that shares one enumeration
         grid = {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1], "seed": [3, 4]}
-        cfg = write_config(tmp_path, grid=grid)
-        out = tmp_path / "table.csv"
-        run_sweep(cfg, str(out), jobs=1)
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        rng = random.Random(0)
-        for row in rng.sample(rows, 5):
-            M, N, A = int(row["M"]), int(row["N"]), int(row["A"])
-            R, theta, seed = int(row["R"]), int(row["theta"]), int(row["seed"])
-            mk = lambda base, role: sequences.build_sequence(
-                "random_unit", sequences.DyadicRange(base), seed=role_seed(seed, role)
-            )
-            alpha, beta, nu = mk(M, "alpha"), mk(N, "beta"), mk(A, "nu")
-            spec = forms.TrilinearSpec(alpha, beta, nu, theta=theta, R=R)
-            lhs = abs(forms.trilinear_form(spec).value)
-            rhs = bounds.rhs_trilinear_fixed_factor(
-                M, N, A, R, theta, (alpha.l2_norm, beta.l2_norm, nu.l2_norm), 0.01, "statement"
-            )
-            assert float(row["lhs"]) == lhs
-            assert float(row["rhs_total"]) == rhs.total
-            assert float(row["ratio"]) == lhs / rhs.total
+        build = {
+            "random_unit": lambda base, seed, role: sequences.build_sequence(
+                "random_unit", sequences.DyadicRange(base), seed=role_seed(seed, role)),
+            "tau_k:2": lambda base, seed, role: sequences.build_sequence(
+                "tau_k", sequences.DyadicRange(base), k=2),
+            "moebius": lambda base, seed, role: sequences.build_sequence(
+                "moebius", sequences.DyadicRange(base)),
+        }
+        for kinds in ({"alpha": "random_unit", "beta": "random_unit", "nu": "random_unit"},
+                      {"alpha": "random_unit", "beta": "tau_k:2", "nu": "moebius"}):
+            cfg = write_config(tmp_path, grid=grid, sequences=kinds)
+            out = tmp_path / "table.csv"
+            run_sweep(cfg, str(out), jobs=1)
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            rng = random.Random(0)
+            for row in rng.sample(rows, 5):
+                M, N, A = int(row["M"]), int(row["N"]), int(row["A"])
+                R, theta, seed = int(row["R"]), int(row["theta"]), int(row["seed"])
+                alpha, beta, nu = (build[kinds[role]](base, seed, role)
+                                   for base, role in ((M, "alpha"), (N, "beta"), (A, "nu")))
+                spec = forms.TrilinearSpec(alpha, beta, nu, theta=theta, R=R)
+                lhs = abs(forms.trilinear_form(spec).value)
+                rhs = bounds.rhs_trilinear_fixed_factor(
+                    M, N, A, R, theta, (alpha.l2_norm, beta.l2_norm, nu.l2_norm), 0.01, "statement"
+                )
+                assert float(row["lhs"]) == lhs
+                assert float(row["rhs_total"]) == rhs.total
+                assert float(row["ratio"]) == lhs / rhs.total
+
+    def test_defaults_filled_in(self, tmp_path):
+        # one definition of each default: load_config fills them all in
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"grid": {"M": [4], "N": [4], "A": [2]}}))
+        assert load_config(str(path)) == {
+            "grid": {"M": [4], "N": [4], "A": [2], "R": [1], "theta": [1], "seed": [0]},
+            "sequences": {"alpha": "random_unit", "beta": "random_unit", "nu": "random_unit"},
+            "bound": {"formula": "bcr", "epsilon": 0.01, "exponent_variant": "statement"},
+        }
+        cfg = load_config(write_config(tmp_path, bound={"epsilon": 0}))
+        assert type(cfg["bound"]["epsilon"]) is float and cfg["bound"]["formula"] == "bcr"
+
+    def test_jobs_below_one_rejected(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for jobs in ("0", "-1"):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--jobs", jobs]) == 2
+            assert not (tmp_path / "x.csv").exists()
 
     def test_empty_axis_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, grid={"M": [4], "N": [4], "A": []})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        # an empty axis, an empty or null grid, and a missing required axis
+        for grid in ({"M": [4], "N": [4], "A": []}, {}, None, {"M": [4], "N": [4]}):
+            cfg = write_config(tmp_path, grid=grid)
+            with pytest.raises(ConfigError):
+                load_config(cfg)
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         for extra in (
@@ -188,11 +219,16 @@ class TestSweep:
             {"cutoff": {"support": [0.5, 2.5]}},
             {"limits": {"grid_cap": "5"}},
             {"seed": 3},
+            {"sequences": {"gamma": "ones"}},  # an unknown role
+            {"bound": {"formula": "bcr", "cutoff": 1.0}},  # an unknown bound key
+            {"bound": {"formula": "cb"}},  # and values outside a key's choices
+            {"bound": {"exponent_variant": "paper"}},
         ):
             cfg = write_config(tmp_path, **extra)
             with pytest.raises(ConfigError):
                 load_config(cfg)
             assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_axis_rejected(self, tmp_path):
         cfg = write_config(tmp_path, grid={"M": [4], "N": [4], "A": [2], "W": [1]})
@@ -206,6 +242,7 @@ class TestSweep:
             {"M": [4], "N": [4], "A": [2.5]},
             {"M": [True], "N": [4], "A": [2]},  # bools are not integers here
             {"M": [4], "N": [4], "A": [2], "seed": [False]},
+            {"M": [4], "N": [4], "A": [2], "seed": [-1]},  # random.Random(-1) is random.Random(1)
         ):
             cfg = write_config(tmp_path, grid=grid)
             with pytest.raises(ConfigError):
@@ -214,10 +251,11 @@ class TestSweep:
             assert not (tmp_path / "x.csv").exists()
 
     def test_tau_k_zero_rejected(self, tmp_path):
-        seqs = {"alpha": "random_unit", "beta": "tau_k:0", "nu": "random_unit"}
-        cfg = write_config(tmp_path, sequences=seqs)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert not (tmp_path / "x.csv").exists()
+        for kind in ("tau_k:0", 5):  # a kind that is not a string is rejected as well
+            seqs = {"alpha": "random_unit", "beta": kind, "nu": "random_unit"}
+            cfg = write_config(tmp_path, sequences=seqs)
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
 
     def test_invalid_cutoff_rejected(self, tmp_path):
         # the cutoff key is no longer read, so any cutoff block is an unknown key
@@ -233,15 +271,18 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
     def test_grid_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KLAB_GRID_CAP", "4")
+        monkeypatch.setattr(cli, "GRID_CAP", 4)
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
 
     def test_malformed_json(self, tmp_path):
+        # not JSON, not an object, and an object without a grid
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        for text in ("{not json", "[1, 2]", '{"sequences": {}}'):
+            path.write_text(text)
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
 
     def test_bc_formula_and_variant_override(self, tmp_path):
         cfg = write_config(tmp_path, bound={"formula": "bc", "epsilon": 0.0})

@@ -21,8 +21,6 @@ from klab.dispersion import (
     completed_progression_sum,
     default_completion_bandwidth,
     dispersion_split,
-    dispersion_tail_savings,
-    frequency_cutoff,
     progression_error,
     progression_error_total,
     rhs_dispersion,
@@ -82,7 +80,7 @@ class TestSmoothCutoff:
         assert math.isclose(val, 1.5, rel_tol=1e-10)
 
     def test_zero_cutoff(self):
-        z = SmoothCutoff.zero()
+        z = SmoothCutoff(plateau=(0.0, 0.0), support=(0.0, 0.0))
         assert z(0.0) == 0.0 and z(1.0) == 0.0 and z.mass() == 0.0
 
     def test_validation(self):
@@ -445,7 +443,8 @@ class TestCompletedProgressionSum:
         assert math.isclose(res.lhs, res.rhs, rel_tol=1e-12)
 
     def test_zero_cutoff(self):
-        res = completed_progression_sum(SmoothCutoff.zero(), 100.0, 3, 1, 4)
+        zero = SmoothCutoff(plateau=(0.0, 0.0), support=(0.0, 0.0))
+        res = completed_progression_sum(zero, 100.0, 3, 1, 4)
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.residual == 0.0
 
     def test_q3_default_bandwidth(self):
@@ -480,13 +479,6 @@ class TestCompletedCoprimeSum:
         res = completed_coprime_sum(psi, m_scale, 1009)
         all_m = fsum(psi(m / m_scale) for m in psi.window(m_scale))
         assert res.lhs == all_m
-
-
-class TestFrequencyCutoff:
-    def test_values(self):
-        assert frequency_cutoff(1, 1, 1) == 4.0
-        assert frequency_cutoff(2, 1, 1) == 64.0
-        assert frequency_cutoff(1, 10, 100) == 4.0
 
 
 class TestRhsDispersion:
@@ -536,7 +528,10 @@ class TestRhsDispersion:
                             rel_tol=1e-12)
 
     def test_exact_tail_savings(self):
-        s4, s5 = dispersion_tail_savings()
+        # N-exponent savings of the tail terms at N = Q, where the Q and N exponents merge
+        e = DISPERSION_TAIL_EXPONENTS
+        s4, s5 = ((e[f"new_{t}"]["Q"] + e[f"new_{t}"]["N"]) - (e[f"old_{t}"]["Q"] + e[f"old_{t}"]["N"])
+                  for t in ("term4", "term5"))
         assert s4 == Fraction(-1, 8)
         assert s5 == Fraction(-2, 5)
         assert DISPERSION_TAIL_EXPONENTS["new_term5"]["M"] == Fraction(3, 20)

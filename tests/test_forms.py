@@ -61,7 +61,7 @@ def naive_trilinear(spec):
 
 def naive_mean_square(spec):
     total = 0.0
-    for m in spec.m_indices():
+    for m in spec.alpha.support_indices():
         if gcd(m, spec.R) != 1:
             continue
         inner = 0j
@@ -78,7 +78,7 @@ def naive_mean_square(spec):
 
 def naive_cb(spec, b):
     total = 0.0
-    for m in spec.m_indices():
+    for m in spec.alpha.support_indices():
         if gcd(m, b) != 1:
             continue
         inner = 0j
@@ -143,8 +143,6 @@ class TestTrilinearForm:
             TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=0)
         with pytest.raises(ValueError):
             TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=1, R=0)
-        with pytest.raises(ValueError):
-            TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=1, m_range=DyadicRange(4))
 
 
 @pytest.fixture
@@ -320,7 +318,7 @@ def per_n_mean_square(spec):
     a_items = spec.nu.nonzero_items()
     a_idx = [a for a, _ in a_items]
     nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
-    ms = [m for m in spec.m_indices() if gcd(m, spec.R) == 1]
+    ms = [m for m in spec.alpha.support_indices() if gcd(m, spec.R) == 1]
     inner = np.zeros(len(ms), dtype=complex)
     comp = np.zeros(len(ms), dtype=complex)
     for n, bn in spec.beta.nonzero_items():
@@ -554,6 +552,12 @@ class TestDecomposition:
             mean_square_decomposed(
                 spec, _split=lambda n, R: (1, n, 1) if n == 5 else complementary_split(n, R)
             )
+        with pytest.raises(DecompositionMismatch, match="reassembles to"):
+            mean_square_decomposed(spec, _split=lambda n, R: (n, 1, 2))
+        with pytest.raises(DecompositionMismatch, match="not a squarefree divisor of R"):
+            mean_square_decomposed(
+                spec, _split=lambda n, R: (2, 1, 3) if n == 6 else complementary_split(n, R)
+            )
 
 
 class TestSquarefreeMeanSquare:
@@ -569,8 +573,7 @@ class TestSquarefreeMeanSquare:
         assert squarefree_mean_square(spec, 2) == 0.0
 
     def test_tiny_against_naive(self):
-        spec = TrilinearSpec(ones(DyadicRange(2, "closed")), ones(DyadicRange(2, "closed")),
-                             ones(DyadicRange(1, "closed")), theta=1)
+        spec = TrilinearSpec(ones({2, 3, 4}), ones({2, 3, 4}), ones({1, 2}), theta=1)
         assert math.isclose(squarefree_mean_square(spec, 2), naive_cb(spec, 2), rel_tol=1e-12)
 
     def test_b_validation(self):

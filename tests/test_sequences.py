@@ -24,10 +24,6 @@ from klab.sequences import (
 class TestDyadicRange:
     def test_half_open_default(self):
         assert list(DyadicRange(2)) == [3, 4]
-        assert DyadicRange(2).convention == "half-open"
-
-    def test_closed(self):
-        assert list(DyadicRange(2, "closed")) == [2, 3, 4]
 
     def test_contains(self):
         r = DyadicRange(8)
@@ -36,8 +32,6 @@ class TestDyadicRange:
     def test_invalid(self):
         with pytest.raises(ValueError):
             DyadicRange(0)
-        with pytest.raises(ValueError):
-            DyadicRange(4, "open")
 
 
 class TestBuildSequence:
@@ -178,8 +172,8 @@ class TestTextRoundTrip:
         assert back.values == s.values
 
     def test_explicit_support_without_values_survives(self):
-        # indices 5 and 7 carry no value; m_range defaults to the support, so
-        # dropping them would change the mean square over m
+        # indices 5 and 7 carry no value; the mean square runs over the m's of
+        # the alpha support, so dropping them would change it
         alpha = make_sequence({3: 1 + 0j}, support={3, 5, 7})
         text = sequence_to_text(alpha)
         assert text.splitlines()[0] == "# support explicit 3 5 7"
