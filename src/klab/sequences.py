@@ -62,9 +62,6 @@ class DyadicRange:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
 
-    def __len__(self) -> int:
-        return len(self.indices())
-
     def __contains__(self, n: object) -> bool:
         return n in self.indices()
 

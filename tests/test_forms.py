@@ -1,5 +1,9 @@
+import ast
 import cmath
+import itertools
+import json
 import math
+import os
 import random
 from math import gcd
 
@@ -13,7 +17,6 @@ from klab import checks, forms
 from klab.arith import (
     _INT64_SAFE,
     batch_mod_inverse,
-    euler_phi,
     is_squarefree,
     is_squarefull,
     radical,
@@ -241,12 +244,12 @@ def random_spec(M, N, A, R, theta, seed):
 
 
 class TestResiduePath:
-    """Once the m's outnumber L = nR the inner a-sum is evaluated once per
-    residue class of m mod L and gathered back."""
+    """Once the m's outnumber L = nR they are folded mod L: each m reads its
+    t = theta * m^{-1} mod L from a table over the residues mod L."""
 
     @pytest.mark.parametrize("theta", (1, -3))
     def test_unbalanced_against_naive(self, theta):
-        # L = nR <= 16 for n in (4, 8]: every n takes the residue path
+        # L = nR <= 16 for n in (4, 8]: every n is folded
         spec = random_spec(256, 4, 16, 2, theta, seed=40)
         res = trilinear_form(spec)
         want, count = naive_trilinear(spec)
@@ -258,8 +261,9 @@ class TestResiduePath:
 
     @pytest.mark.parametrize("M,N,A,R,residue", ((256, 4, 16, 2, True), (128, 128, 8, 8, False)))
     def test_block_rows(self, monkeypatch, M, N, A, R, residue):
-        # a block has at most phi(L) rows once len(sel) > L, else one row per
-        # m, and the direct path never pays for the residue grouping
+        # below the FFT gate a block has one row per coprime m whether its m
+        # list is folded (len(sel) > L) or not, and neither path sorts residues
+        monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: False)
         blocks = []
         uniques = []
         unique = np.unique
@@ -274,24 +278,108 @@ class TestResiduePath:
         trilinear_form(spec)
         mean_square_direct(spec)
         assert len(blocks) == 2 * N
-        assert len(uniques) == (2 * N if residue else 0)
+        assert len(uniques) == 0
         for L, rows in blocks:
             sel = sum(1 for m in range(M + 1, 2 * M + 1) if gcd(m, L) == 1)
             assert (sel > L) == residue
-            assert rows <= euler_phi(L) if residue else rows == sel
+            assert rows == sel
 
     @pytest.mark.parametrize("ms,L", (
-        (list(range(1, 200, 2)), 2),  # one residue class: stays direct
+        (list(range(1, 200, 2)), 2),  # one unit mod L
         ([1, 4, 7, 10, 13], 3),  # sparse m, one residue class
         ([m for m in range(300, 700) if gcd(m, 36) == 1], 36),
         ([m for m in range(5, 400) if gcd(m, 97) == 1], 97),
     ))
-    def test_bit_identical_to_direct(self, ms, L):
+    def test_bit_identical_to_direct(self, monkeypatch, ms, L):
+        # every case folds; below the FFT gate the folded rows are the direct ones
+        monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: False)
         a_idx = list(range(3, 40))
         nu_arr = np.exp(2j * np.pi * np.arange(len(a_idx)) / 7.3)
         for theta in (1, -5):
             direct = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L) @ nu_arr
             assert np.array_equal(one_modulus_sums(theta, ms, L, a_idx, nu_arr), direct)
+
+
+@pytest.fixture
+def kernel_paths(monkeypatch):
+    """Records the modulus of each FFT and each phase block the kernel makes."""
+    paths = {"fft": [], "block": []}
+    dft_sums, phase_block = forms._dft_sums, forms._phase_block
+
+    def fft(t_rows, a_vals, L, nus):
+        paths["fft"].append(L)
+        return dft_sums(t_rows, a_vals, L, nus)
+
+    def block(t_vals, a_vals, L, table=None):
+        paths["block"].append(L)
+        return phase_block(t_vals, a_vals, L, table)
+
+    monkeypatch.setattr(forms, "_dft_sums", fft)
+    monkeypatch.setattr(forms, "_phase_block", block)
+    return paths
+
+
+def desk_grids():
+    """The grids of the archived desk sweeps and of the sweep-desk benchmark workload."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    grids = []
+    for scale in ("full", "half"):
+        with open(os.path.join(root, "sweeps", f"bcr_desk_{scale}.json"), encoding="utf-8") as fh:
+            grids.append(json.load(fh)["grid"])
+    with open(os.path.join(root, "benchmarks", "workloads.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    grids += [ast.literal_eval(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GRID"]]
+    assert len(grids) == 3
+    return grids
+
+
+class TestFFTPath:
+    """A group whose rows x A cells pass the gate takes its inner sums from one
+    FFT of nu folded mod L, within 1e-12 relative of its phase block."""
+
+    @pytest.mark.parametrize("L", (1, 2, 3, 36, 97, 256))
+    @pytest.mark.parametrize("theta", (1, -5))
+    def test_sums_match_blocks(self, monkeypatch, L, theta):
+        # more a's than L, some negative, so several fold onto each residue;
+        # the m's are 1 or -1 mod L but for two multiples of L, so they leave
+        # most unit residues empty, and the list is folded, and then cut to L
+        # m's, which is not
+        monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: True)
+        ms = sorted({1 + L * k for k in range(L + 1)} | {L - 1 + L * k for k in range(2)} | {2 * L, 3 * L})
+        a_idx = list(range(-3, 2 * L + 4))
+        nu_arr = np.exp(2j * np.pi * np.random.default_rng(L).random(len(a_idx)))
+        for m_list in (ms, [m for m in ms if gcd(m, L) == 1][:L]):
+            ((_, _, sel, (sums,)),) = _coprime_inner_sums(theta, [L], [(m_list, a_idx, [nu_arr])])
+            coprime = [m for m in m_list if gcd(m, L) == 1]
+            assert [m_list[i] for i in sel] == coprime
+            block = _phase_block([(theta * pow(m, -1, L)) % L for m in coprime], a_idx, L) @ nu_arr
+            assert np.all(np.abs(sums - block) <= 1e-12 * np.abs(block))
+
+    def test_against_naive(self, kernel_paths):
+        # folded at L = 27, 30; the gate passes at some moduli and not others
+        spec = random_spec(32, 8, 16, 3, -2, seed=21)
+        res = trilinear_form(spec)
+        want, count = naive_trilinear(spec)
+        assert abs(res.value - want) <= 1e-10 * (1 + abs(want))
+        assert res.terms == count
+        direct = mean_square_direct(spec)
+        assert math.isclose(direct, naive_mean_square(spec), rel_tol=1e-10)
+        assert math.isclose(mean_square_decomposed(spec), direct, rel_tol=1e-9)
+        assert math.isclose(squarefree_mean_square(spec, 2), naive_cb(spec, 2), rel_tol=1e-10)
+        assert kernel_paths["fft"] and kernel_paths["block"]
+
+    def test_gate_closed_on_the_desk_grids(self):
+        # no (L, rows, A) of the archived desk sweeps or of the sweep-desk
+        # workload reaches the gate, so their values keep every bit
+        reached = set()
+        for grid in desk_grids():
+            for M, N, A, R in itertools.product(grid["M"], grid["N"], grid["A"], grid["R"]):
+                ms = np.arange(M + 1, 2 * M + 1)
+                for L in range((N + 1) * R, (2 * N + 1) * R, R):
+                    reached.add((L, int(np.count_nonzero(np.gcd(ms, L) == 1)), A))
+        assert len(reached) > 1000
+        assert not any(forms._fft_pays(*key) for key in reached)
 
 
 def per_n_form(spec):
@@ -349,8 +437,8 @@ class TestChunkedPath:
         (set(range(3, 20)), {12}, {1, 2, 3}, 5),  # N = 1
         (set(range(-5, 9)), {7, 2**64, 3**41}, {1, 3}, 3),  # n past 2**63: object arrays
         (set(range(1, 6)), {7, 9, 11}, {2**61 + 5, 2**61 + 12}, 1),  # int64 t, big a
-        (set(range(1, 80)), {2, 3, 5, 9}, {1, 2, 7}, 2),  # residue path mixed in
-        (set(range(1, 80)), {2, 3, 2**64}, {1, 2, 7}, 2),  # residue path on object arrays
+        (set(range(1, 80)), {2, 3, 5, 9}, {1, 2, 7}, 2),  # folded moduli mixed in
+        (set(range(1, 80)), {2, 3, 2**64}, {1, 2, 7}, 2),  # folded moduli on object arrays
     ))
     def test_against_naive(self, m_support, n_support, a_support, R, theta):
         alpha = build_sequence("random_unit", m_support, seed=len(m_support))
@@ -386,8 +474,8 @@ class TestChunkedPath:
         calls.clear()
         mean_square_direct(spec)  # over the M / 2 odd m's
         assert len(calls) == -(-N // (2 * rows))
-        # residue-path moduli (L = 2n <= 16) join the chunk's one batch with
-        # one value per residue class
+        # folded moduli (L = 2n <= 16) join the chunk's one batch with one
+        # value per unit mod L, and here every unit is the residue of some m
         calls.clear()
         M, N, R = 256, 4, 2
         trilinear_form(random_spec(M, N, 8, R, 1, seed=1))
@@ -399,10 +487,13 @@ class TestChunkedPath:
 class TestSharedEnumeration:
     """Specs with the same theta, R and nonzero beta indices share one enumeration."""
 
-    def test_each_spec_as_alone(self):
+    def test_each_spec_as_alone(self, kernel_paths):
         # one family (N, R and theta shared) over M, A and seed, beside specs
-        # that differ in nu's support, beta's support or R
+        # that differ in nu's support, beta's support or R; the last seeded
+        # spec differs from the first only in A, and at some moduli takes
+        # the FFT path where the first builds its phase block
         seeded = [random_spec(M, 16, A, 3, 1, seed) for M in (64, 32) for A in (8, 4) for seed in (1, 2)]
+        seeded.append(random_spec(64, 16, 32, 3, 1, seed=1))
         alpha, beta, nu = seeded[0].alpha, seeded[0].beta, seeded[0].nu
         big = [
             TrilinearSpec(build_sequence("random_unit", m_support, seed=seed),
@@ -421,6 +512,7 @@ class TestSharedEnumeration:
             TrilinearSpec(alpha, build_sequence("random_unit", DyadicRange(16), seed=11), nu, 1, 3),
         ] + big
         results = trilinear_forms(specs)
+        assert set(kernel_paths["fft"]) & set(kernel_paths["block"])
         assert len(results) == len(specs)
         for spec, res in zip(specs, results):
             lone = trilinear_form(spec)
@@ -430,6 +522,8 @@ class TestSharedEnumeration:
 
     @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
     def test_group_makes_the_calls_of_one_spec(self, monkeypatch, M, N, A, R):
+        # below the FFT gate, so that every modulus builds its phase block
+        monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: False)
         calls = []
 
         def counting(values, m):

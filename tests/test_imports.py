@@ -1,6 +1,7 @@
 """Every imported name in src/klab and tests is read somewhere in its module,
 the package's exports name what exists, and ``import klab`` loads numpy but
-not scipy, which waits for the first Fourier quadrature.
+neither scipy, which waits for the first Fourier quadrature, nor numpy.fft,
+which waits for the first FFT inner sum.
 
 A standard-library AST scan stands in for a linter.  ``klab/__init__.py`` is
 exempt from the unused-import scan: its imports are the package's re-exports,
@@ -110,3 +111,15 @@ def test_first_quadrature_loads_scipy_integrate():
         "print('scipy.integrate' in sys.modules, repr(SmoothCutoff().hat(0.7)), 'scipy.integrate' in sys.modules)"
     )
     assert out == f"False {SmoothCutoff().hat(0.7)!r} True\n"
+
+
+def test_first_fft_inner_sum_loads_numpy_fft():
+    out = fresh_python(
+        "import sys, klab, klab.cli\n"
+        "from klab.sequences import DyadicRange, build_sequence\n"
+        "print([m for m in sorted(sys.modules) if m.startswith('numpy.fft')])\n"
+        "ones = [build_sequence('ones', DyadicRange(base)) for base in (256, 4, 16)]\n"
+        "klab.forms.trilinear_form(klab.forms.TrilinearSpec(*ones, theta=1, R=2))\n"
+        "print('numpy.fft' in sys.modules)"
+    )
+    assert out == "[]\nTrue\n"
