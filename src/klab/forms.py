@@ -10,26 +10,27 @@ The central objects:
   part, r | R squarefree), with a machine-checked bijection audit,
 - the squarefree-restricted mean square with denominator n*b.
 
-Evaluation is by direct enumeration, along one path.  The coprime (m, n)
-pairs are found and inverted a chunk of n's at a time, with one batch of
-inverses per chunk.  The inner a-sum depends only on m mod L (L = nR): an
-m list no longer than L gets one gcd mask per chunk and puts each coprime
-m in that batch, and one longer than L is folded mod L, puts the units mod
-L in the batch instead and reads each m's t = theta * m^{-1} mod L from a
-table over the residues.  Each n keeps its own phase block, one row per
-selected m.  Phases are reduced exactly mod 1 as integers before any
-transcendental call, on int64 or on Python integers as klab.arith decides.
-Once the blocks at one modulus have at least L cells together, the kernel
-computes the L values e(k / L) once and the int64 blocks gather their
-phases from that table; each entry is the same expression as a per-cell
-phase, so the table changes no bit of any value.  A block whose rows x A
-cells would exceed about L log2 L + A is not built: the inner sums of its
-rows come from one FFT of nu folded mod L, S(t) = sum_k w_k e(t k / L) with
-w_k the sum of the nu_a with a = k mod L, gathered at their t's.  Below
-that gate every sum is bit-identical to one modulus, one m and one
-exponential per term at a time; above it the sums agree with that to within
-1e-12 relative (at most 4e-14 measured on the benchmark's unbalanced
-points), and no point of the desk sweeps reaches it.
+Evaluation is by direct enumeration, along one path.  The moduli L = nR
+are taken a chunk of n's at a time, and each m list at each modulus of a
+chunk becomes one entry of the chunk's one batch of inverses: the m's
+coprime to L, from one gcd mask per chunk, for a list no longer than L,
+and the units mod L for a longer one, which is folded mod L and reads each
+m's t = theta * m^{-1} mod L from the table its entry's inverses fill (the
+inner a-sum depends only on m mod L).  Each n keeps its own phase block,
+one row per selected m.  Phases are reduced exactly mod 1 as integers
+before any transcendental call, on int64 or on Python integers as
+klab.arith decides.  Once the blocks at one modulus have at least L cells
+together, the kernel computes the L values e(k / L) once and the int64
+blocks gather their phases from that table; each entry is the same
+expression as a per-cell phase, so the table changes no bit of any value.
+One gate decides, per group and modulus, whether a block is built: one
+whose rows x A cells would exceed about L log2 L + A is not, and the inner
+sums of its rows come from one FFT of nu folded mod L, S(t) = sum_k w_k
+e(t k / L) with w_k the sum of the nu_a with a = k mod L, gathered at
+their t's.  Below that gate every sum is bit-identical to one modulus, one
+m and one exponential per term at a time; above it the sums agree with
+that to within 1e-12 relative (at most 4e-14 measured on the benchmark's
+unbalanced points), and no point of the desk sweeps reaches it.
 :func:`trilinear_forms` evaluates a family of forms with the same theta, R
 and nonzero beta indices, as the points of a sweep with the same (N, R,
 theta) are, in one enumeration of their moduli: forms with the same alpha
@@ -78,7 +79,8 @@ class DecompositionMismatch(ValueError):
 @dataclass(frozen=True)
 class TrilinearSpec:
     """Inputs of the trilinear form: three coefficient sequences, the integer
-    phase multiplier theta != 0 and the fixed denominator factor R >= 1.
+    phase multiplier theta != 0 and the fixed denominator factor R >= 1;
+    the beta indices n are at least 1, so every modulus nR is positive.
     The mean squares run over the m's of the alpha support, including those
     where alpha vanishes."""
 
@@ -93,6 +95,8 @@ class TrilinearSpec:
             raise ValueError("theta must be a nonzero integer")
         if self.R < 1:
             raise ValueError(f"R must be positive, got {self.R}")
+        if (low := min(self.beta.support_indices(), default=1)) < 1:
+            raise ValueError(f"beta indices must be positive, got {low}")
 
 
 @dataclass(frozen=True)
@@ -159,29 +163,30 @@ def _coprime_inner_sums(
     inner sums sum_a nu_a e(theta a m^{-1} / L).
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
-    pairs per chunk over the distinct m lists, and one
-    :func:`batch_mod_inverse` call covers the chunk's rows of all of them,
-    so groups that differ only in their a's share both the selection and
-    the inverses; t = theta * m^{-1} mod L is formed as an array.  An m
-    list no longer than L gets one gcd mask per chunk and one row per
-    coprime m in the batch.  One longer than L is folded mod L: the batch
-    holds the units r mod L, and each m reads its t from the table of theta
-    * r^{-1} mod L at its residue, which marks the non-units as not coprime.
-    Whether a list folds rests on its length and L alone, so the inverses
-    do not depend on the a's.
+    pairs per chunk over the distinct m lists.  Each m list at each modulus
+    of the chunk is one entry (s, sel, key) of the chunk's one
+    :func:`batch_mod_inverse` call, which inverts the keys of all entries
+    at once, so groups that differ only in their a's share both the
+    selection and the inverses; t = theta * key^{-1} mod L is formed as an
+    array.  An m list no longer than L gets one gcd mask per chunk, and its
+    entry holds the positions ``sel`` of its coprime m's and those m's.
+    One longer than L is folded mod L: its entry holds None and the units r
+    mod L, and each m reads its t from the table of theta * r^{-1} mod L at
+    its residue, which marks the non-units as not coprime.  Whether a list
+    folds rests on its length and L alone, so the inverses do not depend on
+    the a's.
 
     Each group gets one row of phases per selected m at each modulus, built
     once and multiplied by each nu in turn; when the blocks of one modulus
     L have at least L cells together, one table of e(k / L) is built for
     them all, and otherwise none.  These sums equal the one-modulus-at-a-
-    time, one-vector-at-a-time evaluation bit for bit.  A group whose rows
-    x A cells reach the gate of :func:`_fft_pays` builds no block and takes
-    its sums from :func:`_dft_sums` instead, within 1e-12 relative of the
-    block's; the gate reads the group's own (L, rows, A) only, so a family,
-    a lone evaluation and one modulus at a time still agree bit for bit.  A
-    block is released before the yield, and the residue tables once their
-    chunk is done.  The m's and L's are exact integer arrays for the bound
-    max(|m|, |theta| * L), which covers theta * m^{-1}.
+    time, one-vector-at-a-time evaluation bit for bit.  The one gate,
+    :func:`_fft_pays`, reads each group's own (L, rows, A): a group that
+    reaches it builds no block and takes its sums from :func:`_dft_sums`,
+    within 1e-12 relative of the block's, so a family, a lone evaluation and
+    one modulus at a time still agree bit for bit.  A block is released
+    before the yield.  The m's and L's are exact integer arrays for the
+    bound max(|m|, |theta| * L), which covers theta * m^{-1}.
     """
     supports: dict[tuple[int, ...], list[int]] = {}
     for g, (ms, a_idx, _) in enumerate(groups):
@@ -193,23 +198,15 @@ def _coprime_inner_sums(
     m_arrs = [_exact_ints(ms, bound) for ms in supports]
     members = list(supports.values())
     rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
-    longest = max(map(len, m_arrs))
-    widest = max(len(a_idx) for _, a_idx, _ in groups)
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
         L_arr = _exact_ints(L_chunk, bound)
-        # no group of the chunk reaches the FFT gate when its longest m list
-        # and widest a list do not reach it at the smallest modulus
-        ffts = _fft_pays(min(L_chunk), longest, widest)
-        # per row: (s, sel, m's) for a selected m list, (s, None, None) for a folded one
-        found: list[list[tuple[int, np.ndarray | None, np.ndarray | None]]] = [[] for _ in L_chunk]
-        units: dict[int, np.ndarray] = {}
+        # per row: (s, sel, coprime m's) for a selected m list, (s, None, units mod L) for a folded one
+        found: list[list[tuple[int, np.ndarray | None, np.ndarray]]] = [[] for _ in L_chunk]
         for s, m_arr in enumerate(m_arrs):
             fold = (L_arr > 0) & (L_arr < len(m_arr))
             for i in np.flatnonzero(fold).tolist():
-                found[i].append((s, None, None))
-                if i not in units:
-                    units[i] = np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1)
+                found[i].append((s, None, np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1)))
             direct = np.flatnonzero(~fold).tolist()
             mask = np.gcd(m_arr, L_arr[direct][:, None]) == 1
             cols = np.nonzero(mask)[1]
@@ -219,33 +216,27 @@ def _coprime_inner_sums(
                 if count:
                     found[i].append((s, cols[pos:pos + count], m_cols[pos:pos + count]))
                     pos += count
-        keys = list(units.values()) + [key for row in found for _, _, key in row if key is not None]
+        keys = [key for row in found for _, _, key in row]
         if not keys:
             continue
-        key_rows = list(units) + [i for i, row in enumerate(found) for _, _, key in row if key is not None]
-        L_rows = np.repeat(L_arr[key_rows], [len(key) for key in keys])
+        L_rows = np.repeat(L_arr, [sum(len(key) for _, _, key in row) for row in found])
         t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
         start = 0
-        t_of_r: dict[int, np.ndarray] = {}
-        for i, r in units.items():
-            t_of_r[i] = np.full(L_chunk[i], -1)
-            t_of_r[i][r] = t[start:start + len(r)]
-            start += len(r)
         for i, row in enumerate(found):
             L = L_chunk[i]
             entries = []
             for s, sel, key in row:
-                if key is not None:
-                    entries.append((s, sel, t[start:start + len(key)]))
-                    start += len(key)
-                    continue
-                t_m = t_of_r[i][np.asarray(m_arrs[s] % L, dtype=np.int64)]
-                sel = np.flatnonzero(t_m >= 0)
+                t_rows = t[start:start + len(key)]
+                start += len(key)
+                if sel is None:
+                    t_of_r = np.full(L, -1)
+                    t_of_r[key] = t_rows
+                    t_m = t_of_r[np.asarray(m_arrs[s] % L, dtype=np.int64)]
+                    sel = np.flatnonzero(t_m >= 0)
+                    t_rows = t_m[sel]
                 if sel.size:
-                    entries.append((s, sel, t_m[sel]))
-            fft = {
-                g for s, sel, _ in entries for g in members[s] if _fft_pays(L, len(sel), len(groups[g][1]))
-            } if ffts else ()
+                    entries.append((s, sel, t_rows))
+            fft = {g for s, sel, _ in entries for g in members[s] if _fft_pays(L, len(sel), len(groups[g][1]))}
             cells = sum(len(t_rows) * len(groups[g][1]) for s, _, t_rows in entries for g in members[s] if g not in fft)
             table = np.exp((2j * np.pi) * (np.arange(L) / L)) if cells >= L else None
             for s, sel, t_rows in entries:
@@ -337,7 +328,7 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     Ls = [L for _, _, L in groups]
     for j, _, sel, (sums,) in _coprime_inner_sums(spec.theta, Ls, [(ms, a_idx, [nu_arr])]):
         _kahan_vadd(inner, comp, sel, groups[j][1] * sums)
-    return fsum(z.real * z.real + z.imag * z.imag for z in inner)
+    return fsum((inner.real * inner.real + inner.imag * inner.imag).tolist())
 
 
 def mean_square_direct(spec: TrilinearSpec) -> float:

@@ -147,6 +147,12 @@ class TestTrilinearForm:
         with pytest.raises(ValueError):
             TrilinearSpec(ones({2}), ones({3}), ones({1}), theta=1, R=0)
 
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_beta_index_below_one(self, n):
+        # the modulus nR must be positive, in every evaluator alike
+        with pytest.raises(ValueError, match=f"beta indices must be positive, got {n}"):
+            spec_of(ones(DyadicRange(8)), make_sequence({n: 1, 5: 1}), ones(DyadicRange(2)), R=2)
+
 
 @pytest.fixture
 def kernel_blocks(monkeypatch):
@@ -511,6 +517,8 @@ class TestSharedEnumeration:
             TrilinearSpec(alpha, build_sequence("moebius", DyadicRange(16)), nu, 1, 3),
             TrilinearSpec(alpha, build_sequence("random_unit", DyadicRange(16), seed=11), nu, 1, 3),
         ] + big
+        # two folded m lists at each modulus L in (16, 32], some of them on the FFT path
+        specs += [random_spec(M, 8, 4, 2, 1, seed) for M in (64, 128) for seed in (1, 2)]
         results = trilinear_forms(specs)
         assert set(kernel_paths["fft"]) & set(kernel_paths["block"])
         assert len(results) == len(specs)
