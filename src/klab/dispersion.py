@@ -11,10 +11,10 @@ Contents:
 - the dispersion split U / V / W against a sign sequence c_q derived from
   the error signs, with V stored as the cross term so that
   sum_m psi(m/M) |X_m - Y_m|^2 = W - 2 Re V + U holds identically;
-- behind both, one residue table per modulus: for each residue r mod q, the
+- behind all three, one per-modulus routine, ``_error``.  Its one table
+  holds, for each residue r of alpha's support and of the m's asked for, the
   beta sum over the classes solving r x = a (mod q), plus the coprime beta
-  sum.  It feeds E_q, c_q, X_m and Y_m; dispersion_split builds it once per
-  modulus coprime to a, over the residues of alpha's support and the window;
+  sum; it returns E_q and the table at those m's, for c_q, X_m and Y_m;
 - all of it on numpy arrays, one modulus at a time: the sequences become
   index and value arrays once per call, each table is built from one sort
   of the residues and one batch of inverses, and X and Y are arrays over the
@@ -135,14 +135,12 @@ class SmoothCutoff:
         return self.plateau[0] <= lo and hi <= self.plateau[1]
 
     def mass(self) -> float:
-        """Exact integral of psi: the blend is symmetric, so each ramp
-        contributes exactly half its width."""
-        s0, s1 = self.support
-        p0, p1 = self.plateau
-        return (p1 - p0) + (p0 - s0) / 2.0 + (s1 - p1) / 2.0
+        """:meth:`mass_fraction`, correctly rounded."""
+        return float(self.mass_fraction())
 
     def mass_fraction(self) -> Fraction:
-        """:func:`mass` as an exact rational of the (float) endpoints."""
+        """Exact integral of psi, as a rational of the (float) endpoints: the
+        blend is symmetric, so each ramp contributes exactly half its width."""
         s0, s1 = (Fraction(v) for v in self.support)
         p0, p1 = (Fraction(v) for v in self.plateau)
         return (p1 - p0) + (p0 - s0) / 2 + (s1 - p1) / 2
@@ -299,36 +297,31 @@ def _residue_table(
     return table, solvable, coprime, cop_beta
 
 
-def _table_error(
-    alpha: _Coeffs,
-    at: np.ndarray,
-    table: np.ndarray,
-    solvable: np.ndarray,
-    coprime: np.ndarray,
-    cop_beta: complex,
-    phi_q: int,
-) -> complex:
-    """The progression error of alpha against a residue table of beta mod q,
-    where ``at`` gives the table row of each alpha index.
+def _error(
+    alpha: _Coeffs, beta: _Coeffs, q: int, a: int, ms: np.ndarray
+) -> tuple[complex, np.ndarray, np.ndarray, complex, int]:
+    """The progression error E_q of alpha and beta, from one residue table
+    of beta mod q over the residues of alpha's support and of ``ms``; with
+    it, what the split reads at ``ms``: the mask of the m coprime to q, their
+    table entries, the coprime beta sum and phi(q).
 
     alpha_m s is formed from the float parts as Python's complex product
     forms it (numpy's complex ``*`` may round differently).  A 0j entry adds
     exact zeros to the main sum, which fsum leaves out.
     """
-    on = solvable[at]
-    am, s = alpha.v[on], table[at[on]]
-    ar, ai, sr, si = am.real, am.imag, s.real, s.imag
-    main = complex(fsum((ar * sr - ai * si).tolist()), fsum((ar * si + ai * sr).tolist()))
-    return main - _csum(alpha.v[coprime[at]]) * cop_beta / phi_q
-
-
-def _error(alpha: _Coeffs, beta: _Coeffs, q: int, a: int) -> complex:
-    """:func:`progression_error` on the array forms of alpha and beta."""
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    residues, at, _, _ = _classes(_residues(alpha.n, q))
+    residues, at, _, _ = _classes(np.concatenate([_residues(alpha.n, q), _residues(ms, q)]))
     table, solvable, coprime, cop_beta = _residue_table(beta, q, a, residues)
-    return _table_error(alpha, at, table, solvable, coprime, cop_beta, euler_phi(q))
+    phi_q = euler_phi(q)
+    at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
+    on = solvable[at_alpha]
+    am, s = alpha.v[on], table[at_alpha[on]]
+    ar, ai, sr, si = am.real, am.imag, s.real, s.imag
+    main = complex(fsum((ar * sr - ai * si).tolist()), fsum((ar * si + ai * sr).tolist()))
+    error = main - _csum(alpha.v[coprime[at_alpha]]) * cop_beta / phi_q
+    on_m = coprime[at_m]
+    return error, on_m, table[at_m[on_m]], cop_beta, phi_q
 
 
 def progression_error(
@@ -340,7 +333,8 @@ def progression_error(
 
     computed exactly over the supports.
     """
-    return _error(_coeffs(alpha), _coeffs(beta), q, a)
+    alpha_c = _coeffs(alpha)
+    return _error(alpha_c, _coeffs(beta), q, a, alpha_c.n[:0])[0]
 
 
 def progression_error_total(
@@ -349,7 +343,7 @@ def progression_error_total(
     """Sum over the distinct q in ``moduli`` coprime to a of |progression_error(q)|."""
     alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
     # q < 1 goes on to _error, which rejects it whatever gcd(q, a) is
-    return fsum(abs(_error(alpha_c, beta_c, q, a)) for q in set(moduli) if q < 1 or gcd(q, a) == 1)
+    return fsum(abs(_error(alpha_c, beta_c, q, a, alpha_c.n[:0])[0]) for q in set(moduli) if q < 1 or gcd(q, a) == 1)
 
 
 @dataclass(frozen=True)
@@ -404,18 +398,12 @@ def dispersion_split(
         if gcd(a, q) != 1:
             c[q] = 0
             continue
-        # one table for the residues of alpha's support and of the window
-        residues, at, _, _ = _classes(np.concatenate([_residues(alpha_c.n, q), _residues(ms, q)]))
-        table, solvable, coprime, cop_beta = _residue_table(beta_c, q, a, residues)
-        phi_q = euler_phi(q)
-        at_alpha, at_m = at[:len(alpha_c.n)], at[len(alpha_c.n):]
-        error = _table_error(alpha_c, at_alpha, table, solvable, coprime, cop_beta, phi_q)
+        error, on, s_m, cop_beta, phi_q = _error(alpha_c, beta_c, q, a, ms)
         cq = c[q] = 1 if error.real >= 0 else -1
         # gcd(m, q) = 1: one solution class, one coprime pair.  X and Y take
         # their terms in ascending q, as a per-m loop would; cq = +-1 makes
-        # cq * s exact under either complex product
-        on = coprime[at_m]
-        x_vals[on] += cq * table[at_m[on]]
+        # cq * s_m exact under either complex product
+        x_vals[on] += cq * s_m
         y_vals[on] += (cq / phi_q) * cop_beta
     weights = [psi(m / m_scale) for m in window]
     xs, ys = x_vals.tolist(), y_vals.tolist()

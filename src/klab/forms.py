@@ -204,7 +204,7 @@ def _coprime_inner_sums(
         # per row: (s, sel, coprime m's) for a selected m list, (s, None, units mod L) for a folded one
         found: list[list[tuple[int, np.ndarray | None, np.ndarray]]] = [[] for _ in L_chunk]
         for s, m_arr in enumerate(m_arrs):
-            fold = (L_arr > 0) & (L_arr < len(m_arr))
+            fold = L_arr < len(m_arr)
             for i in np.flatnonzero(fold).tolist():
                 found[i].append((s, None, np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1)))
             direct = np.flatnonzero(~fold).tolist()

@@ -232,6 +232,11 @@ class TestTauK:
     def test_divisor_count(self):
         assert divisor_count(12) == 6
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            tau_k(6, k)
+
 
 class TestMultiplicative:
     def test_moebius_values(self):

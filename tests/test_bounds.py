@@ -284,6 +284,9 @@ class TestRangeConditions:
             check_range_conditions(F(1, 10), F(1), F(0), F(0))
         with pytest.raises(InvalidExponent):
             check_range_conditions(F(1, 10), F(1, 2), F(2), F(0))
+        for eps in (F(-1, 10), F(1)):
+            with pytest.raises(InvalidExponent, match="epsilon"):
+                check_range_conditions(F(1, 10), F(1, 2), F(0), eps)
 
 
 class TestParseExponent:

@@ -55,6 +55,14 @@ def serial_pool(monkeypatch):
     return pools
 
 
+def test_argparse_exit_codes(capsys):
+    # argparse exits on its own; main returns its status instead
+    assert main([]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 class TestVerify:
     # the other suites' checks run in the acceptance and unit tests
     @pytest.mark.parametrize("suite", ["fourier"])

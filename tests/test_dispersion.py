@@ -1,5 +1,11 @@
+import cmath
+import contextlib
+import io
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import fsum, gcd
@@ -73,6 +79,10 @@ class TestSmoothCutoff:
     def test_mass_is_exact(self):
         psi = SmoothCutoff()
         assert psi.mass() == 1.5 and psi.mass_fraction() == Fraction(3, 2)
+        # the float formula gave 2.3343897537703784 here
+        odd = SmoothCutoff(plateau=(0.9385733044367507, 2.3878402994279737),
+                           support=(0.25570666142114584, 3.47521917397068))
+        assert odd.mass() == float(odd.mass_fraction()) == 2.334389753770379
         # quadrature cross-check
         import scipy.integrate as si
 
@@ -86,6 +96,9 @@ class TestSmoothCutoff:
     def test_validation(self):
         with pytest.raises(ValueError):
             SmoothCutoff(plateau=(1.0, 2.0), support=(1.5, 2.5))
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError, match="quadrature_tolerance"):
+                SmoothCutoff(quadrature_tolerance=tol)
 
     def test_hat_zero_and_conjugate(self):
         psi = SmoothCutoff()
@@ -103,6 +116,19 @@ class TestSmoothCutoff:
             im, _ = si.quad(lambda x: psi(x) * math.sin(2 * math.pi * xi * x), 0.5, 2.5,
                             limit=400)
             assert abs(psi.hat(xi) - complex(re, -im)) < 1e-9
+
+    @pytest.mark.parametrize("plateau, support", [((1.0, 2.0), (1.0, 2.5)), ((1.0, 2.0), (0.5, 2.0))])
+    def test_hat_zero_width_ramp(self, plateau, support):
+        # oracle: the midpoint rule; psi is smooth inside the support, so it
+        # converges as h^2
+        psi = SmoothCutoff(plateau=plateau, support=support)
+        s0, s1 = support
+        cells = 20000
+        h = (s1 - s0) / cells
+        for xi in (0.3, 1.0):
+            xs = [s0 + (k + 0.5) * h for k in range(cells)]
+            want = h * sum(psi(x) * cmath.exp(-2j * math.pi * xi * x) for x in xs)
+            assert abs(psi.hat(xi) - want) < 1e-6
 
     def test_hat_cache(self):
         psi = SmoothCutoff()
@@ -388,6 +414,42 @@ class TestDispersionSplit:
         assert (split.U, split.V, split.W, delta) == (U, V, W, want_delta)
         assert dict(split.c) == dict(zip(range(17, 33), signs))
 
+    # the complex pin's split and delta, then numpy's runtime report
+    PINNED_COMPLEX_RUN = """
+import numpy as np
+from klab.dispersion import SmoothCutoff, dispersion_split, progression_error_total
+from klab.sequences import DyadicRange, build_sequence
+
+alpha = build_sequence("random_unit", DyadicRange(64), seed=11)
+beta = build_sequence("random_unit", DyadicRange(64), seed=5)
+values = []
+for a in (1, 3):
+    s = dispersion_split(alpha, beta, DyadicRange(16), a, SmoothCutoff(), 64.0)
+    values.append((s.U, s.V, s.W, sorted(s.c.items()), progression_error_total(alpha, beta, DyadicRange(16), a)))
+print(repr(values))
+np.show_runtime()
+"""
+
+    def test_pinned_complex_values_without_simd(self):
+        # dispersion runs no BLAS, so with numpy's SIMD dispatch switched off
+        # the values must stay those of this process.  numpy 2.4 reads group
+        # names only: per-feature names are ignored without a warning.
+        groups = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(self.PINNED_COMPLEX_RUN, {})
+        values, runtime = here.getvalue().split("\n", 1)
+        if not any(g in runtime.split("'found':")[1].split("]")[0] for g in groups):
+            pytest.skip(f"numpy finds none of {groups} here")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+        done = subprocess.run([sys.executable, "-c", self.PINNED_COMPLEX_RUN], env=env,
+                              capture_output=True, text=True, check=True)
+        masked_values, masked_runtime = done.stdout.split("\n", 1)
+        not_found = masked_runtime.split("'not_found':")[1].split("]")[0]
+        assert all(f"'{g}'" in not_found for g in groups), masked_runtime
+        assert masked_values == values
+
     def test_one_residue_table_per_coprime_modulus(self, monkeypatch):
         import klab.dispersion as disp
 
@@ -480,6 +542,11 @@ class TestCompletedCoprimeSum:
         all_m = fsum(psi(m / m_scale) for m in psi.window(m_scale))
         assert res.lhs == all_m
 
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_validation(self, q):
+        with pytest.raises(ValueError, match="q must be positive"):
+            completed_coprime_sum(SmoothCutoff(), 100.0, q)
+
 
 class TestRhsDispersion:
     def test_unit_point_hand_arithmetic(self):
@@ -489,6 +556,12 @@ class TestRhsDispersion:
 
     def test_zero_alpha_norm(self):
         assert rhs_dispersion(8, 4, 16, 2, alpha_l2=0.0, Estar=5.0).total == 0.0
+
+    @pytest.mark.parametrize("size", ["M", "N", "Q", "D", "X"])
+    def test_validation(self, size):
+        sizes = {"M": 8, "N": 4, "Q": 16, "D": 2, "X": 64} | {size: 0}
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            rhs_dispersion(**sizes, alpha_l2=1.0, Estar=0.0)
 
     def test_golden_points(self):
         for args, want in DISP_GOLDEN:

@@ -67,14 +67,24 @@ class TestBuildSequence:
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
             build_sequence("ones", set())
+        with pytest.raises(EmptySupport):
+            make_sequence({})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_sequence("primes", DyadicRange(2))
 
+    def test_missing_parameter(self):
+        with pytest.raises(ValueError, match="requires k"):
+            build_sequence("tau_k", DyadicRange(2))
+        with pytest.raises(ValueError, match="requires seed"):
+            build_sequence("random_unit", DyadicRange(2))
+
     def test_divisor_bound_enforced(self):
         with pytest.raises(DivisorBoundViolation):
             make_sequence({5: 2 + 0j}, divisor_bound_k=1)
+        with pytest.raises(ValueError, match="divisor_bound_k"):
+            make_sequence({5: 1 + 0j}, divisor_bound_k=0)
 
     def test_value_outside_support_rejected(self):
         with pytest.raises(ValueError):
@@ -145,6 +155,12 @@ class TestSwDiscrepancy:
         s = build_sequence("ones", DyadicRange(4))
         with pytest.raises(NotCoprime):
             sw_discrepancy(s, 4, 2)
+
+    @pytest.mark.parametrize("q, r", [(0, 1), (4, 0)])
+    def test_non_positive_modulus(self, q, r):
+        s = build_sequence("ones", DyadicRange(4))
+        with pytest.raises(ValueError, match="q and r must be positive"):
+            sw_discrepancy(s, q, 1, r=r)
 
     def test_ones_counting_bound(self):
         # counting argument: discrepancy of the constant sequence is <= 2
