@@ -120,11 +120,13 @@ def batch_mod_inverse(values, m):
     array.  Every other input (a list, or big integers) goes through ``pow``
     one value at a time and gives a list of plain ints, or an object array
     for an array input; the integers are the same either way.  Lists stay
-    on ``pow`` for the one list caller, dispersion's batch of one modulus's
-    residues: on such short batches the Euclid's fixed cost per step
-    outweighs its per-value saving, and the ``dispersion-split`` benchmark
-    ran about 20 % longer with it.  If some value is not invertible the
-    raised :class:`NonInvertible` carries the first offending index.
+    on ``pow`` for the one list caller, dispersion's sorted-residue table,
+    whose batch is the few residues looked up at a modulus larger than
+    their count: on such short batches the Euclid's fixed cost per step
+    outweighs its per-value saving (the ``dispersion-split`` benchmark ran
+    about 20 % longer with it while its moduli took that table).  If some
+    value is not invertible the raised :class:`NonInvertible` carries the
+    first offending index.
     """
     as_array = isinstance(values, np.ndarray)
     if isinstance(m, int) and not as_array:

@@ -16,12 +16,15 @@ Contents:
   beta sum over the classes solving r x = a (mod q), plus the coprime beta
   sum; it returns E_q and the table at those m's, for c_q, X_m and Y_m;
 - all of it on numpy arrays, one modulus at a time: the sequences become
-  index and value arrays once per call, each table is built from one sort
-  of the residues and one batch of inverses, and X and Y are arrays over the
-  window.  Every sum is still math.fsum (or a single rounding that equals
-  it), and every product is formed as Python forms it, so the values are
-  those of a per-element Python loop, bit for bit.  Indices and residues
-  are int64 or Python integers as klab.arith decides;
+  index and value arrays once per call, and X and Y are arrays over the
+  window.  A table is indexed by residue when q is at most the number of
+  residues looked up in it (class sums by np.bincount, the units from the
+  primes of q, their inverses as Euler powers); above that it covers only
+  the residues looked up, from one sort of them and one batch of inverses.
+  Every sum is still math.fsum (or a single rounding that equals it), and
+  every product is formed as Python forms it, so the values are those of a
+  per-element Python loop, bit for bit.  Indices and residues are int64 or
+  Python integers as klab.arith decides;
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
   phi(q)/q main term;
@@ -43,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .arith import _exact_ints, batch_mod_inverse, divisor_count, euler_phi
+from .arith import _exact_ints, batch_mod_inverse, divisor_count, euler_phi, factorize
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport
 from .sequences import CoefficientSequence, _csum
 
@@ -93,6 +96,11 @@ def smooth_step(t: float) -> float:
     f = math.exp(-1.0 / t)
     g = math.exp(-1.0 / (1.0 - t))
     return f / (f + g)
+
+
+def _check_m_scale(m_scale: float) -> None:
+    if not 0.0 < m_scale < math.inf:
+        raise ValueError(f"m_scale must be positive and finite, got {m_scale}")
 
 
 @dataclass(eq=False)
@@ -147,6 +155,7 @@ class SmoothCutoff:
 
     def window(self, m_scale: float) -> range:
         """Integers m with m / m_scale inside the support."""
+        _check_m_scale(m_scale)
         s0, s1 = self.support
         lo = math.ceil(s0 * m_scale)
         hi = math.floor(s1 * m_scale)
@@ -258,10 +267,31 @@ def _class_sums(v: np.ndarray, order: np.ndarray, start: np.ndarray) -> np.ndarr
     return sums
 
 
+def _indexed(q: int, lookups: int) -> bool:
+    """Whether a table mod q covers all of 0..q-1: no larger than its lookups."""
+    return q <= lookups
+
+
+def _unit_inverses(units: np.ndarray, q: int) -> np.ndarray:
+    """The inverses mod q of ``units``, all phi(q) units mod q, as Euler's
+    u^(phi(q) - 1) mod q: square-and-multiply on arrays exact for q * q."""
+    base = _exact_ints(units, q * q)
+    inv = np.ones_like(base)
+    e = len(units) - 1
+    while e:
+        if e & 1:
+            inv = inv * base % q
+        e >>= 1
+        if e:
+            base = base * base % q
+    return inv
+
+
 def _residue_table(
     beta: _Coeffs, q: int, a: int, residues: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
-    """The per-modulus congruence table of beta, and its sum over (n, q) = 1.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex, int]:
+    """The per-modulus congruence table of beta, its sum over (n, q) = 1, and
+    phi(q).
 
     For each of the distinct ``residues`` r (from :func:`_residues`), the
     table holds the sum of beta over the gcd(r, q) solution classes x mod q
@@ -269,32 +299,65 @@ def _residue_table(
     when beta misses them all or no class solves it.  Two masks come with
     it: the r for which some class solves it, and the r coprime to q.  With
     gcd(a, q) = 1 they agree, and each r has the single class a r^{-1}; one
-    batch of inverses finds them all.  Only the residues a caller looks up
-    are tabulated, so a large q with small supports stays cheap.
+    batch of inverses finds them all.
+
+    With ``residues`` all of 0..q-1 (:func:`_indexed`), each residue and
+    each class is its own slot: the units come from the primes of q, their
+    inverses from :func:`_unit_inverses`, and nothing is sorted or searched
+    unless a class has three or more values.  np.bincount sums the smaller
+    classes in index order from +0.0, the one rounding of :func:`_class_sums`
+    (-0.0 to +0.0 included), so both cases give the same bits.  Otherwise
+    the table covers only the residues looked up, so a large q with small
+    supports stays cheap.
     """
-    cls, inverse, order, start = _classes(_residues(beta.n, q))
-    sums = _class_sums(beta.v, order, start)
-    cop_beta = _csum(beta.v[(np.gcd(cls, q) == 1)[inverse]])
+    keys = _residues(beta.n, q)
     a_red = a % q
+    if _indexed(q, len(residues)):
+        counts = np.bincount(keys, minlength=q)
+        cls = np.flatnonzero(counts)
+        if counts.max(initial=0) > 2:
+            _, _, order, start = _classes(keys)
+            full = np.zeros(q, dtype=complex)
+            full[cls] = _class_sums(beta.v, order, start)
+        else:
+            full = np.empty(q, dtype=complex)
+            full.real = np.bincount(keys, beta.v.real, q)
+            full.imag = np.bincount(keys, beta.v.imag, q)
+        coprime = np.ones(q, dtype=bool)
+        for p in factorize(q):
+            coprime[::p] = False
+        unit = np.flatnonzero(coprime)
+        phi_q = len(unit)
+        table = np.zeros(q, dtype=complex)
+        table[unit] = full[a_red * _unit_inverses(unit, q) % q]
+        cop_beta = _csum(beta.v[coprime[keys]])
+        sums = full[cls]
+    else:
+        cls, inverse, order, start = _classes(keys)
+        sums = _class_sums(beta.v, order, start)
+        coprime = np.gcd(residues, q) == 1
+        phi_q = euler_phi(q)
+        unit = np.flatnonzero(coprime)
+        # as a list the batch goes through pow, which beats the array Euclid on
+        # one modulus's residues
+        inv = batch_mod_inverse(residues[unit].tolist(), q)
+        x0 = a_red * np.array(inv, dtype=residues.dtype) % q
+        pos = np.searchsorted(cls, x0)
+        hit = np.append(cls, q)[pos] == x0
+        table = np.zeros(len(residues), dtype=complex)
+        table[unit[hit]] = sums[pos[hit]]
+        cop_beta = _csum(beta.v[(np.gcd(cls, q) == 1)[inverse]])
+    if gcd(a_red, q) == 1:
+        return table, coprime, coprime, cop_beta, phi_q
+    # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
     g = np.gcd(residues, q)
     solvable = a_red % g == 0
-    coprime = g == 1
-    table = np.zeros(len(residues), dtype=complex)
-    unit = np.flatnonzero(coprime)
-    # as a list the batch goes through pow, which beats the array Euclid on
-    # one modulus's residues
-    inv = batch_mod_inverse(residues[unit].tolist(), q)
-    x0 = a_red * np.array(inv, dtype=residues.dtype) % q
-    pos = np.searchsorted(cls, x0)
-    hit = np.append(cls, q)[pos] == x0
-    table[unit[hit]] = sums[pos[hit]]
-    # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
     for j in np.flatnonzero(solvable & ~coprime).tolist():
         gj = int(g[j])
         step = q // gj
         x0 = (a_red // gj) * pow(int(residues[j]) // gj, -1, step) % step
         table[j] = _csum(sums[cls % step == x0])
-    return table, solvable, coprime, cop_beta
+    return table, solvable, coprime, cop_beta, phi_q
 
 
 def _error(
@@ -311,9 +374,12 @@ def _error(
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    residues, at, _, _ = _classes(np.concatenate([_residues(alpha.n, q), _residues(ms, q)]))
-    table, solvable, coprime, cop_beta = _residue_table(beta, q, a, residues)
-    phi_q = euler_phi(q)
+    at = np.concatenate([_residues(alpha.n, q), _residues(ms, q)])
+    if _indexed(q, len(at)):
+        residues = np.arange(q)
+    else:
+        residues, at, _, _ = _classes(at)
+    table, solvable, coprime, cop_beta, phi_q = _residue_table(beta, q, a, residues)
     at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
     on = solvable[at_alpha]
     am, s = alpha.v[on], table[at_alpha[on]]
@@ -437,6 +503,7 @@ class CoprimeCompletionResult(NamedTuple):
 
 def default_completion_bandwidth(q: int, m_scale: float) -> int:
     """Default truncation H = max(64, ceil(4 q^2 / M) * 64)."""
+    _check_m_scale(m_scale)
     return max(64, math.ceil(4 * q * q / m_scale) * 64)
 
 

@@ -11,12 +11,12 @@ The central objects:
 - the squarefree-restricted mean square with denominator n*b.
 
 Evaluation is by direct enumeration, along one path.  The moduli L = nR
-are taken a chunk of n's at a time, and each m list at each modulus of a
-chunk becomes one entry of the chunk's one batch of inverses: the m's
-coprime to L, from one gcd mask per chunk, for a list no longer than L,
-and the units mod L for a longer one, which is folded mod L and reads each
-m's t = theta * m^{-1} mod L from the table its entry's inverses fill (the
-inner a-sum depends only on m mod L).  Each n keeps its own phase block,
+are taken a chunk of n's at a time, and each m list no longer than L
+becomes one entry of the chunk's one batch of inverses: the m's coprime to
+L, from one gcd mask per chunk.  The lists longer than L are folded mod L
+and share one entry per modulus, the units mod L, and each of their m's
+reads its t = theta * m^{-1} mod L from the one table those inverses fill
+(the inner a-sum depends only on m mod L).  Each n keeps its own phase block,
 one row per selected m.  Phases are reduced exactly mod 1 as integers
 before any transcendental call, on int64 or on Python integers as
 klab.arith decides.  Once the blocks at one modulus have at least L cells
@@ -170,9 +170,11 @@ def _coprime_inner_sums(
     selection and the inverses; t = theta * key^{-1} mod L is formed as an
     array.  An m list no longer than L gets one gcd mask per chunk, and its
     entry holds the positions ``sel`` of its coprime m's and those m's.
-    One longer than L is folded mod L: its entry holds None and the units r
-    mod L, and each m reads its t from the table of theta * r^{-1} mod L at
-    its residue, which marks the non-units as not coprime.  Whether a list
+    One longer than L is folded mod L: its entry holds None for ``sel``,
+    and the first folded list at L holds the units r mod L as its key; the
+    lists folded after it at L hold no keys and share those inverses.  Each m
+    reads its t from the modulus's one table of theta * r^{-1} mod L at its
+    residue, which marks the non-units as not coprime.  Whether a list
     folds rests on its length and L alone, so the inverses do not depend on
     the a's.
 
@@ -201,12 +203,17 @@ def _coprime_inner_sums(
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
         L_arr = _exact_ints(L_chunk, bound)
-        # per row: (s, sel, coprime m's) for a selected m list, (s, None, units mod L) for a folded one
+        # per row: (s, sel, coprime m's) for a selected m list, (s, None, units
+        # mod L) for the first folded one, and (s, None, no keys) for a later
+        # one, which shares those inverses
         found: list[list[tuple[int, np.ndarray | None, np.ndarray]]] = [[] for _ in L_chunk]
+        shared = np.empty(0, dtype=np.int64)
         for s, m_arr in enumerate(m_arrs):
             fold = L_arr < len(m_arr)
             for i in np.flatnonzero(fold).tolist():
-                found[i].append((s, None, np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1)))
+                first = all(sel is not None for _, sel, _ in found[i])
+                units = np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1) if first else shared
+                found[i].append((s, None, units))
             direct = np.flatnonzero(~fold).tolist()
             mask = np.gcd(m_arr, L_arr[direct][:, None]) == 1
             cols = np.nonzero(mask)[1]
@@ -229,8 +236,9 @@ def _coprime_inner_sums(
                 t_rows = t[start:start + len(key)]
                 start += len(key)
                 if sel is None:
-                    t_of_r = np.full(L, -1)
-                    t_of_r[key] = t_rows
+                    if len(key):
+                        t_of_r = np.full(L, -1)
+                        t_of_r[key] = t_rows
                     t_m = t_of_r[np.asarray(m_arrs[s] % L, dtype=np.int64)]
                     sel = np.flatnonzero(t_m >= 0)
                     t_rows = t_m[sel]

@@ -100,6 +100,21 @@ class TestSmoothCutoff:
             with pytest.raises(ValueError, match="quadrature_tolerance"):
                 SmoothCutoff(quadrature_tolerance=tol)
 
+    @pytest.mark.parametrize("m_scale", [0.0, -8.0, -5.0, math.inf, -math.inf, math.nan])
+    def test_m_scale_must_be_positive_and_finite(self, m_scale):
+        # 0.0 raised ZeroDivisionError, inf OverflowError, and -8.0 gave a
+        # zero split and -5.0 a nonzero completion rhs without an error
+        psi, s = SmoothCutoff(), ones({3, 4})
+        for call in (
+            lambda: psi.window(m_scale),
+            lambda: dispersion_split(s, s, [3], 1, psi, m_scale),
+            lambda: completed_progression_sum(psi, m_scale, 3, 1, 4),
+            lambda: completed_coprime_sum(psi, m_scale, 3),
+            lambda: default_completion_bandwidth(3, m_scale),
+        ):
+            with pytest.raises(ValueError, match="m_scale must be positive and finite"):
+                call()
+
     def test_hat_zero_and_conjugate(self):
         psi = SmoothCutoff()
         assert psi.hat(0.0) == 1.5 + 0j
@@ -470,6 +485,79 @@ np.show_runtime()
                                       SmoothCutoff(), 16.0)
         assert built == [5, 7]
         assert dict(split.c)[6] == dict(split.c)[9] == dict(split.c)[12] == 0
+
+
+class TestTableCases:
+    """A modulus q no larger than the number of residues looked up in its
+    table gets the residue-indexed table, a larger one the sorted-residue
+    table; the two give the same bits."""
+
+    PARTS = (-0.0, 0.0, 1.0, -1.0, 0.1, -0.3)
+
+    def seq(self, rng, base):
+        return make_sequence({n: complex(rng.choice(self.PARTS), rng.choice(self.PARTS))
+                              for n in DyadicRange(base)})
+
+    def run(self, monkeypatch, indexed, call):
+        """call() with the gate forced to ``indexed``: its repr, and the repr
+        of what each _error call gave (E_q, the window mask and entries, the
+        coprime beta sum and phi(q))."""
+        import klab.dispersion as disp
+
+        gates, rows = [], []
+        error = disp._error
+
+        def gate(q, lookups):
+            gates.append(q)
+            return indexed
+
+        def recorded(*args):
+            out = error(*args)
+            e, on, s_m, cop_beta, phi_q = out
+            rows.append(repr((e, on.tolist(), s_m.tolist(), cop_beta, phi_q)))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(disp, "_indexed", gate)
+            m.setattr(disp, "_error", recorded)
+            value = call()
+        assert gates and rows
+        return repr(value), rows
+
+    def test_gate(self):
+        import klab.dispersion as disp
+
+        assert disp._indexed(8, 8) and not disp._indexed(9, 8)
+
+    # mod 8, 9, 17 and 18, beta on (base, 2 base] has classes of one value
+    # (base 8), two (16 mod 8 and 9, 32 mod 17 and 18) and three or more
+    @pytest.mark.parametrize("base", [8, 16, 32, 64])
+    @pytest.mark.parametrize("a", [1, 6, 0, -7])
+    def test_progression_error(self, monkeypatch, base, a):
+        # alpha has 8 indices: q = 8 is indexed, q = 9 sorted; gcd(6, q) and
+        # gcd(0, q) exceed 1 at both
+        rng = random.Random(100 * base + a)
+        alpha, beta = self.seq(rng, 8), self.seq(rng, base)
+        for q in (8, 9):
+            def call():
+                return progression_error(alpha, beta, q, a)
+
+            assert self.run(monkeypatch, True, call) == self.run(monkeypatch, False, call)
+
+    @pytest.mark.parametrize("base", [8, 16, 32, 64])
+    @pytest.mark.parametrize("a", [1, -7])
+    def test_dispersion_split(self, monkeypatch, base, a):
+        # 8 alpha indices and the 9 m's of the window at M = 4: q = 17 is
+        # indexed, q = 18 sorted
+        rng = random.Random(100 * base + a)
+        alpha, beta, psi = self.seq(rng, 8), self.seq(rng, base), SmoothCutoff()
+        assert len(psi.window(4.0)) == 9
+
+        def call():
+            s = dispersion_split(alpha, beta, [17, 18], a, psi, 4.0)
+            return s.U, s.V, s.W, sorted(s.c.items())
+
+        assert self.run(monkeypatch, True, call) == self.run(monkeypatch, False, call)
 
 
 class TestCauchySchwarzGap:

@@ -528,6 +528,24 @@ class TestSharedEnumeration:
             assert (res.value, res.terms) == per_n_form(spec)
         assert trilinear_forms([]) == []
 
+    def test_folded_lists_share_one_units_entry(self, monkeypatch):
+        # at L = 2n in (32, 64] the lists of 128 and 256 m's fold, and the 64
+        # m's too below L = 64: the units mod L are inverted once per modulus,
+        # and the 64 m's at L = 64 add their 32 odd m's
+        values = []
+
+        def counting(v, m):
+            values.append(len(v))
+            return batch_mod_inverse(v, m)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        specs = [random_spec(M, 16, 4, 2, 1, seed=1) for M in (64, 128, 256)]
+        results = trilinear_forms(specs)
+        units = sum(1 for n in range(17, 33) for r in range(2 * n) if gcd(r, 2 * n) == 1)
+        assert sum(values) == units + 32 == 356
+        for spec, res in zip(specs, results):
+            assert (res.value, res.terms) == per_n_form(spec)
+
     @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
     def test_group_makes_the_calls_of_one_spec(self, monkeypatch, M, N, A, R):
         # below the FFT gate, so that every modulus builds its phase block
