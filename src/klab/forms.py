@@ -13,16 +13,29 @@ The central objects:
 Evaluation is by direct enumeration, along one path.  The moduli L = nR
 are taken a chunk of n's at a time, and each m list no longer than L
 becomes one entry of the chunk's one batch of inverses: the m's coprime to
-L, from one gcd mask per chunk.  The lists longer than L are folded mod L
-and share one entry per modulus, the units mod L, and each of their m's
-reads its t = theta * m^{-1} mod L from the one table those inverses fill
-(the inner a-sum depends only on m mod L).  Each n keeps its own phase block,
-one row per selected m.  Phases are reduced exactly mod 1 as integers
-before any transcendental call, on int64 or on Python integers as
-klab.arith decides.  Once the blocks at one modulus have at least L cells
-together, the kernel computes the L values e(k / L) once and the int64
-blocks gather their phases from that table; each entry is the same
-expression as a per-cell phase, so the table changes no bit of any value.
+L, from masks m mod p != 0 over the primes p of L (or a gcd where L is too
+large to factor cheaply).  The lists longer than L are folded mod L and
+share one entry per modulus, the units mod L, and each of their m's reads
+its t = theta * m^{-1} mod L from the one table those inverses fill (the
+inner a-sum depends only on m mod L).  Phases are reduced exactly mod 1 as
+integers before any transcendental call, on int64 or on Python integers
+as klab.arith decides.
+
+The chunk's moduli are then cut into sub-batches of consecutive moduli,
+capped by their phase-table entries and phase cells, and each group of m's
+and a's gets one (a x m) phase block per sub-batch, one column per selected
+m at each modulus.  Once the blocks of a sub-batch have as many cells as
+its moduli sum to, one buffer holds the values e(k / L) of each modulus and
+the int64 blocks gather their phases from it; each entry is the same
+expression as a per-cell phase, so the buffer changes no bit of any value.
+The inner sum of each column, and each modulus's sum of alpha_m times
+them, follow one product rule in float parts (U = sum v Re c and W = sum v
+Im c over the float view v, then (U_re - W_im) + i (W_re + U_im)), with no
+BLAS call and no complex product: each column's sum adds in index order
+of a, and each modulus's in the order np.add.reduceat fixes by its rows
+alone.  So the bits do not depend on the OpenBLAS core or on numpy's SIMD
+groups, nor on where the chunks and sub-batches fall.
+
 One gate decides, per group and modulus, whether a block is built: one
 whose rows x A cells would exceed about L log2 L + A is not, and the inner
 sums of its rows come from one FFT of nu folded mod L, S(t) = sum_k w_k
@@ -34,17 +47,17 @@ unbalanced points), and no point of the desk sweeps reaches it.
 :func:`trilinear_forms` evaluates a family of forms with the same theta, R
 and nonzero beta indices, as the points of a sweep with the same (N, R,
 theta) are, in one enumeration of their moduli: forms with the same alpha
-support share its gcd masks and inverses, those with the same nu support
-as well share each phase block, built once and reduced against each nu in
-turn with the same products as a lone evaluation, so sharing changes no
-bit either.  Accumulation is Kahan-compensated so identity checks hold to
-1e-9 over grids with millions of summands.  All evaluators are pure
-functions; the outer loops can be partitioned across workers and merged in
-index order.
+support share its coprimality masks and inverses, those with the same nu
+support as well share each phase block, built once and reduced against
+each nu, so sharing changes no bit either.  Accumulation is
+Kahan-compensated so identity checks hold to 1e-9 over grids with
+millions of summands.  All evaluators are pure functions; the outer loops
+can be partitioned across workers and merged in index order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import fsum, gcd
 from typing import Callable, Iterator, Sequence
@@ -52,7 +65,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import (
-    _exact_ints, batch_mod_inverse, is_squarefree, is_squarefull, radical, squarefree_squarefull_split,
+    _INT64_SAFE, _exact_ints, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
+    squarefree_squarefull_split,
 )
 from .sequences import CoefficientSequence, _csum
 
@@ -107,28 +121,110 @@ class FormResult:
     terms: int
 
 
-def _phase_block(
-    t_vals: Sequence[int], a_vals: list[int], L: int, table: np.ndarray | None = None
-) -> np.ndarray:
-    """Matrix of e(t*a / L) over (t, a) for t in [0, L); exact integer
-    reduction mod L first, on the arrays that :func:`_exact_ints` gives for
-    the bound L * max |a|.
+def _coprime_mask(m_arr: np.ndarray, Ls: list[int], kept: dict[int, np.ndarray], cap: int) -> np.ndarray:
+    """Whether gcd(m, L) = 1, for each L of ``Ls`` (a row) and each m of
+    ``m_arr`` (a column).  An L below len(m_arr) squared, whose trial
+    division costs less than a row of gcds, takes the AND over its primes p
+    of m mod p != 0, and the masks of the primes up to ``cap`` are kept in
+    ``kept`` for later moduli; any other L takes np.gcd."""
+    mask = np.ones((len(Ls), len(m_arr)), dtype=bool)
+    for row, L in zip(mask, Ls):
+        if L >= len(m_arr) ** 2:
+            row &= np.gcd(m_arr, L) == 1
+            continue
+        for p in factorize(L):
+            if p not in kept:
+                if p > cap:
+                    row &= m_arr % p != 0
+                    continue
+                kept[p] = m_arr % p != 0
+            row &= kept[p]
+    return mask
 
-    In int64, a block gathers from ``table``, the L values e(k / L) for k
-    in [0, L), at its residues when one is given, and otherwise computes
-    one exponential per cell; each table entry is the same float expression
-    on the same integer as the per-cell phase, so both give the same bits.
-    On Python integers the angle is formed as ``2j * pi * residue / L``,
-    one Python operation per cell, before a single ``np.exp``, and
-    ``table`` is not used.  ``t_vals`` may be a list or an array.
+
+def _phase_block(
+    t_vals: Sequence[int], a_vals: list[int], L, table: np.ndarray | None = None, base: np.ndarray | None = None
+) -> np.ndarray:
+    """Matrix of e(t*a / L) over (a, t), one column per t, where L is one
+    modulus or one per t; exact integer reduction mod L first, on the
+    arrays that :func:`_exact_ints` gives for the bound max L * max |a|.
+
+    In int64, a block gathers from ``table`` at ``base`` plus its residues
+    when a table is given, ``base`` giving for each column where the
+    values e(k / L) of its modulus, k in [0, L), begin; otherwise it
+    computes one exponential per cell.  Each table entry is the same float
+    expression on the same integer as the per-cell phase, so both give the
+    same bits.  On Python integers the angle is formed as
+    ``2j * pi * residue / L``, one Python operation per cell, before a
+    single ``np.exp``, and ``table`` and ``base`` are not used.  ``t_vals``
+    may be a list or an array.
     """
-    bound = L * max(map(abs, a_vals), default=0)
-    residue = (_exact_ints(t_vals, bound)[:, None] * _exact_ints(a_vals, bound)[None, :]) % L
+    bound = int(np.max(L)) * max(map(abs, a_vals), default=0)
+    residue = (_exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]) % L
     if residue.dtype == object:
         return np.exp((2j * np.pi * residue / L).astype(complex))
     if table is None:
-        return np.exp((2j * np.pi) * (residue / L))
-    return table[residue]
+        return _e(residue / L)
+    return table[residue + base]
+
+
+def _e(x: np.ndarray) -> np.ndarray:
+    """e(x) = exp(2 pi i x) of a float array: the angle 2 pi x in float64,
+    then one complex exponential per value."""
+    z = np.zeros(x.shape, dtype=complex)
+    np.multiply(2 * np.pi, x, out=z.imag)
+    return np.exp(z, out=z)
+
+
+def _tables(Ls: list[int]) -> np.ndarray:
+    """The values e(k / L) for k in [0, L), for each L of ``Ls`` in turn."""
+    return _e(np.concatenate([np.arange(L) / L for L in Ls]))
+
+
+def _column_sums(block: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """The one product rule of this module, down the columns of a phase
+    block: for each column i of ``nus`` and each column of ``block``, the
+    sum over k of nus[k, i] * block[k, column], as row i of the result.
+    With v the float view (re, im) of the block, U = sum_k v_k Re nu_k and
+    W = sum_k v_k Im nu_k accumulate in index order of k, and the sum is
+    (U_re - W_im) + i (W_re + U_im).  No BLAS call and no complex product
+    is made; both round as the CPU's kernels do.
+    """
+    S = np.einsum("kr,kq->qr", block.view(np.float64), nus.view(np.float64))
+    sums = np.empty((nus.shape[1], block.shape[1]), dtype=complex)
+    f = sums.view(np.float64)
+    np.subtract(S[0::2, 0::2], S[1::2, 1::2], out=f[:, 0::2])
+    np.add(S[1::2, 0::2], S[0::2, 1::2], out=f[:, 1::2])
+    return sums
+
+
+def _segment_sums(x: np.ndarray, c: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The rule of :func:`_column_sums` along each row of x and c, per
+    segment: the sums over k in [starts[s], starts[s + 1]) of c[i, k] x[i, k],
+    with U and W from ``np.add.reduceat``, which fixes each segment's order
+    by the segment alone."""
+    xf, cf = x.view(np.float64), c.view(np.float64)
+    terms = np.empty((4, *x.shape))
+    for out, (c_part, x_part) in zip(terms, itertools.product((0, 1), (0, 1))):
+        np.multiply(xf[:, x_part::2], cf[:, c_part::2], out=out)
+    U_re, U_im, W_re, W_im = np.add.reduceat(terms, starts, axis=2)
+    sums = np.empty(U_re.shape, dtype=complex)
+    sums.real = U_re - W_im
+    sums.imag = W_re + U_im
+    return sums
+
+
+def _times(c, x: np.ndarray) -> np.ndarray:
+    """The products c * x from float parts, (c_re x_re - c_im x_im) +
+    i (c_re x_im + c_im x_re), for a complex scalar c or an array c of x's
+    shape."""
+    v = x.view(np.float64).reshape(*x.shape, 2)
+    if isinstance(c, np.ndarray):
+        c = c[..., None]
+    U, W = v * c.real, v * c.imag
+    U[..., 0] -= W[..., 1]
+    U[..., 1] += W[..., 0]
+    return U.view(complex)[..., 0]
 
 
 def _fft_pays(L: int, rows: int, A: int) -> bool:
@@ -137,30 +233,37 @@ def _fft_pays(L: int, rows: int, A: int) -> bool:
     return rows * A > L * L.bit_length() + A
 
 
-def _dft_sums(t_rows: np.ndarray, a_vals: list[int], L: int, nus: list[np.ndarray]) -> list[np.ndarray]:
-    """For each nu, sum_a nu_a e(t a / L) at each t of ``t_rows``: nu folded
-    mod L into w, whose unnormalised inverse DFT S(t) = sum_k w_k e(t k / L)
-    one FFT gives at every t at once."""
-    a_res = (_exact_ints(a_vals, max(map(abs, a_vals))) % L).astype(np.int64)
+def _dft_sums(t_rows: np.ndarray, a_arr: np.ndarray, L: int, nus: list[np.ndarray]) -> np.ndarray:
+    """For each nu, sum_a nu_a e(t a / L) at each t of ``t_rows``, as the rows
+    of the result: nu folded mod L into w, whose unnormalised inverse DFT
+    S(t) = sum_k w_k e(t k / L) one FFT gives at every t at once.  ``a_arr``
+    holds the a's as exact integers."""
+    a_res = (a_arr % L).astype(np.int64)
     t_idx = np.asarray(t_rows, dtype=np.int64)
-    sums = []
-    for nu in nus:
-        w = np.bincount(a_res, weights=nu.real, minlength=L) + 1j * np.bincount(a_res, weights=nu.imag, minlength=L)
-        sums.append(np.fft.ifft(w, norm="forward")[t_idx])
+    sums = np.empty((len(nus), len(t_idx)), dtype=complex)
+    for nu, row in zip(nus, sums):
+        w = np.empty(L, dtype=complex)
+        w.real = np.bincount(a_res, weights=nu.real, minlength=L)
+        w.imag = np.bincount(a_res, weights=nu.imag, minlength=L)
+        np.take(np.fft.ifft(w, norm="forward"), t_idx, out=row)
     return sums
 
 
 # A kernel group: the m's, the a's, and the coefficient vectors nu indexed by the a's.
 _Group = tuple[list[int], list[int], list[np.ndarray]]
+# A kernel yield: the modulus indices js, where each one's rows start, the
+# group, the rows' positions sel in its m list, and one row of inner sums per nu.
+_Sums = tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]
 
 
-def _coprime_inner_sums(
-    theta: int, Ls: list[int], groups: Sequence[_Group]
-) -> Iterator[tuple[int, int, np.ndarray, list[np.ndarray]]]:
-    """For each modulus ``Ls[j]`` in order, and each group g = (ms, a_idx,
-    nus) of ``groups`` in order with some m in ms coprime to it, yield j, g,
-    the positions ``sel`` of those m's in ms and, for each nu in nus, their
-    inner sums sum_a nu_a e(theta a m^{-1} / L).
+def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> Iterator[_Sums]:
+    """For the moduli ``Ls[j]`` in order, and each group g = (ms, a_idx, nus)
+    of ``groups`` with some m in ms coprime to them, yield (js, starts, g,
+    sel, sums): the indices js of one or more moduli, in increasing order,
+    where each one's rows start, the positions ``sel`` of the coprime m's
+    in ms, row by row, and, as row i of ``sums``, the inner sums sum_a
+    nu_a e(theta a m^{-1} / L) of the i-th nu.  Each group's yields come in
+    modulus order.
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
     pairs per chunk over the distinct m lists.  Each m list at each modulus
@@ -168,27 +271,32 @@ def _coprime_inner_sums(
     :func:`batch_mod_inverse` call, which inverts the keys of all entries
     at once, so groups that differ only in their a's share both the
     selection and the inverses; t = theta * key^{-1} mod L is formed as an
-    array.  An m list no longer than L gets one gcd mask per chunk, and its
-    entry holds the positions ``sel`` of its coprime m's and those m's.
-    One longer than L is folded mod L: its entry holds None for ``sel``,
-    and the first folded list at L holds the units r mod L as its key; the
-    lists folded after it at L hold no keys and share those inverses.  Each m
-    reads its t from the modulus's one table of theta * r^{-1} mod L at its
-    residue, which marks the non-units as not coprime.  Whether a list
-    folds rests on its length and L alone, so the inverses do not depend on
-    the a's.
+    array.  An m list no longer than L gets its coprime m's from
+    :func:`_coprime_mask`, and its entry holds their positions ``sel`` and
+    the m's themselves.  One longer than L is folded mod L: its entry holds
+    None for ``sel``, and the first folded list at L holds the units r mod
+    L as its key; the lists folded after it at L hold no keys and share
+    those inverses.  Each m reads its t from the modulus's one table of
+    theta * r^{-1} mod L at its residue, which marks the non-units as not
+    coprime.  Whether a list folds rests on its length and L alone, so the
+    inverses do not depend on the a's.
 
-    Each group gets one row of phases per selected m at each modulus, built
-    once and multiplied by each nu in turn; when the blocks of one modulus
-    L have at least L cells together, one table of e(k / L) is built for
-    them all, and otherwise none.  These sums equal the one-modulus-at-a-
-    time, one-vector-at-a-time evaluation bit for bit.  The one gate,
-    :func:`_fft_pays`, reads each group's own (L, rows, A): a group that
-    reaches it builds no block and takes its sums from :func:`_dft_sums`,
-    within 1e-12 relative of the block's, so a family, a lone evaluation and
-    one modulus at a time still agree bit for bit.  A block is released
-    before the yield.  The m's and L's are exact integer arrays for the
-    bound max(|m|, |theta| * L), which covers theta * m^{-1}.
+    The chunk's moduli are then cut into sub-batches of consecutive moduli,
+    each with at most 2 * ``_CHUNK_PAIRS`` table entries and at most
+    ``_CHUNK_PAIRS`` phase cells per group.  One gate, :func:`_fft_pays`,
+    reads each group's own (L, rows, A) at each modulus: a group that
+    reaches it builds no block there and takes its sums from
+    :func:`_dft_sums`, one modulus per yield, within 1e-12 relative of the
+    block's.  Every other run of a group's consecutive moduli in a
+    sub-batch gets one (a x m) phase block, on int64 or, for the moduli
+    whose phases need them, on Python integers, reduced against every nu
+    at once by :func:`_column_sums`; when the sub-batch's blocks have as
+    many cells as their int64 moduli sum to, they gather from one buffer of
+    those moduli's tables e(k / L).  Each column's sum depends on that
+    column alone, so a family, a lone evaluation and one modulus at a time
+    agree bit for bit wherever the chunks and sub-batches fall.  A block is
+    released before the yield.  The m's and L's are exact integer arrays
+    for the bound max(|m|, |theta| * L), which covers theta * m^{-1}.
     """
     supports: dict[tuple[int, ...], list[int]] = {}
     for g, (ms, a_idx, _) in enumerate(groups):
@@ -199,7 +307,11 @@ def _coprime_inner_sums(
     bound = max(max(max(map(abs, ms)) for ms in supports), max(map(abs, Ls), default=0) * abs(theta))
     m_arrs = [_exact_ints(ms, bound) for ms in supports]
     members = list(supports.values())
+    a_max = [max(map(abs, a_idx), default=0) for _, a_idx, _ in groups]
+    a_arrs = [_exact_ints(a_idx, top) for (_, a_idx, _), top in zip(groups, a_max)]
+    coefs = [np.stack(nus, axis=1) for _, _, nus in groups]
     rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
+    coprime: list[dict[int, np.ndarray]] = [{} for _ in m_arrs]
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
         L_arr = _exact_ints(L_chunk, bound)
@@ -215,7 +327,7 @@ def _coprime_inner_sums(
                 units = np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1) if first else shared
                 found[i].append((s, None, units))
             direct = np.flatnonzero(~fold).tolist()
-            mask = np.gcd(m_arr, L_arr[direct][:, None]) == 1
+            mask = _coprime_mask(m_arr, [L_chunk[i] for i in direct], coprime[s], rows)
             cols = np.nonzero(mask)[1]
             m_cols = m_arr[cols]
             pos = 0
@@ -229,9 +341,13 @@ def _coprime_inner_sums(
         L_rows = np.repeat(L_arr, [sum(len(key) for _, _, key in row) for row in found])
         t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
         start = 0
+        batch: dict[int, list[tuple]] = {}
+        table_size, cells = 0, [0] * len(groups)
         for i, row in enumerate(found):
             L = L_chunk[i]
-            entries = []
+            # (g, sel, t_rows, path): path 0 for a block on int64, 1 for a block
+            # on Python integers, 2 for an FFT; and the cells of each block
+            entries, sizes = [], []
             for s, sel, key in row:
                 t_rows = t[start:start + len(key)]
                 start += len(key)
@@ -242,21 +358,58 @@ def _coprime_inner_sums(
                     t_m = t_of_r[np.asarray(m_arrs[s] % L, dtype=np.int64)]
                     sel = np.flatnonzero(t_m >= 0)
                     t_rows = t_m[sel]
-                if sel.size:
-                    entries.append((s, sel, t_rows))
-            fft = {g for s, sel, _ in entries for g in members[s] if _fft_pays(L, len(sel), len(groups[g][1]))}
-            cells = sum(len(t_rows) * len(groups[g][1]) for s, _, t_rows in entries for g in members[s] if g not in fft)
-            table = np.exp((2j * np.pi) * (np.arange(L) / L)) if cells >= L else None
-            for s, sel, t_rows in entries:
-                for g in members[s]:
-                    _, a_idx, nus = groups[g]
-                    if g in fft:
-                        sums = _dft_sums(t_rows, a_idx, L, nus)
-                    else:
-                        block = _phase_block(t_rows, a_idx, L, table)
-                        sums = [block @ nu for nu in nus]
-                        del block
-                    yield j0 + i, g, sel, sums
+                for g in members[s] if sel.size else ():
+                    A = len(a_arrs[g])
+                    path = 2 if _fft_pays(L, len(sel), A) else int(L * a_max[g] >= _INT64_SAFE)
+                    entries.append((g, sel, t_rows, path))
+                    if path < 2:
+                        sizes.append((g, len(sel) * A))
+            tabulate = any(path == 0 for *_, path in entries)
+            if batch and (table_size + L * tabulate > 2 * _CHUNK_PAIRS
+                          or any(cells[g] + size > _CHUNK_PAIRS for g, size in sizes)):
+                yield from _sub_batch_sums(batch, groups, a_arrs, coefs)
+                batch, table_size, cells = {}, 0, [0] * len(groups)
+            for g, sel, t_rows, path in entries:
+                batch.setdefault(g, []).append((j0 + i, L, sel, t_rows, path))
+            table_size += L * tabulate
+            for g, size in sizes:
+                cells[g] += size
+        if batch:
+            yield from _sub_batch_sums(batch, groups, a_arrs, coefs)
+
+
+def _sub_batch_sums(
+    batch: dict[int, list[tuple]], groups: Sequence[_Group], a_arrs: list[np.ndarray], coefs: list[np.ndarray]
+) -> Iterator[_Sums]:
+    """The yields of :func:`_coprime_inner_sums` for one sub-batch, given as
+    each group's entries (j, L, sel, t_rows, path) in modulus order: an FFT
+    per modulus, and one block per run of consecutive moduli on the same
+    block path.  The int64 blocks gather from one buffer of the tables of
+    their moduli once they have as many cells as those moduli sum to."""
+    tabled = {j: L for entries in batch.values() for j, L, _, _, path in entries if not path}
+    cells = sum(len(sel) * len(a_arrs[g]) for g, entries in batch.items() for _, _, sel, _, path in entries if not path)
+    table, base = None, {}
+    if tabled and cells >= sum(tabled.values()):
+        Ls = list(tabled.values())
+        table = _tables(Ls)
+        base = dict(zip(tabled, (np.cumsum(Ls) - Ls).tolist()))
+    for g, entries in batch.items():
+        _, a_idx, nus = groups[g]
+        for path, run in itertools.groupby(entries, key=lambda entry: entry[-1]):
+            if path == 2:
+                for j, L, sel, t_rows, _ in run:
+                    yield np.array([j]), np.zeros(1, dtype=np.int64), g, sel, _dft_sums(t_rows, a_arrs[g], L, nus)
+                continue
+            js, Ls, sels, t_rows, _ = zip(*run)
+            counts = np.fromiter(map(len, sels), dtype=np.int64, count=len(sels))
+            gather = table is not None and path == 0
+            offsets = np.asarray([base[j] for j in js]).repeat(counts) if gather else None
+            block = _phase_block(
+                np.concatenate(t_rows), a_idx, np.asarray(Ls).repeat(counts), table if gather else None, offsets
+            )
+            sums = _column_sums(block, coefs[g])
+            del block
+            yield np.asarray(js), counts.cumsum() - counts, g, np.concatenate(sels), sums
 
 
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
@@ -275,11 +428,14 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     Specs with the same theta, R and nonzero beta indices form one family:
     they have the same moduli L = nR and run one
     :func:`_coprime_inner_sums` enumeration.  Within it, specs with the
-    same nonzero alpha indices share their gcd masks and inverses; those
-    that also have the same nonzero nu indices form one kernel group and
-    share their phase blocks; and the blocks at one modulus share one table
-    of e(k / L) once they have at least L cells together.  Each spec keeps
-    its own reductions, so every value has the bits of a lone evaluation.
+    same nonzero alpha indices share their coprimality masks and inverses;
+    those that also have the same nonzero nu indices form one kernel group
+    and share their phase blocks; and the blocks of one sub-batch share one
+    buffer of tables e(k / L).  Each spec keeps its own reductions: each
+    modulus's sum of alpha_m times the inner sums, by the rule of
+    :func:`_segment_sums`, is multiplied by beta_n in float parts, and the
+    products are summed with fsum, so every value has the bits of a lone
+    evaluation.
     """
     families: dict[tuple, dict[tuple, list[int]]] = {}
     coeffs = []
@@ -290,22 +446,23 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
         families.setdefault(family, {}).setdefault(group, []).append(i)
         coeffs.append((
             np.asarray([v for _, v in alpha], dtype=complex),
-            [v for _, v in beta],
+            np.asarray([v for _, v in beta], dtype=complex),
             np.asarray([v for _, v in nu], dtype=complex),
         ))
     results: dict[int, FormResult] = {}
     for (theta, R, ns), family in families.items():
         members = list(family.values())
         groups = [(list(ms), list(a_idx), [coeffs[i][2] for i in idx]) for (ms, a_idx), idx in family.items()]
-        parts: dict[int, list[complex]] = {i: [] for idx in members for i in idx}
-        terms = dict.fromkeys(parts, 0)
-        for j, g, sel, inners in _coprime_inner_sums(theta, [n * R for n in ns], groups):
-            for i, inner in zip(members[g], inners):
-                alpha_arr, beta_vals, _ = coeffs[i]
-                parts[i].append(beta_vals[j] * complex(alpha_arr[sel] @ inner))
-                terms[i] += len(sel) * len(groups[g][1])
-        for i, part in parts.items():
-            results[i] = FormResult(_csum(part), terms[i])
+        alphas, betas = ([np.stack([coeffs[i][role] for i in idx]) for idx in members] for role in (0, 1))
+        # per group and spec, the segment sum at each modulus (0 where no m is coprime)
+        segments = [np.zeros(beta.shape, dtype=complex) for beta in betas]
+        terms = [0] * len(members)
+        for js, starts, g, sel, inners in _coprime_inner_sums(theta, [n * R for n in ns], groups):
+            segments[g][:, js] = _segment_sums(inners, np.take(alphas[g], sel, axis=1), starts)
+            terms[g] += len(sel) * len(groups[g][1])
+        for g, idx in enumerate(members):
+            for i, row in zip(idx, _times(betas[g], segments[g])):
+                results[i] = FormResult(_csum(row), terms[g])
     return [results[i] for i in range(len(specs))]
 
 
@@ -334,8 +491,10 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     inner = np.zeros(len(ms), dtype=complex)
     comp = np.zeros(len(ms), dtype=complex)
     Ls = [L for _, _, L in groups]
-    for j, _, sel, (sums,) in _coprime_inner_sums(spec.theta, Ls, [(ms, a_idx, [nu_arr])]):
-        _kahan_vadd(inner, comp, sel, groups[j][1] * sums)
+    for js, starts, _, sel, (sums,) in _coprime_inner_sums(spec.theta, Ls, [(ms, a_idx, [nu_arr])]):
+        bounds = [*starts.tolist(), len(sel)]
+        for j, lo, hi in zip(js.tolist(), bounds, bounds[1:]):
+            _kahan_vadd(inner, comp, sel[lo:hi], _times(groups[j][1], sums[lo:hi]))
     return fsum((inner.real * inner.real + inner.imag * inner.imag).tolist())
 
 

@@ -8,10 +8,9 @@ names it: the dispersion quadratic identity and majorant of criterion 3 run
 in ``tests/test_dispersion.py``, the reciprocity identity of criterion 4 in
 ``tests/test_arith.py``.  Criterion 7 reruns the sweeps whose tables are
 archived under reports/ as the repository's desk-scale evidence for the
-bound's shape, and checks the archive against them.
+bound's shape, and checks that they give the archive's bytes.
 """
 
-import csv
 import functools
 import json
 import math
@@ -117,35 +116,10 @@ def test_c6_bound_formula_regression():
     assert s4 == F(-1, 8) and s5 == F(-2, 5)
 
 
-def _parsed(cell):
-    for kind in (int, float):
-        try:
-            return kind(cell)
-        except ValueError:
-            pass
-    return cell
-
-
-def _csv_cells(path):
-    with open(path, newline="") as fh:
-        return [[_parsed(cell) for cell in row] for row in csv.reader(fh)]
-
-
-def _same(got, want):
-    """Equal, except that floats agree within the golden 1e-12 relative."""
-    if isinstance(want, dict):
-        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
-    if isinstance(want, list):
-        return len(got) == len(want) and all(map(_same, got, want))
-    if isinstance(want, float):
-        return isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want)
-    return got == want
-
-
 @criterion(7, "empirical implied constant, desk-scale sweep")
 def test_c7_empirical_implied_constant(tmp_path):
-    # the sweep runs into tmp_path and is compared cell by cell with the
-    # archive in reports/: float bytes follow the OpenBLAS kernel
+    # the sweep runs into tmp_path and must give the archive's bytes: the
+    # forms kernel makes no BLAS call, so no CPU kernel moves them
     maxima = {}
     for scale in ("full", "half"):
         cfg = os.path.join(REPO_ROOT, "sweeps", f"bcr_desk_{scale}.json")
@@ -155,12 +129,9 @@ def test_c7_empirical_implied_constant(tmp_path):
         assert summary["points"] == 16
         assert math.isfinite(summary["max_ratio"]) and summary["max_ratio"] > 0
         maxima[scale] = summary["max_ratio"]
-        got, want = _csv_cells(out), _csv_cells(archived)
-        assert len(got) == len(want)
-        for row, ref in zip(got, want):
-            assert _same(row, ref), (scale, row, ref)
-        with open(out + ".summary.json") as fg, open(archived + ".summary.json") as fw:
-            assert _same(json.load(fg), json.load(fw)), scale
+        for suffix in ("", ".summary.json"):
+            with open(out + suffix, "rb") as fg, open(archived + suffix, "rb") as fw:
+                assert fg.read() == fw.read(), (scale, suffix)
     variation = maxima["full"] / maxima["half"]
     print(f"\n[acceptance] criterion 7 max ratios: full {maxima['full']:.6e}, "
           f"half {maxima['half']:.6e}, variation x{variation:.3f}")

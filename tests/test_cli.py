@@ -3,11 +3,15 @@ import csv
 import json
 import math
 import os
+import platform
 import random
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import klab
 from klab import bounds, checks, cli, forms, sequences
 from klab.cli import (
     ConfigError,
@@ -428,3 +432,43 @@ class TestRoleSeed:
 
     def test_distinct_points(self):
         assert role_seed(1, "alpha") != role_seed(2, "alpha")
+
+
+# The child checks from np.show_runtime() that each SIMD group named in
+# NPY_DISABLE_CPU_FEATURES is off (numpy 2.4 ignores per-feature names such
+# as AVX2 without a warning), then runs the sweep.
+SWEEP_CHILD = """
+import contextlib, io, os, re, sys
+import numpy as np
+from klab.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    np.show_runtime()
+not_found = re.findall(r"'(\\w+)'", re.search(r"'not_found': \\[([^\\]]*)\\]", out.getvalue()).group(1))
+off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+assert set(off) <= set(not_found), (off, not_found)
+sys.exit(main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "1"]))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="the SIMD groups named are x86-64's")
+@pytest.mark.parametrize("env", (
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+))
+def test_desk_sweep_bytes_on_other_cpu_kernels(tmp_path, env):
+    # the archived desk sweep keeps its bytes under another OpenBLAS core and
+    # with numpy's AVX2/FMA and AVX-512 groups off, each in a fresh process
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    archived = os.path.join(root, "reports", "bcr_desk_half.csv")
+    out = str(tmp_path / "half.csv")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(klab.__file__)))
+    child_env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_CHILD, os.path.join(root, "sweeps", "bcr_desk_half.json"), out],
+        env=child_env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for suffix in ("", ".summary.json"):
+        with open(out + suffix, "rb") as got, open(archived + suffix, "rb") as want:
+            assert got.read() == want.read(), suffix

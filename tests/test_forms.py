@@ -158,14 +158,14 @@ class TestTrilinearForm:
 def kernel_blocks(monkeypatch):
     """Runs the kernel at one modulus L and returns the shapes that np.exp
     was called on and the (t_vals, a_vals) of each phase block, after
-    checking that every block has the per-cell bits."""
+    checking that every block has the bits of one exponential per cell."""
     exp = np.exp
     shapes, blocks = [], []
-    monkeypatch.setattr(forms.np, "exp", lambda x: shapes.append(np.shape(x)) or exp(x))
+    monkeypatch.setattr(forms.np, "exp", lambda x, *args, **kw: shapes.append(np.shape(x)) or exp(x, *args, **kw))
 
-    def recording(t_vals, a_vals, L, table=None):
-        block = _phase_block(t_vals, a_vals, L, table)
-        blocks.append((np.asarray(t_vals).tolist(), list(a_vals), block))
+    def recording(t_vals, a_vals, L, table=None, base=None):
+        block = _phase_block(t_vals, a_vals, L, table, base)
+        blocks.append((np.asarray(t_vals).tolist(), np.asarray(a_vals).tolist(), block))
         return block
 
     monkeypatch.setattr(forms, "_phase_block", recording)
@@ -175,7 +175,7 @@ def kernel_blocks(monkeypatch):
         blocks.clear()
         list(_coprime_inner_sums(theta, [L], groups))
         for t_vals, a_vals, block in blocks:
-            residue = (np.asarray(t_vals, dtype=np.int64)[:, None] * np.asarray(a_vals)[None, :]) % L
+            residue = (np.asarray(a_vals)[:, None] * np.asarray(t_vals, dtype=np.int64)[None, :]) % L
             assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
         return list(shapes), [(t_vals, a_vals) for t_vals, a_vals, _ in blocks]
 
@@ -198,7 +198,7 @@ class TestPhaseBlock:
             block = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_vals, L)
             for i, m in enumerate(ms):
                 for j, a in enumerate(a_vals):
-                    assert abs(block[i, j] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
+                    assert abs(block[j, i] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
             # a table given for a Python-integer block is not used; over every
             # t, some of its entries differ in the last bit from this branch's
             every_t = list(range(L))
@@ -211,11 +211,12 @@ class TestPhaseBlock:
     def test_table_gate(self, kernel_blocks, t_vals, a_vals):
         # the kernel builds a table of the L phases for a modulus whose
         # blocks have L cells, and none for one with L - 1 cells, where the
-        # block evaluates one exponential per cell; both give the per-cell
-        # bits.  The m's are the inverses of the t's, so theta = 1 gives t.
+        # (a x t) block evaluates one exponential per cell; both give the
+        # per-cell bits.  The m's are the inverses of the t's, so theta = 1
+        # gives t.
         cells = len(t_vals) * len(a_vals)
         nu = np.ones(len(a_vals), dtype=complex)
-        for L, evaluated in ((cells, [(cells,)]), (cells + 1, [(len(t_vals), len(a_vals))])):
+        for L, evaluated in ((cells, [(cells,)]), (cells + 1, [(len(a_vals), len(t_vals))])):
             ms = [pow(t, -1, L) for t in t_vals]
             shapes, blocks = kernel_blocks(1, L, [(ms, a_vals, [nu])])
             assert shapes == evaluated
@@ -230,7 +231,7 @@ class TestPhaseBlock:
         groups = [([pow(t, -1, L) for t in t_vals], a_vals, [nu]) for t_vals in t_rows]
         for group in groups:
             shapes, _ = kernel_blocks(1, L, [group])
-            assert shapes == [(4, 2)]
+            assert shapes == [(2, 4)]
         shapes, blocks = kernel_blocks(1, L, groups)
         assert shapes == [(L,)]
         assert blocks == [(t_vals, a_vals) for t_vals in t_rows]
@@ -238,9 +239,40 @@ class TestPhaseBlock:
 
 def one_modulus_sums(theta, ms, L, a_idx, nu_arr):
     """Inner sums over m's all coprime to L, from the chunked path given L alone."""
-    ((_, _, sel, (sums,)),) = _coprime_inner_sums(theta, [L], [(ms, a_idx, [nu_arr])])
+    ((js, starts, _, sel, (sums,)),) = _coprime_inner_sums(theta, [L], [(ms, a_idx, [nu_arr])])
+    assert js.tolist() == starts.tolist() == [0]
     assert len(sel) == len(ms)
     return sums
+
+
+def complex_of(re, im):
+    """The complex array with these float parts, formed with no complex product."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def column_rule(block, nu):
+    """The forms module's rule for the inner sums of a phase block, restated
+    with a multiply and np.add.reduce down the a axis, which adds in index
+    order: U = sum_a v_a Re nu_a and W = sum_a v_a Im nu_a over the float
+    view v of the block, and the sum is (U_re - W_im) + i (W_re + U_im)."""
+    v = block.view(np.float64)
+    U, W = (np.add.reduce(v * part[:, None], axis=0) for part in (nu.real, nu.imag))
+    return complex_of(U[0::2] - W[1::2], W[0::2] + U[1::2])
+
+
+def segment_rule(x, c):
+    """The same rule over one modulus's rows: sum_k c_k x_k, with U and W
+    from np.add.reduceat over the one segment."""
+    v = x.view(np.float64).reshape(-1, 2)
+    U, W = (np.add.reduceat(v * part[:, None], [0])[0] for part in (c.real, c.imag))
+    return complex(U[0] - W[1], W[0] + U[1])
+
+
+def times(b, x):
+    """b * x from float parts, (b_re x_re - b_im x_im) + i (b_re x_im + b_im x_re)."""
+    return complex_of(b.real * x.real - b.imag * x.imag, b.real * x.imag + b.imag * x.real)
 
 
 def random_spec(M, N, A, R, theta, seed):
@@ -267,16 +299,19 @@ class TestResiduePath:
 
     @pytest.mark.parametrize("M,N,A,R,residue", ((256, 4, 16, 2, True), (128, 128, 8, 8, False)))
     def test_block_rows(self, monkeypatch, M, N, A, R, residue):
-        # below the FFT gate a block has one row per coprime m whether its m
-        # list is folded (len(sel) > L) or not, and neither path sorts residues
+        # below the FFT gate a block has one column per coprime m at each of
+        # its moduli whether its m list is folded (len(sel) > L) or not, each
+        # modulus is in one block of each evaluation, and neither path sorts
+        # residues
         monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: False)
         blocks = []
         uniques = []
         unique = np.unique
 
-        def recording(t_vals, a_vals, L, table=None):
-            blocks.append((L, len(t_vals)))
-            return _phase_block(t_vals, a_vals, L, table)
+        def recording(t_vals, a_vals, L, table=None, base=None):
+            columns = np.broadcast_to(L, len(t_vals)).tolist()
+            blocks.extend((L, columns.count(L)) for L in dict.fromkeys(columns))
+            return _phase_block(t_vals, a_vals, L, table, base)
 
         monkeypatch.setattr(forms, "_phase_block", recording)
         monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
@@ -284,6 +319,7 @@ class TestResiduePath:
         trilinear_form(spec)
         mean_square_direct(spec)
         assert len(blocks) == 2 * N
+        assert sorted(L for L, _ in blocks) == sorted(2 * [n * R for n in range(N + 1, 2 * N + 1)])
         assert len(uniques) == 0
         for L, rows in blocks:
             sel = sum(1 for m in range(M + 1, 2 * M + 1) if gcd(m, L) == 1)
@@ -302,7 +338,7 @@ class TestResiduePath:
         a_idx = list(range(3, 40))
         nu_arr = np.exp(2j * np.pi * np.arange(len(a_idx)) / 7.3)
         for theta in (1, -5):
-            direct = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L) @ nu_arr
+            direct = column_rule(_phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L), nu_arr)
             assert np.array_equal(one_modulus_sums(theta, ms, L, a_idx, nu_arr), direct)
 
 
@@ -316,9 +352,9 @@ def kernel_paths(monkeypatch):
         paths["fft"].append(L)
         return dft_sums(t_rows, a_vals, L, nus)
 
-    def block(t_vals, a_vals, L, table=None):
-        paths["block"].append(L)
-        return phase_block(t_vals, a_vals, L, table)
+    def block(t_vals, a_vals, L, table=None, base=None):
+        paths["block"].extend(dict.fromkeys(np.broadcast_to(L, len(t_vals)).tolist()))
+        return phase_block(t_vals, a_vals, L, table, base)
 
     monkeypatch.setattr(forms, "_dft_sums", fft)
     monkeypatch.setattr(forms, "_phase_block", block)
@@ -356,10 +392,10 @@ class TestFFTPath:
         a_idx = list(range(-3, 2 * L + 4))
         nu_arr = np.exp(2j * np.pi * np.random.default_rng(L).random(len(a_idx)))
         for m_list in (ms, [m for m in ms if gcd(m, L) == 1][:L]):
-            ((_, _, sel, (sums,)),) = _coprime_inner_sums(theta, [L], [(m_list, a_idx, [nu_arr])])
+            ((_, _, _, sel, (sums,)),) = _coprime_inner_sums(theta, [L], [(m_list, a_idx, [nu_arr])])
             coprime = [m for m in m_list if gcd(m, L) == 1]
             assert [m_list[i] for i in sel] == coprime
-            block = _phase_block([(theta * pow(m, -1, L)) % L for m in coprime], a_idx, L) @ nu_arr
+            block = column_rule(_phase_block([(theta * pow(m, -1, L)) % L for m in coprime], a_idx, L), nu_arr)
             assert np.all(np.abs(sums - block) <= 1e-12 * np.abs(block))
 
     def test_against_naive(self, kernel_paths):
@@ -402,7 +438,8 @@ def per_n_form(spec):
         if not sel or not a_idx:
             continue
         inner = one_modulus_sums(spec.theta, [m for m, _ in sel], L, a_idx, nu_arr)
-        parts.append(bn * complex(np.asarray([am for _, am in sel], dtype=complex) @ inner))
+        segment = segment_rule(inner, np.asarray([am for _, am in sel], dtype=complex))
+        parts.append(times(np.asarray(bn, dtype=complex), np.asarray(segment)).item())
         terms += len(sel) * len(a_idx)
     return _csum(parts) if parts else 0j, terms
 
@@ -419,7 +456,7 @@ def per_n_mean_square(spec):
         sel = [i for i, m in enumerate(ms) if gcd(m, n) == 1]
         if sel:
             sums = one_modulus_sums(spec.theta, [ms[i] for i in sel], n * spec.R, a_idx, nu_arr)
-            forms._kahan_vadd(inner, comp, sel, bn * sums)
+            forms._kahan_vadd(inner, comp, sel, times(np.asarray(bn, dtype=complex), sums))
     return math.fsum(z.real * z.real + z.imag * z.imag for z in inner)
 
 
@@ -461,6 +498,45 @@ class TestChunkedPath:
         assert direct == per_n_mean_square(spec)
         assert math.isclose(mean_square_decomposed(spec), direct, rel_tol=1e-9)
         assert math.isclose(squarefree_mean_square(spec, 3), naive_cb(spec, 3), rel_tol=1e-10)
+
+    def test_chunk_and_sub_batch_boundaries_change_no_bit(self, monkeypatch):
+        # one modulus per chunk (and so per sub-batch), a middle size and the
+        # default: each form and mean square keeps its bits, on a desk family,
+        # on folded moduli that also take the FFT, and on object arrays (n
+        # past 2**63)
+        specs = [random_spec(M, 32, A, 8, 1, seed) for M in (64, 128) for A in (4, 8) for seed in (1, 2)]
+        specs += [random_spec(M, 4, 16, 2, 1, seed=3) for M in (128, 256)]
+        beta = build_sequence("random_unit", {7, 2**64, 3**41}, seed=3)
+        nu = build_sequence("random_unit", {1, 2, 7}, seed=4)
+        specs += [TrilinearSpec(build_sequence("random_unit", set(range(-5, 30)), seed=seed), beta, nu, 10**6, 3)
+                  for seed in (5, 6)]
+        runs = []
+        for pairs in (1, 2**11, forms._CHUNK_PAIRS):
+            monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
+            forms_ = [(r.value, r.terms) for r in trilinear_forms(specs)]
+            runs.append((forms_, [mean_square_direct(spec) for spec in specs]))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_coprime_mask_matches_gcd(self):
+        # small primes kept across calls, larger ones per row, and an L past
+        # len(m)**2 on np.gcd, for negative m's, m = 0 and L = 1
+        m_arr = np.arange(-40, 60)
+        kept = {}
+        for Ls in ([1, 2, 97, 210, 2 * 3 * 5 * 7 * 11, 9973], [6, 35, 4 * 9973, 10**4 + 7]):
+            mask = forms._coprime_mask(m_arr, Ls, kept, cap=5)
+            assert np.array_equal(mask, np.gcd(m_arr, np.asarray(Ls)[:, None]) == 1)
+        assert sorted(kept) == [2, 3, 5]
+
+    def test_einsum_adds_in_index_order(self):
+        # the inner sums take np.einsum("kr,kq->qr", ...) of a block's float
+        # view; it must add each column in index order of k, as a multiply
+        # and np.add.reduce down axis 0 do, bit for bit
+        rng = np.random.default_rng(0)
+        for A, R, q in itertools.product((1, 2, 3, 8, 16, 33, 512), (1, 5, 64, 1000), (2, 4, 6)):
+            v, c = rng.standard_normal((A, 2 * R)), rng.standard_normal((A, q))
+            got = np.einsum("kr,kq->qr", v, c)
+            for i in range(q):
+                assert np.array_equal(got[i], np.add.reduce(v * c[:, i:i + 1], axis=0))
 
     def test_one_inverse_batch_per_chunk(self, monkeypatch):
         calls = []
@@ -556,9 +632,9 @@ class TestSharedEnumeration:
             calls.append(("inverse", np.asarray(values).tolist(), np.asarray(m).tolist()))
             return batch_mod_inverse(values, m)
 
-        def recording(t_vals, a_vals, L, table=None):
-            calls.append(("phase", np.asarray(t_vals).tolist(), list(a_vals), L))
-            return _phase_block(t_vals, a_vals, L, table)
+        def recording(t_vals, a_vals, L, table=None, base=None):
+            calls.append(("phase", np.asarray(t_vals).tolist(), list(a_vals), np.broadcast_to(L, len(t_vals)).tolist()))
+            return _phase_block(t_vals, a_vals, L, table, base)
 
         monkeypatch.setattr(forms, "batch_mod_inverse", counting)
         monkeypatch.setattr(forms, "_phase_block", recording)
@@ -568,21 +644,27 @@ class TestSharedEnumeration:
         calls.clear()
         trilinear_forms(specs)
         assert calls == one
-        assert sum(kind == "phase" for kind, *_ in one) == N
+        # the blocks cover each modulus once, a sub-batch of moduli at a time
+        columns = [dict.fromkeys(call[3]) for call in one if call[0] == "phase"]
+        assert sorted(L for Ls in columns for L in Ls) == [n * R for n in range(N + 1, 2 * N + 1)]
+        assert len(columns) < N
 
-    def test_family_shares_one_table_per_modulus(self, monkeypatch):
-        # alone, no block reaches the table gate L <= cells; the family's blocks
-        # at one modulus reach it together, build one table and keep every bit
-        specs = [random_spec(M, 16, A, 5, 1, seed) for M in (16, 32) for A in (1, 2) for seed in (1, 2)]
+    def test_family_shares_one_table_buffer(self, monkeypatch):
+        # alone, no spec's blocks have as many cells as their moduli sum to,
+        # so none builds a table; the family's blocks reach that together and
+        # gather from one buffer that holds the table of every modulus, and
+        # every bit stays
+        specs = [random_spec(M, 16, A, 5, 1, seed) for M in (16, 32) for A in (1, 2, 3) for seed in (1, 2)]
         lone = [trilinear_form(spec) for spec in specs]
         exp = np.exp
         tables = []
-        monkeypatch.setattr(forms.np, "exp", lambda x: np.ndim(x) == 1 and tables.append(len(x)) or exp(x))
+        monkeypatch.setattr(
+            forms.np, "exp", lambda x, *args, **kw: np.ndim(x) == 1 and tables.append(len(x)) or exp(x, *args, **kw))
         for spec in specs:
             trilinear_form(spec)
         assert tables == []
         results = trilinear_forms(specs)
-        assert len(tables) >= 2 and len(set(tables)) == len(tables)
+        assert tables == [sum(5 * n for n in range(17, 33))]
         assert [(r.value, r.terms) for r in results] == [(r.value, r.terms) for r in lone]
 
     @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
