@@ -121,18 +121,23 @@ class FormResult:
     terms: int
 
 
-def _coprime_mask(m_arr: np.ndarray, Ls: list[int], kept: dict[int, np.ndarray], cap: int) -> np.ndarray:
+def _coprime_mask(
+    m_arr: np.ndarray, Ls: list[int], kept: dict[int, np.ndarray], cap: int, primes: dict[int, dict[int, int]]
+) -> np.ndarray:
     """Whether gcd(m, L) = 1, for each L of ``Ls`` (a row) and each m of
     ``m_arr`` (a column).  An L below len(m_arr) squared, whose trial
     division costs less than a row of gcds, takes the AND over its primes p
     of m mod p != 0, and the masks of the primes up to ``cap`` are kept in
-    ``kept`` for later moduli; any other L takes np.gcd."""
+    ``kept`` for later moduli and the factorizations in ``primes`` for the
+    other m lists; any other L takes np.gcd."""
     mask = np.ones((len(Ls), len(m_arr)), dtype=bool)
     for row, L in zip(mask, Ls):
         if L >= len(m_arr) ** 2:
             row &= np.gcd(m_arr, L) == 1
             continue
-        for p in factorize(L):
+        if L not in primes:
+            primes[L] = factorize(L)
+        for p in primes[L]:
             if p not in kept:
                 if p > cap:
                     row &= m_arr % p != 0
@@ -160,12 +165,15 @@ def _phase_block(
     may be a list or an array.
     """
     bound = int(np.max(L)) * max(map(abs, a_vals), default=0)
-    residue = (_exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]) % L
+    residue = _exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]
     if residue.dtype == object:
+        residue %= L
         return np.exp((2j * np.pi * residue / L).astype(complex))
+    np.remainder(residue, L, out=residue)
     if table is None:
         return _e(residue / L)
-    return table[residue + base]
+    residue += base
+    return table.take(residue)
 
 
 def _e(x: np.ndarray) -> np.ndarray:
@@ -203,14 +211,16 @@ def _segment_sums(x: np.ndarray, c: np.ndarray, starts: np.ndarray) -> np.ndarra
     segment: the sums over k in [starts[s], starts[s + 1]) of c[i, k] x[i, k],
     with U and W from ``np.add.reduceat``, which fixes each segment's order
     by the segment alone."""
-    xf, cf = x.view(np.float64), c.view(np.float64)
+    x_re, x_im, c_re, c_im = x.real, x.imag, c.real, c.imag
     terms = np.empty((4, *x.shape))
-    for out, (c_part, x_part) in zip(terms, itertools.product((0, 1), (0, 1))):
-        np.multiply(xf[:, x_part::2], cf[:, c_part::2], out=out)
+    np.multiply(x_re, c_re, out=terms[0])
+    np.multiply(x_im, c_re, out=terms[1])
+    np.multiply(x_re, c_im, out=terms[2])
+    np.multiply(x_im, c_im, out=terms[3])
     U_re, U_im, W_re, W_im = np.add.reduceat(terms, starts, axis=2)
     sums = np.empty(U_re.shape, dtype=complex)
-    sums.real = U_re - W_im
-    sums.imag = W_re + U_im
+    np.subtract(U_re, W_im, out=sums.real)
+    np.add(W_re, U_im, out=sums.imag)
     return sums
 
 
@@ -312,6 +322,7 @@ def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> 
     coefs = [np.stack(nus, axis=1) for _, _, nus in groups]
     rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
     coprime: list[dict[int, np.ndarray]] = [{} for _ in m_arrs]
+    primes: dict[int, dict[int, int]] = {}
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
         L_arr = _exact_ints(L_chunk, bound)
@@ -327,7 +338,7 @@ def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> 
                 units = np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1) if first else shared
                 found[i].append((s, None, units))
             direct = np.flatnonzero(~fold).tolist()
-            mask = _coprime_mask(m_arr, [L_chunk[i] for i in direct], coprime[s], rows)
+            mask = _coprime_mask(m_arr, [L_chunk[i] for i in direct], coprime[s], rows, primes)
             cols = np.nonzero(mask)[1]
             m_cols = m_arr[cols]
             pos = 0

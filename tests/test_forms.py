@@ -523,7 +523,7 @@ class TestChunkedPath:
         m_arr = np.arange(-40, 60)
         kept = {}
         for Ls in ([1, 2, 97, 210, 2 * 3 * 5 * 7 * 11, 9973], [6, 35, 4 * 9973, 10**4 + 7]):
-            mask = forms._coprime_mask(m_arr, Ls, kept, cap=5)
+            mask = forms._coprime_mask(m_arr, Ls, kept, 5, {})
             assert np.array_equal(mask, np.gcd(m_arr, np.asarray(Ls)[:, None]) == 1)
         assert sorted(kept) == [2, 3, 5]
 
