@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import itertools
 import json
 import math
@@ -150,16 +151,18 @@ def _grid_points(cfg: dict) -> list[dict]:
 
 def _sweep_run(task: dict) -> list[dict]:
     """Evaluate a task's grid points, one row each: |trilinear form| against
-    the chosen bound.  The points share one (N, R, theta), so they form one
-    family of :func:`klab.forms.trilinear_forms` and share its enumeration."""
+    the chosen bound.  The points share one theta, so one
+    :func:`klab.forms.trilinear_forms` call enumerates the union of their
+    moduli nR once; each (role, base, seed) sequence is built once and
+    shared by the points that use it."""
     kinds = task["sequences"]
     formula, epsilon, variant = (task["bound"][key] for key in ("formula", "epsilon", "exponent_variant"))
-    specs = []
-    for pt in task["points"]:
-        alpha = _build_role(kinds["alpha"], pt["M"], pt["seed"], "alpha")
-        beta = _build_role(kinds["beta"], pt["N"], pt["seed"], "beta")
-        nu = _build_role(kinds["nu"], pt["A"], pt["seed"], "nu")
-        specs.append(forms.TrilinearSpec(alpha, beta, nu, theta=pt["theta"], R=pt["R"]))
+    build = functools.cache(lambda role, base, seed: _build_role(kinds[role], base, seed, role))
+    specs = [
+        forms.TrilinearSpec(build("alpha", pt["M"], pt["seed"]), build("beta", pt["N"], pt["seed"]),
+                            build("nu", pt["A"], pt["seed"]), theta=pt["theta"], R=pt["R"])
+        for pt in task["points"]
+    ]
     rows = []
     for pt, spec, result in zip(task["points"], specs, forms.trilinear_forms(specs)):
         lhs = abs(result.value)
@@ -213,10 +216,10 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     # seed is the innermost axis, so the points that differ only in seed are consecutive
     runs = [list(run) for _, run in itertools.groupby(
         points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])]
-    # a family's points (same N, R and theta) share the moduli nR and one enumeration
-    families: dict[tuple, list[list[dict]]] = {}
+    # a family's points (same theta) share one enumeration of the union of their moduli nR
+    families: dict[int, list[list[dict]]] = {}
     for run in runs:
-        families.setdefault((run[0]["N"], run[0]["R"], run[0]["theta"]), []).append(run)
+        families.setdefault(run[0]["theta"], []).append(run)
     # with fewer families than workers, each is cut into contiguous slices of its runs
     cuts = -(-jobs // len(families))
     tasks = []

@@ -21,13 +21,18 @@ inner a-sum depends only on m mod L).  Phases are reduced exactly mod 1 as
 integers before any transcendental call, on int64 or on Python integers
 as klab.arith decides.
 
+An even L whose double 2L is in the same chunk has the same primes as 2L,
+so it makes no inverse entry: it takes 2L's coprime m's and t_2L mod L.
+
 The chunk's moduli are then cut into sub-batches of consecutive moduli,
 capped by their phase-table entries and phase cells, and each group of m's
 and a's gets one (a x m) phase block per sub-batch, one column per selected
 m at each modulus.  Once the blocks of a sub-batch have as many cells as
-its moduli sum to, one buffer holds the values e(k / L) of each modulus and
-the int64 blocks gather their phases from it; each entry is the same
-expression as a per-cell phase, so the buffer changes no bit of any value.
+its tables take exponentials, one buffer holds the values e(k / L) of each
+modulus and the int64 blocks gather their phases from it; each entry is
+the same expression as a per-cell phase, and an L whose double is in the
+buffer copies 2L's entries at stride 2, which have the same bits, so the
+buffer changes no bit of any value.
 The inner sum of each column, and each modulus's sum of alpha_m times
 them, follow one product rule in float parts (U = sum v Re c and W = sum v
 Im c over the float view v, then (U_re - W_im) + i (W_re + U_im)), with no
@@ -44,15 +49,16 @@ their t's.  Below that gate every sum is bit-identical to one modulus, one
 m and one exponential per term at a time; above it the sums agree with
 that to within 1e-12 relative (at most 4e-14 measured on the benchmark's
 unbalanced points), and no point of the desk sweeps reaches it.
-:func:`trilinear_forms` evaluates a family of forms with the same theta, R
-and nonzero beta indices, as the points of a sweep with the same (N, R,
-theta) are, in one enumeration of their moduli: forms with the same alpha
-support share its coprimality masks and inverses, those with the same nu
-support as well share each phase block, built once and reduced against
-each nu, so sharing changes no bit either.  Accumulation is
-Kahan-compensated so identity checks hold to 1e-9 over grids with
-millions of summands.  All evaluators are pure functions; the outer loops
-can be partitioned across workers and merged in index order.
+:func:`trilinear_forms` evaluates the forms with the same theta, as the
+points of a sweep are, in one enumeration of the union of their moduli,
+ordered so that each chain L, 2L, 4L is adjacent: forms with the same
+alpha support share its coprimality masks and inverses, those with the
+same nu support as well share each phase block at the moduli they need,
+built once and reduced once against each distinct nu, so sharing changes
+no bit either.  Accumulation is Kahan-compensated so identity checks hold
+to 1e-9 over grids with millions of summands.  All evaluators are pure
+functions; the outer loops can be partitioned across workers and merged
+in index order.
 """
 
 from __future__ import annotations
@@ -176,17 +182,31 @@ def _phase_block(
     return table.take(residue)
 
 
-def _e(x: np.ndarray) -> np.ndarray:
+def _e(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """e(x) = exp(2 pi i x) of a float array: the angle 2 pi x in float64,
-    then one complex exponential per value."""
-    z = np.zeros(x.shape, dtype=complex)
+    then one complex exponential per value; into ``out``, a zeroed complex
+    array of x's shape, when given."""
+    z = np.zeros(x.shape, dtype=complex) if out is None else out
     np.multiply(2 * np.pi, x, out=z.imag)
     return np.exp(z, out=z)
 
 
-def _tables(Ls: list[int]) -> np.ndarray:
-    """The values e(k / L) for k in [0, L), for each L of ``Ls`` in turn."""
-    return _e(np.concatenate([np.arange(L) / L for L in Ls]))
+def _tables(Ls: set[int]) -> tuple[np.ndarray, dict[int, int]]:
+    """One buffer of the values e(k / L), k in [0, L), of each L of ``Ls``,
+    and where each L's values begin.  Only the chain maxima, the L whose
+    double is not in ``Ls``, take exponentials, from :func:`_e`; an L
+    whose double 2L is in ``Ls`` copies 2L's values at stride 2, which
+    keeps every bit: fl(2k / 2L) = fl(k / L), both correctly rounded
+    quotients of one rational."""
+    # the maxima first, then each L after its double
+    order = sorted(Ls, key=lambda L: (2 * L in Ls, -L))
+    fresh = [L for L in order if 2 * L not in Ls]
+    begin = dict(zip(order, itertools.accumulate(order, initial=0)))
+    table = np.zeros(sum(order), dtype=complex)
+    _e(np.concatenate([np.arange(L) / L for L in fresh]), out=table[:sum(fresh)])
+    for L in order[len(fresh):]:
+        table[begin[L]:begin[L] + L] = table[begin[2 * L]:begin[2 * L] + 2 * L:2]
+    return table, begin
 
 
 def _column_sums(block: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -266,30 +286,36 @@ _Group = tuple[list[int], list[int], list[np.ndarray]]
 _Sums = tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]
 
 
-def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> Iterator[_Sums]:
+def _coprime_inner_sums(
+    theta: int, Ls: list[int], groups: Sequence[_Group], needs: Sequence[np.ndarray] | None = None
+) -> Iterator[_Sums]:
     """For the moduli ``Ls[j]`` in order, and each group g = (ms, a_idx, nus)
     of ``groups`` with some m in ms coprime to them, yield (js, starts, g,
     sel, sums): the indices js of one or more moduli, in increasing order,
     where each one's rows start, the positions ``sel`` of the coprime m's
     in ms, row by row, and, as row i of ``sums``, the inner sums sum_a
     nu_a e(theta a m^{-1} / L) of the i-th nu.  Each group's yields come in
-    modulus order.
+    modulus order.  With ``needs``, group g is evaluated only at the
+    moduli where the boolean row ``needs[g]`` is set; otherwise at every
+    modulus.
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
     pairs per chunk over the distinct m lists.  Each m list at each modulus
-    of the chunk is one entry (s, sel, key) of the chunk's one
-    :func:`batch_mod_inverse` call, which inverts the keys of all entries
-    at once, so groups that differ only in their a's share both the
-    selection and the inverses; t = theta * key^{-1} mod L is formed as an
-    array.  An m list no longer than L gets its coprime m's from
-    :func:`_coprime_mask`, and its entry holds their positions ``sel`` and
-    the m's themselves.  One longer than L is folded mod L: its entry holds
-    None for ``sel``, and the first folded list at L holds the units r mod
-    L as its key; the lists folded after it at L hold no keys and share
-    those inverses.  Each m reads its t from the modulus's one table of
-    theta * r^{-1} mod L at its residue, which marks the non-units as not
-    coprime.  Whether a list folds rests on its length and L alone, so the
-    inverses do not depend on the a's.
+    of the chunk where one of its groups is evaluated is one entry (s, sel,
+    key) of the chunk's one :func:`batch_mod_inverse` call, which inverts
+    the keys of all entries at once, so groups that differ only in their
+    a's share both the selection and the inverses; t = theta * key^{-1} mod
+    L is formed as an array.  An m list no longer than L gets its coprime
+    m's from :func:`_coprime_mask`, and its entry holds their positions
+    ``sel`` and the m's themselves.  One longer than L is folded mod L: its
+    entry holds None for ``sel``, and the first folded list at L holds the
+    units r mod L as its key; the lists folded after it at L hold no keys
+    and share those inverses.  Each m reads its t from the modulus's one
+    table of theta * r^{-1} mod L at its residue, which marks the non-units
+    as not coprime.  Whether a list folds rests on its length and L alone,
+    so the inverses do not depend on the a's.  An even L whose double 2L is
+    in the chunk and wanted by the same unfolded list makes no entry: L and
+    2L have the same primes, so it takes 2L's ``sel``, and t = t_2L mod L.
 
     The chunk's moduli are then cut into sub-batches of consecutive moduli,
     each with at most 2 * ``_CHUNK_PAIRS`` table entries and at most
@@ -301,12 +327,13 @@ def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> 
     sub-batch gets one (a x m) phase block, on int64 or, for the moduli
     whose phases need them, on Python integers, reduced against every nu
     at once by :func:`_column_sums`; when the sub-batch's blocks have as
-    many cells as their int64 moduli sum to, they gather from one buffer of
-    those moduli's tables e(k / L).  Each column's sum depends on that
-    column alone, so a family, a lone evaluation and one modulus at a time
-    agree bit for bit wherever the chunks and sub-batches fall.  A block is
-    released before the yield.  The m's and L's are exact integer arrays
-    for the bound max(|m|, |theta| * L), which covers theta * m^{-1}.
+    many cells as its tables compute, they gather from one buffer of those
+    moduli's tables e(k / L) (see :func:`_tables`).  Each column's sum
+    depends on that column alone, so a family, a lone evaluation and one
+    modulus at a time agree bit for bit wherever the chunks and sub-batches
+    fall.  A block is released before the yield.  The m's and L's are
+    exact integer arrays for the bound max(|m|, |theta| * L), which covers
+    theta * m^{-1}.
     """
     supports: dict[tuple[int, ...], list[int]] = {}
     for g, (ms, a_idx, _) in enumerate(groups):
@@ -320,38 +347,71 @@ def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> 
     a_max = [max(map(abs, a_idx), default=0) for _, a_idx, _ in groups]
     a_arrs = [_exact_ints(a_idx, top) for (_, a_idx, _), top in zip(groups, a_max)]
     coefs = [np.stack(nus, axis=1) for _, _, nus in groups]
+    # whether each group is evaluated at each modulus, and whether any of each m list's groups is
+    wanted = np.ones((len(groups), len(Ls)), dtype=bool) if needs is None else np.stack(needs)
+    listed = [wanted[gs].any(axis=0) for gs in members]
     rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
     coprime: list[dict[int, np.ndarray]] = [{} for _ in m_arrs]
     primes: dict[int, dict[int, int]] = {}
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
         L_arr = _exact_ints(L_chunk, bound)
-        # per row: (s, sel, coprime m's) for a selected m list, (s, None, units
-        # mod L) for the first folded one, and (s, None, no keys) for a later
-        # one, which shares those inverses
-        found: list[list[tuple[int, np.ndarray | None, np.ndarray]]] = [[] for _ in L_chunk]
-        shared = np.empty(0, dtype=np.int64)
+        row_of = {L: i for i, L in enumerate(L_chunk)}
+        # (i, s, sel, coprime m's) for a selected m list at row i, (i, s, None,
+        # units mod L) for the first folded one, and (i, s, None, no keys) for
+        # a later one, which shares those inverses; (i, s, row of 2L) for a
+        # list that takes its data from the double
+        pending: list[tuple[int, int, np.ndarray | None, np.ndarray]] = []
+        doubles: list[tuple[int, int, int]] = []
+        folded: set[int] = set()
         for s, m_arr in enumerate(m_arrs):
+            need = listed[s][j0:j0 + rows]
             fold = L_arr < len(m_arr)
-            for i in np.flatnonzero(fold).tolist():
-                first = all(sel is not None for _, sel, _ in found[i])
-                units = np.flatnonzero(np.gcd(np.arange(L_chunk[i]), L_chunk[i]) == 1) if first else shared
-                found[i].append((s, None, units))
-            direct = np.flatnonzero(~fold).tolist()
+            for i in np.flatnonzero(need & fold).tolist():
+                L = L_chunk[i]
+                units = np.flatnonzero(np.gcd(np.arange(L), L) == 1) if i not in folded else np.empty(0, np.int64)
+                folded.add(i)
+                pending.append((i, s, None, units))
+            direct = []
+            for i in np.flatnonzero(need & ~fold).tolist():
+                double = row_of.get(2 * L_chunk[i]) if L_chunk[i] % 2 == 0 else None
+                if double is not None and need[double]:
+                    doubles.append((i, s, double))
+                else:
+                    direct.append(i)
             mask = _coprime_mask(m_arr, [L_chunk[i] for i in direct], coprime[s], rows, primes)
             cols = np.nonzero(mask)[1]
             m_cols = m_arr[cols]
             pos = 0
             for i, count in zip(direct, mask.sum(axis=1).tolist()):
                 if count:
-                    found[i].append((s, cols[pos:pos + count], m_cols[pos:pos + count]))
+                    pending.append((i, s, cols[pos:pos + count], m_cols[pos:pos + count]))
                     pos += count
-        keys = [key for row in found for _, _, key in row]
-        if not keys:
+        if not pending:
             continue
-        L_rows = np.repeat(L_arr, [sum(len(key) for _, _, key in row) for row in found])
-        t = theta * batch_mod_inverse(np.concatenate(keys), L_rows) % L_rows
+        L_rows = np.repeat(L_arr[[i for i, *_ in pending]], [len(key) for *_, key in pending])
+        t = theta * batch_mod_inverse(np.concatenate([key for *_, key in pending]), L_rows) % L_rows
+        # per row, each m list's (sel, t_rows)
+        found: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [{} for _ in L_chunk]
         start = 0
+        t_of_r: dict[int, np.ndarray] = {}
+        for i, s, sel, key in pending:
+            t_rows = t[start:start + len(key)]
+            start += len(key)
+            if sel is None:
+                L = L_chunk[i]
+                if len(key):
+                    t_of_r[i] = np.full(L, -1)
+                    t_of_r[i][key] = t_rows
+                t_m = t_of_r[i][np.asarray(m_arrs[s] % L, dtype=np.int64)]
+                sel = np.flatnonzero(t_m >= 0)
+                t_rows = t_m[sel]
+            found[i][s] = (sel, t_rows)
+        # from the top of each chain down, so that 2L's data is there before L's
+        for i, s, double in sorted(doubles, key=lambda entry: L_chunk[entry[0]], reverse=True):
+            if s in found[double]:
+                sel, t_rows = found[double][s]
+                found[i][s] = (sel, t_rows % L_chunk[i])
         batch: dict[int, list[tuple]] = {}
         table_size, cells = 0, [0] * len(groups)
         for i, row in enumerate(found):
@@ -359,17 +419,10 @@ def _coprime_inner_sums(theta: int, Ls: list[int], groups: Sequence[_Group]) -> 
             # (g, sel, t_rows, path): path 0 for a block on int64, 1 for a block
             # on Python integers, 2 for an FFT; and the cells of each block
             entries, sizes = [], []
-            for s, sel, key in row:
-                t_rows = t[start:start + len(key)]
-                start += len(key)
-                if sel is None:
-                    if len(key):
-                        t_of_r = np.full(L, -1)
-                        t_of_r[key] = t_rows
-                    t_m = t_of_r[np.asarray(m_arrs[s] % L, dtype=np.int64)]
-                    sel = np.flatnonzero(t_m >= 0)
-                    t_rows = t_m[sel]
+            for s, (sel, t_rows) in row.items():
                 for g in members[s] if sel.size else ():
+                    if not wanted[g, j0 + i]:
+                        continue
                     A = len(a_arrs[g])
                     path = 2 if _fft_pays(L, len(sel), A) else int(L * a_max[g] >= _INT64_SAFE)
                     entries.append((g, sel, t_rows, path))
@@ -396,14 +449,15 @@ def _sub_batch_sums(
     each group's entries (j, L, sel, t_rows, path) in modulus order: an FFT
     per modulus, and one block per run of consecutive moduli on the same
     block path.  The int64 blocks gather from one buffer of the tables of
-    their moduli once they have as many cells as those moduli sum to."""
+    their moduli once they have as many cells as those tables take
+    exponentials."""
     tabled = {j: L for entries in batch.values() for j, L, _, _, path in entries if not path}
     cells = sum(len(sel) * len(a_arrs[g]) for g, entries in batch.items() for _, _, sel, _, path in entries if not path)
     table, base = None, {}
-    if tabled and cells >= sum(tabled.values()):
-        Ls = list(tabled.values())
-        table = _tables(Ls)
-        base = dict(zip(tabled, (np.cumsum(Ls) - Ls).tolist()))
+    moduli = set(tabled.values())
+    if tabled and cells >= sum(L for L in moduli if 2 * L not in moduli):
+        table, begin = _tables(moduli)
+        base = {j: begin[L] for j, L in tabled.items()}
     for g, entries in batch.items():
         _, a_idx, nus = groups[g]
         for path, run in itertools.groupby(entries, key=lambda entry: entry[-1]):
@@ -436,44 +490,71 @@ def trilinear_form(spec: TrilinearSpec) -> FormResult:
 def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     """:func:`trilinear_form` of each spec, in order.
 
-    Specs with the same theta, R and nonzero beta indices form one family:
-    they have the same moduli L = nR and run one
-    :func:`_coprime_inner_sums` enumeration.  Within it, specs with the
-    same nonzero alpha indices share their coprimality masks and inverses;
-    those that also have the same nonzero nu indices form one kernel group
-    and share their phase blocks; and the blocks of one sub-batch share one
-    buffer of tables e(k / L).  Each spec keeps its own reductions: each
-    modulus's sum of alpha_m times the inner sums, by the rule of
-    :func:`_segment_sums`, is multiplied by beta_n in float parts, and the
-    products are summed with fsum, so every value has the bits of a lone
-    evaluation.
+    The specs with the same theta run one :func:`_coprime_inner_sums`
+    enumeration over the union of their moduli L = nR, ordered by the odd
+    part of L and then by L, so that each chain L, 2L, 4L, ... is adjacent.
+    Within it, specs with the same nonzero alpha indices share their
+    coprimality masks and inverses, and those that also have the same
+    nonzero nu indices form one kernel group, evaluated only at the moduli
+    its own specs need: it shares each phase block, reduced once against
+    each distinct nu vector.  Each distinct (alpha, nu) pair of a group
+    takes each modulus's sum of alpha_m times the inner sums once, by the
+    rule of :func:`_segment_sums`.  Each spec then picks the sums at its own
+    moduli, multiplies them by beta_n in float parts and sums the products
+    with fsum, and its ``terms`` counts its own moduli; so every value has
+    the bits of a lone evaluation.
     """
-    families: dict[tuple, dict[tuple, list[int]]] = {}
-    coeffs = []
+    # each sequence's nonzero indices and values, once per sequence object
+    coeffs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    for seq in (seq for spec in specs for seq in (spec.alpha, spec.beta, spec.nu)):
+        if id(seq) not in coeffs:
+            items = seq.nonzero_items()
+            coeffs[id(seq)] = (tuple(n for n, _ in items), np.asarray([v for _, v in items], dtype=complex))
+    families: dict[int, dict[tuple, list[int]]] = {}
     for i, spec in enumerate(specs):
-        alpha, beta, nu = (seq.nonzero_items() for seq in (spec.alpha, spec.beta, spec.nu))
-        family = (spec.theta, spec.R, tuple(n for n, _ in beta))
-        group = (tuple(m for m, _ in alpha), tuple(a for a, _ in nu))
-        families.setdefault(family, {}).setdefault(group, []).append(i)
-        coeffs.append((
-            np.asarray([v for _, v in alpha], dtype=complex),
-            np.asarray([v for _, v in beta], dtype=complex),
-            np.asarray([v for _, v in nu], dtype=complex),
-        ))
+        group = (coeffs[id(spec.alpha)][0], coeffs[id(spec.nu)][0])
+        families.setdefault(spec.theta, {}).setdefault(group, []).append(i)
+    moduli = [[n * spec.R for n in coeffs[id(spec.beta)][0]] for spec in specs]
     results: dict[int, FormResult] = {}
-    for (theta, R, ns), family in families.items():
-        members = list(family.values())
-        groups = [(list(ms), list(a_idx), [coeffs[i][2] for i in idx]) for (ms, a_idx), idx in family.items()]
-        alphas, betas = ([np.stack([coeffs[i][role] for i in idx]) for idx in members] for role in (0, 1))
-        # per group and spec, the segment sum at each modulus (0 where no m is coprime)
-        segments = [np.zeros(beta.shape, dtype=complex) for beta in betas]
-        terms = [0] * len(members)
-        for js, starts, g, sel, inners in _coprime_inner_sums(theta, [n * R for n in ns], groups):
-            segments[g][:, js] = _segment_sums(inners, np.take(alphas[g], sel, axis=1), starts)
-            terms[g] += len(sel) * len(groups[g][1])
-        for g, idx in enumerate(members):
-            for i, row in zip(idx, _times(betas[g], segments[g])):
-                results[i] = FormResult(_csum(row), terms[g])
+    for theta, family in families.items():
+        # by odd part, then size: L = odd * 2**k with k the trailing zeros of L
+        Ls = sorted({L for idx in family.values() for i in idx for L in moduli[i]},
+                    key=lambda L: (L >> (L & -L).bit_length() - 1, L))
+        where = {L: j for j, L in enumerate(Ls)}
+        groups, needs, reductions = [], [], []
+        for (ms, a_idx), idx in family.items():
+            cols = [np.asarray([where[L] for L in moduli[i]], dtype=np.int64) for i in idx]
+            need = np.zeros(len(Ls), dtype=bool)
+            need[np.concatenate(cols)] = True
+            needs.append(need)
+            # the distinct nu vectors, and the distinct (alpha, nu) pairs
+            nus: dict[bytes, tuple[int, np.ndarray]] = {}
+            pairs: dict[tuple[bytes, int], tuple[int, np.ndarray, int]] = {}
+            picks = []
+            for i, at in zip(idx, cols):
+                alpha, beta, nu = (coeffs[id(seq)][1] for seq in (specs[i].alpha, specs[i].beta, specs[i].nu))
+                k = nus.setdefault(nu.tobytes(), (len(nus), nu))[0]
+                p = pairs.setdefault((alpha.tobytes(), k), (len(pairs), alpha, k))[0]
+                picks.append((i, p, at, beta))
+            groups.append((list(ms), list(a_idx), [nu for _, nu in nus.values()]))
+            _, alphas, nu_of = zip(*pairs.values())
+            # each pair's row of inner sums (None when pair k takes row k), its
+            # segment sum at each modulus (0 where no m is coprime or the group
+            # is not evaluated), and the coprime m's at each modulus
+            rows = None if nu_of == tuple(range(len(nus))) else np.asarray(nu_of)
+            reductions.append((np.stack(alphas), rows, np.zeros((len(pairs), len(Ls)), dtype=complex), [0] * len(Ls),
+                               picks))
+        for js, starts, g, sel, inners in _coprime_inner_sums(theta, Ls, groups, needs):
+            alphas, rows, segments, counts, _ = reductions[g]
+            x = inners if rows is None else inners[rows]
+            segments[:, js] = _segment_sums(x, np.take(alphas, sel, axis=1), starts)
+            bounds = [*starts.tolist(), len(sel)]
+            for j, lo, hi in zip(js.tolist(), bounds, bounds[1:]):
+                counts[j] = hi - lo
+        for (_, a_idx), (*_, segments, counts, picks) in zip(family, reductions):
+            counts = np.asarray(counts)
+            for i, p, at, beta in picks:
+                results[i] = FormResult(_csum(_times(beta, segments[p, at])), len(a_idx) * int(counts[at].sum()))
     return [results[i] for i in range(len(specs))]
 
 
@@ -493,7 +574,9 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     S_m is Kahan-accumulated in the group order given by the caller, and the
     squares are summed with fsum.
     """
-    ms = [m for m in spec.alpha.support_indices() if gcd(m, fixed) == 1]
+    support = spec.alpha.support_indices()  # sorted, so the largest |m| is at an end
+    coprime = np.gcd(_exact_ints(support, max(-support[0], support[-1], fixed)), fixed) == 1
+    ms = list(itertools.compress(support, coprime.tolist()))
     if not ms:
         return 0.0
     a_items = spec.nu.nonzero_items()

@@ -128,14 +128,15 @@ class TestSweep:
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_one_task_per_family(self, tmp_path, monkeypatch, serial_pool):
-        # a task is one (N, R, theta) family; with fewer families than
-        # workers, each is cut into contiguous slices of its seed-runs
+        # a task is one theta's family, whose points share one enumeration of
+        # the union of their moduli nR; with fewer families than workers,
+        # each is cut into contiguous slices of its seed-runs
         batches = []
         batch = forms.trilinear_forms
         monkeypatch.setattr(forms, "trilinear_forms",
                             lambda specs: batches.append(len(specs)) or batch(specs))
         run_sweep(write_config(tmp_path), str(tmp_path / "eight.csv"), jobs=1)
-        assert batches == [2, 2, 2, 2]  # four (N, R) families of two M's
+        assert batches == [8]  # four (N, R) of two M's, all at theta 1
         batches.clear()
         grid = {"M": [16, 32, 64], "N": [8], "A": [2, 4], "R": [2], "seed": [3, 4]}
         cfg = write_config(tmp_path, grid=grid)
@@ -147,6 +148,34 @@ class TestSweep:
         for suffix in ("", ".summary.json"):
             pooled = (tmp_path / f"pooled.csv{suffix}").read_bytes()
             assert pooled == (tmp_path / f"serial.csv{suffix}").read_bytes()
+        batches.clear()
+        grid = {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1, -3], "seed": [3]}
+        cfg = write_config(tmp_path, grid=grid)
+        run_sweep(cfg, str(tmp_path / "thetas.csv"), jobs=1)
+        assert batches == [8, 8]
+        batches.clear()
+        run_sweep(cfg, str(tmp_path / "thetas_pooled.csv"), jobs=3)
+        assert serial_pool == [4, 3] and batches == [4, 4, 4, 4]  # a pool of 3: each theta in two slices
+        for suffix in ("", ".summary.json"):
+            pooled = (tmp_path / f"thetas_pooled.csv{suffix}").read_bytes()
+            assert pooled == (tmp_path / f"thetas.csv{suffix}").read_bytes()
+
+    def test_each_sequence_built_once_per_task(self, tmp_path, monkeypatch, serial_pool):
+        built = []
+        build = cli._build_role
+        monkeypatch.setattr(cli, "_build_role",
+                            lambda kind, base, seed, role: built.append((role, base, seed)) or build(kind, base, seed, role))
+        grid = {"M": [16, 32], "N": [8, 16], "A": [2, 4], "R": [1, 2], "seed": [3, 4]}
+        cfg = write_config(tmp_path, grid=grid)
+        run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
+        # 32 points: two bases of each role at each of two seeds
+        assert len(built) == len(set(built)) == 12
+        built.clear()
+        run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=2)
+        # two tasks, one per M: each builds its own alpha and every beta and nu
+        assert serial_pool == [2]
+        assert len(built) == 2 * (2 + 4 + 4) and len(set(built)) == 12
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_failed_summary_write_keeps_previous(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -670,25 +670,110 @@ class TestSharedEnumeration:
     @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
     def test_family_makes_the_inverses_of_one_a(self, monkeypatch, M, N, A, R):
         # the inverses depend on the m's and the moduli, not on the a's; a
-        # moebius beta at the same (N, R, theta) has other moduli and makes
-        # its own calls
-        calls = []
+        # moebius beta at the same (N, R, theta) has a subset of the moduli,
+        # so the union adds no inverse call and no phase cell, and makes no
+        # more inverse values or phase cells than its families apart
+        calls, cells = [], []
 
         def counting(values, m):
             calls.append((np.asarray(values).tolist(), np.asarray(m).tolist()))
             return batch_mod_inverse(values, m)
 
+        def recording(t_vals, a_vals, L, table=None, base=None):
+            cells.append(len(t_vals) * len(a_vals))
+            return _phase_block(t_vals, a_vals, L, table, base)
+
         monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        monkeypatch.setattr(forms, "_phase_block", recording)
         specs = [random_spec(M, N, a, R, 1, seed) for a in (A, 2 * A) for seed in (1, 2)]
         moebius = TrilinearSpec(specs[0].alpha, build_sequence("moebius", DyadicRange(N)), specs[0].nu, 1, R)
         trilinear_forms(specs[:1])
-        trilinear_forms([moebius])
-        apart = list(calls)
+        one = list(calls)
         calls.clear()
+        cells.clear()
+        trilinear_forms(specs)
+        assert calls == one
+        family_cells = sum(cells)
+        trilinear_forms([moebius])
+        apart = (sum(len(values) for values, _ in calls), sum(cells))
+        calls.clear()
+        cells.clear()
         results = trilinear_forms(specs + [moebius])
-        assert calls == apart
+        assert calls == one
+        assert sum(cells) == family_cells
+        assert (sum(len(values) for values, _ in calls), sum(cells)) < apart
         for spec, res in zip(specs + [moebius], results):
             assert (res.value, res.terms) == per_n_form(spec)
+
+    @pytest.mark.parametrize("nested", (True, False))
+    def test_union_of_families(self, monkeypatch, nested):
+        # the moduli nR of (8, 8) lie in those of (16, 4) and those in (32,
+        # 2), and each (8, 8) modulus L has 2L among the (16, 8) moduli; in
+        # the slice, the (64, 8) group is at only two of the (N, R)'s.  One
+        # enumeration gives each spec the value and terms of a lone
+        # evaluation, with no more inverse values or phase cells than the
+        # families make apart
+        counts = {"values": 0, "cells": 0}
+
+        def counting(values, m):
+            counts["values"] += len(values)
+            return batch_mod_inverse(values, m)
+
+        def recording(t_vals, a_vals, L, table=None, base=None):
+            counts["cells"] += len(t_vals) * len(a_vals)
+            return _phase_block(t_vals, a_vals, L, table, base)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        monkeypatch.setattr(forms, "_phase_block", recording)
+        families = ((8, 8), (16, 4), (32, 2), (16, 8))
+        specs = [random_spec(M, N, A, R, 1, seed) for N, R in families
+                 for M, A in ((32, 4), (64, 8)) for seed in (1, 2)
+                 if nested or (M, A) == (32, 4) or (N, R) in ((8, 8), (16, 8))]
+        lone = [trilinear_form(spec) for spec in specs]
+        for key in counts:
+            counts[key] = 0
+        for N, R in families:
+            trilinear_forms([spec for spec in specs if (len(spec.beta.values), spec.R) == (N, R)])
+        apart = dict(counts)
+        for key in counts:
+            counts[key] = 0
+        results = trilinear_forms(specs)
+        assert counts["values"] < apart["values"] and counts["cells"] < apart["cells"]
+        assert [(r.value, r.terms) for r in results] == [(r.value, r.terms) for r in lone]
+
+    def test_chains_take_their_data_from_the_top(self, monkeypatch):
+        # N = 16 and 32 at R = 4: each L = 4n, n in (16, 32], has 2L among
+        # the N = 32 moduli.  In one chunk and one sub-batch, only the chain
+        # maxima (the L whose double is not a modulus) make inverse values
+        # and take exponentials for their tables; chunks of one modulus, or
+        # of 8, cut the chains, and every value keeps its bits
+        values, tables = [], []
+        exp = np.exp
+
+        def counting(v, m):
+            values.append(len(v))
+            return batch_mod_inverse(v, m)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        monkeypatch.setattr(
+            forms.np, "exp", lambda x, *args, **kw: np.ndim(x) == 1 and tables.append(len(x)) or exp(x, *args, **kw))
+        specs = [random_spec(32, N, A, 4, 1, seed) for N in (16, 32) for A in (8, 16) for seed in (1, 2)]
+        results = trilinear_forms(specs)
+        Ls = {4 * n for n in range(17, 65)}
+        maxima = [L for L in Ls if 2 * L not in Ls]
+        assert sum(values) == sum(1 for L in maxima for m in range(33, 65) if gcd(m, L) == 1)
+        assert tables == [sum(maxima)] == [4 * sum(range(33, 65))]
+        # a beta on L, 2L and 4L: the mean square takes the chain in its own order
+        beta = build_sequence("random_unit", {20, 5, 10, 3, 12, 6}, seed=3)
+        chain = TrilinearSpec(specs[0].alpha, beta, specs[0].nu, 1, 4)
+        runs = []
+        for pairs in (1, 2**8, forms._CHUNK_PAIRS):
+            monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
+            runs.append(([(r.value, r.terms) for r in trilinear_forms(specs + [chain])], mean_square_direct(chain)))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0][:-1] == [(r.value, r.terms) for r in results]
+        assert runs[0][0][-1] == per_n_form(chain)
+        assert runs[0][1] == per_n_mean_square(chain)
 
 
 class TestMeanSquareDirect:
@@ -705,6 +790,21 @@ class TestMeanSquareDirect:
         spec = TrilinearSpec(ones(DyadicRange(2)), ones(DyadicRange(2)), ones(DyadicRange(1)),
                              theta=1, R=3)
         assert math.isclose(mean_square_direct(spec), naive_mean_square(spec), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("fixed", (1, 2, 12, 2**61 - 1, 3 * 2**64))
+    def test_coprime_m_match_gcd_list(self, monkeypatch, fixed):
+        # the m's of the alpha support coprime to R, from one array gcd: the
+        # same Python ints, in the same order, as a per-m gcd list
+        support = [*range(-13, 40), fixed, 2 * fixed, fixed + 1, 3 * 2**63 + 1]
+        spec = spec_of(make_sequence(dict.fromkeys(support, 1)), ones({1, 2}), ones({1, 3}), R=fixed)
+        seen = []
+        kernel = forms._coprime_inner_sums
+        monkeypatch.setattr(forms, "_coprime_inner_sums",
+                            lambda theta, Ls, groups: seen.append(groups[0][0]) or kernel(theta, Ls, groups))
+        mean_square_direct(spec)
+        want = [m for m in spec.alpha.support_indices() if gcd(m, fixed) == 1]
+        assert seen == [want]
+        assert all(type(m) is int for m in seen[0])
 
     def test_empty_coprime_m_returns_zero(self):
         spec = spec_of(ones({6}), ones({5}), ones({1}), R=6)
