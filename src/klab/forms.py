@@ -14,12 +14,15 @@ Evaluation is by direct enumeration, along one path.  The moduli L = nR
 are taken a chunk of n's at a time, and each m list no longer than L
 becomes one entry of the chunk's one batch of inverses: the m's coprime to
 L, from masks m mod p != 0 over the primes p of L (or a gcd where L is too
-large to factor cheaply).  The lists longer than L are folded mod L and
-share one entry per modulus, the units mod L, and each of their m's reads
-its t = theta * m^{-1} mod L from the one table those inverses fill (the
-inner a-sum depends only on m mod L).  Phases are reduced exactly mod 1 as
-integers before any transcendental call, on int64 or on Python integers
-as klab.arith decides.
+large to factor cheaply).  The lists longer than L are folded mod L (the
+inner a-sum depends only on m mod L): such a modulus has one table of
+theta * r^{-1} mod L over its units r, the residues that no prime of L
+divides, and each folded m reads its t = theta * m^{-1} mod L there.  The
+units are inverted apart from the chunks, in batches of consecutive folded
+moduli sized by their units, not by the m lists, and a batch's tables live
+until the enumeration has passed its last modulus.  Phases are reduced
+exactly mod 1 as integers before any transcendental call, on int64 or on
+Python integers as klab.arith decides.
 
 An even L whose double 2L is in the same chunk has the same primes as 2L,
 so it makes no inverse entry: it takes 2L's coprime m's and t_2L mod L.
@@ -168,9 +171,10 @@ def _phase_block(
     same bits.  On Python integers the angle is formed as
     ``2j * pi * residue / L``, one Python operation per cell, before a
     single ``np.exp``, and ``table`` and ``base`` are not used.  ``t_vals``
-    may be a list or an array.
+    may be a list or an array; ``a_vals`` is sorted, so that its largest
+    |a| is at one of its ends.
     """
-    bound = int(np.max(L)) * max(map(abs, a_vals), default=0)
+    bound = int(np.max(L)) * (int(max(-a_vals[0], a_vals[-1])) if len(a_vals) else 0)
     residue = _exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]
     if residue.dtype == object:
         residue %= L
@@ -279,6 +283,41 @@ def _dft_sums(t_rows: np.ndarray, a_arr: np.ndarray, L: int, nus: list[np.ndarra
     return sums
 
 
+def _unit_tables(
+    theta: int, Ls: list[int], folds: list[int], primes: dict[int, dict[int, int]]
+) -> Iterator[dict[int, np.ndarray]]:
+    """For the moduli L = Ls[j], j in ``folds`` in order, the table of theta *
+    r^{-1} mod L over the residues r mod L, with -1 at the non-units; one
+    dict of tables per batch of consecutive moduli with about
+    ``_CHUNK_PAIRS`` units, which one :func:`batch_mod_inverse` call
+    inverts.  The units are the residues that no prime of L divides, the
+    factorizations kept in ``primes``; a batch's tables are views of one
+    buffer, which lives as long as one of them does."""
+    batch: dict[int, np.ndarray] = {}
+    size = 0
+    for k, j in enumerate(folds, 1):
+        L = Ls[j]
+        if L not in primes:
+            primes[L] = factorize(L)
+        unit = np.ones(L, dtype=bool)
+        for p in primes[L]:
+            unit[::p] = False
+        batch[j] = np.flatnonzero(unit)
+        size += len(batch[j])
+        if size < _CHUNK_PAIRS and k < len(folds):
+            continue
+        moduli = [Ls[j] for j in batch]
+        counts = [len(units) for units in batch.values()]
+        begin = list(itertools.accumulate(moduli, initial=0))
+        units = np.concatenate(list(batch.values()))
+        L_rows = _exact_ints(moduli, abs(theta) * max(moduli)).repeat(counts)
+        flat = np.full(begin[-1], -1)
+        flat[units + np.repeat(begin[:-1], counts)] = theta * batch_mod_inverse(units, L_rows) % L_rows
+        yield {j: flat[b:b + L] for j, b, L in zip(batch, begin, moduli)}
+        # hold no table past its batch
+        batch, size, flat = {}, 0, None
+
+
 # A kernel group: the m's, the a's, and the coefficient vectors nu indexed by the a's.
 _Group = tuple[list[int], list[int], list[np.ndarray]]
 # A kernel yield: the modulus indices js, where each one's rows start, the
@@ -301,21 +340,25 @@ def _coprime_inner_sums(
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
     pairs per chunk over the distinct m lists.  Each m list at each modulus
-    of the chunk where one of its groups is evaluated is one entry (s, sel,
-    key) of the chunk's one :func:`batch_mod_inverse` call, which inverts
-    the keys of all entries at once, so groups that differ only in their
-    a's share both the selection and the inverses; t = theta * key^{-1} mod
-    L is formed as an array.  An m list no longer than L gets its coprime
-    m's from :func:`_coprime_mask`, and its entry holds their positions
-    ``sel`` and the m's themselves.  One longer than L is folded mod L: its
-    entry holds None for ``sel``, and the first folded list at L holds the
-    units r mod L as its key; the lists folded after it at L hold no keys
-    and share those inverses.  Each m reads its t from the modulus's one
-    table of theta * r^{-1} mod L at its residue, which marks the non-units
-    as not coprime.  Whether a list folds rests on its length and L alone,
-    so the inverses do not depend on the a's.  An even L whose double 2L is
-    in the chunk and wanted by the same unfolded list makes no entry: L and
-    2L have the same primes, so it takes 2L's ``sel``, and t = t_2L mod L.
+    of the chunk where one of its groups is evaluated and that it is no
+    longer than is one entry (s, sel, key) of the chunk's one
+    :func:`batch_mod_inverse` call, which inverts the keys of all entries
+    at once, so groups that differ only in their a's share both the
+    selection and the inverses; t = theta * key^{-1} mod L is formed as an
+    array.  Its coprime m's come from :func:`_coprime_mask`, and its entry
+    holds their positions ``sel`` and the m's themselves.  An even L whose
+    double 2L is in the chunk and wanted by the same list makes no entry:
+    L and 2L have the same primes, so it takes 2L's ``sel``, and t = t_2L
+    mod L.  A list longer than L is folded mod L and makes no entry: each
+    of its m's reads its t from the modulus's one table of theta * r^{-1}
+    mod L (see :func:`_unit_tables`) at its residue, which marks the
+    non-units as not coprime, and every list folded at L reads the same
+    table.  The tables come a batch of consecutive folded moduli at a
+    time, about ``_CHUNK_PAIRS`` units each, built when the chunks reach
+    the batch and dropped once they have passed each modulus.  Whether a
+    list folds rests on its length and L alone, so the inverses do not
+    depend on the a's.  The m and a lists are sorted, so that their ends
+    bound them.
 
     The chunk's moduli are then cut into sub-batches of consecutive moduli,
     each with at most 2 * ``_CHUNK_PAIRS`` table entries and at most
@@ -341,37 +384,43 @@ def _coprime_inner_sums(
             supports.setdefault(tuple(ms), []).append(g)
     if not supports:
         return
-    bound = max(max(max(map(abs, ms)) for ms in supports), max(map(abs, Ls), default=0) * abs(theta))
+    # the lists are sorted, so each one's largest |m| or |a| is at one of its ends
+    bound = max(max(max(-ms[0], ms[-1]) for ms in supports), max(Ls, default=0) * abs(theta))
     m_arrs = [_exact_ints(ms, bound) for ms in supports]
     members = list(supports.values())
-    a_max = [max(map(abs, a_idx), default=0) for _, a_idx, _ in groups]
+    a_max = [max(-a_idx[0], a_idx[-1]) if a_idx else 0 for _, a_idx, _ in groups]
     a_arrs = [_exact_ints(a_idx, top) for (_, a_idx, _), top in zip(groups, a_max)]
     coefs = [np.stack(nus, axis=1) for _, _, nus in groups]
     # whether each group is evaluated at each modulus, and whether any of each m list's groups is
     wanted = np.ones((len(groups), len(Ls)), dtype=bool) if needs is None else np.stack(needs)
     listed = [wanted[gs].any(axis=0) for gs in members]
+    L_all = _exact_ints(Ls, bound)
+    # the moduli where some list folds: a longest list evaluated there is longer than L
+    longest = np.max([np.where(need, len(m_arr), 0) for need, m_arr in zip(listed, m_arrs)], axis=0)
+    primes: dict[int, dict[int, int]] = {}
+    unit_tables = _unit_tables(theta, Ls, np.flatnonzero(L_all < longest).tolist(), primes)
+    t_of_r: dict[int, np.ndarray] = {}
     rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
     coprime: list[dict[int, np.ndarray]] = [{} for _ in m_arrs]
-    primes: dict[int, dict[int, int]] = {}
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
-        L_arr = _exact_ints(L_chunk, bound)
+        L_arr = L_all[j0:j0 + rows]
         row_of = {L: i for i, L in enumerate(L_chunk)}
-        # (i, s, sel, coprime m's) for a selected m list at row i, (i, s, None,
-        # units mod L) for the first folded one, and (i, s, None, no keys) for
-        # a later one, which shares those inverses; (i, s, row of 2L) for a
-        # list that takes its data from the double
-        pending: list[tuple[int, int, np.ndarray | None, np.ndarray]] = []
+        # per row, each m list's (sel, t_rows)
+        found: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [{} for _ in L_chunk]
+        # (i, s, sel, coprime m's) for a selected unfolded m list at row i, and
+        # (i, s, row of 2L) for one that takes its data from the double
+        pending: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         doubles: list[tuple[int, int, int]] = []
-        folded: set[int] = set()
         for s, m_arr in enumerate(m_arrs):
             need = listed[s][j0:j0 + rows]
             fold = L_arr < len(m_arr)
             for i in np.flatnonzero(need & fold).tolist():
-                L = L_chunk[i]
-                units = np.flatnonzero(np.gcd(np.arange(L), L) == 1) if i not in folded else np.empty(0, np.int64)
-                folded.add(i)
-                pending.append((i, s, None, units))
+                while j0 + i not in t_of_r:
+                    t_of_r.update(next(unit_tables))
+                t_m = t_of_r[j0 + i][np.asarray(m_arr % L_chunk[i], dtype=np.int64)]
+                sel = np.flatnonzero(t_m >= 0)
+                found[i][s] = (sel, t_m[sel])
             direct = []
             for i in np.flatnonzero(need & ~fold).tolist():
                 double = row_of.get(2 * L_chunk[i]) if L_chunk[i] % 2 == 0 else None
@@ -387,26 +436,16 @@ def _coprime_inner_sums(
                 if count:
                     pending.append((i, s, cols[pos:pos + count], m_cols[pos:pos + count]))
                     pos += count
-        if not pending:
-            continue
-        L_rows = np.repeat(L_arr[[i for i, *_ in pending]], [len(key) for *_, key in pending])
-        t = theta * batch_mod_inverse(np.concatenate([key for *_, key in pending]), L_rows) % L_rows
-        # per row, each m list's (sel, t_rows)
-        found: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [{} for _ in L_chunk]
-        start = 0
-        t_of_r: dict[int, np.ndarray] = {}
-        for i, s, sel, key in pending:
-            t_rows = t[start:start + len(key)]
-            start += len(key)
-            if sel is None:
-                L = L_chunk[i]
-                if len(key):
-                    t_of_r[i] = np.full(L, -1)
-                    t_of_r[i][key] = t_rows
-                t_m = t_of_r[i][np.asarray(m_arrs[s] % L, dtype=np.int64)]
-                sel = np.flatnonzero(t_m >= 0)
-                t_rows = t_m[sel]
-            found[i][s] = (sel, t_rows)
+        # the loop has passed these moduli's tables
+        for j in range(j0, j0 + len(L_chunk)):
+            t_of_r.pop(j, None)
+        if pending:
+            L_rows = np.repeat(L_arr[[i for i, *_ in pending]], [len(key) for *_, key in pending])
+            t = theta * batch_mod_inverse(np.concatenate([key for *_, key in pending]), L_rows) % L_rows
+            start = 0
+            for i, s, sel, key in pending:
+                found[i][s] = (sel, t[start:start + len(key)])
+                start += len(key)
         # from the top of each chain down, so that 2L's data is there before L's
         for i, s, double in sorted(doubles, key=lambda entry: L_chunk[entry[0]], reverse=True):
             if s in found[double]:
@@ -508,8 +547,8 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     coeffs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     for seq in (seq for spec in specs for seq in (spec.alpha, spec.beta, spec.nu)):
         if id(seq) not in coeffs:
-            items = seq.nonzero_items()
-            coeffs[id(seq)] = (tuple(n for n, _ in items), np.asarray([v for _, v in items], dtype=complex))
+            idx, vals = tuple(zip(*seq.nonzero_items())) or ((), ())
+            coeffs[id(seq)] = (idx, np.asarray(vals, dtype=complex))
     families: dict[int, dict[tuple, list[int]]] = {}
     for i, spec in enumerate(specs):
         group = (coeffs[id(spec.alpha)][0], coeffs[id(spec.nu)][0])

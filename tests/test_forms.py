@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -340,6 +341,66 @@ class TestResiduePath:
         for theta in (1, -5):
             direct = column_rule(_phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L), nu_arr)
             assert np.array_equal(one_modulus_sums(theta, ms, L, a_idx, nu_arr), direct)
+
+    def test_all_folded_batches_keep_every_bit(self, monkeypatch):
+        # every L = 2n <= 256 folds the 4,096 m's of the seeded alpha and the
+        # 4,098 of the explicit one, with its negative m's and an m past
+        # 2**63: the units of consecutive moduli are inverted in batches of
+        # about _CHUNK_PAIRS units, whatever the m lists' length, and each
+        # value keeps its bits wherever the batches and chunks fall
+        calls = []
+
+        def counting(values, m):
+            calls.append(len(values))
+            return batch_mod_inverse(values, m)
+
+        monkeypatch.setattr(forms, "batch_mod_inverse", counting)
+        seeded = random_spec(4096, 64, 256, 2, 1, seed=1)
+        alpha = build_sequence("random_unit", set(range(-2048, 2049)) | {2**63 + 1}, seed=5)
+        specs = [seeded, TrilinearSpec(alpha, seeded.beta, seeded.nu, 1, 2)]
+        units = sum(1 for n in range(65, 129) for r in range(2 * n) if gcd(r, 2 * n) == 1)
+        runs = []
+        for pairs in (1, 2**8, forms._CHUNK_PAIRS):
+            monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
+            values = []
+            for spec in specs:
+                for evaluate in (trilinear_form, mean_square_direct):
+                    calls.clear()
+                    values.append(evaluate(spec))
+                    assert sum(calls) == units
+                    assert len(calls) <= -(-units // pairs) + 1
+                values.append(mean_square_decomposed(spec))
+                values += [squarefree_mean_square(spec, b) for b in (1, 2, 6)]
+            runs.append(repr(values))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_union_folds_per_list_and_modulus(self, monkeypatch):
+        # at L = 3n, n in (16, 32], the 64 m's fold below L = 64 and not
+        # from it on, and the 32 m's fold nowhere; the (N, R) = (8, 6)
+        # moduli 54 and 60 are also (16, 3) moduli, folded for the 64 m's
+        # only.  With every cut of the chunks and batches the union gives
+        # each spec the value and terms of a lone evaluation
+        specs = [random_spec(M, N, A, R, 1, seed) for M, N, A, R in ((64, 16, 8, 3), (32, 16, 8, 3), (64, 8, 4, 6))
+                 for seed in (1, 2)]
+        lone = [(r.value, r.terms) for r in map(trilinear_form, specs)]
+        assert lone == [per_n_form(spec) for spec in specs]
+        for pairs in (1, 2**6, forms._CHUNK_PAIRS):
+            monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
+            assert [(r.value, r.terms) for r in trilinear_forms(specs)] == lone
+
+    def test_unit_tables_live_a_batch_at_a_time(self):
+        # L = 16n, n in (256, 512], against 8,192 m's: every L but the last
+        # folds, and the moduli sum to 1,574,912, 12 MB of int64 tables at
+        # once; the tables live a batch of about _CHUNK_PAIRS units at a time
+        spec = random_spec(8192, 256, 16, 16, 1, seed=1)
+        assert 8 * sum(16 * n for n in range(257, 513)) > 12 * 2**20
+        tracemalloc.start()
+        try:
+            trilinear_form(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @pytest.fixture
