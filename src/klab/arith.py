@@ -3,10 +3,10 @@
 Everything here is exact at any size: moduli far beyond 64 bits are handled
 with plain Python integers, and :func:`batch_mod_inverse` inverts int64
 arrays with a vectorised extended Euclid only when every input fits it.
-Whether an integer array may be int64 or must hold Python integers is
-decided in one place, :func:`_exact_ints`, from a magnitude bound that its
+Whether integer arithmetic may run on int64 or must use Python integers is
+decided in one place, :func:`_fits_int64`, from a magnitude bound that its
 caller supplies; forms and dispersion build their integer arrays through
-it.  The evaluators built on top of this module stay at desk scale
+:func:`_exact_ints`, which applies it.  The evaluators built on top of this module stay at desk scale
 regardless.  All functions are pure and safe to call from concurrent
 workers.
 """
@@ -67,12 +67,18 @@ class SqfSplit:
         return self.squarefree_part * self.squarefull_part
 
 
+def _fits_int64(bound: int) -> bool:
+    """Whether arithmetic whose every magnitude is below ``bound`` is exact in
+    int64: the one int64 rule, for the callers that choose a path by it."""
+    return bound < _INT64_SAFE
+
+
 def _exact_ints(ints, bound: int) -> np.ndarray:
     """``ints`` (a list or an array) as an integer array on which the caller's
     arithmetic is exact: int64 when ``bound``, the caller's bound on every
-    magnitude it forms from them, is below 2**62, and Python integers in an
-    object array otherwise."""
-    return np.asarray(ints, dtype=np.int64 if bound < _INT64_SAFE else object)
+    magnitude it forms from them, fits :func:`_fits_int64`, and Python
+    integers in an object array otherwise."""
+    return np.asarray(ints, dtype=np.int64 if _fits_int64(bound) else object)
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -11,21 +11,17 @@ The central objects:
 - the squarefree-restricted mean square with denominator n*b.
 
 Evaluation is by direct enumeration, along one path.  The moduli L = nR
-are taken a chunk of n's at a time, and each m list no longer than L
-becomes one entry of the chunk's one batch of inverses: the m's coprime to
-L, from masks m mod p != 0 over the primes p of L (or a gcd where L is too
-large to factor cheaply).  The lists longer than L are folded mod L (the
-inner a-sum depends only on m mod L): such a modulus has one table of
-theta * r^{-1} mod L over its units r, the residues that no prime of L
-divides, and each folded m reads its t = theta * m^{-1} mod L there.  The
-units are inverted apart from the chunks, in batches of consecutive folded
-moduli sized by their units, not by the m lists, and a batch's tables live
-until the enumeration has passed its last modulus.  Phases are reduced
-exactly mod 1 as integers before any transcendental call, on int64 or on
-Python integers as klab.arith decides.
-
-An even L whose double 2L is in the same chunk has the same primes as 2L,
-so it makes no inverse entry: it takes 2L's coprime m's and t_2L mod L.
+are taken a chunk of n's at a time, and one pass over each m list's rows
+of the chunk gives each (L, list) its coprime m's and t = theta * m^{-1}
+mod L by one of three branches: a list longer than L is folded mod L (the
+inner a-sum depends only on m mod L) and reads t from the modulus's one
+table over the units mod L, inverted in batches sized by the units; an
+even L whose double 2L is in the chunk for the same list takes 2L's m's
+and t_2L mod L, since L and 2L have the same primes; any other row selects
+its m's from masks over the primes of L (or a gcd) and joins the chunk's
+one batch of inverses.  Phases are reduced exactly mod 1 as integers
+before any transcendental call, on int64 or on Python integers as
+klab.arith decides.
 
 The chunk's moduli are then cut into sub-batches of consecutive moduli,
 capped by their phase-table entries and phase cells, and each group of m's
@@ -74,7 +70,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import (
-    _INT64_SAFE, _exact_ints, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
+    _exact_ints, _fits_int64, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
     squarefree_squarefull_split,
 )
 from .sequences import CoefficientSequence, _csum
@@ -91,7 +87,7 @@ __all__ = [
     "complementary_split",
 ]
 
-# About this many (m, L) pairs share one gcd mask and one batch of inverses.
+# About this many (m, L) pairs share one chunk and its one batch of inverses.
 _CHUNK_PAIRS = 2**14
 
 
@@ -130,30 +126,28 @@ class FormResult:
     terms: int
 
 
-def _coprime_mask(
-    m_arr: np.ndarray, Ls: list[int], kept: dict[int, np.ndarray], cap: int, primes: dict[int, dict[int, int]]
+def _coprime(
+    m_arr: np.ndarray, L: int, kept: dict[int, np.ndarray], cap: int, primes: dict[int, dict[int, int]]
 ) -> np.ndarray:
-    """Whether gcd(m, L) = 1, for each L of ``Ls`` (a row) and each m of
-    ``m_arr`` (a column).  An L below len(m_arr) squared, whose trial
-    division costs less than a row of gcds, takes the AND over its primes p
-    of m mod p != 0, and the masks of the primes up to ``cap`` are kept in
-    ``kept`` for later moduli and the factorizations in ``primes`` for the
-    other m lists; any other L takes np.gcd."""
-    mask = np.ones((len(Ls), len(m_arr)), dtype=bool)
-    for row, L in zip(mask, Ls):
-        if L >= len(m_arr) ** 2:
-            row &= np.gcd(m_arr, L) == 1
-            continue
-        if L not in primes:
-            primes[L] = factorize(L)
-        for p in primes[L]:
-            if p not in kept:
-                if p > cap:
-                    row &= m_arr % p != 0
-                    continue
-                kept[p] = m_arr % p != 0
-            row &= kept[p]
-    return mask
+    """Whether gcd(m, L) = 1, for each m of ``m_arr``.  An L below
+    len(m_arr) squared, whose trial division costs less than a row of gcds,
+    takes the AND over its primes p of m mod p != 0, and the masks of the
+    primes up to ``cap`` are kept in ``kept`` for later moduli and the
+    factorizations in ``primes`` for the other m lists; any other L takes
+    np.gcd."""
+    if L >= len(m_arr) ** 2:
+        return np.gcd(m_arr, L) == 1
+    if L not in primes:
+        primes[L] = factorize(L)
+    row = np.ones(len(m_arr), dtype=bool)
+    for p in primes[L]:
+        if p not in kept:
+            if p > cap:
+                row &= m_arr % p != 0
+                continue
+            kept[p] = m_arr % p != 0
+        row &= kept[p]
+    return row
 
 
 def _phase_block(
@@ -339,26 +333,21 @@ def _coprime_inner_sums(
     modulus.
 
     The moduli are taken a chunk at a time, about ``_CHUNK_PAIRS`` (m, L)
-    pairs per chunk over the distinct m lists.  Each m list at each modulus
-    of the chunk where one of its groups is evaluated and that it is no
-    longer than is one entry (s, sel, key) of the chunk's one
-    :func:`batch_mod_inverse` call, which inverts the keys of all entries
-    at once, so groups that differ only in their a's share both the
-    selection and the inverses; t = theta * key^{-1} mod L is formed as an
-    array.  Its coprime m's come from :func:`_coprime_mask`, and its entry
-    holds their positions ``sel`` and the m's themselves.  An even L whose
-    double 2L is in the chunk and wanted by the same list makes no entry:
-    L and 2L have the same primes, so it takes 2L's ``sel``, and t = t_2L
-    mod L.  A list longer than L is folded mod L and makes no entry: each
-    of its m's reads its t from the modulus's one table of theta * r^{-1}
-    mod L (see :func:`_unit_tables`) at its residue, which marks the
-    non-units as not coprime, and every list folded at L reads the same
-    table.  The tables come a batch of consecutive folded moduli at a
-    time, about ``_CHUNK_PAIRS`` units each, built when the chunks reach
-    the batch and dropped once they have passed each modulus.  Whether a
-    list folds rests on its length and L alone, so the inverses do not
-    depend on the a's.  The m and a lists are sorted, so that their ends
-    bound them.
+    pairs per chunk over the distinct m lists, and one pass over each m
+    list's rows of the chunk, the moduli where one of its groups is
+    evaluated, gives each row the positions ``sel`` of its coprime m's and
+    their t = theta * m^{-1} mod L by exactly one branch.  Fold: a list
+    longer than L reads t at each m's residue in the modulus's one table
+    of theta * r^{-1} mod L (see :func:`_unit_tables`), which marks the
+    non-units as not coprime; the tables come a batch of folded moduli at
+    a time and are dropped once the chunks have passed each modulus.
+    Double: an even L whose double 2L is in the chunk and wanted by the
+    same list takes 2L's ``sel``, L and 2L having the same primes, and t =
+    t_2L mod L.  Invert: any other row selects its m's by :func:`_coprime`
+    and joins the chunk's one :func:`batch_mod_inverse` call.  So groups
+    that differ only in their a's share both the selection and the
+    inverses, which do not depend on the a's.  The m and a lists are
+    sorted, so that their ends bound them.
 
     The chunk's moduli are then cut into sub-batches of consecutive moduli,
     each with at most 2 * ``_CHUNK_PAIRS`` table entries and at most
@@ -404,48 +393,36 @@ def _coprime_inner_sums(
     coprime: list[dict[int, np.ndarray]] = [{} for _ in m_arrs]
     for j0 in range(0, len(Ls), rows):
         L_chunk = Ls[j0:j0 + rows]
-        L_arr = L_all[j0:j0 + rows]
         row_of = {L: i for i, L in enumerate(L_chunk)}
         # per row, each m list's (sel, t_rows)
         found: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [{} for _ in L_chunk]
-        # (i, s, sel, coprime m's) for a selected unfolded m list at row i, and
-        # (i, s, row of 2L) for one that takes its data from the double
-        pending: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        # (i, s, sel) for an m list at row i whose selected m's take inverses,
+        # and (i, s, row of 2L) for one that takes its data from the double
+        pending: list[tuple[int, int, np.ndarray]] = []
         doubles: list[tuple[int, int, int]] = []
         for s, m_arr in enumerate(m_arrs):
             need = listed[s][j0:j0 + rows]
-            fold = L_arr < len(m_arr)
-            for i in np.flatnonzero(need & fold).tolist():
-                while j0 + i not in t_of_r:
-                    t_of_r.update(next(unit_tables))
-                t_m = t_of_r[j0 + i][np.asarray(m_arr % L_chunk[i], dtype=np.int64)]
-                sel = np.flatnonzero(t_m >= 0)
-                found[i][s] = (sel, t_m[sel])
-            direct = []
-            for i in np.flatnonzero(need & ~fold).tolist():
-                double = row_of.get(2 * L_chunk[i]) if L_chunk[i] % 2 == 0 else None
-                if double is not None and need[double]:
+            for i in np.flatnonzero(need).tolist():
+                L = L_chunk[i]
+                if L < len(m_arr):
+                    while j0 + i not in t_of_r:
+                        t_of_r.update(next(unit_tables))
+                    t_m = t_of_r[j0 + i][np.asarray(m_arr % L, dtype=np.int64)]
+                    sel = np.flatnonzero(t_m >= 0)
+                    found[i][s] = (sel, t_m[sel])
+                elif L % 2 == 0 and (double := row_of.get(2 * L)) is not None and need[double]:
                     doubles.append((i, s, double))
-                else:
-                    direct.append(i)
-            mask = _coprime_mask(m_arr, [L_chunk[i] for i in direct], coprime[s], rows, primes)
-            cols = np.nonzero(mask)[1]
-            m_cols = m_arr[cols]
-            pos = 0
-            for i, count in zip(direct, mask.sum(axis=1).tolist()):
-                if count:
-                    pending.append((i, s, cols[pos:pos + count], m_cols[pos:pos + count]))
-                    pos += count
+                elif (sel := np.flatnonzero(_coprime(m_arr, L, coprime[s], rows, primes))).size:
+                    pending.append((i, s, sel))
         # the loop has passed these moduli's tables
         for j in range(j0, j0 + len(L_chunk)):
             t_of_r.pop(j, None)
         if pending:
-            L_rows = np.repeat(L_arr[[i for i, *_ in pending]], [len(key) for *_, key in pending])
-            t = theta * batch_mod_inverse(np.concatenate([key for *_, key in pending]), L_rows) % L_rows
-            start = 0
-            for i, s, sel, key in pending:
-                found[i][s] = (sel, t[start:start + len(key)])
-                start += len(key)
+            counts = [len(sel) for *_, sel in pending]
+            L_rows = np.repeat(L_all[[j0 + i for i, _, _ in pending]], counts)
+            t = theta * batch_mod_inverse(np.concatenate([m_arrs[s][sel] for _, s, sel in pending]), L_rows) % L_rows
+            for (i, s, sel), t_rows in zip(pending, np.split(t, np.cumsum(counts)[:-1])):
+                found[i][s] = (sel, t_rows)
         # from the top of each chain down, so that 2L's data is there before L's
         for i, s, double in sorted(doubles, key=lambda entry: L_chunk[entry[0]], reverse=True):
             if s in found[double]:
@@ -463,7 +440,7 @@ def _coprime_inner_sums(
                     if not wanted[g, j0 + i]:
                         continue
                     A = len(a_arrs[g])
-                    path = 2 if _fft_pays(L, len(sel), A) else int(L * a_max[g] >= _INT64_SAFE)
+                    path = 2 if _fft_pays(L, len(sel), A) else int(not _fits_int64(L * a_max[g]))
                     entries.append((g, sel, t_rows, path))
                     if path < 2:
                         sizes.append((g, len(sel) * A))
@@ -599,9 +576,10 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
 
 def _kahan_vadd(total: np.ndarray, comp: np.ndarray, idx: np.ndarray | list[int], delta: np.ndarray) -> None:
     """Compensated in-place total[idx] += delta."""
-    y = delta - comp[idx]
-    t = total[idx] + y
-    comp[idx] = (t - total[idx]) - y
+    c, s = comp[idx], total[idx]
+    y = delta - c
+    t = s + y
+    comp[idx] = (t - s) - y
     total[idx] = t
 
 
@@ -616,8 +594,6 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     support = spec.alpha.support_indices()  # sorted, so the largest |m| is at an end
     coprime = np.gcd(_exact_ints(support, max(-support[0], support[-1], fixed)), fixed) == 1
     ms = list(itertools.compress(support, coprime.tolist()))
-    if not ms:
-        return 0.0
     a_items = spec.nu.nonzero_items()
     a_idx = [a for a, _ in a_items]
     nu_arr = np.asarray([v for _, v in a_items], dtype=complex)

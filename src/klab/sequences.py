@@ -62,9 +62,6 @@ class DyadicRange:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
 
-    def __contains__(self, n: object) -> bool:
-        return n in self.indices()
-
 
 def _support_indices(support: DyadicRange | Iterable[int]) -> list[int]:
     if isinstance(support, DyadicRange):

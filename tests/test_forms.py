@@ -584,9 +584,41 @@ class TestChunkedPath:
         m_arr = np.arange(-40, 60)
         kept = {}
         for Ls in ([1, 2, 97, 210, 2 * 3 * 5 * 7 * 11, 9973], [6, 35, 4 * 9973, 10**4 + 7]):
-            mask = forms._coprime_mask(m_arr, Ls, kept, 5, {})
-            assert np.array_equal(mask, np.gcd(m_arr, np.asarray(Ls)[:, None]) == 1)
+            primes = {}
+            for L in Ls:
+                assert np.array_equal(forms._coprime(m_arr, L, kept, 5, primes), np.gcd(m_arr, L) == 1)
         assert sorted(kept) == [2, 3, 5]
+
+    def test_family_takes_every_row_branch(self, monkeypatch):
+        # the 64 m's fold at L = 2n < 64; the 8 m's take np.gcd at L >= 64,
+        # prime masks at the odd L = 3n < 64, and at each even L < 64 the
+        # data of 2L, which another spec needs; at every chunk size the
+        # family's values are the lone evaluations'
+        specs = [random_spec(64, 16, 4, 2, 1, seed=1), random_spec(8, 16, 4, 2, 1, seed=2),
+                 random_spec(8, 32, 4, 2, 1, seed=3), random_spec(8, 16, 4, 3, 1, seed=4)]
+        lone = [(r.value, r.terms) for r in map(trilinear_form, specs)]
+        coprime, unit_tables = forms._coprime, forms._unit_tables
+        on_gcd, folds = [], []
+
+        def selecting(m_arr, L, *args):
+            on_gcd.append(L >= len(m_arr) ** 2)
+            return coprime(m_arr, L, *args)
+
+        def folding(theta, Ls, js, primes):
+            folds.extend(js)
+            return unit_tables(theta, Ls, js, primes)
+
+        monkeypatch.setattr(forms, "_coprime", selecting)
+        monkeypatch.setattr(forms, "_unit_tables", folding)
+        calls = []
+        for pairs in (1, 2**8, forms._CHUNK_PAIRS):
+            monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
+            on_gcd.clear()
+            assert [(r.value, r.terms) for r in trilinear_forms(specs)] == lone
+            calls.append(len(on_gcd))
+        assert folds and set(on_gcd) == {True, False}
+        # one modulus per chunk leaves no double in the chunk
+        assert calls[0] > calls[1] > calls[2]
 
     def test_einsum_adds_in_index_order(self):
         # the inner sums take np.einsum("kr,kq->qr", ...) of a block's float
