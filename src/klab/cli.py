@@ -151,10 +151,10 @@ def _grid_points(cfg: dict) -> list[dict]:
 
 def _sweep_run(task: dict) -> list[dict]:
     """Evaluate a task's grid points, one row each: |trilinear form| against
-    the chosen bound.  The points share one theta, so one
-    :func:`klab.forms.trilinear_forms` call enumerates the union of their
-    moduli nR once; each (role, base, seed) sequence is built once and
-    shared by the points that use it."""
+    the chosen bound.  One :func:`klab.forms.trilinear_forms` call takes
+    them all, and it enumerates the union of the moduli nR of each theta's
+    points once; each (role, base, seed) sequence is built once and shared
+    by the points that use it."""
     kinds = task["sequences"]
     formula, epsilon, variant = (task["bound"][key] for key in ("formula", "epsilon", "exponent_variant"))
     build = functools.cache(lambda role, base, seed: _build_role(kinds[role], base, seed, role))
@@ -210,31 +210,22 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
 
 
 def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
-    """Run a sweep; returns the summary dict written to the JSON sidecar."""
+    """Run a sweep; returns the summary dict written to the JSON sidecar.
+
+    The grid points, ordered stably by theta, are cut into min(jobs, points)
+    contiguous slices, one task per worker, so that each task's
+    :func:`klab.forms.trilinear_forms` call, which enumerates each theta's
+    moduli once, meets as few thetas as it can.  Every value depends on its
+    point alone, so the bytes do not depend on ``jobs``."""
     cfg = load_config(config_path)
-    points = _grid_points(cfg)
-    # seed is the innermost axis, so the points that differ only in seed are consecutive
-    runs = [list(run) for _, run in itertools.groupby(
-        points, key=lambda pt: [pt[axis] for axis in GRID_AXES if axis != "seed"])]
-    # a family's points (same theta) share one enumeration of the union of their moduli nR
-    families: dict[int, list[list[dict]]] = {}
-    for run in runs:
-        families.setdefault(run[0]["theta"], []).append(run)
-    # with fewer families than workers, each is cut into contiguous slices of its runs
-    cuts = -(-jobs // len(families))
-    tasks = []
-    for family in families.values():
-        parts = min(cuts, len(family))
-        for k in range(parts):
-            chunk = family[len(family) * k // parts:len(family) * (k + 1) // parts]
-            tasks.append({"points": [pt for run in chunk for pt in run],
-                          "sequences": cfg["sequences"], "bound": cfg["bound"]})
-    workers = min(jobs, len(tasks))
-    if workers > 1:
+    points = sorted(_grid_points(cfg), key=lambda pt: pt["theta"])
+    parts = min(jobs, len(points))
+    tasks = [{"points": points[len(points) * k // parts:len(points) * (k + 1) // parts],
+              "sequences": cfg["sequences"], "bound": cfg["bound"]} for k in range(parts)]
+    if parts > 1:
         # every worker is started up front, so never more than there are tasks
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(tasks) // (4 * workers))
-            rows = [row for run in pool.map(_sweep_run, tasks, chunksize=chunksize) for row in run]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
+            rows = [row for part in pool.map(_sweep_run, tasks) for row in part]
     else:
         rows = [row for task in tasks for row in _sweep_run(task)]
     rows.sort(key=lambda r: tuple(r[axis] for axis in GRID_AXES))

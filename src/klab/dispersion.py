@@ -206,18 +206,17 @@ class SmoothCutoff:
 
 
 class _Coeffs(NamedTuple):
-    """A sequence as arrays: its indices in ascending order (an exact integer
-    array, see klab.arith) and its complex values."""
+    """A sequence's nonzero entries as arrays: its indices in ascending order
+    (an exact integer array, see klab.arith) and its complex values.  A zero
+    value adds nothing to any sum here, bit for bit."""
 
     n: np.ndarray
     v: np.ndarray
 
 
 def _coeffs(seq: CoefficientSequence) -> _Coeffs:
-    items = sorted(seq.values.items())
-    ns = [n for n, _ in items]
-    values = np.array([v for _, v in items], dtype=complex)
-    return _Coeffs(_exact_ints(ns, max(map(abs, ns), default=0)), values)
+    ns = seq.indices  # ascending, so the largest |n| is at an end
+    return _Coeffs(_exact_ints(ns, max(-ns[0], ns[-1]) if ns else 0), seq.coeffs)
 
 
 def _residues(ints: np.ndarray, q: int) -> np.ndarray:
@@ -456,7 +455,7 @@ def dispersion_split(
         raise ValueError(f"q must be positive, got {qs[0]}")
     window = psi.window(m_scale)
     alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
-    ms = _exact_ints(window, max(map(abs, window), default=0))
+    ms = _exact_ints(window, max(-window[0], window[-1]) if window else 0)
     x_vals = np.zeros(len(window), dtype=complex)
     y_vals = np.zeros(len(window), dtype=complex)
     c: dict[int, int] = {}

@@ -151,7 +151,7 @@ def _coprime(
 
 
 def _phase_block(
-    t_vals: Sequence[int], a_vals: list[int], L, table: np.ndarray | None = None, base: np.ndarray | None = None
+    t_vals: Sequence[int], a_vals: Sequence[int], L, table: np.ndarray | None = None, base: np.ndarray | None = None
 ) -> np.ndarray:
     """Matrix of e(t*a / L) over (a, t), one column per t, where L is one
     modulus or one per t; exact integer reduction mod L first, on the
@@ -312,8 +312,8 @@ def _unit_tables(
         batch, size, flat = {}, 0, None
 
 
-# A kernel group: the m's, the a's, and the coefficient vectors nu indexed by the a's.
-_Group = tuple[list[int], list[int], list[np.ndarray]]
+# A kernel group: the m's, the a's (each sorted), and the coefficient vectors nu indexed by the a's.
+_Group = tuple[Sequence[int], Sequence[int], list[np.ndarray]]
 # A kernel yield: the modulus indices js, where each one's rows start, the
 # group, the rows' positions sel in its m list, and one row of inner sums per nu.
 _Sums = tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]
@@ -520,17 +520,10 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     with fsum, and its ``terms`` counts its own moduli; so every value has
     the bits of a lone evaluation.
     """
-    # each sequence's nonzero indices and values, once per sequence object
-    coeffs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    for seq in (seq for spec in specs for seq in (spec.alpha, spec.beta, spec.nu)):
-        if id(seq) not in coeffs:
-            idx, vals = tuple(zip(*seq.nonzero_items())) or ((), ())
-            coeffs[id(seq)] = (idx, np.asarray(vals, dtype=complex))
     families: dict[int, dict[tuple, list[int]]] = {}
     for i, spec in enumerate(specs):
-        group = (coeffs[id(spec.alpha)][0], coeffs[id(spec.nu)][0])
-        families.setdefault(spec.theta, {}).setdefault(group, []).append(i)
-    moduli = [[n * spec.R for n in coeffs[id(spec.beta)][0]] for spec in specs]
+        families.setdefault(spec.theta, {}).setdefault((spec.alpha.indices, spec.nu.indices), []).append(i)
+    moduli = [[n * spec.R for n in spec.beta.indices] for spec in specs]
     results: dict[int, FormResult] = {}
     for theta, family in families.items():
         # by odd part, then size: L = odd * 2**k with k the trailing zeros of L
@@ -548,11 +541,11 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
             pairs: dict[tuple[bytes, int], tuple[int, np.ndarray, int]] = {}
             picks = []
             for i, at in zip(idx, cols):
-                alpha, beta, nu = (coeffs[id(seq)][1] for seq in (specs[i].alpha, specs[i].beta, specs[i].nu))
+                alpha, beta, nu = (seq.coeffs for seq in (specs[i].alpha, specs[i].beta, specs[i].nu))
                 k = nus.setdefault(nu.tobytes(), (len(nus), nu))[0]
                 p = pairs.setdefault((alpha.tobytes(), k), (len(pairs), alpha, k))[0]
                 picks.append((i, p, at, beta))
-            groups.append((list(ms), list(a_idx), [nu for _, nu in nus.values()]))
+            groups.append((ms, a_idx, [nu for _, nu in nus.values()]))
             _, alphas, nu_of = zip(*pairs.values())
             # each pair's row of inner sums (None when pair k takes row k), its
             # segment sum at each modulus (0 where no m is coprime or the group
@@ -594,13 +587,10 @@ def _mean_square(spec: TrilinearSpec, fixed: int, groups: list[tuple[int, comple
     support = spec.alpha.support_indices()  # sorted, so the largest |m| is at an end
     coprime = np.gcd(_exact_ints(support, max(-support[0], support[-1], fixed)), fixed) == 1
     ms = list(itertools.compress(support, coprime.tolist()))
-    a_items = spec.nu.nonzero_items()
-    a_idx = [a for a, _ in a_items]
-    nu_arr = np.asarray([v for _, v in a_items], dtype=complex)
     inner = np.zeros(len(ms), dtype=complex)
     comp = np.zeros(len(ms), dtype=complex)
     Ls = [L for _, _, L in groups]
-    for js, starts, _, sel, (sums,) in _coprime_inner_sums(spec.theta, Ls, [(ms, a_idx, [nu_arr])]):
+    for js, starts, _, sel, (sums,) in _coprime_inner_sums(spec.theta, Ls, [(ms, spec.nu.indices, [spec.nu.coeffs])]):
         bounds = [*starts.tolist(), len(sel)]
         for j, lo, hi in zip(js.tolist(), bounds, bounds[1:]):
             _kahan_vadd(inner, comp, sel[lo:hi], _times(groups[j][1], sums[lo:hi]))

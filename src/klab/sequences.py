@@ -1,8 +1,10 @@
 """Coefficient sequences, dyadic supports, and an equidistribution checker.
 
 A :class:`CoefficientSequence` is an immutable complex-valued map on a
-finite integer support with cached l1/l2 norms and an optional divisor
-bound tag (|value(n)| <= tau_k(n)).  A dyadic support is (T, 2T].
+finite integer support with cached l1/l2 norms, an optional divisor
+bound tag (|value(n)| <= tau_k(n)) and its nonzero entries as arrays,
+built once: the one view the form and dispersion evaluators read.  A
+dyadic support is (T, 2T].
 Sequences can be built from a few standard kinds, serialized to a plain
 text table, and probed for their discrepancy in arithmetic progressions.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -71,16 +73,31 @@ def _support_indices(support: DyadicRange | Iterable[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Immutable complex sequence on a finite support with cached norms."""
+    """Immutable complex sequence on a finite support with cached norms.
+
+    ``indices`` (a tuple of ints) and ``coeffs`` (a read-only complex
+    array) hold the entries whose value is nonzero, in ascending index
+    order; both are derived from ``values`` once, at construction, and
+    take no part in ``==`` or ``repr``.
+    """
 
     support: DyadicRange | frozenset[int]
     values: Mapping[int, complex]
     l1_norm: float
     l2_norm: float
     divisor_bound_k: int | None = None
+    indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    coeffs: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        items = [(n, v) for n, v in sorted(self.values.items()) if v != 0]
+        coeffs = np.array([v for _, v in items], dtype=complex)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "indices", tuple(n for n, _ in items))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def nonzero_items(self) -> list[tuple[int, complex]]:
-        return [(n, v) for n, v in sorted(self.values.items()) if v != 0]
+        return list(zip(self.indices, self.coeffs.tolist()))
 
     def support_indices(self) -> list[int]:
         return _support_indices(self.support)

@@ -128,37 +128,28 @@ class TestSweep:
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_one_task_per_family(self, tmp_path, monkeypatch, serial_pool):
-        # a task is one theta's family, whose points share one enumeration of
-        # the union of their moduli nR; with fewer families than workers,
-        # each is cut into contiguous slices of its seed-runs
-        batches = []
-        batch = forms.trilinear_forms
+        # the points, ordered by theta, are cut into min(jobs, points) slices;
+        # trilinear_forms enumerates the union of each theta's moduli nR once
+        batches, enumerations = [], []
+        batch, enumerate_sums = forms.trilinear_forms, forms._coprime_inner_sums
         monkeypatch.setattr(forms, "trilinear_forms",
-                            lambda specs: batches.append(len(specs)) or batch(specs))
-        run_sweep(write_config(tmp_path), str(tmp_path / "eight.csv"), jobs=1)
-        assert batches == [8]  # four (N, R) of two M's, all at theta 1
-        batches.clear()
-        grid = {"M": [16, 32, 64], "N": [8], "A": [2, 4], "R": [2], "seed": [3, 4]}
+                            lambda specs: batches.append(sorted({spec.theta for spec in specs})) or batch(specs))
+        monkeypatch.setattr(forms, "_coprime_inner_sums",
+                            lambda theta, *args: enumerations.append(theta) or enumerate_sums(theta, *args))
+        grid = {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1, -3], "seed": [3, 4]}
         cfg = write_config(tmp_path, grid=grid)
-        run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
-        assert serial_pool == [] and batches == [12]
+        run_sweep(cfg, str(tmp_path / "thetas1.csv"), jobs=1)
+        assert serial_pool == [] and batches == [[-3, 1]] and sorted(enumerations) == [-3, 1]
         batches.clear()
-        run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=4)
-        assert serial_pool == [4] and batches == [2, 4, 2, 4]  # six seed-runs in slices of 1, 2, 1, 2
-        for suffix in ("", ".summary.json"):
-            pooled = (tmp_path / f"pooled.csv{suffix}").read_bytes()
-            assert pooled == (tmp_path / f"serial.csv{suffix}").read_bytes()
-        batches.clear()
-        grid = {"M": [16, 32], "N": [8, 16], "A": [2], "R": [1, 2], "theta": [1, -3], "seed": [3]}
-        cfg = write_config(tmp_path, grid=grid)
-        run_sweep(cfg, str(tmp_path / "thetas.csv"), jobs=1)
-        assert batches == [8, 8]
-        batches.clear()
-        run_sweep(cfg, str(tmp_path / "thetas_pooled.csv"), jobs=3)
-        assert serial_pool == [4, 3] and batches == [4, 4, 4, 4]  # a pool of 3: each theta in two slices
-        for suffix in ("", ".summary.json"):
-            pooled = (tmp_path / f"thetas_pooled.csv{suffix}").read_bytes()
-            assert pooled == (tmp_path / f"thetas.csv{suffix}").read_bytes()
+        run_sweep(cfg, str(tmp_path / "thetas2.csv"), jobs=2)
+        assert serial_pool == [2] and batches == [[-3], [1]]  # 16 points of each theta
+        for jobs in (3, 4):
+            run_sweep(cfg, str(tmp_path / f"thetas{jobs}.csv"), jobs=jobs)
+        assert serial_pool == [2, 3, 4]
+        for jobs in (2, 3, 4):
+            for suffix in ("", ".summary.json"):
+                pooled = (tmp_path / f"thetas{jobs}.csv{suffix}").read_bytes()
+                assert pooled == (tmp_path / f"thetas1.csv{suffix}").read_bytes()
 
     def test_each_sequence_built_once_per_task(self, tmp_path, monkeypatch, serial_pool):
         built = []

@@ -315,6 +315,38 @@ class TestProgressionErrorTotal:
         assert result.passed, result.detail
 
 
+class TestZeroValues:
+    @staticmethod
+    def pair(values, zeros):
+        """The sequence of ``values`` with and without the zero-valued entries
+        of ``values`` and ``zeros``, on the same support."""
+        support = set(values) | set(zeros)
+        nonzero = {n: v for n, v in values.items() if v != 0}
+        return make_sequence({**values, **zeros}, support), make_sequence(nonzero, support)
+
+    @pytest.mark.parametrize("a", [1, 2, -3])
+    def test_zeros_change_no_bit(self, a):
+        # alpha has 16 nonzero entries and the window of m_scale 16 has 33 m's:
+        # the moduli up to the lookups take the residue-indexed table, the
+        # others the sorted one; 2**63 + 7 and 2**64 + 3 put the zeros' indices
+        # past int64
+        alpha_vals = build_sequence("random_unit", DyadicRange(16), seed=11).values
+        alpha, alpha_plain = self.pair(alpha_vals, {40: 0j, 2**63 + 7: complex(-0.0, 0.0), 5: complex(0.0, -0.0)})
+        beta_vals = build_sequence("moebius", DyadicRange(32)).values
+        assert 0j in beta_vals.values()
+        beta, beta_plain = self.pair(beta_vals, {70: complex(-0.0, 0.0), 2**64 + 3: 0j})
+        psi = SmoothCutoff()
+        moduli = [1, 2, 3, 5, 12, 16, 17, 30, 45, 49, 50, 64, 97, 1000, 2**31 + 11]
+        for q in moduli:
+            got = progression_error(alpha, beta, q, a)
+            assert repr(got) == repr(progression_error(alpha_plain, beta_plain, q, a))
+            assert repr(got) == repr(TestProgressionError.python_loop(alpha, beta, q, a))
+        got = progression_error_total(alpha, beta, moduli, a)
+        assert repr(got) == repr(progression_error_total(alpha_plain, beta_plain, moduli, a))
+        got = dispersion_split(alpha, beta, moduli, a, psi, 16.0)
+        assert repr(got) == repr(dispersion_split(alpha_plain, beta_plain, moduli, a, psi, 16.0))
+
+
 class TestDispersionSplit:
     def test_zero_beta(self):
         split = dispersion_split(ones({3}), make_sequence({3: 0j}), [3, 4], 1,

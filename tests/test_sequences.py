@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from klab.arith import euler_phi, moebius
 from klab.forms import TrilinearSpec, mean_square_direct
 from klab.sequences import (
+    CoefficientSequence,
     DivisorBoundViolation,
     DyadicRange,
     EmptySupport,
@@ -89,6 +90,45 @@ class TestBuildSequence:
     def test_value_outside_support_rejected(self):
         with pytest.raises(ValueError):
             make_sequence({9: 1 + 0j}, support=DyadicRange(2))
+
+
+class TestNonzeroView:
+    @staticmethod
+    def ascending_nonzero(s):
+        # reference: the values map's nonzero entries sorted afresh
+        return [(n, v) for n, v in sorted(s.values.items()) if v != 0]
+
+    def test_moebius_drops_its_zeros(self):
+        s = build_sequence("moebius", DyadicRange(16))
+        want = self.ascending_nonzero(s)
+        assert 0j in s.values.values() and len(want) < len(s.values)
+        assert s.indices == tuple(n for n, _ in want)
+        assert all(type(n) is int for n in s.indices)
+        assert s.coeffs.dtype == complex and s.coeffs.tolist() == [v for _, v in want]
+        assert s.nonzero_items() == want
+
+    def test_explicit_support_and_signed_zeros(self):
+        vals = {9: 2 - 1j, 3: complex(-0.0, 0.0), 5: complex(-0.0, 1.0), -4: 0.5 + 0j, 7: 0j}
+        s = make_sequence(vals, support={-4, 1, 3, 5, 7, 9, 12})
+        assert s.indices == (-4, 5, 9)
+        got = s.coeffs.tolist()
+        assert got == [0.5 + 0j, complex(-0.0, 1.0), 2 - 1j]
+        assert math.copysign(1.0, got[1].real) == -1.0  # kept as given, signed zero included
+        assert s.nonzero_items() == self.ascending_nonzero(s)
+
+    def test_read_only_equal_and_five_arguments(self):
+        s = build_sequence("random_unit", DyadicRange(8), seed=5)
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 0j
+        t = build_sequence("random_unit", DyadicRange(8), seed=5)
+        assert s == t and s.coeffs is not t.coeffs
+        assert s != build_sequence("random_unit", DyadicRange(8), seed=6)
+        args = (s.support, s.values, s.l1_norm, s.l2_norm, s.divisor_bound_k)
+        assert CoefficientSequence(*args) == s
+        with pytest.raises(TypeError):
+            CoefficientSequence(*args, s.indices)
+        with pytest.raises(TypeError):
+            CoefficientSequence(*args, indices=s.indices)
 
 
 class TestNorms:
