@@ -84,8 +84,8 @@ def _build_role(kind: str, base: int, seed: int, role: str) -> sequences.Coeffic
 
 def load_config(path: str) -> dict:
     """Read and validate a sweep config; return it with every default filled
-    in: the R, theta and seed axes, each role's kind and the three bound
-    keys, with epsilon as a float."""
+    in: the R, theta and seed axes, each role's kind and the bound keys
+    (exponent_variant for bcr only), with epsilon as a float."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -131,13 +131,16 @@ def load_config(path: str) -> dict:
     if formula not in ("bcr", "bc"):
         raise ConfigError(f"bound.formula must be 'bcr' or 'bc', got {formula!r}")
     epsilon = bound.get("epsilon", 0.01)
-    # type() excludes bools; abs() <= max rejects NaN, infinities and ints no float can hold
-    if type(epsilon) not in (int, float) or not abs(epsilon) <= sys.float_info.max:
-        raise ConfigError(f"bound.epsilon must be a finite number, got {epsilon!r}")
+    # type() excludes bools; [0, 1), the eps range of bounds.check_range_conditions, excludes NaN and overflows
+    if type(epsilon) not in (int, float) or not 0 <= epsilon < 1:
+        raise ConfigError(f"bound.epsilon must be a number in [0, 1), got {epsilon!r}")
     bound["epsilon"] = float(epsilon)
-    variant = bound.setdefault("exponent_variant", "statement")
-    if variant not in ("statement", "proof"):
-        raise ConfigError(f"bound.exponent_variant must be 'statement' or 'proof', got {variant!r}")
+    if formula == "bcr":
+        variant = bound.setdefault("exponent_variant", "statement")
+        if variant not in ("statement", "proof"):
+            raise ConfigError(f"bound.exponent_variant must be 'statement' or 'proof', got {variant!r}")
+    elif "exponent_variant" in bound:  # rhs_trilinear_coprime takes no variant
+        raise ConfigError("bound.exponent_variant applies to formula 'bcr' only")
     return cfg
 
 
@@ -156,7 +159,7 @@ def _sweep_run(task: dict) -> list[dict]:
     points once; each (role, base, seed) sequence is built once and shared
     by the points that use it."""
     kinds = task["sequences"]
-    formula, epsilon, variant = (task["bound"][key] for key in ("formula", "epsilon", "exponent_variant"))
+    formula, epsilon = task["bound"]["formula"], task["bound"]["epsilon"]
     build = functools.cache(lambda role, base, seed: _build_role(kinds[role], base, seed, role))
     specs = [
         forms.TrilinearSpec(build("alpha", pt["M"], pt["seed"]), build("beta", pt["N"], pt["seed"]),
@@ -169,7 +172,7 @@ def _sweep_run(task: dict) -> list[dict]:
         norms = (spec.alpha.l2_norm, spec.beta.l2_norm, spec.nu.l2_norm)
         if formula == "bcr":
             rhs = bounds.rhs_trilinear_fixed_factor(
-                pt["M"], pt["N"], pt["A"], pt["R"], pt["theta"], norms, epsilon, variant
+                pt["M"], pt["N"], pt["A"], pt["R"], pt["theta"], norms, epsilon, task["bound"]["exponent_variant"]
             )
         else:
             rhs = bounds.rhs_trilinear_coprime(pt["M"], pt["N"], pt["A"], pt["theta"], norms, epsilon)
@@ -242,7 +245,7 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     summary = {
         "points": len(rows),
         "degenerate_points": len(rows) - len(positive),
-        **cfg["bound"],  # formula, epsilon and exponent_variant
+        **cfg["bound"],  # formula, epsilon and, for bcr, exponent_variant
         "max_ratio": None,
         "argmax": None,
     }

@@ -54,10 +54,11 @@ ordered so that each chain L, 2L, 4L is adjacent: forms with the same
 alpha support share its coprimality masks and inverses, those with the
 same nu support as well share each phase block at the moduli they need,
 built once and reduced once against each distinct nu, so sharing changes
-no bit either.  Accumulation is Kahan-compensated so identity checks hold
-to 1e-9 over grids with millions of summands.  All evaluators are pure
-functions; the outer loops can be partitioned across workers and merged
-in index order.
+no bit either.  Each form value fsums its moduli's float-part products
+beta_n times the alpha sum; only a mean square's S_m is Kahan-compensated,
+and its squares are fsummed, so identity checks hold to 1e-9 over grids
+with millions of summands.  All evaluators are pure functions; the outer
+loops can be partitioned across workers and merged in index order.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ A :class:`CoefficientSequence` is an immutable complex-valued map on a
 finite integer support with cached l1/l2 norms, an optional divisor
 bound tag (|value(n)| <= tau_k(n)) and its nonzero entries as arrays,
 built once: the one view the form and dispersion evaluators read.  A
-dyadic support is (T, 2T].
-Sequences can be built from a few standard kinds, serialized to a plain
-text table, and probed for their discrepancy in arithmetic progressions.
+dyadic support is (T, 2T]; an explicit support may hold indices that
+carry no value, and the mean squares still run over them.
+Sequences come from an index -> value map (:func:`make_sequence`) or one
+of a few standard kinds (:func:`build_sequence`), and
+:func:`sw_discrepancy` probes one in an arithmetic progression.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ __all__ = [
     "make_sequence",
     "build_sequence",
     "sw_discrepancy",
-    "sequence_to_text",
-    "sequence_from_text",
 ]
 
 
@@ -202,49 +202,3 @@ def sw_discrepancy(beta: CoefficientSequence, q: int, a: int, r: int = 1) -> flo
     cop_terms = [v for n, v in sorted(beta.values.items()) if gcd(n, q * r) == 1]
     return abs(_csum(ap_terms) - _csum(cop_terms) / euler_phi(q))
 
-
-def sequence_to_text(s: CoefficientSequence) -> str:
-    """Serialize as a text table: header line, then "index value_re value_im" lines.
-
-    A dyadic support (T, 2T] is written ``# support T half-open``; an
-    explicit support is listed in full in the header, so indices that carry
-    no value survive the round trip.
-    """
-    if isinstance(s.support, DyadicRange):
-        header = f"# support {s.support.base} half-open"
-    else:
-        header = "# support explicit " + " ".join(map(str, sorted(s.support)))
-    lines = [header]
-    for n in sorted(s.values):
-        v = s.values[n]
-        lines.append(f"{n} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def sequence_from_text(text: str) -> CoefficientSequence:
-    """Parse the table format written by :func:`sequence_to_text`.
-
-    A bare ``# support explicit`` header, which lists no indices, takes the
-    support to be the indices of the rows.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing '# support ...' header line")
-    head = lines[0].lstrip("#").split()
-    explicit = head[1:2] == ["explicit"]
-    if head[:1] != ["support"] or (not explicit and head[2:] != ["half-open"]):
-        raise ValueError(f"malformed header {lines[0]!r}")
-    vals: dict[int, complex] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed row {ln!r}")
-        vals[int(parts[0])] = complex(float(parts[1]), float(parts[2]))
-    try:
-        if explicit:
-            support: DyadicRange | frozenset[int] = frozenset(map(int, head[2:])) or frozenset(vals)
-        else:
-            support = DyadicRange(int(head[1]))
-    except ValueError as exc:
-        raise ValueError(f"malformed header {lines[0]!r}: {exc}") from None
-    return make_sequence(vals, support)

@@ -296,11 +296,13 @@ class TestSweep:
             load_config(cfg)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
-    @pytest.mark.parametrize("epsilon", ["abc", True, float("nan"), 10**400])
+    @pytest.mark.parametrize("epsilon", ["abc", True, float("nan"), 10**400, 1e300, 400, -0.5])
     def test_invalid_epsilon_rejected(self, tmp_path, epsilon):
-        cfg = write_config(tmp_path, bound={"formula": "bcr", "epsilon": epsilon})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert not (tmp_path / "x.csv").exists()
+        # epsilon lies in [0, 1): beyond it the bounds overflow or every row is degenerate
+        for formula in ("bcr", "bc"):
+            cfg = write_config(tmp_path, bound={"formula": formula, "epsilon": epsilon})
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
 
     def test_grid_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "GRID_CAP", 4)
@@ -334,6 +336,16 @@ class TestSweep:
         with open(outs["proof"], newline="") as fh, open(outs["statement"], newline="") as gh:
             proof_rows, statement_rows = list(csv.DictReader(fh)), list(csv.DictReader(gh))
         assert [r["term3"] for r in proof_rows] != [r["term3"] for r in statement_rows]
+
+    def test_bc_takes_no_exponent_variant(self, tmp_path):
+        # rhs_trilinear_coprime has one exponent, so a bc config may not set one
+        for variant in ("statement", "proof"):
+            cfg = write_config(tmp_path, bound={"formula": "bc", "exponent_variant": variant})
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert not (tmp_path / "x.csv").exists()
+        summary = run_sweep(write_config(tmp_path, bound={"formula": "bc"}), str(tmp_path / "bc.csv"))
+        written = json.loads((tmp_path / "bc.csv.summary.json").read_text())
+        assert written == summary and summary["formula"] == "bc" and "exponent_variant" not in summary
 
     def test_float_format_17_digits(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -884,6 +884,24 @@ class TestMeanSquareDirect:
                              theta=1, R=3)
         assert math.isclose(mean_square_direct(spec), naive_mean_square(spec), rel_tol=1e-12)
 
+    def test_support_indices_without_values(self):
+        # the mean squares run over every m of the alpha support: 5 and 7 carry
+        # no value but still add |S_m|^2 (13.60 at R = 1, against 2.0 on {3})
+        alpha, lone = make_sequence({3: 1}, support={3, 5, 7}), make_sequence({3: 1})
+        beta, nu = ones({4, 9}), ones({1, 2})
+        for R in (1, 2):
+            spec = spec_of(alpha, beta, nu, R=R)
+            want = naive_mean_square(spec)
+            assert math.isclose(mean_square_direct(spec), want, rel_tol=1e-12)
+            assert math.isclose(mean_square_decomposed(spec), want, rel_tol=1e-12)
+            assert not math.isclose(want, mean_square_direct(spec_of(lone, beta, nu, R=R)), rel_tol=1e-3)
+        squarefree = ones({5, 6, 11})
+        for b in (1, 2):
+            spec = spec_of(alpha, squarefree, nu)
+            want = naive_cb(spec, b)
+            assert math.isclose(squarefree_mean_square(spec, b), want, rel_tol=1e-12)
+            assert not math.isclose(want, squarefree_mean_square(spec_of(lone, squarefree, nu), b), rel_tol=1e-3)
+
     @pytest.mark.parametrize("fixed", (1, 2, 12, 2**61 - 1, 3 * 2**64))
     def test_coprime_m_match_gcd_list(self, monkeypatch, fixed):
         # the m's of the alpha support coprime to R, from one array gcd: the
