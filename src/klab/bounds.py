@@ -36,8 +36,10 @@ __all__ = [
     "admissible_n_exponent",
     "extremal_q_exponent",
     "check_range_conditions",
+    "check_rhs_inputs",
     "COROLLARY_TABLES",
     "DISPERSION_TAIL_EXPONENTS",
+    "EXPONENT_VARIANTS",
     "FIXED_N_CAPS",
     "HANDOFF_N_EXPONENT",
 ]
@@ -52,6 +54,14 @@ def parse_exponent(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidExponent(f"cannot parse exponent {text!r}: {exc}") from None
+
+
+def check_rhs_inputs(epsilon: float, *sizes: float) -> None:
+    """The input rule of every right-hand side: sizes > 0 and 0 <= epsilon < 1 (NaN fails both)."""
+    if not all(size > 0 for size in sizes):
+        raise ValueError("sizes must be positive")
+    if not 0 <= epsilon < 1:
+        raise InvalidExponent(f"epsilon must lie in [0, 1), got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,7 @@ def rhs_trilinear_coprime(
         norms * (1 + |theta| A / (MN))^(1/2)
               * ( (AMN)^(7/20+eps) (M+N)^(1/4) + (AMN)^(3/8+eps) (AN+AM)^(1/8) )
     """
+    check_rhs_inputs(epsilon, M, N, A)
     amn = A * M * N
     terms = [
         ("term1", amn ** (7 / 20 + epsilon) * (M + N) ** (1 / 4)),
@@ -97,6 +108,10 @@ def rhs_trilinear_coprime(
     prefactor = math.sqrt(1.0 + abs(theta) * A / (M * N))
     scale = norms[0] * norms[1] * norms[2] * prefactor
     return _sum_report(terms, scale, meta={"prefactor": prefactor})
+
+
+# The third term's A-exponent in each version of the fixed-factor bound, the default first.
+EXPONENT_VARIANTS: dict[str, float] = {"statement": 1 / 20, "proof": 3 / 10}
 
 
 def rhs_trilinear_fixed_factor(
@@ -117,14 +132,15 @@ def rhs_trilinear_fixed_factor(
             + N^(3/20) / (A^(3/20) M^(1/5)) + N^(3/8) / M^(1/2) )
 
     The A-exponent x in the third term is 1/20 under variant "statement" and
-    3/10 under variant "proof"; the two displayed versions disagree and both
-    are exposed.  The working hypotheses M << N^2 and R << M^A are not
-    enforced; violations are reported as flags and the value is still
-    computed so sweeps can map where the formula degrades.
+    3/10 under variant "proof" (``EXPONENT_VARIANTS``); the two displayed
+    versions disagree and both are exposed.  The working hypotheses M << N^2
+    and R << M^A are not enforced; violations are reported as flags and the
+    value is still computed so sweeps can map where the formula degrades.
     """
-    if exponent_variant not in ("statement", "proof"):
+    check_rhs_inputs(epsilon, M, N, A, R)
+    if exponent_variant not in EXPONENT_VARIANTS:
         raise ValueError(f"unknown exponent_variant {exponent_variant!r}")
-    x3 = 1 / 20 if exponent_variant == "statement" else 3 / 10
+    x3 = EXPONENT_VARIANTS[exponent_variant]
     terms = [
         ("term1", N ** (-1 / 8)),
         ("term2", R ** (1 / 8) * N ** (1 / 8) / M ** (1 / 4)),
@@ -166,6 +182,7 @@ def rhs_mean_square_bound(
             + b^(1/5) A^(2/5) M^(6/5) N^(7/10) + b^(1/2) A^(7/10) M^(3/5) N^(13/10)
             + b^(1/2) A N^(7/4) )
     """
+    check_rhs_inputs(epsilon, M, N, A, b)
     terms = [
         ("term1", A * M * (b * N) ** (1 / 2)),
         ("term2", b ** (3 / 4) * A * M ** (1 / 2) * N ** (5 / 4)),
@@ -321,8 +338,7 @@ def check_range_conditions(
     ceiling_i = admissible_n_exponent(corollary, "i", q).ceiling  # requires q in (0, 1)
     if a < 0 or a > 1:
         raise InvalidExponent(f"a-exponent must lie in [0, 1], got {a}")
-    if eps < 0 or eps >= 1:
-        raise InvalidExponent(f"epsilon must lie in [0, 1), got {eps}")
+    check_rhs_inputs(eps)
     m = 1 - n
 
     def strict(slack: Fraction) -> ConditionResult:

@@ -52,8 +52,17 @@ GRID_CAP = 10**6
 GRID_AXES = ("M", "N", "A", "R", "theta", "seed")
 _AXIS_DEFAULTS = {"R": [1], "theta": [1], "seed": [0]}
 _CONFIG_KEYS = {"grid", "sequences", "bound"}
-_BOUND_KEYS = {"formula", "epsilon", "exponent_variant"}
 _ROLE_OFFSET = {"alpha": 1, "beta": 2, "nu": 3}
+# Each sweep formula: its bound options but epsilon, each with its allowed values (the
+# default first), and its rhs at a grid point, which looks bounds.rhs_* up at call time.
+# The coprime bound is taken at N*R, the size of the moduli nR.
+_FORMULAS = {
+    "bcr": ({"exponent_variant": tuple(bounds.EXPONENT_VARIANTS)}, lambda pt, norms, bound: (
+        bounds.rhs_trilinear_fixed_factor(pt["M"], pt["N"], pt["A"], pt["R"], pt["theta"], norms,
+                                          bound["epsilon"], bound["exponent_variant"]))),
+    "bc": ({}, lambda pt, norms, bound: bounds.rhs_trilinear_coprime(
+        pt["M"], pt["N"] * pt["R"], pt["A"], pt["theta"], norms, bound["epsilon"])),
+}
 
 
 class ConfigError(ValueError):
@@ -84,8 +93,8 @@ def _build_role(kind: str, base: int, seed: int, role: str) -> sequences.Coeffic
 
 def load_config(path: str) -> dict:
     """Read and validate a sweep config; return it with every default filled
-    in: the R, theta and seed axes, each role's kind and the bound keys
-    (exponent_variant for bcr only), with epsilon as a float."""
+    in: the R, theta and seed axes, each role's kind and the formula's bound
+    keys, with epsilon as a float."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -125,22 +134,23 @@ def load_config(path: str) -> dict:
     for role in _ROLE_OFFSET:
         _parse_kind(seqs.setdefault(role, "random_unit"))
     bound = cfg.setdefault("bound", {})
-    if not isinstance(bound, dict) or set(bound) - _BOUND_KEYS:
-        raise ConfigError(f"'bound' keys must be among {sorted(_BOUND_KEYS)}")
-    formula = bound.setdefault("formula", "bcr")
-    if formula not in ("bcr", "bc"):
-        raise ConfigError(f"bound.formula must be 'bcr' or 'bc', got {formula!r}")
-    epsilon = bound.get("epsilon", 0.01)
-    # type() excludes bools; [0, 1), the eps range of bounds.check_range_conditions, excludes NaN and overflows
-    if type(epsilon) not in (int, float) or not 0 <= epsilon < 1:
-        raise ConfigError(f"bound.epsilon must be a number in [0, 1), got {epsilon!r}")
+    if not isinstance(bound, dict) or bound.setdefault("formula", "bcr") not in list(_FORMULAS):
+        raise ConfigError(f"'bound' must be an object whose formula is among {sorted(_FORMULAS)}, got {bound!r}")
+    options, _ = _FORMULAS[bound["formula"]]
+    keys = {"formula", "epsilon", *options}
+    if set(bound) - keys:
+        raise ConfigError(f"'bound' keys of formula {bound['formula']!r} must be among {sorted(keys)}")
+    epsilon = bound.setdefault("epsilon", 0.01)
+    if type(epsilon) not in (int, float):  # type() excludes bools
+        raise ConfigError(f"bound.epsilon must be a number, got {epsilon!r}")
+    try:
+        bounds.check_rhs_inputs(epsilon)
+    except bounds.InvalidExponent as exc:
+        raise ConfigError(f"bound.{exc}") from None
     bound["epsilon"] = float(epsilon)
-    if formula == "bcr":
-        variant = bound.setdefault("exponent_variant", "statement")
-        if variant not in ("statement", "proof"):
-            raise ConfigError(f"bound.exponent_variant must be 'statement' or 'proof', got {variant!r}")
-    elif "exponent_variant" in bound:  # rhs_trilinear_coprime takes no variant
-        raise ConfigError("bound.exponent_variant applies to formula 'bcr' only")
+    for key, allowed in options.items():
+        if bound.setdefault(key, allowed[0]) not in allowed:
+            raise ConfigError(f"bound.{key} must be one of {list(allowed)}, got {bound[key]!r}")
     return cfg
 
 
@@ -158,8 +168,8 @@ def _sweep_run(task: dict) -> list[dict]:
     them all, and it enumerates the union of the moduli nR of each theta's
     points once; each (role, base, seed) sequence is built once and shared
     by the points that use it."""
-    kinds = task["sequences"]
-    formula, epsilon = task["bound"]["formula"], task["bound"]["epsilon"]
+    kinds, bound = task["sequences"], task["bound"]
+    _, rhs_at = _FORMULAS[bound["formula"]]
     build = functools.cache(lambda role, base, seed: _build_role(kinds[role], base, seed, role))
     specs = [
         forms.TrilinearSpec(build("alpha", pt["M"], pt["seed"]), build("beta", pt["N"], pt["seed"]),
@@ -170,21 +180,11 @@ def _sweep_run(task: dict) -> list[dict]:
     for pt, spec, result in zip(task["points"], specs, forms.trilinear_forms(specs)):
         lhs = abs(result.value)
         norms = (spec.alpha.l2_norm, spec.beta.l2_norm, spec.nu.l2_norm)
-        if formula == "bcr":
-            rhs = bounds.rhs_trilinear_fixed_factor(
-                pt["M"], pt["N"], pt["A"], pt["R"], pt["theta"], norms, epsilon, task["bound"]["exponent_variant"]
-            )
-        else:
-            rhs = bounds.rhs_trilinear_coprime(pt["M"], pt["N"], pt["A"], pt["theta"], norms, epsilon)
+        rhs = rhs_at(pt, norms, bound)
         ratio = lhs / rhs.total if rhs.total > 0 else math.nan
-        row = dict(pt)
-        row["lhs"] = lhs
-        row["rhs_total"] = rhs.total
-        row["ratio"] = ratio
-        row["terms"] = result.terms
-        row.update(rhs.terms)  # term1, term2, ... in formula order
-        row["flags"] = ";".join(rhs.flags)
-        rows.append(row)
+        # the point's axes, then these columns, with term1, term2, ... in formula order
+        rows.append(dict(pt, lhs=lhs, rhs_total=rhs.total, ratio=ratio, terms=result.terms, **dict(rhs.terms),
+                         flags=";".join(rhs.flags)))
     return rows
 
 
@@ -245,7 +245,7 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     summary = {
         "points": len(rows),
         "degenerate_points": len(rows) - len(positive),
-        **cfg["bound"],  # formula, epsilon and, for bcr, exponent_variant
+        **cfg["bound"],  # formula, epsilon and the formula's options
         "max_ratio": None,
         "argmax": None,
     }

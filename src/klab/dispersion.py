@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .arith import _exact_ints, batch_mod_inverse, divisor_count, euler_phi, factorize
-from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport
+from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport, check_rhs_inputs
 from .sequences import CoefficientSequence, _csum
 
 __all__ = [
@@ -548,6 +548,9 @@ def completed_coprime_sum(psi: SmoothCutoff, m_scale: float, q: int) -> CoprimeC
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
+    _check_m_scale(m_scale)
+    if m_scale <= 0.5:  # the error bound's (log 2M)^2 is 0 at M = 1/2
+        raise ValueError(f"m_scale must exceed 1/2, got {m_scale}")
     lhs = fsum(psi(m / m_scale) for m in psi.window(m_scale) if gcd(m, q) == 1)
     main = (euler_phi(q) / q) * psi.mass() * m_scale
     error_bound = divisor_count(q) * math.log(2 * m_scale) ** 2
@@ -579,8 +582,7 @@ def rhs_dispersion(
     carries the two baseline tail terms and the new/old ratios, and flags
     record both of the stated D-vs-N hypotheses.
     """
-    if min(M, N, Q, D, X) <= 0:
-        raise ValueError("sizes must be positive")
+    check_rhs_inputs(epsilon, M, N, Q, D, X)
     lk = math.log(X) ** kappa
     dc = D**C_exp * X**epsilon
     tails = {

@@ -17,6 +17,7 @@ from klab.bounds import (
     rhs_trilinear_coprime,
     rhs_trilinear_fixed_factor,
 )
+from klab.dispersion import rhs_dispersion
 
 F = Fraction
 
@@ -131,6 +132,31 @@ class TestMeanSquareBound:
     def test_golden(self, args, want):
         rep = rhs_mean_square_bound(*args)
         assert math.isclose(rep.total, want, rel_tol=1e-12)
+
+
+# each right-hand side at a valid point, by keyword
+RHS_POINTS = {
+    rhs_trilinear_coprime: {"M": 4, "N": 8, "A": 2, "theta": 1, "norms": (1, 1, 1)},
+    rhs_trilinear_fixed_factor: {"M": 4, "N": 8, "A": 2, "R": 3, "theta": 1, "norms": (1, 1, 1)},
+    rhs_mean_square_bound: {"M": 4, "N": 8, "A": 2, "b": 2, "theta": 1, "norms_beta_nu": (1, 1)},
+    rhs_dispersion: {"M": 8, "N": 4, "Q": 16, "D": 2, "X": 64, "alpha_l2": 1.0, "Estar": 0.0},
+}
+
+
+@pytest.mark.parametrize("rhs", RHS_POINTS, ids=lambda rhs: rhs.__name__)
+def test_one_input_rule(rhs):
+    # every right-hand side takes sizes > 0 and epsilon in [0, 1) and raises on anything else
+    point = RHS_POINTS[rhs]
+    assert rhs(**point, epsilon=0.5).total > 0
+    sizes = set(point) & {"M", "N", "A", "R", "b", "Q", "D", "X"}
+    assert len(sizes) == len(point) - 2  # all but theta and the norms, or alpha_l2 and Estar
+    for size in sizes:
+        for bad in (0, -4, -2.5):
+            with pytest.raises(ValueError, match="sizes must be positive"):
+                rhs(**point | {size: bad})
+    for epsilon in (math.nan, -0.5, 1, 400):
+        with pytest.raises(InvalidExponent, match=r"epsilon must lie in \[0, 1\)"):
+            rhs(**point, epsilon=epsilon)
 
 
 class TestAdmissibleNExponent:

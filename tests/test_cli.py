@@ -36,6 +36,11 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def unit_sequence(base, role, seed=0):
+    """The random_unit sequence a sweep builds for ``role`` at ``base`` and ``seed``."""
+    return sequences.build_sequence("random_unit", sequences.DyadicRange(base), seed=role_seed(seed, role))
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """A recorder in place of the process pool: it maps serially, starts no
@@ -346,6 +351,48 @@ class TestSweep:
         summary = run_sweep(write_config(tmp_path, bound={"formula": "bc"}), str(tmp_path / "bc.csv"))
         written = json.loads((tmp_path / "bc.csv.summary.json").read_text())
         assert written == summary and summary["formula"] == "bc" and "exponent_variant" not in summary
+
+    def test_bc_at_moduli_size(self, tmp_path):
+        # the moduli nR have size N*R, so the coprime bound is taken there
+        cfg = write_config(tmp_path, grid={"M": [32], "N": [16], "A": [4], "R": [1, 2]},
+                           bound={"formula": "bc"})
+        out = tmp_path / "bc.csv"
+        run_sweep(cfg, str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        norms = tuple(unit_sequence(base, role).l2_norm for base, role in ((32, "alpha"), (16, "beta"), (4, "nu")))
+        for row, R in zip(rows, (1, 2), strict=True):
+            assert int(row["R"]) == R
+            rhs = bounds.rhs_trilinear_coprime(32, 16 * R, 4, 1, norms, 0.01)
+            assert (float(row["rhs_total"]), float(row["term1"]), float(row["term2"])) == (
+                rhs.total, *dict(rhs.terms).values())
+
+    def test_formula_table(self, tmp_path, monkeypatch):
+        # a formula is one entry of the table: its options (default first) and its rhs
+        def rhs(pt, norms, bound):
+            b = {"one": 1, "two": 2}[bound["scale"]]
+            return bounds.rhs_mean_square_bound(pt["M"], pt["N"], pt["A"], b, pt["theta"], norms[1:],
+                                                bound["epsilon"])
+
+        monkeypatch.setitem(cli._FORMULAS, "ms", ({"scale": ("one", "two")}, rhs))
+        grid = {"M": [8], "N": [4], "A": [2]}
+        cfg = load_config(write_config(tmp_path, grid=grid, bound={"formula": "ms"}))
+        assert cfg["bound"] == {"formula": "ms", "epsilon": 0.01, "scale": "one"}
+        # a value outside the option's set, another formula's option, and an unhashable formula
+        for bound in ({"formula": "ms", "scale": "three"}, {"formula": "ms", "exponent_variant": "proof"},
+                      {"formula": ["ms"]}):
+            with pytest.raises(ConfigError):
+                load_config(write_config(tmp_path, grid=grid, bound=bound))
+        out = tmp_path / "ms.csv"
+        summary = run_sweep(write_config(tmp_path, grid=grid, bound={"formula": "ms", "scale": "two"}), str(out))
+        assert summary["scale"] == "two" and summary["points"] == 1
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        beta, nu = unit_sequence(4, "beta"), unit_sequence(2, "nu")
+        want = bounds.rhs_mean_square_bound(8, 4, 2, 2, 1, (beta.l2_norm, nu.l2_norm), 0.01)
+        assert [k for k in row if k.startswith("term") and k != "terms"] == [f"term{i}" for i in range(1, 7)]
+        assert float(row["rhs_total"]) == want.total
+        assert [float(row[name]) for name, _ in want.terms] == [v for _, v in want.terms]
 
     def test_float_format_17_digits(self, tmp_path):
         cfg = write_config(tmp_path)

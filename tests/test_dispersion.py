@@ -667,6 +667,13 @@ class TestCompletedCoprimeSum:
         with pytest.raises(ValueError, match="q must be positive"):
             completed_coprime_sum(SmoothCutoff(), 100.0, q)
 
+    @pytest.mark.parametrize("m_scale", [0.5, 0.4])
+    def test_m_scale_at_most_half_rejected(self, m_scale):
+        # the error bound tau(q) (log 2M)^2 is 0 at M = 1/2, where the observed
+        # constant divided by zero, and below 1/2 the log is negative
+        with pytest.raises(ValueError, match="m_scale must exceed 1/2"):
+            completed_coprime_sum(SmoothCutoff(), m_scale, 3)
+
 
 class TestRhsDispersion:
     def test_unit_point_hand_arithmetic(self):
