@@ -1,8 +1,9 @@
 """Exact modular and multiplicative arithmetic primitives.
 
 Everything here is exact at any size: moduli far beyond 64 bits are handled
-with plain Python integers, and :func:`batch_mod_inverse` inverts int64
-arrays with a vectorised extended Euclid only when every input fits it.
+with plain Python integers, and :func:`batch_mod_inverse` picks its
+algorithm from the integers alone: a vectorised extended Euclid when every
+value and modulus fits int64, in a list or an array, and ``pow`` otherwise.
 Whether integer arithmetic may run on int64 or must use Python integers is
 decided in one place, :func:`_fits_int64`, from a magnitude bound that its
 caller supplies; forms and dispersion build their integer arrays through
@@ -121,39 +122,31 @@ def batch_mod_inverse(values, m):
     """Inverses of ``values[i]`` modulo ``m``, or modulo ``m[i]`` when ``m``
     gives one modulus per value, each in [0, modulus).
 
-    An integer array whose moduli :func:`_exact_ints` keeps in int64 is
-    inverted at once by a vectorised extended Euclid and gives an int64
-    array.  Every other input (a list, or big integers) goes through ``pow``
-    one value at a time and gives a list of plain ints, or an object array
-    for an array input; the integers are the same either way.  Lists stay
-    on ``pow`` for the one list caller, dispersion's sorted-residue table,
-    whose batch is the few residues looked up at a modulus larger than
-    their count: on such short batches the Euclid's fixed cost per step
-    outweighs its per-value saving (the ``dispersion-split`` benchmark ran
-    about 20 % longer with it while its moduli took that table).  If some
-    value is not invertible the raised :class:`NonInvertible` carries the
-    first offending index.
+    The integers alone pick the algorithm.  Values that fit int64, with
+    moduli that :func:`_exact_ints` keeps in int64, are inverted at once by
+    a vectorised extended Euclid; big integers go through ``pow`` one value
+    at a time.  A list gives a list of plain ints, an array an int64 array
+    (Euclid) or an object array (``pow``); the integers are the same either
+    way.  If some value is not invertible the raised :class:`NonInvertible`
+    carries the first offending index.
     """
+    if np.any(np.asarray(m) < 1):
+        raise ValueError(f"modulus must be positive, got {m}")
     as_array = isinstance(values, np.ndarray)
-    if isinstance(m, int) and not as_array:
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
-        vs, ms = values, [m] * len(values)
-    else:
-        moduli = np.broadcast_to(np.asarray(m), np.shape(values))
-        if np.any(moduli < 1):
-            raise ValueError(f"modulus must be positive, got {m}")
-        if as_array and values.dtype.kind == "i" and moduli.dtype.kind == "i":
-            # the Euclid's remainders and coefficients are bounded by the moduli
-            moduli = _exact_ints(moduli, int(moduli.max(initial=0)))
-            if moduli.dtype == np.int64:
-                g, x = _euclid(values % moduli, moduli)
-                bad = np.flatnonzero(g != 1)
-                if bad.size:
-                    index = int(bad[0])
-                    raise NonInvertible(int(values[index]), int(moduli[index]), index=index)
-                return x % moduli
-        vs, ms = (values.tolist() if as_array else list(values)), moduli.tolist()
+    vs, moduli = np.asarray(values), np.broadcast_to(np.asarray(m), np.shape(values))
+    # a list with an integer past int64 parses as no int64 array, so it stays on pow
+    if vs.dtype.kind == "i" and moduli.dtype.kind == "i":
+        # the Euclid's remainders and coefficients are bounded by the moduli
+        moduli = _exact_ints(moduli, int(moduli.max(initial=0)))
+        if moduli.dtype == np.int64:
+            g, x = _euclid(vs % moduli, moduli)
+            bad = np.flatnonzero(g != 1)
+            if bad.size:
+                index = int(bad[0])
+                raise NonInvertible(int(vs[index]), int(moduli[index]), index=index)
+            return x % moduli if as_array else (x % moduli).tolist()
+    vs = values.tolist() if as_array else list(values)
+    ms = np.broadcast_to(np.asarray(m, dtype=object), len(vs)).tolist()
     try:
         invs = [pow(v, -1, mi) for v, mi in zip(vs, ms)]
     except ValueError:

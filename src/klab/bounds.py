@@ -13,7 +13,7 @@ Two kinds of machinery live here:
 Reporting convention: ``terms`` are the displayed additive terms of a
 formula (sizes only); ``scale`` collects the displayed global multipliers
 (norms, the (1 + |theta| A / ...)^(1/2 or 1/4) prefactor, the epsilon
-bump); ``total = scale * sum(terms)``.
+bump); ``total = scale * sum(terms)`` in the evaluators here.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def parse_exponent(text: str) -> Fraction:
 
 
 def check_rhs_inputs(epsilon: float, *sizes: float) -> None:
-    """The input rule of every right-hand side: sizes > 0 and 0 <= epsilon < 1 (NaN fails both)."""
-    if not all(size > 0 for size in sizes):
-        raise ValueError("sizes must be positive")
+    """The input rule of every right-hand side: 0 < size < inf, 0 <= epsilon < 1 (NaN fails both)."""
+    if not all(0 < size < math.inf for size in sizes):
+        raise ValueError("sizes must be positive and finite")
     if not 0 <= epsilon < 1:
         raise InvalidExponent(f"epsilon must lie in [0, 1), got {epsilon}")
 
@@ -67,7 +67,8 @@ def check_rhs_inputs(epsilon: float, *sizes: float) -> None:
 @dataclass(frozen=True)
 class RhsReport:
     """Right-hand side of a bound: named additive terms, the global scale
-    multiplier, the combined total, hypothesis flags, and extra diagnostics."""
+    multiplier, the combined total (scale * sum(terms), but scale *
+    sqrt(sum(terms)) in rhs_dispersion), hypothesis flags, and extra diagnostics."""
 
     terms: tuple[tuple[str, float], ...]
     scale: float

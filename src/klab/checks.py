@@ -137,14 +137,17 @@ def inverse_identity_random() -> CheckResult:
 
 
 def batch_matches_scalar() -> CheckResult:
-    """Both batch paths, pow over a list and the vectorised Euclid over an
-    int64 array, give the scalar inverses."""
+    """Both batch algorithms give the scalar inverses: the vectorised Euclid
+    over an int64 list and array, and pow over a list past int64."""
     rng = random.Random(20260809)
     m = 10**9 + 7
     vals = [rng.randrange(1, m) for _ in range(1000)]
     want = [arith.mod_inverse(v, m) for v in vals]
     ok = arith.batch_mod_inverse(vals, m) == want
     ok = ok and arith.batch_mod_inverse(np.asarray(vals), m).tolist() == want
+    big = 2**89 - 1  # a prime modulus above the Euclid's 2^62
+    vals = [rng.randrange(1, big) for _ in range(100)]
+    ok = ok and arith.batch_mod_inverse(vals, big) == [arith.mod_inverse(v, big) for v in vals]
     return CheckResult("arith.batch_matches_scalar_1000", ok)
 
 

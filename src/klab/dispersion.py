@@ -18,9 +18,11 @@ Contents:
 - all of it on numpy arrays, one modulus at a time: the sequences become
   index and value arrays once per call, and X and Y are arrays over the
   window.  A table is indexed by residue when q is at most the number of
-  residues looked up in it (class sums by np.bincount, the units from the
-  primes of q, their inverses as Euler powers); above that it covers only
-  the residues looked up, from one sort of them and one batch of inverses.
+  residues looked up in it; above that it covers only the residues looked
+  up, found by np.unique and searchsorted.  Both sizes sum beta's classes
+  by one rule (np.bincount, and fsum for a class of three or more values)
+  and invert the units by one rule chosen by q (Euler powers while q * q
+  fits int64, klab.arith.batch_mod_inverse above).
   Every sum is still math.fsum (or a single rounding that equals it), and
   every product is formed as Python forms it, so the values are those of a
   per-element Python loop, bit for bit.  Indices and residues are int64 or
@@ -46,7 +48,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .arith import _exact_ints, batch_mod_inverse, divisor_count, euler_phi, factorize
+from .arith import _exact_ints, _fits_int64, batch_mod_inverse, divisor_count, euler_phi, factorize
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport, check_rhs_inputs
 from .sequences import CoefficientSequence, _csum
 
@@ -229,41 +231,23 @@ def _residues(ints: np.ndarray, q: int) -> np.ndarray:
     return _exact_ints(wide % q, q * q)
 
 
-def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group equal ``keys``: the distinct keys in ascending order, the class
-    of each key, and the key positions in class order with each class's start.
-
-    One stable argsort gives all four; np.unique gives only the first two,
-    from a sort of its own.
-    """
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    new = np.ones(len(k), dtype=bool)
-    new[1:] = k[1:] != k[:-1]
-    inverse = np.empty(len(k), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    start = np.flatnonzero(new)
-    return k[start], inverse, order, start
-
-
-def _class_sums(v: np.ndarray, order: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The _csum of ``v`` over each class that :func:`_classes` found.
-
-    One or two values need a single rounding: fsum's sum is the plain ``+``,
-    and ``+ 0.0`` takes -0.0 to +0.0 as fsum does.  Only a class of three or
-    more values goes through fsum.
-    """
-    end = np.append(start[1:], len(v))
-    counts = end - start
-    first = v[order[start]]
-    second = v[order[np.minimum(start + 1, len(v) - 1)]]
-    sums = first + np.where(counts == 2, second, 0.0) + 0.0
+def _class_sums(v: np.ndarray, ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The _csum of ``v`` over each class id 0..size-1 (0j if empty), and the
+    class sizes.  np.bincount adds in index order from +0.0, which for one or
+    two values is fsum's single rounding (-0.0 to +0.0 included); only a
+    class of three or more values goes through fsum."""
+    counts = np.bincount(ids, minlength=size)
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(ids, v.real, size)
+    sums.imag = np.bincount(ids, v.imag, size)
     big = np.flatnonzero(counts > 2)
     if big.size:
+        order = np.argsort(ids, kind="stable")
         re, im = v.real[order].tolist(), v.imag[order].tolist()
-        for k, i, j in zip(big.tolist(), start[big].tolist(), end[big].tolist()):
+        end = np.cumsum(counts)
+        for k, i, j in zip(big.tolist(), (end - counts)[big].tolist(), end[big].tolist()):
             sums[k] = complex(fsum(re[i:j]), fsum(im[i:j]))
-    return sums
+    return sums, counts
 
 
 def _indexed(q: int, lookups: int) -> bool:
@@ -271,12 +255,16 @@ def _indexed(q: int, lookups: int) -> bool:
     return q <= lookups
 
 
-def _unit_inverses(units: np.ndarray, q: int) -> np.ndarray:
-    """The inverses mod q of ``units``, all phi(q) units mod q, as Euler's
-    u^(phi(q) - 1) mod q: square-and-multiply on arrays exact for q * q."""
+def _unit_inverses(units: np.ndarray, q: int, phi_q: int) -> np.ndarray:
+    """The inverses mod q of ``units``, exact for a product with a residue
+    (bound q * q).  While q * q fits int64: Euler's u^(phi(q) - 1) mod q, by
+    square-and-multiply on the array.  Above that, where the powers would run
+    on object arrays (about ten times the int64 Euclid), batch_mod_inverse."""
+    if not _fits_int64(q * q):
+        return _exact_ints(batch_mod_inverse(_exact_ints(units, q), q), q * q)
     base = _exact_ints(units, q * q)
     inv = np.ones_like(base)
-    e = len(units) - 1
+    e = phi_q - 1
     while e:
         if e & 1:
             inv = inv * base % q
@@ -298,54 +286,42 @@ def _residue_table(
     when beta misses them all or no class solves it.  Two masks come with
     it: the r for which some class solves it, and the r coprime to q.  With
     gcd(a, q) = 1 they agree, and each r has the single class a r^{-1}; one
-    batch of inverses finds them all.
+    batch of :func:`_unit_inverses` finds them all.
 
-    With ``residues`` all of 0..q-1 (:func:`_indexed`), each residue and
-    each class is its own slot: the units come from the primes of q, their
-    inverses from :func:`_unit_inverses`, and nothing is sorted or searched
-    unless a class has three or more values.  np.bincount sums the smaller
-    classes in index order from +0.0, the one rounding of :func:`_class_sums`
-    (-0.0 to +0.0 included), so both cases give the same bits.  Otherwise
-    the table covers only the residues looked up, so a large q with small
-    supports stays cheap.
+    At either table size :func:`_class_sums` sums beta's classes and
+    :func:`_unit_inverses` inverts the units.  With ``residues`` all of
+    0..q-1 (:func:`_indexed`), each residue is its own slot, and the primes
+    of q strike the non-units.  Otherwise the table covers only the residues
+    looked up, so a large q with small supports stays cheap: gcd finds their
+    units, and a residue finds its class among np.unique's by searchsorted.
     """
     keys = _residues(beta.n, q)
     a_red = a % q
-    if _indexed(q, len(residues)):
-        counts = np.bincount(keys, minlength=q)
-        cls = np.flatnonzero(counts)
-        if counts.max(initial=0) > 2:
-            _, _, order, start = _classes(keys)
-            full = np.zeros(q, dtype=complex)
-            full[cls] = _class_sums(beta.v, order, start)
-        else:
-            full = np.empty(q, dtype=complex)
-            full.real = np.bincount(keys, beta.v.real, q)
-            full.imag = np.bincount(keys, beta.v.imag, q)
+    indexed = _indexed(q, len(residues))
+    if indexed:  # slot r is residue r: the primes of q strike the non-units
         coprime = np.ones(q, dtype=bool)
         for p in factorize(q):
             coprime[::p] = False
-        unit = np.flatnonzero(coprime)
-        phi_q = len(unit)
-        table = np.zeros(q, dtype=complex)
-        table[unit] = full[a_red * _unit_inverses(unit, q) % q]
-        cop_beta = _csum(beta.v[coprime[keys]])
-        sums = full[cls]
     else:
-        cls, inverse, order, start = _classes(keys)
-        sums = _class_sums(beta.v, order, start)
         coprime = np.gcd(residues, q) == 1
-        phi_q = euler_phi(q)
-        unit = np.flatnonzero(coprime)
-        # as a list the batch goes through pow, which beats the array Euclid on
-        # one modulus's residues
-        inv = batch_mod_inverse(residues[unit].tolist(), q)
-        x0 = a_red * np.array(inv, dtype=residues.dtype) % q
+    unit = np.flatnonzero(coprime)
+    phi_q = len(unit) if indexed else euler_phi(q)
+    x0 = a_red * _unit_inverses(residues[unit], q, phi_q) % q
+    table = np.zeros(len(residues), dtype=complex)
+    if indexed:
+        full, counts = _class_sums(beta.v, keys, q)
+        cls = np.flatnonzero(counts)
+        sums = full[cls]
+        table[unit] = full[x0]
+        cop = coprime[keys]
+    else:
+        cls, ids = np.unique(keys, return_inverse=True)
+        sums, _ = _class_sums(beta.v, ids, len(cls))
         pos = np.searchsorted(cls, x0)
         hit = np.append(cls, q)[pos] == x0
-        table = np.zeros(len(residues), dtype=complex)
         table[unit[hit]] = sums[pos[hit]]
-        cop_beta = _csum(beta.v[(np.gcd(cls, q) == 1)[inverse]])
+        cop = (np.gcd(cls, q) == 1)[ids]
+    cop_beta = _csum(beta.v[cop])
     if gcd(a_red, q) == 1:
         return table, coprime, coprime, cop_beta, phi_q
     # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
@@ -377,7 +353,7 @@ def _error(
     if _indexed(q, len(at)):
         residues = np.arange(q)
     else:
-        residues, at, _, _ = _classes(at)
+        residues, at = np.unique(at, return_inverse=True)
     table, solvable, coprime, cop_beta, phi_q = _residue_table(beta, q, a, residues)
     at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
     on = solvable[at_alpha]

@@ -145,6 +145,20 @@ class TestBatchModInverse:
             batch_mod_inverse([1, 2**64 + 2, 4], [5, 4, 3])
         assert (exc.value.index, exc.value.value, exc.value.modulus) == (1, 2**64 + 2, 4)
 
+    def test_integers_pick_the_algorithm(self, monkeypatch):
+        # a list that fits int64 takes the Euclid, as an array does; big integers take pow
+        import klab.arith as arith
+
+        euclid, lanes = arith._euclid, []
+        monkeypatch.setattr(arith, "_euclid", lambda v, m: lanes.append(len(m)) or euclid(v, m))
+        assert batch_mod_inverse([2, 3, 4], 5) == [3, 2, 4]
+        assert batch_mod_inverse([2**64 + 1, 3], 7) == [pow(2**64 + 1, -1, 7), 5]
+        assert lanes == [3]
+
+    def test_list_moduli_past_int64(self):
+        # numpy reads this list of moduli as floats; pow still gets the integers
+        assert batch_mod_inverse([3, 5], [2**63, 7]) == [pow(3, -1, 2**63), 3]
+
     def test_bad_moduli(self):
         with pytest.raises(ValueError, match="positive"):
             batch_mod_inverse([1, 2], [3, 0])

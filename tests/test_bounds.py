@@ -145,13 +145,13 @@ RHS_POINTS = {
 
 @pytest.mark.parametrize("rhs", RHS_POINTS, ids=lambda rhs: rhs.__name__)
 def test_one_input_rule(rhs):
-    # every right-hand side takes sizes > 0 and epsilon in [0, 1) and raises on anything else
+    # every right-hand side takes finite sizes > 0 and epsilon in [0, 1) and raises on anything else
     point = RHS_POINTS[rhs]
     assert rhs(**point, epsilon=0.5).total > 0
     sizes = set(point) & {"M", "N", "A", "R", "b", "Q", "D", "X"}
     assert len(sizes) == len(point) - 2  # all but theta and the norms, or alpha_l2 and Estar
     for size in sizes:
-        for bad in (0, -4, -2.5):
+        for bad in (0, -4, -2.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="sizes must be positive"):
                 rhs(**point | {size: bad})
     for epsilon in (math.nan, -0.5, 1, 400):

@@ -576,7 +576,10 @@ class TestTableCases:
 
             assert self.run(monkeypatch, True, call) == self.run(monkeypatch, False, call)
 
-    @pytest.mark.parametrize("base", [8, 16, 32, 64])
+    # beta on (1024, 2048] against q = 60, 66 and 210, above the 17 lookups
+    # and of three or four primes: a mid-size sorted table whose classes
+    # (17, 15.5 and about 4.9 values on average) take fsum
+    @pytest.mark.parametrize("base", [8, 16, 32, 64, 1024])
     @pytest.mark.parametrize("a", [1, -7])
     def test_dispersion_split(self, monkeypatch, base, a):
         # 8 alpha indices and the 9 m's of the window at M = 4: q = 17 is
@@ -584,12 +587,29 @@ class TestTableCases:
         rng = random.Random(100 * base + a)
         alpha, beta, psi = self.seq(rng, 8), self.seq(rng, base), SmoothCutoff()
         assert len(psi.window(4.0)) == 9
+        moduli = [60, 66, 210] if base == 1024 else [17, 18]
 
         def call():
-            s = dispersion_split(alpha, beta, [17, 18], a, psi, 4.0)
+            s = dispersion_split(alpha, beta, moduli, a, psi, 4.0)
             return s.U, s.V, s.W, sorted(s.c.items())
 
         assert self.run(monkeypatch, True, call) == self.run(monkeypatch, False, call)
+
+    def test_verify_grids_reach_both_tables(self, monkeypatch):
+        # CI compares the dispersion verify bytes with and without SIMD
+        # dispatch, on checks.dispersion_toy_grids(): both table sizes must run
+        import klab.dispersion as disp
+
+        gate, seen = disp._indexed, set()
+
+        def spy(q, lookups):
+            seen.add(gate(q, lookups))
+            return gate(q, lookups)
+
+        monkeypatch.setattr(disp, "_indexed", spy)
+        for check in checks.SUITES["dispersion"]:
+            assert check().passed
+        assert seen == {True, False}
 
 
 class TestCauchySchwarzGap:
