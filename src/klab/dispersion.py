@@ -13,8 +13,9 @@ Contents:
   sum_m psi(m/M) |X_m - Y_m|^2 = W - 2 Re V + U holds identically;
 - behind all three, one per-modulus routine, ``_error``.  Its one table
   holds, for each residue r of alpha's support and of the m's asked for, the
-  beta sum over the classes solving r x = a (mod q), plus the coprime beta
-  sum; it returns E_q and the table at those m's, for c_q, X_m and Y_m;
+  beta sum over the classes solving r x = a (mod q); it returns E_q, the
+  table at those m's and the coprime beta sum, for c_q, X_m and Y_m (the
+  split reads the sign of Re E_q only, so it forms no imaginary part);
 - all of it on numpy arrays, one modulus at a time: the sequences become
   index and value arrays once per call, and X and Y are arrays over the
   window.  A table is indexed by residue when q is at most the number of
@@ -22,11 +23,15 @@ Contents:
   up, found by np.unique and searchsorted.  Both sizes sum beta's classes
   by one rule (np.bincount, and fsum for a class of three or more values)
   and invert the units by one rule chosen by q (Euler powers while q * q
-  fits int64, klab.arith.batch_mod_inverse above).
-  Every sum is still math.fsum (or a single rounding that equals it), and
-  every product is formed as Python forms it, so the values are those of a
-  per-element Python loop, bit for bit.  Indices and residues are int64 or
-  Python integers as klab.arith decides;
+  fits int64, klab.arith.batch_mod_inverse above).  The coprime sums are
+  sum_{d | rad q} mu(d) sum_{d | m} x_m (Moebius inversion, from the one
+  factorization of q), each inner sum an exact float expansion built once
+  per squarefree d and sequence in an evaluator call; fsum rounds the exact
+  total once, so one fsum of the signed expansions has the bits of an fsum
+  over the coprime indices.  Every sum is math.fsum (or a single rounding
+  that equals it), and every product is formed as Python forms it, so the
+  values are those of a per-element Python loop, bit for bit.  Indices and
+  residues are int64 or Python integers as klab.arith decides;
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
   phi(q)/q main term;
@@ -209,16 +214,68 @@ class SmoothCutoff:
 
 class _Coeffs(NamedTuple):
     """A sequence's nonzero entries as arrays: its indices in ascending order
-    (an exact integer array, see klab.arith) and its complex values.  A zero
-    value adds nothing to any sum here, bit for bit."""
+    (an exact integer array, see klab.arith) and its complex values, and the
+    :func:`_part` of each squarefree d asked for in the one evaluator call
+    it is made for.  A zero value adds nothing to any sum here, bit for bit."""
 
     n: np.ndarray
     v: np.ndarray
+    parts: dict[int, tuple[np.ndarray, np.ndarray, list[float], list[float]]]
 
 
 def _coeffs(seq: CoefficientSequence) -> _Coeffs:
+    if not np.isfinite(seq.coeffs).all():
+        raise ValueError("dispersion needs finite coefficients")
     ns = seq.indices  # ascending, so the largest |n| is at an end
-    return _Coeffs(_exact_ints(ns, max(-ns[0], ns[-1]) if ns else 0), seq.coeffs)
+    return _Coeffs(_exact_ints(ns, max(-ns[0], ns[-1]) if ns else 0), seq.coeffs, {})
+
+
+def _expansion(xs: list[float]) -> list[float]:
+    """Nonzero floats whose exact sum is that of ``xs`` (finite, and with no
+    fsum overflow): fsum's rounding of it, then fsum's rounding of each
+    remainder, to the first 0.0."""
+    out, rest = [], list(xs)
+    while r := fsum(rest):
+        out.append(r)
+        rest.append(-r)
+    return out
+
+
+def _part(c: _Coeffs, d: int, p: int) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """The nonzero indices of ``c`` divisible by the squarefree d, their
+    values, and the :func:`_expansion` of their real and of their imaginary
+    parts; for d > 1 taken from the part of d / p, p the largest prime of d."""
+    if d == 1:
+        n, v = c.n, c.v
+        on = n != 0
+    else:
+        n, v = c.parts[d // p][:2]
+        on = n % p == 0
+    n, v = n[on], v[on]
+    return n, v, _expansion(v.real.tolist()), _expansion(v.imag.tolist())
+
+
+def _coprime_sum(c: _Coeffs, primes: list[int]) -> complex:
+    """The _csum of c's values at the indices coprime to q, bit for bit, from
+    the ascending ``primes`` of q: the fsum of the expansions of the parts
+    of the squarefree d | q, signed by mu(d).  Index 0 is coprime to q = 1
+    only, so the parts leave it out; no multiple of a d that divides no
+    index is taken."""
+    if not primes:
+        return _csum(c.v)
+    parts = c.parts
+    if 1 not in parts:
+        parts[1] = _part(c, 1, 1)
+    divisors = [(1, 1)]  # the squarefree d | q with mu(d), over the primes taken so far
+    for p in primes:
+        more = [(d * p, -mu) for d, mu in divisors if parts[d][0].size]
+        for d, _ in more:
+            if d not in parts:
+                parts[d] = _part(c, d, p)
+        divisors += more
+    re = [mu * x for d, mu in divisors for x in parts[d][2]]
+    im = [mu * x for d, mu in divisors for x in parts[d][3]]
+    return complex(fsum(re), fsum(im))
 
 
 def _residues(ints: np.ndarray, q: int) -> np.ndarray:
@@ -276,9 +333,9 @@ def _unit_inverses(units: np.ndarray, q: int, phi_q: int) -> np.ndarray:
 
 def _residue_table(
     beta: _Coeffs, q: int, a: int, residues: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex, int]:
-    """The per-modulus congruence table of beta, its sum over (n, q) = 1, and
-    phi(q).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int]:
+    """The per-modulus congruence table of beta, the primes of q and phi(q),
+    all from one factorization of q.
 
     For each of the distinct ``residues`` r (from :func:`_residues`), the
     table holds the sum of beta over the gcd(r, q) solution classes x mod q
@@ -295,17 +352,18 @@ def _residue_table(
     looked up, so a large q with small supports stays cheap: gcd finds their
     units, and a residue finds its class among np.unique's by searchsorted.
     """
+    factors = factorize(q)
+    phi_q = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
     keys = _residues(beta.n, q)
     a_red = a % q
     indexed = _indexed(q, len(residues))
     if indexed:  # slot r is residue r: the primes of q strike the non-units
         coprime = np.ones(q, dtype=bool)
-        for p in factorize(q):
+        for p in factors:
             coprime[::p] = False
     else:
         coprime = np.gcd(residues, q) == 1
     unit = np.flatnonzero(coprime)
-    phi_q = len(unit) if indexed else euler_phi(q)
     x0 = a_red * _unit_inverses(residues[unit], q, phi_q) % q
     table = np.zeros(len(residues), dtype=complex)
     if indexed:
@@ -313,17 +371,15 @@ def _residue_table(
         cls = np.flatnonzero(counts)
         sums = full[cls]
         table[unit] = full[x0]
-        cop = coprime[keys]
     else:
         cls, ids = np.unique(keys, return_inverse=True)
         sums, _ = _class_sums(beta.v, ids, len(cls))
         pos = np.searchsorted(cls, x0)
         hit = np.append(cls, q)[pos] == x0
         table[unit[hit]] = sums[pos[hit]]
-        cop = (np.gcd(cls, q) == 1)[ids]
-    cop_beta = _csum(beta.v[cop])
+    primes = list(factors)  # ascending
     if gcd(a_red, q) == 1:
-        return table, coprime, coprime, cop_beta, phi_q
+        return table, coprime, coprime, primes, phi_q
     # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
     g = np.gcd(residues, q)
     solvable = a_red % g == 0
@@ -332,20 +388,22 @@ def _residue_table(
         step = q // gj
         x0 = (a_red // gj) * pow(int(residues[j]) // gj, -1, step) % step
         table[j] = _csum(sums[cls % step == x0])
-    return table, solvable, coprime, cop_beta, phi_q
+    return table, solvable, coprime, primes, phi_q
 
 
 def _error(
-    alpha: _Coeffs, beta: _Coeffs, q: int, a: int, ms: np.ndarray
-) -> tuple[complex, np.ndarray, np.ndarray, complex, int]:
+    alpha: _Coeffs, beta: _Coeffs, q: int, a: int, ms: np.ndarray, imag: bool = True
+) -> tuple[complex | float, np.ndarray, np.ndarray, complex, int]:
     """The progression error E_q of alpha and beta, from one residue table
     of beta mod q over the residues of alpha's support and of ``ms``; with
     it, what the split reads at ``ms``: the mask of the m coprime to q, their
-    table entries, the coprime beta sum and phi(q).
+    table entries, the coprime beta sum and phi(q).  With ``imag`` false it
+    gives Re E_q alone, a float, for the split, which reads only its sign.
 
     alpha_m s is formed from the float parts as Python's complex product
     forms it (numpy's complex ``*`` may round differently).  A 0j entry adds
-    exact zeros to the main sum, which fsum leaves out.
+    exact zeros to the main sum, which fsum leaves out.  The coprime sums
+    are :func:`_coprime_sum`'s, the bits of an fsum over the coprime indices.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
@@ -354,13 +412,16 @@ def _error(
         residues = np.arange(q)
     else:
         residues, at = np.unique(at, return_inverse=True)
-    table, solvable, coprime, cop_beta, phi_q = _residue_table(beta, q, a, residues)
+    table, solvable, coprime, primes, phi_q = _residue_table(beta, q, a, residues)
     at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
     on = solvable[at_alpha]
     am, s = alpha.v[on], table[at_alpha[on]]
     ar, ai, sr, si = am.real, am.imag, s.real, s.imag
-    main = complex(fsum((ar * sr - ai * si).tolist()), fsum((ar * si + ai * sr).tolist()))
-    error = main - _csum(alpha.v[coprime[at_alpha]]) * cop_beta / phi_q
+    cop_beta = _coprime_sum(beta, primes)
+    mean = _coprime_sum(alpha, primes) * cop_beta / phi_q
+    real = fsum((ar * sr - ai * si).tolist())
+    # complex subtraction is by parts, so real - mean.real is Re E_q's bits
+    error = complex(real, fsum((ar * si + ai * sr).tolist())) - mean if imag else real - mean.real
     on_m = coprime[at_m]
     return error, on_m, table[at_m[on_m]], cop_beta, phi_q
 
@@ -439,8 +500,8 @@ def dispersion_split(
         if gcd(a, q) != 1:
             c[q] = 0
             continue
-        error, on, s_m, cop_beta, phi_q = _error(alpha_c, beta_c, q, a, ms)
-        cq = c[q] = 1 if error.real >= 0 else -1
+        re_error, on, s_m, cop_beta, phi_q = _error(alpha_c, beta_c, q, a, ms, False)
+        cq = c[q] = 1 if re_error >= 0 else -1
         # gcd(m, q) = 1: one solution class, one coprime pair.  X and Y take
         # their terms in ascending q, as a per-m loop would; cq = +-1 makes
         # cq * s_m exact under either complex product

@@ -7,16 +7,18 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import fsum, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_oracle import DISP_GOLDEN, DISP_PTS
 from klab import bounds, checks
-from klab.arith import euler_phi
+from klab.arith import _exact_ints, euler_phi, factorize
 from klab.dispersion import (
     DISPERSION_TAIL_EXPONENTS,
     NegativeQuadratic,
@@ -610,6 +612,140 @@ class TestTableCases:
         for check in checks.SUITES["dispersion"]:
             assert check().passed
         assert seen == {True, False}
+
+
+class TestCoprimeSum:
+    """The Moebius coprime sum over exact expansions has the bits of _csum
+    over the indices coprime to q."""
+
+    @staticmethod
+    def coprime_sum(items, q):
+        """The reprs of _coprime_sum of the index -> value map ``items`` mod
+        q and of _csum over its indices coprime to q, and the parts built."""
+        import klab.dispersion as disp
+
+        ns = sorted(items)
+        c = disp._Coeffs(_exact_ints(ns, max(map(abs, ns), default=0)),
+                         np.array([items[n] for n in ns], dtype=complex), {})
+        got = disp._coprime_sum(c, list(factorize(q)))
+        return repr(got), repr(_csum([items[n] for n in ns if gcd(n, q) == 1])), c.parts
+
+    # the product of the first 15 primes
+    PRIMORIAL_47 = 614889782588491410
+
+    parts = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)),
+                  st.floats(1e-300, 1e300)),
+    )
+
+    @given(
+        st.dictionaries(st.one_of(st.integers(-60, 60), st.integers(-10**6, 10**6)),
+                        st.builds(complex, parts, parts), max_size=40),
+        st.one_of(st.sampled_from((1, 2, 510510, 10007 * 10009, PRIMORIAL_47)),
+                  st.integers(1, 10**4)),
+    )
+    @settings(max_examples=200)
+    def test_matches_csum(self, items, q):
+        # supports with 0 and negative indices, values from 1e-300 to 1e300
+        # and signed zeros
+        got, want, _ = self.coprime_sum(items, q)
+        assert got == want
+
+    @pytest.mark.parametrize("q", [1, 2, 6, 510510, PRIMORIAL_47])
+    def test_exact_zero_totals(self, q):
+        # the coprime parts cancel exactly, or are signed zeros only
+        items = {1: 1e300 + 0.5j, -1: -1e300 - 0.5j, 0: 3.0 - 0.0j, 11 * 13: complex(-0.0, 1e-300),
+                 -11 * 13: complex(-0.0, -1e-300), 17: complex(-0.0, -0.0)}
+        got, want, _ = self.coprime_sum(items, q)
+        assert got == want
+        if q > 1:
+            assert want == "0j"
+
+    def test_primorial_prunes(self):
+        # of the 2^15 squarefree divisors the walk takes the 19 that divide
+        # a nonzero index (index 0 is divisible by all of them), and those
+        # times one more prime
+        items = {n: complex(n * n + 1, n) / 7 for n in range(-30, 31)}
+        got, want, parts = self.coprime_sum(items, self.PRIMORIAL_47)
+        assert got == want and got != "0j"
+        assert sum(1 for n, _, _, _ in parts.values() if n.size) == 19
+        assert len(parts) < 19 * 16
+
+    def test_primes_dividing_no_index(self):
+        # neither prime divides an index, so their product is never formed
+        items = {n: complex(1.0 / n, 1.0) for n in range(1, 100)}
+        got, want, parts = self.coprime_sum(items, 10007 * 10009)
+        assert got == want
+        assert sorted(parts) == [1, 10007, 10009]
+        assert not parts[10007][0].size and not parts[10009][0].size
+
+    def test_nothing_outlives_a_call(self, monkeypatch):
+        # each (sequence, d) part is built at most once per evaluator call,
+        # and every call builds its own
+        import klab.dispersion as disp
+
+        built, part = [], disp._part
+
+        def spy(c, d, p):
+            built.append((c, d))
+            return part(c, d, p)
+
+        monkeypatch.setattr(disp, "_part", spy)
+        alpha = build_sequence("random_unit", DyadicRange(64), seed=1)
+        other = build_sequence("random_unit", DyadicRange(64), seed=2)
+        beta = build_sequence("tau_k", DyadicRange(32), k=2)
+        moduli, psi = range(1, 121), SmoothCutoff()
+        calls = (lambda s: progression_error_total(s, beta, moduli, 1),
+                 lambda s: dispersion_split(s, beta, moduli, 1, psi, 64.0))
+        for call in calls:
+            counts = []
+            for s in (alpha, other, alpha):
+                built.clear()
+                call(s)
+                per_part = Counter((id(c), d) for c, d in built)
+                assert max(per_part.values()) == 1
+                assert len({id(c) for c, _ in built}) == 2
+                assert {2, 6, 30, 105} <= {d for _, d in built}
+                counts.append(len(built))
+            assert counts[0] == counts[1] == counts[2]
+        # other values at the same indices, after a call on alpha: a fresh evaluation
+        fresh = fsum(abs(TestProgressionError.python_loop(other, beta, q, 1)) for q in moduli)
+        assert repr(progression_error_total(other, beta, moduli, 1)) == repr(fresh)
+
+    def test_one_factorization_per_modulus(self, monkeypatch):
+        # the unit mask, phi(q) and the walk's primes all come from one
+        # factorize(q), at both table sizes (the window's 9 m's and alpha's 8
+        # indices put q = 17 on the indexed table, the others on the sorted one)
+        import klab.dispersion as disp
+
+        seen, factorize = [], disp.factorize
+
+        def counted(q):
+            seen.append(q)
+            return factorize(q)
+
+        def forbidden(q):
+            raise AssertionError("euler_phi factorizes q again")
+
+        monkeypatch.setattr(disp, "factorize", counted)
+        monkeypatch.setattr(disp, "euler_phi", forbidden)
+        alpha, beta = ones(DyadicRange(8)), ones(DyadicRange(16))
+        moduli = [17, 30, 2**31 - 1, 2**32 + 15]
+        dispersion_split(alpha, beta, moduli, 1, SmoothCutoff(), 4.0)
+        assert seen == moduli
+        seen.clear()
+        progression_error_total(alpha, beta, moduli, 1)
+        assert sorted(seen) == moduli
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_finite_coefficients(self, bad):
+        for alpha, beta in ((make_sequence({3: complex(0.5, bad)}), ones({3, 4})),
+                            (ones({3, 4}), make_sequence({5: complex(bad, 0.0)}))):
+            with pytest.raises(ValueError, match="finite coefficients"):
+                progression_error(alpha, beta, 5, 1)
+            with pytest.raises(ValueError, match="finite coefficients"):
+                dispersion_split(alpha, beta, [5], 1, SmoothCutoff(), 4.0)
 
 
 class TestCauchySchwarzGap:
