@@ -7,13 +7,18 @@ value and modulus fits int64, in a list or an array, and ``pow`` otherwise.
 Whether integer arithmetic may run on int64 or must use Python integers is
 decided in one place, :func:`_fits_int64`, from a magnitude bound that its
 caller supplies; forms and dispersion build their integer arrays through
-:func:`_exact_ints`, which applies it.  The evaluators built on top of this module stay at desk scale
-regardless.  All functions are pure and safe to call from concurrent
-workers.
+:func:`_exact_ints`, which applies it.  :func:`unit_phases` is the one rule
+for the phases e(k / L) of forms and sequences: an exact octant reduction
+in integers and two fixed polynomials, with no libm call, so the bits are
+the same under any libm and on any IEEE CPU; :func:`unit_phase_tables`
+fills whole tables of it by octants.  The evaluators built on top
+of this module stay at desk scale regardless.  All functions are pure and
+safe to call from concurrent workers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -24,6 +29,8 @@ __all__ = [
     "SqfSplit",
     "mod_inverse",
     "batch_mod_inverse",
+    "unit_phases",
+    "unit_phase_tables",
     "factorize",
     "moebius",
     "euler_phi",
@@ -80,6 +87,104 @@ def _exact_ints(ints, bound: int) -> np.ndarray:
     magnitude it forms from them, fits :func:`_fits_int64`, and Python
     integers in an object array otherwise."""
     return np.asarray(ints, dtype=np.int64 if _fits_int64(bound) else object)
+
+
+# cos 2 pi t and sin(2 pi t) / t as polynomials in t^2, the Taylor coefficients
+# (-1)^j (2 pi)^(2j) / (2j)! and (-1)^j (2 pi)^(2j+1) / (2j+1)!, each rounded once
+_COS_2PI = (
+    1.0, -19.739208802178716, 64.9393940226683, -85.45681720669373, 60.24464137187666,
+    -26.4262567833744, 7.903536371318469, -1.714390711088672, 0.28200596845579123, -0.03638284114254567,
+)
+_SIN_2PI = (
+    6.283185307179586, -41.34170224039976, 81.60524927607506, -76.70585975306139, 42.058693944897655,
+    -15.09464257682299, 3.819952584848282, -0.7181223017785006, 0.10422916220813984, -0.012031585942120627,
+    0.0011309237482517963,
+)
+# the two as one Horner table, row j the coefficients of u^(10 - j) of both,
+# cos given a leading 0.0 (0.0 * u + c is c exactly, so it changes no bit)
+_HORNER = np.array([(0.0, *_COS_2PI[::-1]), _SIN_2PI[::-1]]).T[:, :, None].copy()
+# for each octant o = floor(8k / L), the rows of (cos, sin, -cos, -sin) of
+# :func:`_cos_sin_2pi` that give Re and Im of e(k / L)
+_OCTANT = np.array([(0, 1), (1, 0), (3, 0), (2, 1), (2, 3), (3, 2), (1, 2), (0, 3)])
+
+
+def _cos_sin_2pi(t: np.ndarray) -> np.ndarray:
+    """cos 2 pi t, sin 2 pi t, -cos 2 pi t and -sin 2 pi t, the rows of a
+    (4, len(t)) float array, for floats t in [0, 1/8]: Horner in u = t * t
+    over :data:`_HORNER`, both polynomials in one pass, times t for the
+    sine, and 0.0 minus each for the negations.  Every step is one IEEE
+    product or sum of numpy, so the bits do not depend on the CPU or the
+    libm."""
+    u = t * t
+    out = np.empty((4, len(t)))
+    cos_sin = out[:2]
+    cos_sin[...] = _HORNER[0]
+    for c in _HORNER[1:]:
+        cos_sin *= u
+        cos_sin += c
+    out[1] *= t
+    np.subtract(0.0, cos_sin, out=out[2:])
+    return out
+
+
+def unit_phases(k, L) -> np.ndarray:
+    """e(k / L) = exp(2 pi i k / L) for integers 0 <= k < L, with ``k`` an
+    integer array and ``L`` one modulus or an array that broadcasts against
+    it, by one rule with no libm call.  The octant o = floor(8k / L) and
+    num = 8k - oL, reflected to L - num in odd octants, are exact integers;
+    t = num / (8L) in [0, 1/8] is one correctly rounded quotient, taken on
+    float64 while L <= 2**53 (num and 8L are then exact floats) and as
+    Python's ``int / int`` past that; :func:`_cos_sin_2pi` gives cos and sin
+    of 2 pi t, and :data:`_OCTANT` picks the swap and the signs.  So k and
+    2k modulo 2L get the same value, and k and L - k the same t and, unless
+    8k / L is an odd integer (where cos and sin of pi/4 come from different
+    polynomials), conjugate values."""
+    k, L = np.asarray(k), np.asarray(L)
+    if k.dtype == object or L.dtype == object or int(L.max(initial=0)) > 2**53:
+        k, L = k.astype(object), L.astype(object)
+    k8 = 8 * k
+    o = k8 // L
+    num = k8 - o * L
+    np.subtract(L, num, out=num, where=(o & 1).astype(bool))
+    t = np.asarray(num / (8 * L), dtype=np.float64).ravel()
+    # the flat positions in the (4, t.size) basis of each entry's Re and Im
+    at = _OCTANT[o.astype(np.int64, copy=False).ravel()] * t.size
+    at += np.arange(t.size)[:, None]
+    return _cos_sin_2pi(t).take(at).view(complex).reshape(o.shape)
+
+
+def unit_phase_tables(Ls, out: np.ndarray | None = None) -> np.ndarray:
+    """The values e(k / L), k in [0, L), of each modulus L of ``Ls`` in turn,
+    with the bits of :func:`unit_phases` at every entry; into ``out``, a
+    complex array of at least sum(Ls) entries, when given.  The L with 8 | L
+    take cos and sin of 2 pi j / L, j in [0, L/8], from one
+    :func:`_cos_sin_2pi` pass over all of them, and fill their eight octants
+    by slices of an (8, L/8, 2) float view, the odd octants read backwards:
+    fl(8j / 8L) = fl(j / L), so each entry is the rule's.  The other L take
+    all their values from one :func:`unit_phases` call."""
+    begin = list(itertools.accumulate(Ls, initial=0))
+    out = np.empty(begin[-1], dtype=complex) if out is None else out
+    eighths = [(L, b) for L, b in zip(Ls, begin) if L % 8 == 0]
+    if eighths:
+        basis = _cos_sin_2pi(np.concatenate([np.arange(L // 8 + 1) / L for L, _ in eighths]))
+        at = 0
+        for L, b in eighths:
+            q = L // 8
+            octants = out[b:b + L].view(np.float64).reshape(8, q, 2)
+            # even octants read t = j / L ahead, odd ones (q - j) / L
+            ahead, back = basis[:, at:at + q], basis[:, at + q:at:-1]
+            for o, (re, im) in enumerate(_OCTANT):
+                part = back if o % 2 else ahead
+                octants[o, :, 0] = part[re]
+                octants[o, :, 1] = part[im]
+            at += q + 1
+    others = [(L, b) for L, b in zip(Ls, begin) if L % 8]
+    if others:
+        sizes = [L for L, _ in others]
+        values = unit_phases(np.concatenate([np.arange(L) for L in sizes]), np.repeat(sizes, sizes))
+        for (L, b), at in zip(others, itertools.accumulate(sizes, initial=0)):
+            out[b:b + L] = values[at:at + L]
+    return out
 
 
 def mod_inverse(a: int, m: int) -> int:

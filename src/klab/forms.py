@@ -20,18 +20,19 @@ even L whose double 2L is in the chunk for the same list takes 2L's m's
 and t_2L mod L, since L and 2L have the same primes; any other row selects
 its m's from masks over the primes of L (or a gcd) and joins the chunk's
 one batch of inverses.  Phases are reduced exactly mod 1 as integers
-before any transcendental call, on int64 or on Python integers as
-klab.arith decides.
+before any phase is evaluated, on int64 or on Python integers as
+klab.arith decides, and every phase comes from klab.arith's one rule for
+e(k / L), which calls no libm.
 
 The chunk's moduli are then cut into sub-batches of consecutive moduli,
 capped by their phase-table entries and phase cells, and each group of m's
 and a's gets one (a x m) phase block per sub-batch, one column per selected
 m at each modulus.  Once the blocks of a sub-batch have as many cells as
-its tables take exponentials, one buffer holds the values e(k / L) of each
-modulus and the int64 blocks gather their phases from it; each entry is
-the same expression as a per-cell phase, and an L whose double is in the
-buffer copies 2L's entries at stride 2, which have the same bits, so the
-buffer changes no bit of any value.
+the chain maxima of its tables have entries, one buffer holds the values
+e(k / L) of each modulus and the int64 blocks gather their phases from
+it; each entry has the bits of the rule at its integer, and an L
+whose double is in the buffer copies 2L's entries at stride 2, which have
+the same bits, so the buffer changes no bit of any value.
 The inner sum of each column, and each modulus's sum of alpha_m times
 them, follow one product rule in float parts (U = sum v Re c and W = sum v
 Im c over the float view v, then (U_re - W_im) + i (W_re + U_im)), with no
@@ -45,7 +46,7 @@ whose rows x A cells would exceed about L log2 L + A is not, and the inner
 sums of its rows come from one FFT of nu folded mod L, S(t) = sum_k w_k
 e(t k / L) with w_k the sum of the nu_a with a = k mod L, gathered at
 their t's.  Below that gate every sum is bit-identical to one modulus, one
-m and one exponential per term at a time; above it the sums agree with
+m and one phase per term at a time; above it the sums agree with
 that to within 1e-12 relative (at most 4e-14 measured on the benchmark's
 unbalanced points), and no point of the desk sweeps reaches it.
 :func:`trilinear_forms` evaluates the forms with the same theta, as the
@@ -72,7 +73,7 @@ import numpy as np
 
 from .arith import (
     _exact_ints, _fits_int64, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
-    squarefree_squarefull_split,
+    squarefree_squarefull_split, unit_phase_tables, unit_phases,
 )
 from .sequences import CoefficientSequence, _csum
 
@@ -160,49 +161,34 @@ def _phase_block(
 
     In int64, a block gathers from ``table`` at ``base`` plus its residues
     when a table is given, ``base`` giving for each column where the
-    values e(k / L) of its modulus, k in [0, L), begin; otherwise it
-    computes one exponential per cell.  Each table entry is the same float
-    expression on the same integer as the per-cell phase, so both give the
-    same bits.  On Python integers the angle is formed as
-    ``2j * pi * residue / L``, one Python operation per cell, before a
-    single ``np.exp``, and ``table`` and ``base`` are not used.  ``t_vals``
-    may be a list or an array; ``a_vals`` is sorted, so that its largest
-    |a| is at one of its ends.
+    values e(k / L) of its modulus, k in [0, L), begin; otherwise, and on
+    Python integers, where ``table`` and ``base`` are not used, it applies
+    :func:`unit_phases` to the residues, cell by cell.  Each table entry has
+    the bits of that rule at its integer (see :func:`_tables`), so every
+    path gives the same bits.  ``t_vals`` may be a list or an array;
+    ``a_vals`` is sorted, so that its largest |a| is at one of its ends.
     """
     bound = int(np.max(L)) * (int(max(-a_vals[0], a_vals[-1])) if len(a_vals) else 0)
     residue = _exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]
-    if residue.dtype == object:
-        residue %= L
-        return np.exp((2j * np.pi * residue / L).astype(complex))
-    np.remainder(residue, L, out=residue)
-    if table is None:
-        return _e(residue / L)
+    residue %= L
+    if table is None or residue.dtype == object:
+        return unit_phases(residue, L)
     residue += base
     return table.take(residue)
 
 
-def _e(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """e(x) = exp(2 pi i x) of a float array: the angle 2 pi x in float64,
-    then one complex exponential per value; into ``out``, a zeroed complex
-    array of x's shape, when given."""
-    z = np.zeros(x.shape, dtype=complex) if out is None else out
-    np.multiply(2 * np.pi, x, out=z.imag)
-    return np.exp(z, out=z)
-
-
 def _tables(Ls: set[int]) -> tuple[np.ndarray, dict[int, int]]:
     """One buffer of the values e(k / L), k in [0, L), of each L of ``Ls``,
-    and where each L's values begin.  Only the chain maxima, the L whose
-    double is not in ``Ls``, take exponentials, from :func:`_e`; an L
-    whose double 2L is in ``Ls`` copies 2L's values at stride 2, which
-    keeps every bit: fl(2k / 2L) = fl(k / L), both correctly rounded
-    quotients of one rational."""
+    and where each L's values begin, with the bits of :func:`unit_phases`
+    at every entry.  Only the chain maxima, the L whose double is not in
+    ``Ls``, are evaluated, by one :func:`unit_phase_tables` call; an L whose
+    double 2L is in ``Ls`` copies 2L's values at stride 2, which keeps every
+    bit: k and 2k modulo 2L have the same octant and the same t."""
     # the maxima first, then each L after its double
     order = sorted(Ls, key=lambda L: (2 * L in Ls, -L))
     fresh = [L for L in order if 2 * L not in Ls]
     begin = dict(zip(order, itertools.accumulate(order, initial=0)))
-    table = np.zeros(sum(order), dtype=complex)
-    _e(np.concatenate([np.arange(L) / L for L in fresh]), out=table[:sum(fresh)])
+    table = unit_phase_tables(fresh, out=np.empty(sum(order), dtype=complex))
     for L in order[len(fresh):]:
         table[begin[L]:begin[L] + L] = table[begin[2 * L]:begin[2 * L] + 2 * L:2]
     return table, begin
@@ -466,8 +452,8 @@ def _sub_batch_sums(
     each group's entries (j, L, sel, t_rows, path) in modulus order: an FFT
     per modulus, and one block per run of consecutive moduli on the same
     block path.  The int64 blocks gather from one buffer of the tables of
-    their moduli once they have as many cells as those tables take
-    exponentials."""
+    their moduli once they have as many cells as the chain maxima of those
+    tables have entries."""
     tabled = {j: L for entries in batch.values() for j, L, _, _, path in entries if not path}
     cells = sum(len(sel) * len(a_arrs[g]) for g, entries in batch.items() for _, _, sel, _, path in entries if not path)
     table, base = None, {}

@@ -13,7 +13,6 @@ of a few standard kinds (:func:`build_sequence`), and
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arith import euler_phi, moebius, tau_k
+from .arith import euler_phi, moebius, tau_k, unit_phases
 
 __all__ = [
     "EmptySupport",
@@ -131,8 +130,15 @@ def make_sequence(
                 raise DivisorBoundViolation(
                     f"|value({n})| = {abs(v)} exceeds tau_{divisor_bound_k}({n}) = {bound}"
                 )
-    l1 = fsum(abs(v) for v in vals.values())
-    l2 = math.sqrt(fsum(abs(v) ** 2 for v in vals.values()))
+    mags = [abs(v) for v in vals.values()]
+    l1 = fsum(mags)
+    # the squares of |v| >= 2**-511 are normal floats, and their sum stays below 2**1023
+    # while len * max |v|**2 does; past either, square |v| / 2**e with 2**e near max |v|,
+    # which would change no bit where no square underflows
+    top, low = max(mags, default=0.0), min(filter(None, mags), default=1.0)
+    e = 0 if 2.0**-511 <= low and top * top * len(mags) < 2.0**1023 else math.frexp(top)[1]
+    scaled = mags if e == 0 else [math.ldexp(m, -e) for m in mags]
+    l2 = math.ldexp(math.sqrt(fsum([m**2 for m in scaled])), e)
     return CoefficientSequence(supp, vals, l1, l2, divisor_bound_k)
 
 
@@ -151,8 +157,9 @@ def build_sequence(
     - ``"moebius"``   the Moebius function (divisor bound k=1)
     - ``"tau_k"``     the k-fold divisor function; requires ``k`` (bound k)
     - ``"random_unit"`` i.i.d. uniform phases e(u) drawn from
-      ``random.Random(seed)`` in increasing index order, then scaled so the
-      whole sequence has l2 norm exactly 1; requires ``seed``
+      ``random.Random(seed)`` in increasing index order, each u = k / 2**53
+      taken by :func:`klab.arith.unit_phases`, then scaled so the whole
+      sequence has l2 norm exactly 1; requires ``seed``
 
     ``k`` and ``seed`` are ignored by the kinds that do not take them.
     Sequences with caller-supplied values come from :func:`make_sequence`.
@@ -174,9 +181,11 @@ def build_sequence(
         if seed is None:
             raise ValueError("kind 'random_unit' requires seed")
         rng = random.Random(seed)
-        raw = {n: cmath.exp(2j * math.pi * rng.random()) for n in idx}
-        scale = 1.0 / math.sqrt(len(idx))
-        return make_sequence({n: v * scale for n, v in raw.items()}, supp)
+        # each draw is u = k / 2**53 exactly, so e(u) is the phase rule's e(k / 2**53)
+        k = (np.array([rng.random() for _ in idx]) * 2.0**53).astype(np.int64)
+        # scaled in float parts, one rounding each
+        values = unit_phases(k, 2**53).view(np.float64) * (1.0 / math.sqrt(len(idx)))
+        return make_sequence(dict(zip(idx, values.view(complex).tolist())), supp)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 

@@ -8,8 +8,12 @@ mpmath at 50 digits, with no imports from the package under test.  Run as
 and compare the printed tables against the frozen ``*_GOLDEN`` tables at the
 end of this module, which test_bounds.py, test_dispersion.py and
 test_acceptance.py import.  :func:`kloosterman_phase` is the one-cell
-reference that test_arith.py and test_forms.py check the phase kernel against.
+reference that test_arith.py and test_forms.py check the phase kernel against,
+and :func:`phase_rule` restates klab's libm-free rule for e(k / L) with Python
+floats, the oracle its bits are checked against.
 """
+
+import math
 
 import mpmath as mp
 
@@ -79,6 +83,47 @@ def kloosterman_phase(theta, a, m, n, RR=1):
     L = n * RR
     x = (theta * a * pow(m, -1, L)) % L
     return complex(mp.expjpi(2 * R(x) / L))
+
+
+def _nearest(x):
+    """The float nearest to the mpf ``x``."""
+    f = float(x)
+    return min((math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)), key=lambda g: abs(R(g) - x))
+
+
+# the Taylor coefficients of cos 2 pi t and sin(2 pi t) / t in t^2, each rounded once
+COS_2PI = tuple(_nearest((-1) ** j * (2 * mp.pi) ** (2 * j) / mp.factorial(2 * j)) for j in range(10))
+SIN_2PI = tuple(_nearest((-1) ** j * (2 * mp.pi) ** (2 * j + 1) / mp.factorial(2 * j + 1)) for j in range(11))
+
+
+def phase_rule(k, L):
+    """e(k / L) for integers 0 <= k < L by the octant rule, in Python floats:
+    o = floor(8k / L) and num = 8k - oL (L - num in odd octants), t = num /
+    (8L) by Python's correctly rounded int / int, cos and sin of 2 pi t by
+    Horner in t * t, and the octant's swap and signs, a sign being 0.0 minus
+    the value.  The angle is o pi / 4 + 2 pi t in even octants and
+    (o + 1) pi / 4 - 2 pi t in odd ones."""
+    o, num = divmod(8 * k, L)
+    if o % 2:
+        num = L - num
+    t = num / (8 * L)
+    u = t * t
+    c = COS_2PI[-1]
+    for coef in COS_2PI[-2::-1]:
+        c = c * u + coef
+    s = SIN_2PI[-1]
+    for coef in SIN_2PI[-2::-1]:
+        s = s * u + coef
+    s = s * t
+    cos_sin = ((c, s), (s, c), (0.0 - s, c), (0.0 - c, s), (0.0 - c, 0.0 - s), (0.0 - s, 0.0 - c), (s, 0.0 - c),
+               (c, 0.0 - s))
+    return complex(*cos_sin[o])
+
+
+def phase_80(k, L):
+    """e(k / L) at 80 bits, an mpc."""
+    with mp.workprec(80):
+        return mp.expjpi(2 * R(k) / L)
 
 
 BC_PTS = [

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_oracle import kloosterman_phase
+import mpmath as mp
+
+from golden_oracle import kloosterman_phase, phase_80, phase_rule
 from klab import checks
 from klab.arith import (
     NonInvertible,
@@ -22,6 +24,8 @@ from klab.arith import (
     radical,
     squarefree_squarefull_split,
     tau_k,
+    unit_phase_tables,
+    unit_phases,
 )
 
 
@@ -301,3 +305,80 @@ class TestKloostermanPhase:
         if gcd(m, n * R) != 1:
             return
         assert abs(abs(kloosterman_phase(theta, a, m, n, R)) - 1) < 1e-12
+
+
+def sample_ks(L, count=400):
+    """Every k in [0, L) for small L; otherwise the octant edges jL/8 and
+    their neighbours, the ends, and ``count`` evenly spread k's."""
+    if L <= 8192:
+        return list(range(L))
+    edges = {j * L // 8 + d for j in range(9) for d in (-1, 0, 1)}
+    return sorted({k for k in edges | {(i * (L - 1)) // count for i in range(count + 1)} if 0 <= k < L})
+
+
+RULE_MODULI = (1, 2, 3, 5, 7, 8, 12, 20, 63, 101, 1031, 4099, 16, 64, 1024, 4104, 8192,
+               2**50 - 1, 2**50, 2**50 + 3, 2**53 - 1, 2**53, 2**53 + 1, 2**55 + 8, 2**70 + 1)
+
+
+class TestUnitPhases:
+    @pytest.mark.parametrize("L", RULE_MODULI)
+    def test_bits_of_the_python_oracle(self, L):
+        # the rule on int64 (float64 quotients up to 2**53, Python ones past
+        # it) and on Python integers gives the oracle's bits at every k
+        ks = sample_ks(L)
+        want = np.array([phase_rule(k, L) for k in ks]).tobytes()
+        assert unit_phases(np.array(ks, dtype=object), L).tobytes() == want
+        if L < 2**62:
+            assert unit_phases(np.array(ks, dtype=np.int64), L).tobytes() == want
+
+    @pytest.mark.parametrize("Ls", ([1], [8], [3, 16, 5, 1024, 12, 8, 1031], [4104, 63, 40, 2, 96]))
+    def test_tables_have_the_bits_of_the_rule(self, Ls):
+        # one table per modulus, in the given order, filled by octants at
+        # 8 | L and evaluated at every k otherwise: the rule's bits at every
+        # entry, also into a larger buffer, whose tail it leaves alone
+        want = np.concatenate([unit_phases(np.arange(L), L) for L in Ls])
+        assert unit_phase_tables(Ls).tobytes() == want.tobytes()
+        out = np.full(sum(Ls) + 3, 7.0, dtype=complex)
+        assert unit_phase_tables(Ls, out=out) is out
+        assert out[:sum(Ls)].tobytes() == want.tobytes() and out[sum(Ls):].tolist() == [7.0] * 3
+
+    def test_one_modulus_per_column(self):
+        Ls = np.array([3, 8, 12, 2**52 + 1, 2**54 + 3])
+        k = np.array([[0, 7, 11, 2**52, 2**54 + 2], [2, 3, 9, 5, 2**53]])
+        got = unit_phases(k, Ls)
+        assert got.shape == k.shape
+        want = [[phase_rule(int(x), int(L)) for x, L in zip(row, Ls)] for row in k]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("L", (4, 12, 40, 2**50))
+    def test_exact_at_quarter_turns(self, L):
+        got = unit_phases(np.arange(4) * (L // 4), L).tolist()
+        assert got == [1, 1j, -1, -1j]
+        assert [math.copysign(1.0, z.imag if k % 2 == 0 else z.real) for k, z in enumerate(got)] == [1.0] * 4
+
+    @pytest.mark.parametrize("L", (3, 12, 1031, 1032, 2**50 + 3))
+    def test_symmetries(self, L):
+        # k and L - k conjugate (except at the odd eighths, where cos and sin
+        # of pi/4 come from different polynomials); k and 2k mod 2L equal
+        ks = np.array(sample_ks(L)[1:], dtype=np.int64)
+        ks = ks[8 * ks % L != 0]
+        assert unit_phases(L - ks, L).tobytes() == np.conj(unit_phases(ks, L)).tobytes()
+        assert unit_phases(2 * ks, 2 * L).tobytes() == unit_phases(ks, L).tobytes()
+
+    def test_accuracy_against_mpmath(self):
+        # max |e(k / L) - rule| against an 80-bit reference over the tested L;
+        # libm's exp of the rounded angle 2 pi fl(k / L), the parent's rule,
+        # is the comparison
+        worst = {"rule": 0.0, "libm": 0.0}
+        for L in (3, 5, 7, 12, 63, 101, 1024, 1031, 4104, 2**50 + 3, 2**53 + 1):
+            ks = sample_ks(L) if L <= 4104 else sample_ks(L, 2000)
+            ref = [phase_80(k, L) for k in ks]
+            values = {"rule": unit_phases(np.array(ks, dtype=object), L),
+                      "libm": np.exp(2j * np.pi * (np.array(ks, dtype=object) / L).astype(float))}
+            with mp.workprec(80):
+                for name, got in values.items():
+                    err = max(abs(w - mp.mpc(z)) for w, z in zip(ref, got.tolist()))
+                    worst[name] = max(worst[name], float(err))
+        print(f"[accuracy] max |error| of e(k / L): rule {worst['rule']:.3g}, libm {worst['libm']:.3g}")
+        assert worst["rule"] <= 2.5e-16
+        assert worst["rule"] <= worst["libm"]

@@ -534,10 +534,13 @@ sys.exit(main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs",
 @pytest.mark.parametrize("env", (
     {"OPENBLAS_CORETYPE": "Haswell"},
     {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2,-AVX512F,-FMA4"},
 ))
 def test_desk_sweep_bytes_on_other_cpu_kernels(tmp_path, env):
-    # the archived desk sweep keeps its bytes under another OpenBLAS core and
-    # with numpy's AVX2/FMA and AVX-512 groups off, each in a fresh process
+    # the archived desk sweep keeps its bytes under another OpenBLAS core,
+    # with numpy's AVX2/FMA and AVX-512 groups off, and with glibc's FMA and
+    # AVX variants of exp/sin/cos masked (no phase calls libm), each in a
+    # fresh process
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     archived = os.path.join(root, "reports", "bcr_desk_half.csv")
     out = str(tmp_path / "half.csv")

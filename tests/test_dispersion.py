@@ -423,6 +423,15 @@ class TestDispersionSplit:
         with pytest.raises(ValueError, match="q must be positive"):
             progression_error_total(s, s, moduli, a)
 
+    @staticmethod
+    def libm_random_unit(base, seed):
+        """``random_unit`` on (base, 2 base] as it was built before the phase
+        rule, from libm's cmath.exp of 2 pi u: the inputs of the pins below."""
+        rng = random.Random(seed)
+        scale = 1.0 / math.sqrt(base)
+        return make_sequence({n: cmath.exp(2j * math.pi * rng.random()) * scale for n in DyadicRange(base)},
+                             DyadicRange(base))
+
     # repr values of the commit before the per-modulus residue table, which
     # summed in the same order
     PINNED = {
@@ -434,7 +443,7 @@ class TestDispersionSplit:
 
     @pytest.mark.parametrize("a", [1, 3])
     def test_pinned_values_exact(self, a):
-        alpha = build_sequence("random_unit", DyadicRange(64), seed=11)
+        alpha = self.libm_random_unit(64, 11)
         beta = build_sequence("tau_k", DyadicRange(32), k=2)
         split = dispersion_split(alpha, beta, DyadicRange(16), a, SmoothCutoff(), 64.0)
         delta = progression_error_total(alpha, beta, DyadicRange(16), a)
@@ -455,8 +464,7 @@ class TestDispersionSplit:
 
     @pytest.mark.parametrize("a", [1, 3])
     def test_pinned_complex_values_exact(self, a):
-        alpha = build_sequence("random_unit", DyadicRange(64), seed=11)
-        beta = build_sequence("random_unit", DyadicRange(64), seed=5)
+        alpha, beta = self.libm_random_unit(64, 11), self.libm_random_unit(64, 5)
         split = dispersion_split(alpha, beta, DyadicRange(16), a, SmoothCutoff(), 64.0)
         delta = progression_error_total(alpha, beta, DyadicRange(16), a)
         U, V, W, want_delta, signs = self.PINNED_COMPLEX[a]

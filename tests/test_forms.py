@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_oracle import kloosterman_phase
+from golden_oracle import kloosterman_phase, phase_rule
 from klab import checks, forms
 from klab.arith import (
     _INT64_SAFE,
@@ -156,13 +156,39 @@ class TestTrilinearForm:
 
 
 @pytest.fixture
-def kernel_blocks(monkeypatch):
-    """Runs the kernel at one modulus L and returns the shapes that np.exp
-    was called on and the (t_vals, a_vals) of each phase block, after
-    checking that every block has the bits of one exponential per cell."""
-    exp = np.exp
-    shapes, blocks = [], []
-    monkeypatch.setattr(forms.np, "exp", lambda x, *args, **kw: shapes.append(np.shape(x)) or exp(x, *args, **kw))
+def phase_evaluations(monkeypatch):
+    """Records each evaluation of the phase rule that the forms module
+    makes: ("cells", shape of k) for :func:`klab.arith.unit_phases` and
+    ("tables", the sorted moduli) for :func:`klab.arith.unit_phase_tables`."""
+    calls = []
+    unit_phases, unit_phase_tables = forms.unit_phases, forms.unit_phase_tables
+
+    def cells(k, L):
+        calls.append(("cells", np.shape(k)))
+        return unit_phases(k, L)
+
+    def tables(Ls, out=None):
+        calls.append(("tables", sorted(Ls)))
+        return unit_phase_tables(Ls, out)
+
+    monkeypatch.setattr(forms, "unit_phases", cells)
+    monkeypatch.setattr(forms, "unit_phase_tables", tables)
+    return calls
+
+
+def rule_bits(residue, L):
+    """The oracle's bits of e(residue / L), cell by cell, with L one modulus
+    or one per column."""
+    Ls = np.broadcast_to(np.asarray(L, dtype=object), np.shape(residue))
+    return np.array([[phase_rule(int(k), int(m)) for k, m in zip(*row)] for row in zip(residue, Ls)]).tobytes()
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch, phase_evaluations):
+    """Runs the kernel at one modulus L and returns the phase-rule
+    evaluations and the (t_vals, a_vals) of each phase block, after checking
+    that every block has the oracle's bits of the rule, cell by cell."""
+    blocks = []
 
     def recording(t_vals, a_vals, L, table=None, base=None):
         block = _phase_block(t_vals, a_vals, L, table, base)
@@ -172,19 +198,19 @@ def kernel_blocks(monkeypatch):
     monkeypatch.setattr(forms, "_phase_block", recording)
 
     def run(theta, L, groups):
-        shapes.clear()
+        phase_evaluations.clear()
         blocks.clear()
         list(_coprime_inner_sums(theta, [L], groups))
         for t_vals, a_vals, block in blocks:
             residue = (np.asarray(a_vals)[:, None] * np.asarray(t_vals, dtype=np.int64)[None, :]) % L
-            assert np.array_equal(block, exp((2j * np.pi) * (residue / L)))
-        return list(shapes), [(t_vals, a_vals) for t_vals, a_vals, _ in blocks]
+            assert block.tobytes() == rule_bits(residue, L)
+        return list(phase_evaluations), [(t_vals, a_vals) for t_vals, a_vals, _ in blocks]
 
     return run
 
 
 class TestPhaseBlock:
-    def test_big_integer_fallback(self):
+    def test_big_integer_fallback(self, phase_evaluations):
         # nu supported near 2**61: L * max(a) >= 2**62 takes the exact
         # Python-integer branch instead of the int64 kernel
         theta, n, R = -3, 7, 3
@@ -192,18 +218,48 @@ class TestPhaseBlock:
         ms = [m for m in range(2, 40) if gcd(m, L) == 1]
         a_vals = [2**61 + 5, 2**61 + 12]
         assert L * max(a_vals) >= _INT64_SAFE
-        table = np.exp((2j * np.pi) * (np.arange(L) / L))
+        # a table given for a Python-integer block is not used
+        table = np.full(L, np.nan, dtype=complex)
         # the bound is on |a|: a large negative a beside a small one must not
         # wrap in int64, and one past int64 itself must not overflow
         for a_vals in (a_vals, [-(2**61) - 5, 1], [-(2**70)]):
-            block = _phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_vals, L)
+            t_vals = [(theta * pow(m, -1, L)) % L for m in ms]
+            phase_evaluations.clear()
+            block = _phase_block(t_vals, a_vals, L)
+            # one rule evaluation over the block's cells, with the oracle's bits
+            assert phase_evaluations == [("cells", (len(a_vals), len(ms)))]
+            assert block.tobytes() == rule_bits([[a * t % L for t in t_vals] for a in a_vals], L)
             for i, m in enumerate(ms):
                 for j, a in enumerate(a_vals):
                     assert abs(block[j, i] - kloosterman_phase(theta, a, m, n, R)) <= 1e-12
-            # a table given for a Python-integer block is not used; over every
-            # t, some of its entries differ in the last bit from this branch's
             every_t = list(range(L))
-            assert np.array_equal(_phase_block(every_t, a_vals, L, table), _phase_block(every_t, a_vals, L))
+            assert _phase_block(every_t, a_vals, L, table).tobytes() == _phase_block(every_t, a_vals, L).tobytes()
+
+    @pytest.mark.parametrize("Ls", (
+        {1}, {2}, {3}, {5}, {8}, {12}, {63}, {1031}, {16}, {1024}, {4104}, {8192},
+        {3, 6, 12, 24}, {5, 10, 20, 40, 80}, {1032, 2064, 4128}, {7, 9, 14, 16, 32, 1000},
+    ))
+    def test_tables_have_the_oracle_bits(self, Ls):
+        # every entry of the buffer, evaluated, filled by octants, taken as a
+        # conjugate or copied at stride 2, has the oracle's bits of the rule
+        table, begin = forms._tables(Ls)
+        for L in Ls:
+            want = np.array([phase_rule(k, L) for k in range(L)]).tobytes()
+            assert table[begin[L]:begin[L] + L].tobytes() == want, L
+
+    @pytest.mark.parametrize("L", (1, 2, 3, 12, 1031, 8192, 2**50 - 1, 2**50 + 3, 2**53 + 1))
+    def test_blocks_have_the_oracle_bits(self, L):
+        # per cell on int64, gathered from a table, and on Python integers
+        # (L * max |a| past 2**62): the same bits, the oracle's
+        t_vals = sorted({(L - 1) * i // 40 for i in range(41)} | {L // 8, 3 * L // 8, L // 2})
+        for a_vals in ([1, 2, 7], [-5, 3], [-(2**62 // L) - 9, 2**13 + 1]):
+            residue = [[a * t % L for t in t_vals] for a in a_vals]
+            block = _phase_block(t_vals, a_vals, L)
+            assert block.tobytes() == rule_bits(residue, L)
+            if L <= 8192:
+                table, begin = forms._tables({L})
+                offsets = np.full(len(t_vals), begin[L])
+                assert _phase_block(t_vals, a_vals, L, table, offsets).tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("t_vals,a_vals", (
         ([5], list(range(1, 7))),  # one row
@@ -212,12 +268,12 @@ class TestPhaseBlock:
     def test_table_gate(self, kernel_blocks, t_vals, a_vals):
         # the kernel builds a table of the L phases for a modulus whose
         # blocks have L cells, and none for one with L - 1 cells, where the
-        # (a x t) block evaluates one exponential per cell; both give the
-        # per-cell bits.  The m's are the inverses of the t's, so theta = 1
+        # (a x t) block evaluates the rule once per cell; both give the
+        # rule's bits.  The m's are the inverses of the t's, so theta = 1
         # gives t.
         cells = len(t_vals) * len(a_vals)
         nu = np.ones(len(a_vals), dtype=complex)
-        for L, evaluated in ((cells, [(cells,)]), (cells + 1, [(len(a_vals), len(t_vals))])):
+        for L, evaluated in ((cells, [("tables", [cells])]), (cells + 1, [("cells", (len(a_vals), len(t_vals)))])):
             ms = [pow(t, -1, L) for t in t_vals]
             shapes, blocks = kernel_blocks(1, L, [(ms, a_vals, [nu])])
             assert shapes == evaluated
@@ -232,9 +288,9 @@ class TestPhaseBlock:
         groups = [([pow(t, -1, L) for t in t_vals], a_vals, [nu]) for t_vals in t_rows]
         for group in groups:
             shapes, _ = kernel_blocks(1, L, [group])
-            assert shapes == [(2, 4)]
+            assert shapes == [("cells", (2, 4))]
         shapes, blocks = kernel_blocks(1, L, groups)
-        assert shapes == [(L,)]
+        assert shapes == [("tables", [L])]
         assert blocks == [(t_vals, a_vals) for t_vals in t_rows]
 
 
@@ -742,22 +798,21 @@ class TestSharedEnumeration:
         assert sorted(L for Ls in columns for L in Ls) == [n * R for n in range(N + 1, 2 * N + 1)]
         assert len(columns) < N
 
-    def test_family_shares_one_table_buffer(self, monkeypatch):
+    def test_family_shares_one_table_buffer(self, phase_evaluations):
         # alone, no spec's blocks have as many cells as their moduli sum to,
         # so none builds a table; the family's blocks reach that together and
         # gather from one buffer that holds the table of every modulus, and
         # every bit stays
         specs = [random_spec(M, 16, A, 5, 1, seed) for M in (16, 32) for A in (1, 2, 3) for seed in (1, 2)]
         lone = [trilinear_form(spec) for spec in specs]
-        exp = np.exp
-        tables = []
-        monkeypatch.setattr(
-            forms.np, "exp", lambda x, *args, **kw: np.ndim(x) == 1 and tables.append(len(x)) or exp(x, *args, **kw))
+        tables = phase_evaluations
+        tables.clear()
         for spec in specs:
             trilinear_form(spec)
-        assert tables == []
+        assert [call for call in tables if call[0] == "tables"] == []
+        tables.clear()
         results = trilinear_forms(specs)
-        assert tables == [sum(5 * n for n in range(17, 33))]
+        assert [call for call in tables if call[0] == "tables"] == [("tables", [5 * n for n in range(17, 33)])]
         assert [(r.value, r.terms) for r in results] == [(r.value, r.terms) for r in lone]
 
     @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
@@ -834,28 +889,27 @@ class TestSharedEnumeration:
         assert counts["values"] < apart["values"] and counts["cells"] < apart["cells"]
         assert [(r.value, r.terms) for r in results] == [(r.value, r.terms) for r in lone]
 
-    def test_chains_take_their_data_from_the_top(self, monkeypatch):
+    def test_chains_take_their_data_from_the_top(self, monkeypatch, phase_evaluations):
         # N = 16 and 32 at R = 4: each L = 4n, n in (16, 32], has 2L among
         # the N = 32 moduli.  In one chunk and one sub-batch, only the chain
         # maxima (the L whose double is not a modulus) make inverse values
         # and take exponentials for their tables; chunks of one modulus, or
         # of 8, cut the chains, and every value keeps its bits
-        values, tables = [], []
-        exp = np.exp
+        values = []
 
         def counting(v, m):
             values.append(len(v))
             return batch_mod_inverse(v, m)
 
         monkeypatch.setattr(forms, "batch_mod_inverse", counting)
-        monkeypatch.setattr(
-            forms.np, "exp", lambda x, *args, **kw: np.ndim(x) == 1 and tables.append(len(x)) or exp(x, *args, **kw))
         specs = [random_spec(32, N, A, 4, 1, seed) for N in (16, 32) for A in (8, 16) for seed in (1, 2)]
+        phase_evaluations.clear()
         results = trilinear_forms(specs)
         Ls = {4 * n for n in range(17, 65)}
-        maxima = [L for L in Ls if 2 * L not in Ls]
+        maxima = sorted(L for L in Ls if 2 * L not in Ls)
+        assert maxima == [4 * n for n in range(33, 65)]
         assert sum(values) == sum(1 for L in maxima for m in range(33, 65) if gcd(m, L) == 1)
-        assert tables == [sum(maxima)] == [4 * sum(range(33, 65))]
+        assert phase_evaluations == [("tables", maxima)]
         # a beta on L, 2L and 4L: the mean square takes the chain in its own order
         beta = build_sequence("random_unit", {20, 5, 10, 3, 12, 6}, seed=3)
         chain = TrilinearSpec(specs[0].alpha, beta, specs[0].nu, 1, 4)

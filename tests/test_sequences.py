@@ -2,10 +2,12 @@ import math
 import random
 from math import fsum, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_oracle import phase_rule
 from klab.arith import euler_phi, moebius
 from klab.sequences import (
     CoefficientSequence,
@@ -61,6 +63,17 @@ class TestBuildSequence:
         s2 = build_sequence("random_unit", DyadicRange(16), seed=99)
         assert s1.values == s2.values
         assert math.isclose(s1.l2_norm, 1.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("base", (1, 64, 128, 4096))
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    def test_random_unit_takes_the_phase_rule(self, base, seed):
+        # each draw u = k / 2**53 gives the oracle's e(k / 2**53) times
+        # 1/sqrt(size), bit for bit, so no libm moves the values
+        s = build_sequence("random_unit", DyadicRange(base), seed=seed)
+        rng = random.Random(seed)
+        scale = 1.0 / math.sqrt(base)
+        want = [phase_rule(int(rng.random() * 2**53), 2**53) * scale for _ in range(base)]
+        assert np.array([s.values[n] for n in DyadicRange(base)]).tobytes() == np.array(want).tobytes()
 
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
@@ -157,6 +170,37 @@ class TestNorms:
         l1, l2 = self.recomputed(vals)
         assert abs(s.l1_norm - l1) <= 1e-12 * (1 + l1)
         assert abs(s.l2_norm - l2) <= 1e-12 * (1 + l2)
+
+    def test_norm_past_the_square_range(self):
+        # squares past float range: |v| = 1e200 squared overflows and 1e-200
+        # squared underflows, but the norms are finite, nonzero floats
+        s = make_sequence({1: 1e200})
+        assert (s.l1_norm, s.l2_norm) == (1e200, 1e200)
+        s = make_sequence({1: 3e200, 2: 4e200j})
+        assert math.isclose(s.l2_norm, 5e200, rel_tol=1e-15)
+        s = make_sequence({1: 1e-200, 2: 3e-200})
+        assert s.l1_norm == 4e-200
+        assert math.isclose(s.l2_norm, math.sqrt(10) * 1e-200, rel_tol=1e-15)
+        # each square is finite, but their sum is not
+        s = make_sequence({n: 6e153 for n in range(1, 6)})
+        assert math.isclose(s.l2_norm, math.sqrt(5) * 6e153, rel_tol=1e-15)
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1e150, allow_subnormal=False).filter(
+        lambda v: v == 0 or abs(v) >= 2.0**-511), min_size=1, max_size=12))
+    @settings(max_examples=300)
+    def test_l2_keeps_its_bits_where_the_squares_are_normal(self, values):
+        s = make_sequence(dict(enumerate(values, 1)))
+        assert s.l2_norm == math.sqrt(fsum(abs(v) ** 2 for v in values))
+
+    @given(st.lists(st.floats(1e150, 1e300), min_size=1, max_size=12), st.integers(-400, 20))
+    @settings(max_examples=300)
+    def test_l2_scales_by_powers_of_two(self, values, shift):
+        # the l2 norm of 2**shift v is 2**shift times that of v, bit for bit,
+        # whether or not the squares or their sum pass the float range (the
+        # values are within 1e150 of each other, so no square underflows)
+        scaled = [math.ldexp(v, shift) for v in values]
+        want = math.ldexp(make_sequence(dict(enumerate(values, 1))).l2_norm, shift)
+        assert make_sequence(dict(enumerate(scaled, 1))).l2_norm == want
 
     def test_cached_norms_1000_random_sequences(self):
         rng = random.Random(8128)
