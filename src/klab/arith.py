@@ -8,12 +8,13 @@ Whether integer arithmetic may run on int64 or must use Python integers is
 decided in one place, :func:`_fits_int64`, from a magnitude bound that its
 caller supplies; forms and dispersion build their integer arrays through
 :func:`_exact_ints`, which applies it.  :func:`unit_phases` is the one rule
-for the phases e(k / L) of forms and sequences: an exact octant reduction
-in integers and two fixed polynomials, with no libm call, so the bits are
-the same under any libm and on any IEEE CPU; :func:`unit_phase_tables`
-fills whole tables of it by octants.  The evaluators built on top
-of this module stay at desk scale regardless.  All functions are pure and
-safe to call from concurrent workers.
+for the phases e(k / L) of forms, sequences and the Fourier completion: an
+exact octant reduction in integers and two fixed polynomials, with no libm
+call, so the bits are the same under any libm and on any IEEE CPU;
+:func:`unit_phase_tables` builds every table of it, by octants and strided
+reads.  The evaluators built on top of this module stay at desk scale
+regardless.  All functions are pure and safe to call from concurrent
+workers.
 """
 
 from __future__ import annotations
@@ -129,17 +130,22 @@ def _cos_sin_2pi(t: np.ndarray) -> np.ndarray:
 
 def unit_phases(k, L) -> np.ndarray:
     """e(k / L) = exp(2 pi i k / L) for integers 0 <= k < L, with ``k`` an
-    integer array and ``L`` one modulus or an array that broadcasts against
-    it, by one rule with no libm call.  The octant o = floor(8k / L) and
-    num = 8k - oL, reflected to L - num in odd octants, are exact integers;
-    t = num / (8L) in [0, 1/8] is one correctly rounded quotient, taken on
-    float64 while L <= 2**53 (num and 8L are then exact floats) and as
-    Python's ``int / int`` past that; :func:`_cos_sin_2pi` gives cos and sin
-    of 2 pi t, and :data:`_OCTANT` picks the swap and the signs.  So k and
-    2k modulo 2L get the same value, and k and L - k the same t and, unless
-    8k / L is an odd integer (where cos and sin of pi/4 come from different
-    polynomials), conjugate values."""
+    integer or an integer array and ``L`` one modulus or an array that
+    broadcasts against it, by one rule with no libm call; the result has
+    the broadcast shape, 0-d for a scalar k and L.  The octant o =
+    floor(8k / L) and num = 8k - oL, reflected to L - num in odd octants,
+    are exact integers; t = num / (8L) in [0, 1/8] is one correctly
+    rounded quotient, taken on float64 while L <= 2**53 (num and 8L are
+    then exact floats) and as Python's ``int / int`` past that;
+    :func:`_cos_sin_2pi` gives cos and sin of 2 pi t, and :data:`_OCTANT`
+    picks the swap and the signs.  So k and 2k modulo 2L get the same
+    value, and k and L - k the same t and, unless 8k / L is an odd integer
+    (where cos and sin of pi/4 come from different polynomials), conjugate
+    values."""
     k, L = np.asarray(k), np.asarray(L)
+    if k.ndim == L.ndim == 0:
+        # numpy's steps on 0-d arrays give scalars, which take no ``out=``
+        return unit_phases(k[None], L).reshape(())
     if k.dtype == object or L.dtype == object or int(L.max(initial=0)) > 2**53:
         k, L = k.astype(object), L.astype(object)
     k8 = 8 * k
@@ -153,38 +159,40 @@ def unit_phases(k, L) -> np.ndarray:
     return _cos_sin_2pi(t).take(at).view(complex).reshape(o.shape)
 
 
-def unit_phase_tables(Ls, out: np.ndarray | None = None) -> np.ndarray:
-    """The values e(k / L), k in [0, L), of each modulus L of ``Ls`` in turn,
-    with the bits of :func:`unit_phases` at every entry; into ``out``, a
-    complex array of at least sum(Ls) entries, when given.  The L with 8 | L
-    take cos and sin of 2 pi j / L, j in [0, L/8], from one
-    :func:`_cos_sin_2pi` pass over all of them, and fill their eight octants
-    by slices of an (8, L/8, 2) float view, the odd octants read backwards:
-    fl(8j / 8L) = fl(j / L), so each entry is the rule's.  The other L take
-    all their values from one :func:`unit_phases` call."""
-    begin = list(itertools.accumulate(Ls, initial=0))
-    out = np.empty(begin[-1], dtype=complex) if out is None else out
-    eighths = [(L, b) for L, b in zip(Ls, begin) if L % 8 == 0]
-    if eighths:
-        basis = _cos_sin_2pi(np.concatenate([np.arange(L // 8 + 1) / L for L, _ in eighths]))
-        at = 0
-        for L, b in eighths:
-            q = L // 8
-            octants = out[b:b + L].view(np.float64).reshape(8, q, 2)
-            # even octants read t = j / L ahead, odd ones (q - j) / L
-            ahead, back = basis[:, at:at + q], basis[:, at + q:at:-1]
-            for o, (re, im) in enumerate(_OCTANT):
-                part = back if o % 2 else ahead
-                octants[o, :, 0] = part[re]
-                octants[o, :, 1] = part[im]
-            at += q + 1
-    others = [(L, b) for L, b in zip(Ls, begin) if L % 8]
-    if others:
-        sizes = [L for L, _ in others]
-        values = unit_phases(np.concatenate([np.arange(L) for L in sizes]), np.repeat(sizes, sizes))
-        for (L, b), at in zip(others, itertools.accumulate(sizes, initial=0)):
-            out[b:b + L] = values[at:at + L]
-    return out
+def unit_phase_tables(Ls) -> tuple[np.ndarray, dict[int, int]]:
+    """One buffer of the values e(k / L), k in [0, L), of each of the
+    distinct moduli ``Ls`` in turn, and where each L's values begin, with
+    the bits of :func:`unit_phases` at every entry.  Only the tops, the T
+    whose double is not in ``Ls``, are evaluated, each at S = lcm(T, 8):
+    cos and sin of 2 pi j / S, j in [0, S/8], come from one
+    :func:`_cos_sin_2pi` pass over all tops, and fill S's eight octants by
+    slices of an (8, S/8, 2) float view, the odd octants read backwards,
+    in place when S = T: fl(8j / 8S) = fl(j / S), so each entry is the
+    rule's.  T and each T/2, T/4, ... in ``Ls`` read S's values at stride
+    s = S/L, which keeps every bit: entry sk of S has the octant of k
+    modulo L and t = s num / (s 8L), which rounds as num / 8L."""
+    begin = dict(zip(Ls, itertools.accumulate(Ls, initial=0)))
+    buffer = np.empty(sum(begin), dtype=complex)
+    tops = [T for T in begin if 2 * T not in begin]
+    lifts = [T * 8 // gcd(T, 8) for T in tops]
+    basis = _cos_sin_2pi(np.concatenate([np.arange(S // 8 + 1) / S for S in lifts]))
+    at = 0
+    for T, S in zip(tops, lifts):
+        values = buffer[begin[T]:begin[T] + T] if S == T else np.empty(S, dtype=complex)
+        q = S // 8
+        octants = values.view(np.float64).reshape(8, q, 2)
+        # even octants read t = j / S ahead, odd ones (q - j) / S
+        ahead, back = basis[:, at:at + q], basis[:, at + q:at:-1]
+        for o, (re, im) in enumerate(_OCTANT):
+            part = back if o % 2 else ahead
+            octants[o, :, 0] = part[re]
+            octants[o, :, 1] = part[im]
+        at += q + 1
+        # T, T/2, T/4, ... while in Ls, each but an S filled in place
+        for L in itertools.takewhile(begin.__contains__, (T >> i for i in range((T & -T).bit_length()))):
+            if L < S:
+                buffer[begin[L]:begin[L] + L] = values[::S // L]
+    return buffer, begin
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .arith import _exact_ints, _fits_int64, batch_mod_inverse, divisor_count, euler_phi, factorize
+from .arith import _exact_ints, _fits_int64, batch_mod_inverse, divisor_count, euler_phi, factorize, unit_phases
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport, check_rhs_inputs
 from .sequences import CoefficientSequence, _csum
 
@@ -554,7 +554,8 @@ def completed_progression_sum(
     The displayed transform argument hM/q is the standard completion
     frequency.  Both sides are accumulated exactly (rational arithmetic over
     the already-rounded float terms), so the reported residual reflects the
-    truncation and transform errors rather than summation rounding.
+    truncation and transform errors rather than summation rounding.  The
+    phases e(ah/q) come from one :func:`klab.arith.unit_phases` call.
     """
     if H < 1:
         raise ValueError(f"H must be positive, got {H}")
@@ -567,9 +568,9 @@ def completed_progression_sum(
     )
     m_over_q = Fraction(m_scale) / q
     rhs_fr = psi.mass_fraction() * m_over_q
-    for h in range(1, H + 1):
+    phases = unit_phases([a_red * h % q for h in range(1, H + 1)], q).tolist()
+    for h, z in enumerate(phases, 1):
         ph = psi.hat(h * m_scale / q)
-        z = cmath.exp(2j * math.pi * ((a_red * h) % q) / q)
         # the +h and -h terms are conjugate for real psi
         pair = 2.0 * (z * ph).real
         rhs_fr += Fraction(pair) * m_over_q

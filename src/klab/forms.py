@@ -28,11 +28,10 @@ The chunk's moduli are then cut into sub-batches of consecutive moduli,
 capped by their phase-table entries and phase cells, and each group of m's
 and a's gets one (a x m) phase block per sub-batch, one column per selected
 m at each modulus.  Once the blocks of a sub-batch have as many cells as
-the chain maxima of its tables have entries, one buffer holds the values
-e(k / L) of each modulus and the int64 blocks gather their phases from
-it; each entry has the bits of the rule at its integer, and an L
-whose double is in the buffer copies 2L's entries at stride 2, which have
-the same bits, so the buffer changes no bit of any value.
+its tables have entries, one buffer of klab.arith's tables holds the
+values e(k / L) of each modulus and the int64 blocks gather their phases
+from it; each entry has the bits of the rule at its integer, so the
+buffer changes no bit of any value.
 The inner sum of each column, and each modulus's sum of alpha_m times
 them, follow one product rule in float parts (U = sum v Re c and W = sum v
 Im c over the float view v, then (U_re - W_im) + i (W_re + U_im)), with no
@@ -164,9 +163,10 @@ def _phase_block(
     values e(k / L) of its modulus, k in [0, L), begin; otherwise, and on
     Python integers, where ``table`` and ``base`` are not used, it applies
     :func:`unit_phases` to the residues, cell by cell.  Each table entry has
-    the bits of that rule at its integer (see :func:`_tables`), so every
-    path gives the same bits.  ``t_vals`` may be a list or an array;
-    ``a_vals`` is sorted, so that its largest |a| is at one of its ends.
+    the bits of that rule at its integer (see :func:`unit_phase_tables`),
+    so every path gives the same bits.  ``t_vals`` may be a list or an
+    array; ``a_vals`` is sorted, so that its largest |a| is at one of its
+    ends.
     """
     bound = int(np.max(L)) * (int(max(-a_vals[0], a_vals[-1])) if len(a_vals) else 0)
     residue = _exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]
@@ -175,23 +175,6 @@ def _phase_block(
         return unit_phases(residue, L)
     residue += base
     return table.take(residue)
-
-
-def _tables(Ls: set[int]) -> tuple[np.ndarray, dict[int, int]]:
-    """One buffer of the values e(k / L), k in [0, L), of each L of ``Ls``,
-    and where each L's values begin, with the bits of :func:`unit_phases`
-    at every entry.  Only the chain maxima, the L whose double is not in
-    ``Ls``, are evaluated, by one :func:`unit_phase_tables` call; an L whose
-    double 2L is in ``Ls`` copies 2L's values at stride 2, which keeps every
-    bit: k and 2k modulo 2L have the same octant and the same t."""
-    # the maxima first, then each L after its double
-    order = sorted(Ls, key=lambda L: (2 * L in Ls, -L))
-    fresh = [L for L in order if 2 * L not in Ls]
-    begin = dict(zip(order, itertools.accumulate(order, initial=0)))
-    table = unit_phase_tables(fresh, out=np.empty(sum(order), dtype=complex))
-    for L in order[len(fresh):]:
-        table[begin[L]:begin[L] + L] = table[begin[2 * L]:begin[2 * L] + 2 * L:2]
-    return table, begin
 
 
 def _column_sums(block: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -346,13 +329,13 @@ def _coprime_inner_sums(
     sub-batch gets one (a x m) phase block, on int64 or, for the moduli
     whose phases need them, on Python integers, reduced against every nu
     at once by :func:`_column_sums`; when the sub-batch's blocks have as
-    many cells as its tables compute, they gather from one buffer of those
-    moduli's tables e(k / L) (see :func:`_tables`).  Each column's sum
-    depends on that column alone, so a family, a lone evaluation and one
-    modulus at a time agree bit for bit wherever the chunks and sub-batches
-    fall.  A block is released before the yield.  The m's and L's are
-    exact integer arrays for the bound max(|m|, |theta| * L), which covers
-    theta * m^{-1}.
+    many cells as its tables have entries, they gather from one buffer of
+    those moduli's tables e(k / L) (see :func:`unit_phase_tables`).  Each
+    column's sum depends on that column alone, so a family, a lone
+    evaluation and one modulus at a time agree bit for bit wherever the
+    chunks and sub-batches fall.  A block is released before the yield.
+    The m's and L's are exact integer arrays for the bound max(|m|, |theta|
+    * L), which covers theta * m^{-1}.
     """
     supports: dict[tuple[int, ...], list[int]] = {}
     for g, (ms, a_idx, _) in enumerate(groups):
@@ -451,15 +434,15 @@ def _sub_batch_sums(
     """The yields of :func:`_coprime_inner_sums` for one sub-batch, given as
     each group's entries (j, L, sel, t_rows, path) in modulus order: an FFT
     per modulus, and one block per run of consecutive moduli on the same
-    block path.  The int64 blocks gather from one buffer of the tables of
-    their moduli once they have as many cells as the chain maxima of those
-    tables have entries."""
+    block path.  The int64 blocks gather from one
+    :func:`unit_phase_tables` buffer of the tables of their moduli once
+    they have as many cells as those tables have entries."""
     tabled = {j: L for entries in batch.values() for j, L, _, _, path in entries if not path}
     cells = sum(len(sel) * len(a_arrs[g]) for g, entries in batch.items() for _, _, sel, _, path in entries if not path)
     table, base = None, {}
     moduli = set(tabled.values())
-    if tabled and cells >= sum(L for L in moduli if 2 * L not in moduli):
-        table, begin = _tables(moduli)
+    if tabled and cells >= sum(moduli):
+        table, begin = unit_phase_tables(moduli)
         base = {j: begin[L] for j, L in tabled.items()}
     for g, entries in batch.items():
         _, a_idx, nus = groups[g]

@@ -131,7 +131,10 @@ def make_sequence(
                     f"|value({n})| = {abs(v)} exceeds tau_{divisor_bound_k}({n}) = {bound}"
                 )
     mags = [abs(v) for v in vals.values()]
-    l1 = fsum(mags)
+    try:
+        l1 = fsum(mags)
+    except OverflowError:  # the exact sum of finite |v| rounds past the largest float
+        l1 = math.inf
     # the squares of |v| >= 2**-511 are normal floats, and their sum stays below 2**1023
     # while len * max |v|**2 does; past either, square |v| / 2**e with 2**e near max |v|,
     # which would change no bit where no square underflows

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mpmath as mp
 
 from golden_oracle import kloosterman_phase, phase_80, phase_rule
-from klab import checks
+from klab import arith, checks
 from klab.arith import (
     NonInvertible,
     batch_mod_inverse,
@@ -333,14 +333,52 @@ class TestUnitPhases:
 
     @pytest.mark.parametrize("Ls", ([1], [8], [3, 16, 5, 1024, 12, 8, 1031], [4104, 63, 40, 2, 96]))
     def test_tables_have_the_bits_of_the_rule(self, Ls):
-        # one table per modulus, in the given order, filled by octants at
-        # 8 | L and evaluated at every k otherwise: the rule's bits at every
-        # entry, also into a larger buffer, whose tail it leaves alone
+        # one table per modulus, in the given order, filled by octants in
+        # place at a top T with 8 | T and read at a stride from a top's fill
+        # otherwise: the rule's bits at every entry
         want = np.concatenate([unit_phases(np.arange(L), L) for L in Ls])
-        assert unit_phase_tables(Ls).tobytes() == want.tobytes()
-        out = np.full(sum(Ls) + 3, 7.0, dtype=complex)
-        assert unit_phase_tables(Ls, out=out) is out
-        assert out[:sum(Ls)].tobytes() == want.tobytes() and out[sum(Ls):].tolist() == [7.0] * 3
+        buffer, begin = unit_phase_tables(Ls)
+        assert begin == {L: sum(Ls[:i]) for i, L in enumerate(Ls)}
+        assert buffer.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("Ls", (
+        range(1, 301), [3, 6, 12], [5, 10, 20], [6, 12, 24, 48], [7, 14, 28, 1], [1, 2, 4, 8, 16], [9, 18, 36, 72, 3],
+    ))
+    def test_tables_of_chains_have_the_oracle_bits(self, Ls):
+        # each chain top T is filled at lcm(T, 8) (12 at 24, so 6 and 3 read
+        # it at strides 4 and 8), and every entry has the oracle's bits
+        buffer, begin = unit_phase_tables(Ls)
+        assert buffer.size == sum(Ls)
+        for L in Ls:
+            want = np.array([phase_rule(k, L) for k in range(L)]).tobytes()
+            assert buffer[begin[L]:begin[L] + L].tobytes() == want, L
+
+    @pytest.mark.parametrize("Ls", (range(1, 301), [3, 6, 12], [1032, 2064, 4128], [7, 9, 14, 16, 32, 1000], [3, 5]))
+    def test_tables_evaluate_only_their_tops(self, monkeypatch, Ls):
+        # one polynomial pass over S/8 + 1 values for each top T (the T whose
+        # double is not in Ls), at S = lcm(T, 8)
+        sizes = []
+
+        def spy(t):
+            sizes.append(len(t))
+            return cos_sin_2pi(t)
+
+        cos_sin_2pi = arith._cos_sin_2pi
+        monkeypatch.setattr(arith, "_cos_sin_2pi", spy)
+        unit_phase_tables(Ls)
+        tops = [T for T in Ls if 2 * T not in Ls]
+        assert sizes == [sum(T * 8 // gcd(T, 8) // 8 + 1 for T in tops)]
+
+    @pytest.mark.parametrize("L", (1, 8, 12, 1031, 2**50 + 3, 2**53 + 1, 2**70 + 1))
+    def test_scalar_k(self, L):
+        # a Python integer, a numpy integer or a 0-d array k, against one
+        # modulus, gives a 0-d value with the oracle's bits
+        for k in sorted({0, 3 % L, L // 3, L // 8, L - 1}):
+            want = np.array(phase_rule(k, L)).tobytes()
+            ks = (k, np.array(k), np.int64(k)) if L < 2**62 else (k, np.array(k))
+            for x in ks:
+                got = unit_phases(x, L)
+                assert got.shape == () and got.tobytes() == want, (type(x), k)
 
     def test_one_modulus_per_column(self):
         Ls = np.array([3, 8, 12, 2**52 + 1, 2**54 + 3])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_oracle import DISP_GOLDEN, DISP_PTS
+from golden_oracle import DISP_GOLDEN, DISP_PTS, phase_rule
 from klab import bounds, checks
 from klab.arith import _exact_ints, euler_phi, factorize
 from klab.dispersion import (
@@ -787,6 +787,21 @@ class TestCompletedProgressionSum:
         res = completed_progression_sum(psi, 1000.0, 1, 0, 64)
         assert res.residual <= 1e-6 / 1000.0
         assert math.isclose(res.lhs, res.rhs, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m_scale,q,a,H", (
+        (1000.0, 7, 3, 64), (100.0, 1, 0, 8), (10.0, 11, 2, 16), (10.0, 13, 5, 16), (20.0, 12, 2, 16),
+    ))
+    def test_rhs_takes_the_phase_rule(self, m_scale, q, a, H):
+        # the rhs rebuilt from the oracle's bits of e(a h / q), in the same
+        # order, is the function's rhs exactly; at the last three points,
+        # phases from cmath.exp give an rhs one ulp away
+        psi = SmoothCutoff()
+        m_over_q = Fraction(m_scale) / q
+        rhs = psi.mass_fraction() * m_over_q
+        for h in range(1, H + 1):
+            z = phase_rule(a * h % q, q)
+            rhs += Fraction(2.0 * (z * psi.hat(h * m_scale / q)).real) * m_over_q
+        assert completed_progression_sum(psi, m_scale, q, a, H).rhs == float(rhs)
 
     def test_zero_cutoff(self):
         zero = SmoothCutoff(plateau=(0.0, 0.0), support=(0.0, 0.0))

@@ -21,6 +21,7 @@ from klab.arith import (
     is_squarefree,
     is_squarefull,
     radical,
+    unit_phase_tables,
 )
 from klab.forms import (
     DecompositionMismatch,
@@ -167,9 +168,9 @@ def phase_evaluations(monkeypatch):
         calls.append(("cells", np.shape(k)))
         return unit_phases(k, L)
 
-    def tables(Ls, out=None):
+    def tables(Ls):
         calls.append(("tables", sorted(Ls)))
-        return unit_phase_tables(Ls, out)
+        return unit_phase_tables(Ls)
 
     monkeypatch.setattr(forms, "unit_phases", cells)
     monkeypatch.setattr(forms, "unit_phase_tables", tables)
@@ -240,9 +241,10 @@ class TestPhaseBlock:
         {3, 6, 12, 24}, {5, 10, 20, 40, 80}, {1032, 2064, 4128}, {7, 9, 14, 16, 32, 1000},
     ))
     def test_tables_have_the_oracle_bits(self, Ls):
-        # every entry of the buffer, evaluated, filled by octants, taken as a
-        # conjugate or copied at stride 2, has the oracle's bits of the rule
-        table, begin = forms._tables(Ls)
+        # every entry of the buffer, filled by octants in place or in a lifted
+        # table, or read at a stride from the top of its chain, has the
+        # oracle's bits of the rule
+        table, begin = unit_phase_tables(Ls)
         for L in Ls:
             want = np.array([phase_rule(k, L) for k in range(L)]).tobytes()
             assert table[begin[L]:begin[L] + L].tobytes() == want, L
@@ -257,7 +259,7 @@ class TestPhaseBlock:
             block = _phase_block(t_vals, a_vals, L)
             assert block.tobytes() == rule_bits(residue, L)
             if L <= 8192:
-                table, begin = forms._tables({L})
+                table, begin = unit_phase_tables([L])
                 offsets = np.full(len(t_vals), begin[L])
                 assert _phase_block(t_vals, a_vals, L, table, offsets).tobytes() == block.tobytes()
 
@@ -892,8 +894,9 @@ class TestSharedEnumeration:
     def test_chains_take_their_data_from_the_top(self, monkeypatch, phase_evaluations):
         # N = 16 and 32 at R = 4: each L = 4n, n in (16, 32], has 2L among
         # the N = 32 moduli.  In one chunk and one sub-batch, only the chain
-        # maxima (the L whose double is not a modulus) make inverse values
-        # and take exponentials for their tables; chunks of one modulus, or
+        # maxima (the L whose double is not a modulus) make inverse values,
+        # and one table call covers every modulus (that only its chain tops
+        # are evaluated is tested in test_arith); chunks of one modulus, or
         # of 8, cut the chains, and every value keeps its bits
         values = []
 
@@ -909,7 +912,7 @@ class TestSharedEnumeration:
         maxima = sorted(L for L in Ls if 2 * L not in Ls)
         assert maxima == [4 * n for n in range(33, 65)]
         assert sum(values) == sum(1 for L in maxima for m in range(33, 65) if gcd(m, L) == 1)
-        assert phase_evaluations == [("tables", maxima)]
+        assert phase_evaluations == [("tables", sorted(Ls))]
         # a beta on L, 2L and 4L: the mean square takes the chain in its own order
         beta = build_sequence("random_unit", {20, 5, 10, 3, 12, 6}, seed=3)
         chain = TrilinearSpec(specs[0].alpha, beta, specs[0].nu, 1, 4)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from math import fsum, gcd
 
 import numpy as np
@@ -184,6 +185,22 @@ class TestNorms:
         # each square is finite, but their sum is not
         s = make_sequence({n: 6e153 for n in range(1, 6)})
         assert math.isclose(s.l2_norm, math.sqrt(5) * 6e153, rel_tol=1e-15)
+
+    def test_l1_past_the_float_range(self):
+        # each |v| and the l2 norm are finite, but the exact l1 sum rounds
+        # past the largest float: l1 is inf, and l2 keeps the bits that a
+        # power-of-two scaling gives; a sum that just reaches the largest
+        # float keeps fsum's value
+        s = make_sequence({1: 1e308, 2: 1e308})
+        assert s.l1_norm == math.inf
+        down = make_sequence({1: math.ldexp(1e308, -600), 2: math.ldexp(1e308, -600)})
+        assert s.l2_norm == math.ldexp(down.l2_norm, 600) == math.hypot(1e308, 1e308)
+        top = sys.float_info.max
+        s = make_sequence({1: top / 2, 2: top / 2})
+        assert s.l1_norm == fsum([top / 2, top / 2]) == top
+        assert s.l2_norm == math.ldexp(make_sequence({1: top / 2**601, 2: top / 2**601}).l2_norm, 600)
+        s = make_sequence({1: top, 2: 1e-300, 3: -1e-300})
+        assert s.l1_norm == top
 
     @given(st.lists(st.complex_numbers(max_magnitude=1e150, allow_subnormal=False).filter(
         lambda v: v == 0 or abs(v) >= 2.0**-511), min_size=1, max_size=12))
