@@ -3,9 +3,8 @@
 Contents:
 
 - :class:`SmoothCutoff`: a C-infinity plateau function built from the
-  exp(-1/t) blend, with an exactly-known mass and a cached, quadrature-based
-  Fourier transform (the only use of scipy in klab: ``scipy.integrate``
-  loads on the first quadrature, so importing this module needs numpy only);
+  exp(-1/t) blend, with an exactly-known mass and a Fourier transform by
+  one fixed trapezoid rule on the derivatives of its ramps (numpy only);
 - the progression error E (one modulus) and its absolute sum over a modulus
   range;
 - the dispersion split U / V / W against a sign sequence c_q derived from
@@ -38,15 +37,13 @@ Contents:
 - the closed-form dispersion bound evaluator (tail exponents from klab.bounds).
 
 All evaluators are pure; the q- and m-loops can be partitioned across
-workers and reduced in index order.  The Fourier cache of a cutoff may be
-shared once populated.
+workers and reduced in index order.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd
 from typing import Iterable, Mapping, NamedTuple
@@ -60,7 +57,6 @@ from .sequences import CoefficientSequence, _csum
 __all__ = [
     "PsiDoesNotMajorize",
     "NegativeQuadratic",
-    "QuadratureFailure",
     "smooth_step",
     "SmoothCutoff",
     "DispersionSplit",
@@ -86,10 +82,6 @@ class NegativeQuadratic(ValueError):
     """W - 2 Re V + U came out below the numerical slack: an implementation bug."""
 
 
-class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not meet the requested tolerance."""
-
-
 def smooth_step(t: float) -> float:
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, exp(-1/t) blend between.
 
@@ -105,6 +97,12 @@ def smooth_step(t: float) -> float:
     return f / (f + g)
 
 
+# SmoothCutoff.hat's trapezoid nodes per ramp, and the frequency xi |w| of a
+# ramp of width |w| from which the transform of its bump s' is below 1e-40
+_HAT_NODES = 4096
+_HAT_CUT = 1024.0
+
+
 def _check_m_scale(m_scale: float) -> None:
     if not 0.0 < m_scale < math.inf:
         raise ValueError(f"m_scale must be positive and finite, got {m_scale}")
@@ -117,23 +115,19 @@ class SmoothCutoff:
     psi = 1 on ``plateau``, 0 outside ``support``, with smooth_step ramps in
     between; 0 <= psi <= 1 everywhere.  The default majorizes the indicator
     of [1, 2].  ``hat`` evaluates the Fourier transform
-    psi^(xi) = integral psi(x) e(-xi x) dx by adaptive quadrature (plateau
-    part in closed form) and caches per frequency.  The first quadrature in
-    a process imports ``scipy.integrate``; nothing else in klab needs scipy.
+    psi^(xi) = integral psi(x) e(-xi x) dx by a fixed trapezoid rule.
     """
 
     plateau: tuple[float, float] = (1.0, 2.0)
     support: tuple[float, float] = (0.5, 2.5)
-    quadrature_tolerance: float = 1e-10
-    _hat_cache: dict[float, complex] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         s0, s1 = self.support
         p0, p1 = self.plateau
+        if not all(map(math.isfinite, (s0, p0, p1, s1))):
+            raise ValueError(f"need finite plateau and support, got {self}")
         if not (s0 <= p0 <= p1 <= s1):
             raise ValueError(f"need support[0] <= plateau <= support[1], got {self}")
-        if self.quadrature_tolerance <= 0:
-            raise ValueError("quadrature_tolerance must be positive")
 
     def __call__(self, x: float) -> float:
         s0, s1 = self.support
@@ -169,47 +163,48 @@ class SmoothCutoff:
         return range(lo, hi + 1)
 
     def hat(self, xi: float) -> complex:
-        """Fourier transform psi^(xi) = integral psi(x) e(-xi x) dx."""
+        """Fourier transform psi^(xi) = integral psi(x) e(-xi x) dx, for any
+        finite xi, by one fixed trapezoid rule on the ramps' derivatives.
+
+        Integration by parts gives psi^(xi) = (I0 - I1) / (2 pi i xi) with no
+        plateau term: I0 = int_0^1 s'(t) e(-xi (s0 + w0 t)) dt over the
+        rising ramp (w0 = p0 - s0), I1 the same at s1 with w1 = p1 - s1, and
+        s' the bump smooth_step' (a point mass where w = 0).  s' vanishes
+        with every derivative at 0 and 1, so the trapezoid rule at the nodes
+        j / _HAT_NODES converges faster than any power of the step.  Where
+        xi |w| >= _HAT_CUT a ramp's I, the transform of s', is below 1e-40
+        and counts as 0.  Both ramps share the nodes, so I0 - I1 is summed
+        node by node as a difference of e(-theta) - 1 = -2 sin^2(pi theta)
+        - i sin(2 pi theta), with xi * edge reduced modulo 1 exactly: it
+        never forms as the difference of two numbers near 1, and small xi
+        loses no digits.  Against 40-digit mpmath the error is at most
+        5.3e-16 (2.5e-16 relative) over xi from 1e-6 to 2048 on the default,
+        a skewed and both zero-width-ramp cutoffs.
+        """
         xi = float(xi)
-        if xi == 0.0:
+        if not math.isfinite(xi):
+            raise ValueError(f"xi must be finite, got {xi}")
+        (s0, s1), (p0, p1) = self.support, self.plateau
+        if abs(xi) * max(abs(s0), abs(s1)) < 2.0**-60:
+            # |psi^(xi) - psi^(0)| <= 2 pi |xi| max |x| mass, below half an ulp
             return complex(self.mass())
         if xi < 0.0:
             return self.hat(-xi).conjugate()  # psi is real
-        cached = self._hat_cache.get(xi)
-        if cached is not None:
-            return cached
-        s0, s1 = self.support
-        p0, p1 = self.plateau
-        if s0 >= s1:
-            return 0j
-        from scipy import integrate
-
-        w = 2.0 * math.pi * xi
-        val = 0j
-        if p1 > p0:
-            # plateau in closed form: integral_{p0}^{p1} e^{-iwx} dx
-            val += (cmath.exp(-1j * w * p0) - cmath.exp(-1j * w * p1)) / (1j * w)
-        err = 0.0
-        for lo, hi in ((s0, p0), (p1, s1)):
-            if hi <= lo:
+        t = np.arange(1, _HAT_NODES) / _HAT_NODES
+        f, g = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+        ds = f * g * (1.0 / (t * t) + 1.0 / ((1.0 - t) * (1.0 - t))) / ((f + g) * (f + g) * _HAT_NODES)
+        # (e(-theta) - 1) of ramp 0 minus that of ramp 1 at each node
+        re, im = np.zeros_like(t), np.zeros_like(t)
+        for sign, edge, w in ((1.0, s0, p0 - s0), (-1.0, s1, p1 - s1)):
+            if xi * abs(w) >= _HAT_CUT:
+                re -= sign  # I = 0
                 continue
-            re, re_err = integrate.quad(
-                self, lo, hi, weight="cos", wvar=w,
-                epsabs=self.quadrature_tolerance / 8, epsrel=0.0, limit=400, maxp1=100,
-            )
-            im, im_err = integrate.quad(
-                self, lo, hi, weight="sin", wvar=w,
-                epsabs=self.quadrature_tolerance / 8, epsrel=0.0, limit=400, maxp1=100,
-            )
-            val += complex(re, -im)
-            err += re_err + im_err
-        if err > self.quadrature_tolerance:
-            raise QuadratureFailure(
-                f"psi^({xi}) error estimate {err:.3g} exceeds tolerance "
-                f"{self.quadrature_tolerance:.3g}"
-            )
-        self._hat_cache[xi] = val
-        return val
+            turns = Fraction(xi) * Fraction(edge)
+            theta = float(turns - round(turns)) + xi * w * t
+            half = np.sin(np.pi * theta)
+            re -= sign * 2.0 * half * half
+            im -= sign * np.sin(2.0 * np.pi * theta)
+        return complex((ds * re).sum(), (ds * im).sum()) / (2j * math.pi * xi)
 
 
 class _Coeffs(NamedTuple):
@@ -539,6 +534,8 @@ class CoprimeCompletionResult(NamedTuple):
 
 def default_completion_bandwidth(q: int, m_scale: float) -> int:
     """Default truncation H = max(64, ceil(4 q^2 / M) * 64)."""
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
     _check_m_scale(m_scale)
     return max(64, math.ceil(4 * q * q / m_scale) * 64)
 

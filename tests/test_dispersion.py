@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from math import fsum, gcd
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,21 @@ from klab.sequences import DyadicRange, _csum, build_sequence, make_sequence
 
 def ones(support):
     return build_sequence("ones", support)
+
+
+# the default cutoff, a skewed one and both zero-width-ramp ones, as (plateau, support)
+CUTOFFS = [
+    ((1.0, 2.0), (0.5, 2.5)),
+    ((0.9385733044367507, 2.3878402994279737), (0.25570666142114584, 3.47521917397068)),
+    ((1.0, 2.0), (1.0, 2.5)),
+    ((1.0, 2.0), (0.5, 2.0)),
+]
+
+
+def smooth_step_slope(t):
+    """The derivative of smooth_step at an mpf t in (0, 1)."""
+    f, g = mp.exp(-1 / t), mp.exp(-1 / (1 - t))
+    return f * g * (1 / t**2 + 1 / (1 - t) ** 2) / (f + g) ** 2
 
 
 class TestSmoothStep:
@@ -82,13 +98,10 @@ class TestSmoothCutoff:
         psi = SmoothCutoff()
         assert psi.mass() == 1.5 and psi.mass_fraction() == Fraction(3, 2)
         # the float formula gave 2.3343897537703784 here
-        odd = SmoothCutoff(plateau=(0.9385733044367507, 2.3878402994279737),
-                           support=(0.25570666142114584, 3.47521917397068))
+        odd = SmoothCutoff(*CUTOFFS[1])
         assert odd.mass() == float(odd.mass_fraction()) == 2.334389753770379
         # quadrature cross-check
-        import scipy.integrate as si
-
-        val, _ = si.quad(psi, 0.5, 2.5, limit=200)
+        val = mp.quad(lambda x: psi(float(x)), [0.5, 1.0, 2.0, 2.5])
         assert math.isclose(val, 1.5, rel_tol=1e-10)
 
     def test_zero_cutoff(self):
@@ -98,9 +111,12 @@ class TestSmoothCutoff:
     def test_validation(self):
         with pytest.raises(ValueError):
             SmoothCutoff(plateau=(1.0, 2.0), support=(1.5, 2.5))
-        for tol in (0.0, -1e-10):
-            with pytest.raises(ValueError, match="quadrature_tolerance"):
-                SmoothCutoff(quadrature_tolerance=tol)
+        # an infinite support was accepted, and mass() and window() then
+        # raised OverflowError
+        for plateau, support in (((1.0, 2.0), (0.5, math.inf)), ((1.0, 2.0), (-math.inf, 2.5)),
+                                 ((1.0, math.inf), (0.5, math.inf)), ((1.0, math.nan), (0.5, 2.5))):
+            with pytest.raises(ValueError, match="need finite plateau and support"):
+                SmoothCutoff(plateau=plateau, support=support)
 
     @pytest.mark.parametrize("m_scale", [0.0, -8.0, -5.0, math.inf, -math.inf, math.nan])
     def test_m_scale_must_be_positive_and_finite(self, m_scale):
@@ -124,15 +140,11 @@ class TestSmoothCutoff:
         assert psi.hat(-0.7) == z.conjugate()
 
     def test_hat_against_plain_quadrature(self):
-        import scipy.integrate as si
-
         psi = SmoothCutoff()
         for xi in (0.3, 1.0, 2.5):
-            re, _ = si.quad(lambda x: psi(x) * math.cos(2 * math.pi * xi * x), 0.5, 2.5,
-                            limit=400)
-            im, _ = si.quad(lambda x: psi(x) * math.sin(2 * math.pi * xi * x), 0.5, 2.5,
-                            limit=400)
-            assert abs(psi.hat(xi) - complex(re, -im)) < 1e-9
+            # psi itself, not its derivative, split at the plateau's ends
+            want = mp.quad(lambda x: psi(float(x)) * mp.expjpi(-2 * xi * x), [0.5, 1.0, 2.0, 2.5])
+            assert abs(psi.hat(xi) - complex(want)) < 1e-9
 
     @pytest.mark.parametrize("plateau, support", [((1.0, 2.0), (1.0, 2.5)), ((1.0, 2.0), (0.5, 2.0))])
     def test_hat_zero_width_ramp(self, plateau, support):
@@ -147,20 +159,54 @@ class TestSmoothCutoff:
             want = h * sum(psi(x) * cmath.exp(-2j * math.pi * xi * x) for x in xs)
             assert abs(psi.hat(xi) - want) < 1e-6
 
-    def test_hat_cache(self):
-        psi = SmoothCutoff()
-        a = psi.hat(3.25)
-        assert psi._hat_cache[3.25] == a
+    def test_hat_accuracy_against_mpmath(self):
+        # max |error| of hat against a 40-digit reference of (I0 - I1) /
+        # (2 pi i xi), each ramp's I by the trapezoid rule at 1,024 nodes,
+        # with s' in mpmath; the rule is checked once against tanh-sinh
+        # quadrature, which takes too long to run at every point
+        with mp.workdps(40):
+            nodes = [j * mp.mpf(1) / 1024 for j in range(1, 1024)]
+            ds = [smooth_step_slope(t) / 1024 for t in nodes]
 
-    def test_unmeetable_tolerance_raises(self):
-        import warnings
+            def ramp(xi, edge, w):
+                if w == 0:
+                    return mp.expjpi(-2 * xi * edge)
+                z, step, total = mp.expjpi(-2 * xi * edge), mp.expjpi(-2 * xi * w / 1024), 0
+                for d in ds:
+                    z *= step
+                    total += d * z
+                return total
 
-        from klab.dispersion import QuadratureFailure
+            xi, edge, w = mp.mpf(7.75), mp.mpf(0.25570666142114584), mp.mpf(0.6828666430156049)
+            tanh_sinh = mp.quad(lambda t: smooth_step_slope(t) * mp.expjpi(-2 * xi * (edge + w * t)),
+                                mp.linspace(0, 1, 7))
+            assert abs(ramp(xi, edge, w) - tanh_sinh) < 1e-30
+            worst = 0.0
+            for plateau, support in CUTOFFS:
+                psi = SmoothCutoff(plateau=plateau, support=support)
+                (s0, s1), (p0, p1) = (tuple(map(mp.mpf, v)) for v in (support, plateau))
+                for xi in (1e-6, 1e-3, 0.1, 0.37, 1.0, 2.5, 7.75, 20.0, 64.0):
+                    want = (ramp(xi, s0, p0 - s0) - ramp(xi, s1, p1 - s1)) / (2j * mp.pi * xi)
+                    worst = max(worst, float(abs(psi.hat(xi) - want)))
+        print(f"\n[accuracy] max |hat - mpmath| for xi <= 64: {worst:.3g}")
+        assert worst <= 1e-15
 
-        psi = SmoothCutoff(quadrature_tolerance=1e-300)
-        with pytest.raises(QuadratureFailure), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            psi.hat(1.0)
+    @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+    def test_hat_rejects_non_finite_xi(self, xi):
+        # each gave nan+nanj
+        with pytest.raises(ValueError, match="xi must be finite"):
+            SmoothCutoff().hat(xi)
+
+    @pytest.mark.parametrize("plateau, support", CUTOFFS)
+    def test_hat_finite_at_extreme_xi(self, plateau, support):
+        # 1e300 gave nan+nanj; past both ramps' cut the default is 0, and a
+        # zero-width ramp leaves its jump, e(-xi edge) / (2 pi i xi)
+        psi = SmoothCutoff(plateau=plateau, support=support)
+        for xi in (1e300, -1e300, 1.7976931348623157e308, 5e-324, -5e-324):
+            z = psi.hat(xi)
+            assert math.isfinite(z.real) and math.isfinite(z.imag)
+        assert psi.hat(5e-324) == psi.mass()
+        assert abs(psi.hat(1e300)) * 1e300 <= 0.16  # 1 / (2 pi) = 0.159...
 
 
 class TestProgressionError:
@@ -821,6 +867,10 @@ class TestCompletedProgressionSum:
             completed_progression_sum(SmoothCutoff(), 100.0, 3, 1, 0)
         with pytest.raises(ValueError):
             completed_progression_sum(SmoothCutoff(), 100.0, 0, 1, 4)
+        # each gave 64
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="q must be positive"):
+                default_completion_bandwidth(q, 1000.0)
 
     def test_default_bandwidth_formula(self):
         assert default_completion_bandwidth(1, 1000.0) == 64

@@ -1,7 +1,7 @@
 """Every imported name in src/klab and tests is read somewhere in its module,
-the package's exports name what exists, and ``import klab`` loads numpy but
-neither scipy, which waits for the first Fourier quadrature, nor numpy.fft,
-which waits for the first FFT inner sum.
+the package's exports name what exists, no module of either imports scipy,
+and ``import klab`` loads numpy but not numpy.fft, which waits for the first
+FFT inner sum.
 
 A standard-library AST scan stands in for a linter.  ``klab/__init__.py`` is
 exempt from the unused-import scan: its imports are the package's re-exports,
@@ -15,8 +15,6 @@ import subprocess
 import sys
 
 import pytest
-
-from klab.dispersion import SmoothCutoff
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(
@@ -81,16 +79,30 @@ def test_reexports_are_in_all():
     assert missing == []
 
 
+def imported_packages(*parts) -> set[str]:
+    """The top-level package of every import in a file, in any scope."""
+    names = set()
+    for node in ast.walk(parse(*parts)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_golden_oracle_imports_nothing_from_klab():
-    tree = parse("tests", "golden_oracle.py")
-    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
-    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert [name for name in imported if name.split(".")[0] == "klab"] == []
+    assert "klab" not in imported_packages("tests", "golden_oracle.py")
+
+
+def test_no_module_imports_scipy():
+    # a lazy import inside a function counts too
+    paths = [os.path.join(ROOT, "src", "klab", "__init__.py"), *SOURCES]
+    assert [path for path in paths if "scipy" in imported_packages(path)] == []
 
 
 def fresh_python(code: str) -> str:
     """stdout of ``code`` in a new interpreter that imports klab from src/ (the
-    pytest process has scipy loaded already)."""
+    pytest process has loaded what the tests before it needed)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return done.stdout
@@ -102,15 +114,6 @@ def test_import_loads_neither_scipy_nor_the_process_pool():
         "print([m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])"
     )
     assert out == "[]\n"
-
-
-def test_first_quadrature_loads_scipy_integrate():
-    out = fresh_python(
-        "import sys\n"
-        "from klab.dispersion import SmoothCutoff\n"
-        "print('scipy.integrate' in sys.modules, repr(SmoothCutoff().hat(0.7)), 'scipy.integrate' in sys.modules)"
-    )
-    assert out == f"False {SmoothCutoff().hat(0.7)!r} True\n"
 
 
 def test_first_fft_inner_sum_loads_numpy_fft():
