@@ -12,8 +12,9 @@ for the phases e(k / L) of forms, sequences and the Fourier completion: an
 exact octant reduction in integers and two fixed polynomials, with no libm
 call, so the bits are the same under any libm and on any IEEE CPU;
 :func:`unit_phase_tables` builds every table of it, by octants and strided
-reads.  The evaluators built on top of this module stay at desk scale
-regardless.  All functions are pure and safe to call from concurrent
+reads; :func:`_unit_inverses` inverts the units mod one modulus, for
+forms and dispersion alike.  The evaluators built on top of this module
+stay at desk scale regardless.  All functions are pure and safe to call from concurrent
 workers.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 
@@ -268,6 +269,27 @@ def batch_mod_inverse(values, m):
     return np.array(invs, dtype=object) if as_array else invs
 
 
+def _unit_inverses(units: np.ndarray, q: int, factors: dict[int, int]) -> np.ndarray:
+    """The one rule for inverting the units of a single modulus q: the
+    inverses mod q, each in [0, q), of ``units``, an integer array of units
+    in [0, q), ``factors`` being q's; exact for a product with a residue
+    (bound q * q).  While q * q fits int64: u^(lambda(q) - 1) mod q by
+    square-and-multiply on the array, lambda from :func:`_carmichael`; above
+    that, where powers would run on object arrays, :func:`batch_mod_inverse`."""
+    if not _fits_int64(q * q):
+        return _exact_ints(batch_mod_inverse(_exact_ints(units, q), q), q * q)
+    base = _exact_ints(units, q * q)
+    inv = np.full_like(base, 1 % q)
+    e = _carmichael(factors) - 1
+    while e:
+        if e & 1:
+            inv = inv * base % q
+        e >>= 1
+        if e:
+            base = base * base % q
+    return inv
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; adequate at desk scale."""
     if n < 1:
@@ -299,12 +321,21 @@ def moebius(n: int) -> int:
     return mu
 
 
+def _totient(factors: dict[int, int]) -> int:
+    """Euler's phi of the integer whose factorization is ``factors``."""
+    return prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+
+
+def _carmichael(factors: dict[int, int]) -> int:
+    """The Carmichael exponent lambda of the integer whose factorization is
+    ``factors``, the least e with u^e = 1 for every unit u: the lcm over the
+    p^k exactly dividing it of phi(p^k), halved for 2^k with k >= 3."""
+    return lcm(*(_totient({p: k}) >> (p == 2 and k > 2) for p, k in factors.items()))
+
+
 def euler_phi(n: int) -> int:
     """Euler totient."""
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+    return _totient(factorize(n))
 
 
 def radical(n: int) -> int:

@@ -212,22 +212,27 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     """Run a sweep; returns the summary dict written to the JSON sidecar.
 
     The grid points, ordered stably by theta, are cut into min(jobs, points)
-    contiguous slices, one task per worker, so that each task's
-    :func:`klab.forms.trilinear_forms` call, which enumerates each theta's
-    moduli once, meets as few thetas as it can.  Every value depends on its
-    point alone, so the bytes do not depend on ``jobs``."""
+    contiguous slices, one task each (on at most one process per usable
+    CPU), so that each task's :func:`klab.forms.trilinear_forms` call, which
+    enumerates each theta's moduli once, meets as few thetas as it can.
+    Every value depends on its point alone, so the bytes do not depend on ``jobs``."""
     cfg = load_config(config_path)
     points = sorted(_grid_points(cfg), key=lambda pt: pt["theta"])
     parts = min(jobs, len(points))
     tasks = [{"points": points[len(points) * k // parts:len(points) * (k + 1) // parts],
               "sequences": cfg["sequences"], "bound": cfg["bound"]} for k in range(parts)]
     if parts > 1:
-        # every worker is started up front, so never more than there are tasks
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
+        # every worker is started up front, so never more than there are tasks or CPUs to run them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(parts, _cpu_count())) as pool:
             rows = [row for part in pool.map(_sweep_run, tasks) for row in part]
     else:
         rows = [row for task in tasks for row in _sweep_run(task)]
@@ -311,7 +316,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV")
     p_sweep.add_argument("--config", required=True, help="JSON sweep configuration")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="grid slices, run in parallel on at most one process per usable CPU")
 
     p_ranges = sub.add_parser("ranges", help="exact exponent-range table")
     p_ranges.add_argument("--q", required=True, help="Q-exponent as a rational p/q")

@@ -21,13 +21,13 @@ Contents:
   residues looked up in it; above that it covers only the residues looked
   up, found by np.unique and searchsorted.  Both sizes sum beta's classes
   by one rule (np.bincount, and fsum for a class of three or more values)
-  and invert the units by one rule chosen by q (Euler powers while q * q
-  fits int64, klab.arith.batch_mod_inverse above).  The coprime sums are
-  sum_{d | rad q} mu(d) sum_{d | m} x_m (Moebius inversion, from the one
-  factorization of q), each inner sum an exact float expansion built once
-  per squarefree d and sequence in an evaluator call; fsum rounds the exact
-  total once, so one fsum of the signed expansions has the bits of an fsum
-  over the coprime indices.  Every sum is math.fsum (or a single rounding
+  and invert the units by klab.arith's one single-modulus rule (powers
+  u^(lambda(q) - 1) while q * q fits int64, a Euclid above).  The coprime
+  sums are sum_{d | rad q} mu(d) sum_{d | m} x_m (Moebius inversion, from
+  the one factorization of q), each inner sum an exact float expansion
+  built once per squarefree d and sequence in an evaluator call; fsum
+  rounds the exact total once, so one fsum of the signed expansions has
+  the bits of an fsum over the coprime indices.  Every sum is math.fsum (or a single rounding
   that equals it), and every product is formed as Python forms it, so the
   values are those of a per-element Python loop, bit for bit.  Indices and
   residues are int64 or Python integers as klab.arith decides;
@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .arith import _exact_ints, _fits_int64, batch_mod_inverse, divisor_count, euler_phi, factorize, unit_phases
+from .arith import _exact_ints, _totient, _unit_inverses, divisor_count, euler_phi, factorize, unit_phases
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport, check_rhs_inputs
 from .sequences import CoefficientSequence, _csum
 
@@ -307,25 +307,6 @@ def _indexed(q: int, lookups: int) -> bool:
     return q <= lookups
 
 
-def _unit_inverses(units: np.ndarray, q: int, phi_q: int) -> np.ndarray:
-    """The inverses mod q of ``units``, exact for a product with a residue
-    (bound q * q).  While q * q fits int64: Euler's u^(phi(q) - 1) mod q, by
-    square-and-multiply on the array.  Above that, where the powers would run
-    on object arrays (about ten times the int64 Euclid), batch_mod_inverse."""
-    if not _fits_int64(q * q):
-        return _exact_ints(batch_mod_inverse(_exact_ints(units, q), q), q * q)
-    base = _exact_ints(units, q * q)
-    inv = np.ones_like(base)
-    e = phi_q - 1
-    while e:
-        if e & 1:
-            inv = inv * base % q
-        e >>= 1
-        if e:
-            base = base * base % q
-    return inv
-
-
 def _residue_table(
     beta: _Coeffs, q: int, a: int, residues: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int]:
@@ -338,7 +319,7 @@ def _residue_table(
     when beta misses them all or no class solves it.  Two masks come with
     it: the r for which some class solves it, and the r coprime to q.  With
     gcd(a, q) = 1 they agree, and each r has the single class a r^{-1}; one
-    batch of :func:`_unit_inverses` finds them all.
+    call of klab.arith's :func:`_unit_inverses` finds them all.
 
     At either table size :func:`_class_sums` sums beta's classes and
     :func:`_unit_inverses` inverts the units.  With ``residues`` all of
@@ -348,7 +329,7 @@ def _residue_table(
     units, and a residue finds its class among np.unique's by searchsorted.
     """
     factors = factorize(q)
-    phi_q = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+    phi_q = _totient(factors)
     keys = _residues(beta.n, q)
     a_red = a % q
     indexed = _indexed(q, len(residues))
@@ -359,7 +340,7 @@ def _residue_table(
     else:
         coprime = np.gcd(residues, q) == 1
     unit = np.flatnonzero(coprime)
-    x0 = a_red * _unit_inverses(residues[unit], q, phi_q) % q
+    x0 = a_red * _unit_inverses(residues[unit], q, factors) % q
     table = np.zeros(len(residues), dtype=complex)
     if indexed:
         full, counts = _class_sums(beta.v, keys, q)

@@ -15,11 +15,11 @@ are taken a chunk of n's at a time, and one pass over each m list's rows
 of the chunk gives each (L, list) its coprime m's and t = theta * m^{-1}
 mod L by one of three branches: a list longer than L is folded mod L (the
 inner a-sum depends only on m mod L) and reads t from the modulus's one
-table over the units mod L, inverted in batches sized by the units; an
-even L whose double 2L is in the chunk for the same list takes 2L's m's
-and t_2L mod L, since L and 2L have the same primes; any other row selects
-its m's from masks over the primes of L (or a gcd) and joins the chunk's
-one batch of inverses.  Phases are reduced exactly mod 1 as integers
+table over the units mod L, inverted by klab.arith's single-modulus rule;
+an even L whose double 2L is in the chunk for the same list takes 2L's
+m's and t_2L mod L, since L and 2L have the same primes; any other row
+selects its m's from masks over the primes of L (or a gcd) and joins the
+chunk's one batch of inverses.  Phases are reduced exactly mod 1 as integers
 before any phase is evaluated, on int64 or on Python integers as
 klab.arith decides, and every phase comes from klab.arith's one rule for
 e(k / L), which calls no libm.
@@ -71,7 +71,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import (
-    _exact_ints, _fits_int64, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
+    _exact_ints, _fits_int64, _unit_inverses, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
     squarefree_squarefull_split, unit_phase_tables, unit_phases,
 )
 from .sequences import CoefficientSequence, _csum
@@ -247,39 +247,18 @@ def _dft_sums(t_rows: np.ndarray, a_arr: np.ndarray, L: int, nus: list[np.ndarra
     return sums
 
 
-def _unit_tables(
-    theta: int, Ls: list[int], folds: list[int], primes: dict[int, dict[int, int]]
-) -> Iterator[dict[int, np.ndarray]]:
-    """For the moduli L = Ls[j], j in ``folds`` in order, the table of theta *
-    r^{-1} mod L over the residues r mod L, with -1 at the non-units; one
-    dict of tables per batch of consecutive moduli with about
-    ``_CHUNK_PAIRS`` units, which one :func:`batch_mod_inverse` call
-    inverts.  The units are the residues that no prime of L divides, the
-    factorizations kept in ``primes``; a batch's tables are views of one
-    buffer, which lives as long as one of them does."""
-    batch: dict[int, np.ndarray] = {}
-    size = 0
-    for k, j in enumerate(folds, 1):
-        L = Ls[j]
-        if L not in primes:
-            primes[L] = factorize(L)
-        unit = np.ones(L, dtype=bool)
-        for p in primes[L]:
-            unit[::p] = False
-        batch[j] = np.flatnonzero(unit)
-        size += len(batch[j])
-        if size < _CHUNK_PAIRS and k < len(folds):
-            continue
-        moduli = [Ls[j] for j in batch]
-        counts = [len(units) for units in batch.values()]
-        begin = list(itertools.accumulate(moduli, initial=0))
-        units = np.concatenate(list(batch.values()))
-        L_rows = _exact_ints(moduli, abs(theta) * max(moduli)).repeat(counts)
-        flat = np.full(begin[-1], -1)
-        flat[units + np.repeat(begin[:-1], counts)] = theta * batch_mod_inverse(units, L_rows) % L_rows
-        yield {j: flat[b:b + L] for j, b, L in zip(batch, begin, moduli)}
-        # hold no table past its batch
-        batch, size, flat = {}, 0, None
+def _unit_table(theta: int, L: int, factors: dict[int, int]) -> np.ndarray:
+    """theta * r^{-1} mod L at each residue r mod L, and -1 at the non-units,
+    for L with the factorization ``factors``: the units are the r that no
+    prime of L divides, inverted by klab.arith's one rule,
+    :func:`_unit_inverses`, and theta is reduced mod L before the product."""
+    unit = np.ones(L, dtype=bool)
+    for p in factors:
+        unit[::p] = False
+    units = np.flatnonzero(unit)
+    table = np.full(L, -1)
+    table[units] = theta % L * _unit_inverses(units, L, factors) % L
+    return table
 
 
 # A kernel group: the m's, the a's (each sorted), and the coefficient vectors nu indexed by the a's.
@@ -308,9 +287,9 @@ def _coprime_inner_sums(
     evaluated, gives each row the positions ``sel`` of its coprime m's and
     their t = theta * m^{-1} mod L by exactly one branch.  Fold: a list
     longer than L reads t at each m's residue in the modulus's one table
-    of theta * r^{-1} mod L (see :func:`_unit_tables`), which marks the
-    non-units as not coprime; the tables come a batch of folded moduli at
-    a time and are dropped once the chunks have passed each modulus.
+    of theta * r^{-1} mod L, which marks the non-units as not coprime: the
+    first such row builds it by :func:`_unit_table`, the chunk's other
+    lists read it, and it is dropped once the chunk's rows have passed.
     Double: an even L whose double 2L is in the chunk and wanted by the
     same list takes 2L's ``sel``, L and 2L having the same primes, and t =
     t_2L mod L.  Invert: any other row selects its m's by :func:`_coprime`
@@ -354,10 +333,8 @@ def _coprime_inner_sums(
     wanted = np.ones((len(groups), len(Ls)), dtype=bool) if needs is None else np.stack(needs)
     listed = [wanted[gs].any(axis=0) for gs in members]
     L_all = _exact_ints(Ls, bound)
-    # the moduli where some list folds: a longest list evaluated there is longer than L
-    longest = np.max([np.where(need, len(m_arr), 0) for need, m_arr in zip(listed, m_arrs)], axis=0)
     primes: dict[int, dict[int, int]] = {}
-    unit_tables = _unit_tables(theta, Ls, np.flatnonzero(L_all < longest).tolist(), primes)
+    # each folded modulus's table of theta * r^{-1} mod L, -1 at the non-units
     t_of_r: dict[int, np.ndarray] = {}
     rows = max(1, _CHUNK_PAIRS // sum(map(len, m_arrs)))
     coprime: list[dict[int, np.ndarray]] = [{} for _ in m_arrs]
@@ -375,18 +352,19 @@ def _coprime_inner_sums(
             for i in np.flatnonzero(need).tolist():
                 L = L_chunk[i]
                 if L < len(m_arr):
-                    while j0 + i not in t_of_r:
-                        t_of_r.update(next(unit_tables))
-                    t_m = t_of_r[j0 + i][np.asarray(m_arr % L, dtype=np.int64)]
+                    if L not in t_of_r:
+                        if L not in primes:
+                            primes[L] = factorize(L)
+                        t_of_r[L] = _unit_table(theta, L, primes[L])
+                    t_m = t_of_r[L][np.asarray(m_arr % L, dtype=np.int64)]
                     sel = np.flatnonzero(t_m >= 0)
                     found[i][s] = (sel, t_m[sel])
                 elif L % 2 == 0 and (double := row_of.get(2 * L)) is not None and need[double]:
                     doubles.append((i, s, double))
                 elif (sel := np.flatnonzero(_coprime(m_arr, L, coprime[s], rows, primes))).size:
                     pending.append((i, s, sel))
-        # the loop has passed these moduli's tables
-        for j in range(j0, j0 + len(L_chunk)):
-            t_of_r.pop(j, None)
+        # the rows of the chunk have read its tables
+        t_of_r.clear()
         if pending:
             counts = [len(sel) for *_, sel in pending]
             L_rows = np.repeat(L_all[[j0 + i for i, _, _ in pending]], counts)

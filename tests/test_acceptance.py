@@ -78,7 +78,7 @@ def test_c5_fourier_completion():
     for m_scale in scales:
         worst = 0.0
         for q in (1, 3, 5, 7):
-            H = max(64, math.ceil(4 * q * q / m_scale) * 64)
+            H = dispersion.default_completion_bandwidth(q, m_scale)
             res = dispersion.completed_progression_sum(psi, m_scale, q, 1, H)
             worst = max(worst, res.residual * m_scale)
             # residual <= C/M with C = 1e-9 at every (M, q)

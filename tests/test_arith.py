@@ -170,6 +170,42 @@ class TestBatchModInverse:
             batch_mod_inverse([], -1)
 
 
+class TestUnitInverses:
+    """The one rule for the inverses of the units mod a single modulus."""
+
+    @staticmethod
+    def units(q):
+        return np.asarray([u for u in range(q) if gcd(u, q) == 1], dtype=np.int64)
+
+    def test_every_unit_below_600(self):
+        for q in range(1, 601):
+            units = self.units(q)
+            got = arith._unit_inverses(units, q, factorize(q))
+            assert got.dtype == np.int64
+            # q = 1 has the one unit 0, whose inverse is 0, not 1
+            assert got.tolist() == [pow(int(u), -1, q) for u in units]
+            assert ((0 <= got) & (got < q)).all()
+
+    def test_moduli_past_int64_squares(self):
+        # q * q leaves int64 from q = 2**31 on: batch_mod_inverse, on Python
+        # integers; the prime 2**61 - 1 takes its factors as given, not by trial division
+        for q in (2**31 + 11, 2**32 + 15, 3 * 2**40 + 1, 2**61 - 1):
+            units = np.asarray([u for u in (1, 2, 3, 5, 7, 10**9 + 7, q - 2, q - 1) if gcd(u, q) == 1])
+            got = arith._unit_inverses(units, q, {q: 1} if q == 2**61 - 1 else factorize(q))
+            assert got.dtype == object
+            assert got.tolist() == [pow(int(u), -1, q) for u in units]
+            assert all(0 <= x < q for x in got)
+
+    def test_carmichael_exponent(self):
+        # the least e with u^e = 1 mod q for every unit u
+        for q in range(1, 301):
+            want = next(e for e in range(1, q + 1) if all(pow(int(u), e, q) == 1 % q for u in self.units(q)))
+            assert arith._carmichael(factorize(q)) == want
+        # at 2^k and 2^k times an odd part: phi(2^k) / 2 for k >= 3
+        assert [arith._carmichael(factorize(q)) for q in (8, 16, 24, 48)] == [2, 4, 2, 4]
+        assert [euler_phi(q) for q in (8, 16, 24, 48)] == [4, 8, 8, 16]
+
+
 class TestSplit:
     def test_one(self):
         s = squarefree_squarefull_split(1)

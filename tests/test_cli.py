@@ -44,8 +44,10 @@ def unit_sequence(base, role, seed=0):
 @pytest.fixture
 def serial_pool(monkeypatch):
     """A recorder in place of the process pool: it maps serially, starts no
-    process and lists the worker count of each pool."""
+    process and lists the worker count of each pool.  The sweep sees 64
+    usable CPUs, so the counts are the slices' on any machine."""
     pools = []
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 64)
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -131,6 +133,29 @@ class TestSweep:
         run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=64)
         assert serial_pool == [8]
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_workers_capped_at_cpus(self, tmp_path, monkeypatch, serial_pool):
+        # --jobs past the usable CPUs keeps its slices, on a pool of one process per CPU
+        cfg = write_config(tmp_path)  # 8 points
+        run_sweep(cfg, str(tmp_path / "serial.csv"), jobs=1)
+        slices = []
+        sweep_run = cli._sweep_run
+        monkeypatch.setattr(cli, "_sweep_run", lambda task: slices.append(len(task["points"])) or sweep_run(task))
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+        run_sweep(cfg, str(tmp_path / "pooled.csv"), jobs=8)
+        assert serial_pool == [3] and slices == [1] * 8
+        for suffix in ("", ".summary.json"):
+            assert (tmp_path / f"pooled.csv{suffix}").read_bytes() == (tmp_path / f"serial.csv{suffix}").read_bytes()
+
+    def test_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
+        assert cli._cpu_count() == 3
+        # where the affinity is not known, every CPU of the machine
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert cli._cpu_count() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._cpu_count() == 1
 
     def test_one_task_per_family(self, tmp_path, monkeypatch, serial_pool):
         # the points, ordered by theta, are cut into min(jobs, points) slices;

@@ -17,7 +17,10 @@ from golden_oracle import kloosterman_phase, phase_rule
 from klab import checks, forms
 from klab.arith import (
     _INT64_SAFE,
+    _unit_inverses,
     batch_mod_inverse,
+    euler_phi,
+    factorize,
     is_squarefree,
     is_squarefull,
     radical,
@@ -400,12 +403,20 @@ class TestResiduePath:
             direct = column_rule(_phase_block([(theta * pow(m, -1, L)) % L for m in ms], a_idx, L), nu_arr)
             assert np.array_equal(one_modulus_sums(theta, ms, L, a_idx, nu_arr), direct)
 
-    def test_all_folded_batches_keep_every_bit(self, monkeypatch):
+    def test_unit_table(self):
+        # theta * r^{-1} mod L at the units and -1 elsewhere, theta past
+        # int64 reduced mod L before the product
+        for L in (1, 2, 8, 24, 48, 97, 210, 1000):
+            for theta in (1, -3, 2**70 + 1):
+                want = [theta * pow(r, -1, L) % L if gcd(r, L) == 1 else -1 for r in range(L)]
+                assert forms._unit_table(theta, L, factorize(L)).tolist() == want
+
+    def test_all_folded_batches_keep_every_bit(self, monkeypatch, folded_tables):
         # every L = 2n <= 256 folds the 4,096 m's of the seeded alpha and the
         # 4,098 of the explicit one, with its negative m's and an m past
-        # 2**63: the units of consecutive moduli are inverted in batches of
-        # about _CHUNK_PAIRS units, whatever the m lists' length, and each
-        # value keeps its bits wherever the batches and chunks fall
+        # 2**63: no folded unit reaches batch_mod_inverse, each evaluation
+        # builds one table per modulus, which inverts the phi(L) units, and
+        # each value keeps its bits wherever the chunks fall
         calls = []
 
         def counting(values, m):
@@ -416,7 +427,8 @@ class TestResiduePath:
         seeded = random_spec(4096, 64, 256, 2, 1, seed=1)
         alpha = build_sequence("random_unit", set(range(-2048, 2049)) | {2**63 + 1}, seed=5)
         specs = [seeded, TrilinearSpec(alpha, seeded.beta, seeded.nu, 1, 2)]
-        units = sum(1 for n in range(65, 129) for r in range(2 * n) if gcd(r, 2 * n) == 1)
+        tables = [(2 * n, euler_phi(2 * n)) for n in range(65, 129)]
+        assert sum(units for _, units in tables) == 5022
         runs = []
         for pairs in (1, 2**8, forms._CHUNK_PAIRS):
             monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
@@ -424,9 +436,10 @@ class TestResiduePath:
             for spec in specs:
                 for evaluate in (trilinear_form, mean_square_direct):
                     calls.clear()
+                    folded_tables.clear()
                     values.append(evaluate(spec))
-                    assert sum(calls) == units
-                    assert len(calls) <= -(-units // pairs) + 1
+                    assert calls == []
+                    assert sorted(folded_tables) == tables
                 values.append(mean_square_decomposed(spec))
                 values += [squarefree_mean_square(spec, b) for b in (1, 2, 6)]
             runs.append(repr(values))
@@ -449,7 +462,8 @@ class TestResiduePath:
     def test_unit_tables_live_a_batch_at_a_time(self):
         # L = 16n, n in (256, 512], against 8,192 m's: every L but the last
         # folds, and the moduli sum to 1,574,912, 12 MB of int64 tables at
-        # once; the tables live a batch of about _CHUNK_PAIRS units at a time
+        # once; each table lives only while the rows of its chunk, two
+        # moduli here, read it
         spec = random_spec(8192, 256, 16, 16, 1, seed=1)
         assert 8 * sum(16 * n for n in range(257, 513)) > 12 * 2**20
         tracemalloc.start()
@@ -459,6 +473,20 @@ class TestResiduePath:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+@pytest.fixture
+def folded_tables(monkeypatch):
+    """Records (L, units inverted) for each table of theta * r^{-1} mod L
+    that the kernel builds for a folded modulus."""
+    tables = []
+
+    def tabulating(units, q, factors):
+        tables.append((q, len(units)))
+        return _unit_inverses(units, q, factors)
+
+    monkeypatch.setattr(forms, "_unit_inverses", tabulating)
+    return tables
 
 
 @pytest.fixture
@@ -647,7 +675,7 @@ class TestChunkedPath:
                 assert np.array_equal(forms._coprime(m_arr, L, kept, 5, primes), np.gcd(m_arr, L) == 1)
         assert sorted(kept) == [2, 3, 5]
 
-    def test_family_takes_every_row_branch(self, monkeypatch):
+    def test_family_takes_every_row_branch(self, monkeypatch, folded_tables):
         # the 64 m's fold at L = 2n < 64; the 8 m's take np.gcd at L >= 64,
         # prime masks at the odd L = 3n < 64, and at each even L < 64 the
         # data of 2L, which another spec needs; at every chunk size the
@@ -655,26 +683,23 @@ class TestChunkedPath:
         specs = [random_spec(64, 16, 4, 2, 1, seed=1), random_spec(8, 16, 4, 2, 1, seed=2),
                  random_spec(8, 32, 4, 2, 1, seed=3), random_spec(8, 16, 4, 3, 1, seed=4)]
         lone = [(r.value, r.terms) for r in map(trilinear_form, specs)]
-        coprime, unit_tables = forms._coprime, forms._unit_tables
-        on_gcd, folds = [], []
+        coprime = forms._coprime
+        on_gcd = []
 
         def selecting(m_arr, L, *args):
             on_gcd.append(L >= len(m_arr) ** 2)
             return coprime(m_arr, L, *args)
 
-        def folding(theta, Ls, js, primes):
-            folds.extend(js)
-            return unit_tables(theta, Ls, js, primes)
-
         monkeypatch.setattr(forms, "_coprime", selecting)
-        monkeypatch.setattr(forms, "_unit_tables", folding)
         calls = []
         for pairs in (1, 2**8, forms._CHUNK_PAIRS):
             monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
             on_gcd.clear()
+            folded_tables.clear()
             assert [(r.value, r.terms) for r in trilinear_forms(specs)] == lone
             calls.append(len(on_gcd))
-        assert folds and set(on_gcd) == {True, False}
+            assert sorted(L for L, _ in folded_tables) == list(range(34, 64, 2))
+        assert set(on_gcd) == {True, False}
         # one modulus per chunk leaves no double in the chunk
         assert calls[0] > calls[1] > calls[2]
 
@@ -689,7 +714,7 @@ class TestChunkedPath:
             for i in range(q):
                 assert np.array_equal(got[i], np.add.reduce(v * c[:, i:i + 1], axis=0))
 
-    def test_one_inverse_batch_per_chunk(self, monkeypatch):
+    def test_one_inverse_batch_per_chunk(self, monkeypatch, folded_tables):
         calls = []
 
         def counting(values, m):
@@ -707,14 +732,15 @@ class TestChunkedPath:
         calls.clear()
         mean_square_direct(spec)  # over the M / 2 odd m's
         assert len(calls) == -(-N // (2 * rows))
-        # folded moduli (L = 2n <= 16) join the chunk's one batch with one
-        # value per unit mod L, and here every unit is the residue of some m
+        # folded moduli (L = 2n <= 16) take no batch: each builds one table
+        # with one value per unit mod L, and here every unit is the residue of some m
         calls.clear()
         M, N, R = 256, 4, 2
         trilinear_form(random_spec(M, N, 8, R, 1, seed=1))
-        assert calls == [sum(
-            len({m % (n * R) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1})
-            for n in range(N + 1, 2 * N + 1))]
+        assert calls == []
+        assert sorted(folded_tables) == [
+            (n * R, len({m % (n * R) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1}))
+            for n in range(N + 1, 2 * N + 1)]
 
 
 class TestSharedEnumeration:
@@ -755,10 +781,11 @@ class TestSharedEnumeration:
             assert (res.value, res.terms) == per_n_form(spec)
         assert trilinear_forms([]) == []
 
-    def test_folded_lists_share_one_units_entry(self, monkeypatch):
+    def test_folded_lists_share_one_units_entry(self, monkeypatch, folded_tables):
         # at L = 2n in (32, 64] the lists of 128 and 256 m's fold, and the 64
         # m's too below L = 64: the units mod L are inverted once per modulus,
-        # and the 64 m's at L = 64 add their 32 odd m's
+        # in one table the lists share, and only the 64 m's at L = 64 take
+        # batch_mod_inverse, for their 32 odd m's
         values = []
 
         def counting(v, m):
@@ -768,8 +795,9 @@ class TestSharedEnumeration:
         monkeypatch.setattr(forms, "batch_mod_inverse", counting)
         specs = [random_spec(M, 16, 4, 2, 1, seed=1) for M in (64, 128, 256)]
         results = trilinear_forms(specs)
-        units = sum(1 for n in range(17, 33) for r in range(2 * n) if gcd(r, 2 * n) == 1)
-        assert sum(values) == units + 32 == 356
+        assert sorted(folded_tables) == [(2 * n, euler_phi(2 * n)) for n in range(17, 33)]
+        assert sum(units for _, units in folded_tables) == 324
+        assert values == [32]
         for spec, res in zip(specs, results):
             assert (res.value, res.terms) == per_n_form(spec)
 
@@ -818,11 +846,12 @@ class TestSharedEnumeration:
         assert [(r.value, r.terms) for r in results] == [(r.value, r.terms) for r in lone]
 
     @pytest.mark.parametrize("M,N,A,R", ((512, 64, 8, 8), (256, 4, 16, 2)))
-    def test_family_makes_the_inverses_of_one_a(self, monkeypatch, M, N, A, R):
+    def test_family_makes_the_inverses_of_one_a(self, monkeypatch, folded_tables, M, N, A, R):
         # the inverses depend on the m's and the moduli, not on the a's; a
         # moebius beta at the same (N, R, theta) has a subset of the moduli,
-        # so the union adds no inverse call and no phase cell, and makes no
-        # more inverse values or phase cells than its families apart
+        # so the union adds no inverse call, folded table or phase cell, and
+        # makes fewer inverse values (batched and tabled) or phase cells
+        # than its families apart
         calls, cells = [], []
 
         def counting(values, m):
@@ -837,21 +866,26 @@ class TestSharedEnumeration:
         monkeypatch.setattr(forms, "_phase_block", recording)
         specs = [random_spec(M, N, a, R, 1, seed) for a in (A, 2 * A) for seed in (1, 2)]
         moebius = TrilinearSpec(specs[0].alpha, build_sequence("moebius", DyadicRange(N)), specs[0].nu, 1, R)
+        def inverses():
+            return sum(len(values) for values, _ in calls) + sum(units for _, units in folded_tables)
+
         trilinear_forms(specs[:1])
-        one = list(calls)
+        one = (list(calls), list(folded_tables))
         calls.clear()
+        folded_tables.clear()
         cells.clear()
         trilinear_forms(specs)
-        assert calls == one
+        assert (calls, folded_tables) == one
         family_cells = sum(cells)
         trilinear_forms([moebius])
-        apart = (sum(len(values) for values, _ in calls), sum(cells))
+        apart = (inverses(), sum(cells))
         calls.clear()
+        folded_tables.clear()
         cells.clear()
         results = trilinear_forms(specs + [moebius])
-        assert calls == one
+        assert (calls, folded_tables) == one
         assert sum(cells) == family_cells
-        assert (sum(len(values) for values, _ in calls), sum(cells)) < apart
+        assert (inverses(), sum(cells)) < apart
         for spec, res in zip(specs + [moebius], results):
             assert (res.value, res.terms) == per_n_form(spec)
 
