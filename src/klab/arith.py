@@ -11,8 +11,8 @@ caller supplies; forms and dispersion build their integer arrays through
 for the phases e(k / L) of forms, sequences and the Fourier completion: an
 exact octant reduction in integers and two fixed polynomials, with no libm
 call, so the bits are the same under any libm and on any IEEE CPU;
-:func:`unit_phase_tables` builds every table of it, by octants and strided
-reads; :func:`_unit_inverses` inverts the units mod one modulus, for
+:func:`unit_phase_tables` builds its tables, by octants; :func:`_unit_mask`
+and :func:`_unit_inverses` find and invert the units mod one modulus, for
 forms and dispersion alike.  The evaluators built on top of this module
 stay at desk scale regardless.  All functions are pure and safe to call from concurrent
 workers.
@@ -163,25 +163,25 @@ def unit_phases(k, L) -> np.ndarray:
 def unit_phase_tables(Ls) -> tuple[np.ndarray, dict[int, int]]:
     """One buffer of the values e(k / L), k in [0, L), of each of the
     distinct moduli ``Ls`` in turn, and where each L's values begin, with
-    the bits of :func:`unit_phases` at every entry.  Only the tops, the T
-    whose double is not in ``Ls``, are evaluated, each at S = lcm(T, 8):
-    cos and sin of 2 pi j / S, j in [0, S/8], come from one
-    :func:`_cos_sin_2pi` pass over all tops, and fill S's eight octants by
+    the bits of :func:`unit_phases` at every entry.  Each L is evaluated at
+    S = lcm(L, 8): cos and sin of 2 pi j / S, j in [0, S/8], come from one
+    :func:`_cos_sin_2pi` pass over all moduli, and fill S's eight octants by
     slices of an (8, S/8, 2) float view, the odd octants read backwards,
-    in place when S = T: fl(8j / 8S) = fl(j / S), so each entry is the
-    rule's.  T and each T/2, T/4, ... in ``Ls`` read S's values at stride
-    s = S/L, which keeps every bit: entry sk of S has the octant of k
-    modulo L and t = s num / (s 8L), which rounds as num / 8L."""
+    in place when S = L and read at stride S/L otherwise: fl(8j / 8S) =
+    fl(j / S), so each entry is the rule's.  Entry sk of a table of size sL
+    has the octant of k modulo L and t = s num / (s 8L), which rounds as
+    num / 8L, so it has the bits of e(k / L): a divisor's table is a
+    strided read of its multiple's."""
     begin = dict(zip(Ls, itertools.accumulate(Ls, initial=0)))
     buffer = np.empty(sum(begin), dtype=complex)
-    tops = [T for T in begin if 2 * T not in begin]
-    lifts = [T * 8 // gcd(T, 8) for T in tops]
+    lifts = [L * 8 // gcd(L, 8) for L in begin]
     basis = _cos_sin_2pi(np.concatenate([np.arange(S // 8 + 1) / S for S in lifts]))
     at = 0
-    for T, S in zip(tops, lifts):
-        values = buffer[begin[T]:begin[T] + T] if S == T else np.empty(S, dtype=complex)
+    for L, S in zip(begin, lifts):
+        values = buffer[begin[L]:begin[L] + L]
+        lifted = values if S == L else np.empty(S, dtype=complex)
         q = S // 8
-        octants = values.view(np.float64).reshape(8, q, 2)
+        octants = lifted.view(np.float64).reshape(8, q, 2)
         # even octants read t = j / S ahead, odd ones (q - j) / S
         ahead, back = basis[:, at:at + q], basis[:, at + q:at:-1]
         for o, (re, im) in enumerate(_OCTANT):
@@ -189,10 +189,8 @@ def unit_phase_tables(Ls) -> tuple[np.ndarray, dict[int, int]]:
             octants[o, :, 0] = part[re]
             octants[o, :, 1] = part[im]
         at += q + 1
-        # T, T/2, T/4, ... while in Ls, each but an S filled in place
-        for L in itertools.takewhile(begin.__contains__, (T >> i for i in range((T & -T).bit_length()))):
-            if L < S:
-                buffer[begin[L]:begin[L] + L] = values[::S // L]
+        if S > L:
+            values[...] = lifted[::S // L]
     return buffer, begin
 
 
@@ -267,6 +265,16 @@ def batch_mod_inverse(values, m):
         index = next(i for i, (v, mi) in enumerate(zip(vs, ms)) if gcd(v, mi) != 1)
         raise NonInvertible(vs[index], ms[index], index=index) from None
     return np.array(invs, dtype=object) if as_array else invs
+
+
+def _unit_mask(q: int, factors: dict[int, int]) -> np.ndarray:
+    """Whether each residue r in [0, q) is a unit mod q, as a boolean array:
+    the primes of q, from its factorization ``factors``, strike their
+    multiples."""
+    unit = np.ones(q, dtype=bool)
+    for p in factors:
+        unit[::p] = False
+    return unit
 
 
 def _unit_inverses(units: np.ndarray, q: int, factors: dict[int, int]) -> np.ndarray:

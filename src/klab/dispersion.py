@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .arith import _exact_ints, _totient, _unit_inverses, divisor_count, euler_phi, factorize, unit_phases
+from .arith import _exact_ints, _totient, _unit_inverses, _unit_mask, divisor_count, euler_phi, factorize, unit_phases
 from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport, check_rhs_inputs
 from .sequences import CoefficientSequence, _csum
 
@@ -323,20 +323,19 @@ def _residue_table(
 
     At either table size :func:`_class_sums` sums beta's classes and
     :func:`_unit_inverses` inverts the units.  With ``residues`` all of
-    0..q-1 (:func:`_indexed`), each residue is its own slot, and the primes
-    of q strike the non-units.  Otherwise the table covers only the residues
-    looked up, so a large q with small supports stays cheap: gcd finds their
-    units, and a residue finds its class among np.unique's by searchsorted.
+    0..q-1 (:func:`_indexed`), each residue is its own slot, and
+    klab.arith's :func:`_unit_mask` finds the units.  Otherwise the table
+    covers only the residues looked up, so a large q with small supports
+    stays cheap: gcd finds their units, and a residue finds its class among
+    np.unique's by searchsorted.
     """
     factors = factorize(q)
     phi_q = _totient(factors)
     keys = _residues(beta.n, q)
     a_red = a % q
     indexed = _indexed(q, len(residues))
-    if indexed:  # slot r is residue r: the primes of q strike the non-units
-        coprime = np.ones(q, dtype=bool)
-        for p in factors:
-            coprime[::p] = False
+    if indexed:  # slot r is residue r
+        coprime = _unit_mask(q, factors)
     else:
         coprime = np.gcd(residues, q) == 1
     unit = np.flatnonzero(coprime)

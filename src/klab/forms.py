@@ -25,13 +25,13 @@ klab.arith decides, and every phase comes from klab.arith's one rule for
 e(k / L), which calls no libm.
 
 The chunk's moduli are then cut into sub-batches of consecutive moduli,
-capped by their phase-table entries and phase cells, and each group of m's
-and a's gets one (a x m) phase block per sub-batch, one column per selected
-m at each modulus.  Once the blocks of a sub-batch have as many cells as
-its tables have entries, one buffer of klab.arith's tables holds the
-values e(k / L) of each modulus and the int64 blocks gather their phases
-from it; each entry has the bits of the rule at its integer, so the
-buffer changes no bit of any value.
+capped by the table entries of their chain tops T (the moduli whose double
+is not in the sub-batch), and each group of m's and a's gets (a x m) phase
+blocks of capped size, one column per selected m at each modulus.  Once a
+sub-batch's blocks have as many cells as its tops' tables have entries,
+the int64 blocks gather their phases from one buffer of klab.arith's
+tables e(k / T), a column at L = T / s at entry s k for its residue k mod
+L, which has the rule's bits of e(k / L); so the buffer changes no bit.
 The inner sum of each column, and each modulus's sum of alpha_m times
 them, follow one product rule in float parts (U = sum v Re c and W = sum v
 Im c over the float view v, then (U_re - W_im) + i (W_re + U_im)), with no
@@ -71,8 +71,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import (
-    _exact_ints, _fits_int64, _unit_inverses, batch_mod_inverse, factorize, is_squarefree, is_squarefull, radical,
-    squarefree_squarefull_split, unit_phase_tables, unit_phases,
+    _exact_ints, _fits_int64, _unit_inverses, _unit_mask, batch_mod_inverse, factorize, is_squarefree, is_squarefull,
+    radical, squarefree_squarefull_split, unit_phase_tables, unit_phases,
 )
 from .sequences import CoefficientSequence, _csum
 
@@ -88,8 +88,9 @@ __all__ = [
     "complementary_split",
 ]
 
-# About this many (m, L) pairs share one chunk and its one batch of inverses.
-_CHUNK_PAIRS = 2**14
+# About this many (m, L) pairs share one chunk and its one batch of inverses;
+# a sub-batch's table holds at most twice as many entries, a block half as many cells.
+_CHUNK_PAIRS = 2**15
 
 
 class DecompositionMismatch(ValueError):
@@ -249,13 +250,10 @@ def _dft_sums(t_rows: np.ndarray, a_arr: np.ndarray, L: int, nus: list[np.ndarra
 
 def _unit_table(theta: int, L: int, factors: dict[int, int]) -> np.ndarray:
     """theta * r^{-1} mod L at each residue r mod L, and -1 at the non-units,
-    for L with the factorization ``factors``: the units are the r that no
-    prime of L divides, inverted by klab.arith's one rule,
-    :func:`_unit_inverses`, and theta is reduced mod L before the product."""
-    unit = np.ones(L, dtype=bool)
-    for p in factors:
-        unit[::p] = False
-    units = np.flatnonzero(unit)
+    for L with the factorization ``factors``: the units, from klab.arith's
+    :func:`_unit_mask`, are inverted by its one rule, :func:`_unit_inverses`,
+    and theta is reduced mod L before the product."""
+    units = np.flatnonzero(_unit_mask(L, factors))
     table = np.full(L, -1)
     table[units] = theta % L * _unit_inverses(units, L, factors) % L
     return table
@@ -298,21 +296,19 @@ def _coprime_inner_sums(
     inverses, which do not depend on the a's.  The m and a lists are
     sorted, so that their ends bound them.
 
-    The chunk's moduli are then cut into sub-batches of consecutive moduli,
-    each with at most 2 * ``_CHUNK_PAIRS`` table entries and at most
-    ``_CHUNK_PAIRS`` phase cells per group.  One gate, :func:`_fft_pays`,
-    reads each group's own (L, rows, A) at each modulus: a group that
-    reaches it builds no block there and takes its sums from
-    :func:`_dft_sums`, one modulus per yield, within 1e-12 relative of the
-    block's.  Every other run of a group's consecutive moduli in a
-    sub-batch gets one (a x m) phase block, on int64 or, for the moduli
-    whose phases need them, on Python integers, reduced against every nu
-    at once by :func:`_column_sums`; when the sub-batch's blocks have as
-    many cells as its tables have entries, they gather from one buffer of
-    those moduli's tables e(k / L) (see :func:`unit_phase_tables`).  Each
-    column's sum depends on that column alone, so a family, a lone
-    evaluation and one modulus at a time agree bit for bit wherever the
-    chunks and sub-batches fall.  A block is released before the yield.
+    The chunk's moduli are then cut into sub-batches of consecutive moduli
+    whose chain tops' tables hold at most 2 * ``_CHUNK_PAIRS`` entries,
+    unless one top alone passes it.  One gate, :func:`_fft_pays`, reads
+    each group's own (L, rows, A) at each modulus: a group that reaches it
+    builds no block there and takes its sums from :func:`_dft_sums`, one
+    modulus per yield, within 1e-12 relative of the block's.  Every other
+    run of a group's consecutive moduli in a sub-batch gets (a x m) phase
+    blocks from :func:`_sub_batch_sums`, on int64 or, for the moduli whose
+    phases need them, on Python integers, each reduced against every nu at
+    once by :func:`_column_sums`.  Each column's sum depends on that column
+    alone, so a family, a lone evaluation and one modulus at a time agree
+    bit for bit wherever the chunks, sub-batches and blocks fall.  A block
+    is released before the yield.
     The m's and L's are exact integer arrays for the bound max(|m|, |theta|
     * L), which covers theta * m^{-1}.
     """
@@ -377,31 +373,29 @@ def _coprime_inner_sums(
                 sel, t_rows = found[double][s]
                 found[i][s] = (sel, t_rows % L_chunk[i])
         batch: dict[int, list[tuple]] = {}
-        table_size, cells = 0, [0] * len(groups)
+        # the sub-batch's moduli with an int64 block, and the entries of their chain tops
+        tabled: set[int] = set()
+        table_size = 0
         for i, row in enumerate(found):
             L = L_chunk[i]
             # (g, sel, t_rows, path): path 0 for a block on int64, 1 for a block
-            # on Python integers, 2 for an FFT; and the cells of each block
-            entries, sizes = [], []
+            # on Python integers, 2 for an FFT
+            entries = []
             for s, (sel, t_rows) in row.items():
                 for g in members[s] if sel.size else ():
-                    if not wanted[g, j0 + i]:
-                        continue
-                    A = len(a_arrs[g])
-                    path = 2 if _fft_pays(L, len(sel), A) else int(not _fits_int64(L * a_max[g]))
-                    entries.append((g, sel, t_rows, path))
-                    if path < 2:
-                        sizes.append((g, len(sel) * A))
-            tabulate = any(path == 0 for *_, path in entries)
-            if batch and (table_size + L * tabulate > 2 * _CHUNK_PAIRS
-                          or any(cells[g] + size > _CHUNK_PAIRS for g, size in sizes)):
-                yield from _sub_batch_sums(batch, groups, a_arrs, coefs)
-                batch, table_size, cells = {}, 0, [0] * len(groups)
+                    if wanted[g, j0 + i]:
+                        path = 2 if _fft_pays(L, len(sel), len(a_arrs[g])) else int(not _fits_int64(L * a_max[g]))
+                        entries.append((g, sel, t_rows, path))
+            if any(path == 0 for *_, path in entries):
+                # L is a top unless 2L is tabled, and L / 2 stops being one
+                grow = L * (2 * L not in tabled) - (L // 2 if L % 2 == 0 and L // 2 in tabled else 0)
+                if tabled and table_size + grow > 2 * _CHUNK_PAIRS:
+                    yield from _sub_batch_sums(batch, groups, a_arrs, coefs)
+                    batch, tabled, table_size, grow = {}, set(), 0, L
+                tabled.add(L)
+                table_size += grow
             for g, sel, t_rows, path in entries:
                 batch.setdefault(g, []).append((j0 + i, L, sel, t_rows, path))
-            table_size += L * tabulate
-            for g, size in sizes:
-                cells[g] += size
         if batch:
             yield from _sub_batch_sums(batch, groups, a_arrs, coefs)
 
@@ -411,17 +405,23 @@ def _sub_batch_sums(
 ) -> Iterator[_Sums]:
     """The yields of :func:`_coprime_inner_sums` for one sub-batch, given as
     each group's entries (j, L, sel, t_rows, path) in modulus order: an FFT
-    per modulus, and one block per run of consecutive moduli on the same
-    block path.  The int64 blocks gather from one
-    :func:`unit_phase_tables` buffer of the tables of their moduli once
-    they have as many cells as those tables have entries."""
-    tabled = {j: L for entries in batch.values() for j, L, _, _, path in entries if not path}
+    per modulus, and the blocks of each run of consecutive moduli on the
+    same block path, of at most ``_CHUNK_PAIRS // 2`` cells or one modulus.
+    Once they have as many cells as the tables of their chain tops (the
+    moduli T whose double has no int64 block here) have entries, the int64
+    blocks gather from one :func:`unit_phase_tables` buffer of those: a
+    column of L = T / s takes t scaled by s and the modulus T, and
+    a (s t) mod T = s (a t mod L) is the entry of T's table with the bits
+    of e(a t / L)."""
+    top: dict[int, int] = {}
+    for L in sorted({L for entries in batch.values() for _, L, _, _, path in entries if not path}, reverse=True):
+        top[L] = top.get(2 * L, L)
     cells = sum(len(sel) * len(a_arrs[g]) for g, entries in batch.items() for _, _, sel, _, path in entries if not path)
-    table, base = None, {}
-    moduli = set(tabled.values())
-    if tabled and cells >= sum(moduli):
-        table, begin = unit_phase_tables(moduli)
-        base = {j: begin[L] for j, L in tabled.items()}
+    table, begin = None, {}
+    tops = [T for L, T in top.items() if T == L]
+    if top and cells >= sum(tops):
+        table, begin = unit_phase_tables(tops)
+    cap = _CHUNK_PAIRS // 2
     for g, entries in batch.items():
         _, a_idx, nus = groups[g]
         for path, run in itertools.groupby(entries, key=lambda entry: entry[-1]):
@@ -429,16 +429,34 @@ def _sub_batch_sums(
                 for j, L, sel, t_rows, _ in run:
                     yield np.array([j]), np.zeros(1, dtype=np.int64), g, sel, _dft_sums(t_rows, a_arrs[g], L, nus)
                 continue
-            js, Ls, sels, t_rows, _ = zip(*run)
-            counts = np.fromiter(map(len, sels), dtype=np.int64, count=len(sels))
-            gather = table is not None and path == 0
-            offsets = np.asarray([base[j] for j in js]).repeat(counts) if gather else None
-            block = _phase_block(
-                np.concatenate(t_rows), a_idx, np.asarray(Ls).repeat(counts), table if gather else None, offsets
-            )
-            sums = _column_sums(block, coefs[g])
-            del block
-            yield np.asarray(js), counts.cumsum() - counts, g, np.concatenate(sels), sums
+            for block_entries in _cut(run, cap // len(a_idx)):
+                js, Ls, sels, t_rows, _ = zip(*block_entries)
+                counts = np.fromiter(map(len, sels), dtype=np.int64, count=len(sels))
+                t_vals = np.concatenate(t_rows)
+                if table is not None and path == 0:
+                    Ts = [top[L] for L in Ls]
+                    t_vals = t_vals * np.repeat([T // L for T, L in zip(Ts, Ls)], counts)
+                    block = _phase_block(t_vals, a_idx, np.repeat(Ts, counts), table,
+                                         np.repeat([begin[T] for T in Ts], counts))
+                else:
+                    block = _phase_block(t_vals, a_idx, np.asarray(Ls).repeat(counts))
+                sums = _column_sums(block, coefs[g])
+                del block
+                yield np.asarray(js), counts.cumsum() - counts, g, np.concatenate(sels), sums
+
+
+def _cut(entries: Iterator[tuple], rows: int) -> Iterator[list[tuple]]:
+    """``entries`` (j, L, sel, ...) in order, in lists of at most ``rows``
+    rows of sel in all, or of one entry with more."""
+    run, total = [], 0
+    for entry in entries:
+        if run and total + len(entry[2]) > rows:
+            yield run
+            run, total = [], 0
+        run.append(entry)
+        total += len(entry[2])
+    if run:
+        yield run
 
 
 def trilinear_form(spec: TrilinearSpec) -> FormResult:
@@ -471,16 +489,21 @@ def trilinear_forms(specs: Sequence[TrilinearSpec]) -> list[FormResult]:
     families: dict[int, dict[tuple, list[int]]] = {}
     for i, spec in enumerate(specs):
         families.setdefault(spec.theta, {}).setdefault((spec.alpha.indices, spec.nu.indices), []).append(i)
-    moduli = [[n * spec.R for n in spec.beta.indices] for spec in specs]
+    # one list of moduli per distinct (beta indices, R), shared by its specs
+    keys = [(spec.beta.indices, spec.R) for spec in specs]
+    moduli = {key: [n * key[1] for n in key[0]] for key in dict.fromkeys(keys)}
     results: dict[int, FormResult] = {}
     for theta, family in families.items():
+        lists = dict.fromkeys(keys[i] for idx in family.values() for i in idx)
         # by odd part, then size: L = odd * 2**k with k the trailing zeros of L
-        Ls = sorted({L for idx in family.values() for i in idx for L in moduli[i]},
+        Ls = sorted({L for key in lists for L in moduli[key]},
                     key=lambda L: (L >> (L & -L).bit_length() - 1, L))
         where = {L: j for j, L in enumerate(Ls)}
+        # each list's column indices
+        columns = {key: np.asarray([where[L] for L in moduli[key]], dtype=np.int64) for key in lists}
         groups, needs, reductions = [], [], []
         for (ms, a_idx), idx in family.items():
-            cols = [np.asarray([where[L] for L in moduli[i]], dtype=np.int64) for i in idx]
+            cols = [columns[keys[i]] for i in idx]
             need = np.zeros(len(Ls), dtype=bool)
             need[np.concatenate(cols)] = True
             needs.append(need)

@@ -196,6 +196,13 @@ class TestUnitInverses:
             assert got.tolist() == [pow(int(u), -1, q) for u in units]
             assert all(0 <= x < q for x in got)
 
+    def test_unit_mask(self):
+        # the primes of q strike their multiples: the gcd mask, q = 1 included
+        for q in range(1, 301):
+            mask = arith._unit_mask(q, factorize(q))
+            assert mask.dtype == bool
+            assert np.array_equal(mask, np.gcd(np.arange(q), q) == 1), q
+
     def test_carmichael_exponent(self):
         # the least e with u^e = 1 mod q for every unit u
         for q in range(1, 301):
@@ -381,8 +388,8 @@ class TestUnitPhases:
         range(1, 301), [3, 6, 12], [5, 10, 20], [6, 12, 24, 48], [7, 14, 28, 1], [1, 2, 4, 8, 16], [9, 18, 36, 72, 3],
     ))
     def test_tables_of_chains_have_the_oracle_bits(self, Ls):
-        # each chain top T is filled at lcm(T, 8) (12 at 24, so 6 and 3 read
-        # it at strides 4 and 8), and every entry has the oracle's bits
+        # each L is filled at lcm(L, 8) whatever else is in Ls (3 and 6 at
+        # 24, read at strides 8 and 4), and every entry has the oracle's bits
         buffer, begin = unit_phase_tables(Ls)
         assert buffer.size == sum(Ls)
         for L in Ls:
@@ -390,9 +397,10 @@ class TestUnitPhases:
             assert buffer[begin[L]:begin[L] + L].tobytes() == want, L
 
     @pytest.mark.parametrize("Ls", (range(1, 301), [3, 6, 12], [1032, 2064, 4128], [7, 9, 14, 16, 32, 1000], [3, 5]))
-    def test_tables_evaluate_only_their_tops(self, monkeypatch, Ls):
-        # one polynomial pass over S/8 + 1 values for each top T (the T whose
-        # double is not in Ls), at S = lcm(T, 8)
+    def test_tables_evaluate_each_modulus_once(self, monkeypatch, Ls):
+        # one polynomial pass over S/8 + 1 values for each L, at S = lcm(L,
+        # 8), chains included: a caller that wants a chain's divisors reads
+        # them from its top's table at a stride
         sizes = []
 
         def spy(t):
@@ -402,8 +410,7 @@ class TestUnitPhases:
         cos_sin_2pi = arith._cos_sin_2pi
         monkeypatch.setattr(arith, "_cos_sin_2pi", spy)
         unit_phase_tables(Ls)
-        tops = [T for T in Ls if 2 * T not in Ls]
-        assert sizes == [sum(T * 8 // gcd(T, 8) // 8 + 1 for T in tops)]
+        assert sizes == [sum(L * 8 // gcd(L, 8) // 8 + 1 for L in Ls)]
 
     @pytest.mark.parametrize("L", (1, 8, 12, 1031, 2**50 + 3, 2**53 + 1, 2**70 + 1))
     def test_scalar_k(self, L):

@@ -244,9 +244,8 @@ class TestPhaseBlock:
         {3, 6, 12, 24}, {5, 10, 20, 40, 80}, {1032, 2064, 4128}, {7, 9, 14, 16, 32, 1000},
     ))
     def test_tables_have_the_oracle_bits(self, Ls):
-        # every entry of the buffer, filled by octants in place or in a lifted
-        # table, or read at a stride from the top of its chain, has the
-        # oracle's bits of the rule
+        # every entry of the buffer, filled by octants in place or read at a
+        # stride from a fill at lcm(L, 8), has the oracle's bits of the rule
         table, begin = unit_phase_tables(Ls)
         for L in Ls:
             want = np.array([phase_rule(k, L) for k in range(L)]).tobytes()
@@ -742,6 +741,22 @@ class TestChunkedPath:
             (n * R, len({m % (n * R) for m in range(M + 1, 2 * M + 1) if gcd(m, n * R) == 1}))
             for n in range(N + 1, 2 * N + 1)]
 
+    def test_desk_family_memory(self):
+        # the 48 specs of the sweep-desk grid (M 128/256/512, N 128/256, A
+        # 8/16, R 8/16, two seeds whose role streams do not overlap) in one
+        # call: chunks of 36 moduli, each sub-batch's table of its chain
+        # tops and the blocks cut per group keep the traced peak below
+        # 2.5 MiB (2.19 MiB measured)
+        specs = [random_spec(M, N, A, R, 1, seed) for M in (128, 256, 512) for N in (128, 256)
+                 for A in (8, 16) for R in (8, 16) for seed in (0, 4)]
+        tracemalloc.start()
+        try:
+            trilinear_forms(specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
 
 class TestSharedEnumeration:
     """Specs with the same theta, R and nonzero beta indices share one enumeration."""
@@ -929,9 +944,9 @@ class TestSharedEnumeration:
         # N = 16 and 32 at R = 4: each L = 4n, n in (16, 32], has 2L among
         # the N = 32 moduli.  In one chunk and one sub-batch, only the chain
         # maxima (the L whose double is not a modulus) make inverse values,
-        # and one table call covers every modulus (that only its chain tops
-        # are evaluated is tested in test_arith); chunks of one modulus, or
-        # of 8, cut the chains, and every value keeps its bits
+        # and the one table call holds exactly those maxima, from which the
+        # other moduli gather at a stride; chunks of one modulus, or of 8,
+        # cut the chains, and every value keeps its bits
         values = []
 
         def counting(v, m):
@@ -946,7 +961,7 @@ class TestSharedEnumeration:
         maxima = sorted(L for L in Ls if 2 * L not in Ls)
         assert maxima == [4 * n for n in range(33, 65)]
         assert sum(values) == sum(1 for L in maxima for m in range(33, 65) if gcd(m, L) == 1)
-        assert phase_evaluations == [("tables", sorted(Ls))]
+        assert phase_evaluations == [("tables", maxima)]
         # a beta on L, 2L and 4L: the mean square takes the chain in its own order
         beta = build_sequence("random_unit", {20, 5, 10, 3, 12, 6}, seed=3)
         chain = TrilinearSpec(specs[0].alpha, beta, specs[0].nu, 1, 4)
@@ -958,6 +973,83 @@ class TestSharedEnumeration:
         assert runs[0][0][:-1] == [(r.value, r.terms) for r in results]
         assert runs[0][0][-1] == per_n_form(chain)
         assert runs[0][1] == per_n_mean_square(chain)
+
+
+    @pytest.mark.parametrize("chain", ([3, 6, 12], [5, 10, 20, 40], [7, 14, 28, 56], [9, 18, 36, 72, 144]))
+    @pytest.mark.parametrize("theta", (1, -5))
+    def test_chain_gathers_from_its_top(self, monkeypatch, phase_evaluations, chain, theta):
+        # the moduli of a chain read the one table of its top T, 12 and 40
+        # among them with T % 8 != 0 (filled at lcm(T, 8)): a column of
+        # L = T / s reads entry s (a t mod L) of T's table.  The gathered
+        # block has the bytes of the per-cell rule at its scaled (t, T), and
+        # each modulus's inner sums the bytes of the per-cell block at L
+        monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: False)
+        gathered = []
+
+        def recording(t_vals, a_vals, L, table=None, base=None):
+            block = _phase_block(t_vals, a_vals, L, table, base)
+            if table is not None:
+                gathered.append(block.tobytes() == _phase_block(t_vals, a_vals, L).tobytes())
+            return block
+
+        monkeypatch.setattr(forms, "_phase_block", recording)
+        T = chain[-1]
+        ms = [m for m in range(-T, 3 * T) if gcd(m, T) == 1]
+        a_idx = list(range(-3, 9))
+        nu = np.exp(2j * np.pi * np.arange(len(a_idx)) / 7.3)
+        yields = list(_coprime_inner_sums(theta, chain, [(ms, a_idx, [nu])]))
+        assert [call for call in phase_evaluations if call[0] == "tables"] == [("tables", [T])]
+        assert gathered == [True]
+        seen = []
+        for js, starts, _, sel, (sums,) in yields:
+            bounds = [*starts.tolist(), len(sel)]
+            for j, lo, hi in zip(js.tolist(), bounds, bounds[1:]):
+                L = chain[j]
+                seen.append(L)
+                t_vals = [theta * pow(ms[k], -1, L) % L for k in sel[lo:hi]]
+                assert sums[lo:hi].tobytes() == column_rule(_phase_block(t_vals, a_idx, L), nu).tobytes(), L
+        assert seen == chain
+
+    def test_blocks_and_tables_within_their_caps(self, monkeypatch, phase_evaluations):
+        # two groups at L = 8n, n in (64, 256], chains L, 2L among them: the
+        # (512 m's, 16 a's) group has up to 4,000 cells per modulus, so its
+        # runs are cut into blocks near the cap; the (64 m's, 4 a's) group
+        # has about 100, so its run in a sub-batch is one block.  No block
+        # passes _CHUNK_PAIRS // 2 cells unless it holds one modulus, no
+        # table call holds more than 2 * _CHUNK_PAIRS entries unless it
+        # holds a single top, and every value is the lone one
+        monkeypatch.setattr(forms, "_fft_pays", lambda L, rows, A: False)
+
+        def recording(t_vals, a_vals, L, table=None, base=None):
+            moduli = len(set(np.broadcast_to(L, len(t_vals)).tolist()))
+            phase_evaluations.append(("block", len(a_vals), len(t_vals) * len(a_vals), moduli))
+            return _phase_block(t_vals, a_vals, L, table, base)
+
+        monkeypatch.setattr(forms, "_phase_block", recording)
+        specs = [random_spec(M, N, A, 8, 1, seed)
+                 for M, A in ((512, 16), (64, 4)) for N in (64, 128) for seed in (1, 2)]
+        lone = [(r.value, r.terms) for r in map(trilinear_form, specs)]
+        for pairs in (1, 2**8, forms._CHUNK_PAIRS):
+            monkeypatch.setattr(forms, "_CHUNK_PAIRS", pairs)
+            phase_evaluations.clear()
+            assert [(r.value, r.terms) for r in trilinear_forms(specs)] == lone
+            blocks = [call[1:] for call in phase_evaluations if call[0] == "block"]
+            assert all(cells <= pairs // 2 or moduli == 1 for _, cells, moduli in blocks)
+            tables = [call[1] for call in phase_evaluations if call[0] == "tables"]
+            assert tables
+            assert all(sum(Ls) <= 2 * pairs or len(Ls) == 1 for Ls in tables)
+        # at the default, the large group's blocks come near the cap, and the
+        # small group makes one block after each table call
+        cap = forms._CHUNK_PAIRS // 2
+        assert cap // 2 < max(cells for A, cells, _ in blocks if A == 16) <= cap
+        small = [0]
+        for call in phase_evaluations:
+            if call[0] == "tables":
+                small.append(0)
+            elif call[:2] == ("block", 4):
+                small[-1] += 1
+        assert small == [0] + [1] * len(tables)
+        assert max(moduli for A, _, moduli in blocks if A == 4) > 2 * max(moduli for A, _, moduli in blocks if A == 16)
 
 
 class TestMeanSquareDirect:
