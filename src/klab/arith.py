@@ -7,10 +7,12 @@ value and modulus fits int64, in a list or an array, and ``pow`` otherwise.
 Whether integer arithmetic may run on int64 or must use Python integers is
 decided in one place, :func:`_fits_int64`, from a magnitude bound that its
 caller supplies; forms and dispersion build their integer arrays through
-:func:`_exact_ints`, which applies it.  :func:`unit_phases` is the one rule
-for the phases e(k / L) of forms, sequences and the Fourier completion: an
-exact octant reduction in integers and two fixed polynomials, with no libm
-call, so the bits are the same under any libm and on any IEEE CPU;
+:func:`_exact_ints`, which applies it, and the forms kernel its hot lanes
+through :func:`_lane_ints`, int32 below 2**31.  :func:`unit_phases` is the
+one rule for the phases e(k / L) of forms, sequences and the Fourier
+completion: an exact octant reduction in integers and two fixed
+polynomials, with no libm call, so the bits are the same under any libm
+and on any IEEE CPU;
 :func:`unit_phase_tables` builds its tables, by octants; :func:`_unit_mask`
 and :func:`_unit_inverses` find and invert the units mod one modulus, for
 forms and dispersion alike.  The evaluators built on top of this module
@@ -89,6 +91,14 @@ def _exact_ints(ints, bound: int) -> np.ndarray:
     magnitude it forms from them, fits :func:`_fits_int64`, and Python
     integers in an object array otherwise."""
     return np.asarray(ints, dtype=np.int64 if _fits_int64(bound) else object)
+
+
+def _lane_ints(ints, bound: int) -> np.ndarray:
+    """``ints`` in the narrowest lanes on which the caller's arithmetic is
+    exact: int32 when ``bound``, the caller's bound on every magnitude it
+    forms from them, offsets included, is below 2**31, and the array of
+    :func:`_exact_ints` otherwise."""
+    return np.asarray(ints, dtype=np.int32) if bound < 2**31 else _exact_ints(ints, bound)
 
 
 # cos 2 pi t and sin(2 pi t) / t as polynomials in t^2, the Taylor coefficients
@@ -205,28 +215,36 @@ def mod_inverse(a: int, m: int) -> int:
 
 
 def _euclid(v: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-wise extended Euclid on int64 arrays with 0 <= v < m < 2**62:
-    g = gcd(v, m) and x with v * x = g (mod m).  Finished lanes are written
-    out and dropped, so each step only touches lanes still running.
+    """Lane-wise extended Euclid on integer arrays of one lane width with
+    0 <= v < m and 1 <= m below the width's max (2**62 on int64): g =
+    gcd(v, m) and x with v * x = g (mod m).  Finished lanes are written out
+    and dropped every four steps, not on every one.
 
     Every remainder lies in [0, m] and every Bezout coefficient in [-m, m], so
-    no step leaves int64.
+    no step leaves the width.  A lane that finishes between two checks
+    divides by its zero remainder, which numpy answers with q = 0 (the
+    warning held back): its remainders then alternate between (g, 0) and
+    (0, g), its coefficients swapping with them, so a check reads g and x
+    from whichever remainder is zero; m >= 1 keeps g > 0.
     """
     g = np.empty_like(m)
     x = np.empty_like(m)
     lanes = np.arange(m.size)
     # the first step from (v, m) only swaps, since v < m
     r0, r1, s0, s1 = m, v, np.zeros_like(m), np.ones_like(m)
-    while lanes.size:
-        done = r1 == 0
-        if done.any():
-            g[lanes[done]] = r0[done]
-            x[lanes[done]] = s0[done]
-            live = ~done
-            lanes, r0, r1, s0, s1 = lanes[live], r0[live], r1[live], s0[live], s1[live]
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
+    with np.errstate(divide="ignore"):
+        while lanes.size:
+            for _ in range(4):
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                s0, s1 = s1, s0 - q * s1
+            done = np.minimum(r0, r1) == 0
+            if done.any():
+                swapped = r0[done] == 0
+                g[lanes[done]] = r0[done] + r1[done]
+                x[lanes[done]] = np.where(swapped, s1[done], s0[done])
+                live = ~done
+                lanes, r0, r1, s0, s1 = lanes[live], r0[live], r1[live], s0[live], s1[live]
     return g, x
 
 

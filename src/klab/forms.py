@@ -20,18 +20,19 @@ an even L whose double 2L is in the chunk for the same list takes 2L's
 m's and t_2L mod L, since L and 2L have the same primes; any other row
 selects its m's from masks over the primes of L (or a gcd) and joins the
 chunk's one batch of inverses.  Phases are reduced exactly mod 1 as integers
-before any phase is evaluated, on int64 or on Python integers as
-klab.arith decides, and every phase comes from klab.arith's one rule for
-e(k / L), which calls no libm.
+before any phase is evaluated, on int32, int64 or Python integers as
+klab.arith decides from the kernel's bounds, and every phase comes from
+klab.arith's one rule for e(k / L), which calls no libm.
 
 The chunk's moduli are then cut into sub-batches of consecutive moduli,
 capped by the table entries of their chain tops T (the moduli whose double
 is not in the sub-batch), and each group of m's and a's gets (a x m) phase
 blocks of capped size, one column per selected m at each modulus.  Once a
 sub-batch's blocks have as many cells as its tops' tables have entries,
-the int64 blocks gather their phases from one buffer of klab.arith's
-tables e(k / T), a column at L = T / s at entry s k for its residue k mod
-L, which has the rule's bits of e(k / L); so the buffer changes no bit.
+the int32 or int64 blocks gather their phases from one buffer of
+klab.arith's tables e(k / T), a column at L = T / s at entry s k for its
+residue k mod L, which has the rule's bits of e(k / L); so the buffer
+changes no bit.
 The inner sum of each column, and each modulus's sum of alpha_m times
 them, follow one product rule in float parts (U = sum v Re c and W = sum v
 Im c over the float view v, then (U_re - W_im) + i (W_re + U_im)), with no
@@ -71,8 +72,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import (
-    _exact_ints, _fits_int64, _unit_inverses, _unit_mask, batch_mod_inverse, factorize, is_squarefree, is_squarefull,
-    radical, squarefree_squarefull_split, unit_phase_tables, unit_phases,
+    _exact_ints, _fits_int64, _lane_ints, _unit_inverses, _unit_mask, batch_mod_inverse, factorize, is_squarefree,
+    is_squarefull, radical, squarefree_squarefull_split, unit_phase_tables, unit_phases,
 )
 from .sequences import CoefficientSequence, _csum
 
@@ -156,25 +157,30 @@ def _phase_block(
     t_vals: Sequence[int], a_vals: Sequence[int], L, table: np.ndarray | None = None, base: np.ndarray | None = None
 ) -> np.ndarray:
     """Matrix of e(t*a / L) over (a, t), one column per t, where L is one
-    modulus or one per t; exact integer reduction mod L first, on the
-    arrays that :func:`_exact_ints` gives for the bound max L * max |a|.
+    modulus or one per t; exact integer reduction mod L first, for the
+    bound max L * max |a|.
 
-    In int64, a block gathers from ``table`` at ``base`` plus its residues
-    when a table is given, ``base`` giving for each column where the
-    values e(k / L) of its modulus, k in [0, L), begin; otherwise, and on
+    Within int64, a block gathers from ``table`` at ``base`` plus its
+    residues when a table is given, ``base`` giving for each column where
+    the values e(k / L) of its modulus, k in [0, L), begin, on the lanes of
+    :func:`_lane_ints` for the bound plus max ``base``; otherwise, and on
     Python integers, where ``table`` and ``base`` are not used, it applies
-    :func:`unit_phases` to the residues, cell by cell.  Each table entry has
-    the bits of that rule at its integer (see :func:`unit_phase_tables`),
-    so every path gives the same bits.  ``t_vals`` may be a list or an
-    array; ``a_vals`` is sorted, so that its largest |a| is at one of its
-    ends.
+    :func:`unit_phases` to the residues of :func:`_exact_ints`, cell by
+    cell.  Each table entry has the bits of that rule at its integer (see
+    :func:`unit_phase_tables`), so every path gives the same bits.
+    ``t_vals`` may be a list or an array; ``a_vals`` is sorted, so that its
+    largest |a| is at one of its ends.
     """
     bound = int(np.max(L)) * (int(max(-a_vals[0], a_vals[-1])) if len(a_vals) else 0)
-    residue = _exact_ints(a_vals, bound)[:, None] * _exact_ints(t_vals, bound)[None, :]
-    residue %= L
+    lanes = _exact_ints
+    if table is not None and _fits_int64(bound):
+        # the gather's index, residue + base, is below bound + max(base)
+        lanes, bound = _lane_ints, bound + int(np.max(base))
+    residue = lanes(a_vals, bound)[:, None] * lanes(t_vals, bound)[None, :]
+    residue %= lanes(L, bound)
     if table is None or residue.dtype == object:
         return unit_phases(residue, L)
-    residue += base
+    residue += lanes(base, bound)
     return table.take(residue)
 
 
@@ -309,8 +315,9 @@ def _coprime_inner_sums(
     alone, so a family, a lone evaluation and one modulus at a time agree
     bit for bit wherever the chunks, sub-batches and blocks fall.  A block
     is released before the yield.
-    The m's and L's are exact integer arrays for the bound max(|m|, |theta|
-    * L), which covers theta * m^{-1}.
+    The m's, L's and a's are on the lanes of :func:`_lane_ints` for the
+    bound max(|m|, |theta| * L), which covers theta * m^{-1} (the a's also
+    for max |a|).
     """
     supports: dict[tuple[int, ...], list[int]] = {}
     for g, (ms, a_idx, _) in enumerate(groups):
@@ -320,15 +327,16 @@ def _coprime_inner_sums(
         return
     # the lists are sorted, so each one's largest |m| or |a| is at one of its ends
     bound = max(max(max(-ms[0], ms[-1]) for ms in supports), max(Ls, default=0) * abs(theta))
-    m_arrs = [_exact_ints(ms, bound) for ms in supports]
+    m_arrs = [_lane_ints(ms, bound) for ms in supports]
     members = list(supports.values())
     a_max = [max(-a_idx[0], a_idx[-1]) if a_idx else 0 for _, a_idx, _ in groups]
-    a_arrs = [_exact_ints(a_idx, top) for (_, a_idx, _), top in zip(groups, a_max)]
+    # the FFT path reduces the a's mod L, which the bound covers
+    a_arrs = [_lane_ints(a_idx, max(top, bound)) for (_, a_idx, _), top in zip(groups, a_max)]
     coefs = [np.stack(nus, axis=1) for _, _, nus in groups]
     # whether each group is evaluated at each modulus, and whether any of each m list's groups is
     wanted = np.ones((len(groups), len(Ls)), dtype=bool) if needs is None else np.stack(needs)
     listed = [wanted[gs].any(axis=0) for gs in members]
-    L_all = _exact_ints(Ls, bound)
+    L_all = _lane_ints(Ls, bound)
     primes: dict[int, dict[int, int]] = {}
     # each folded modulus's table of theta * r^{-1} mod L, -1 at the non-units
     t_of_r: dict[int, np.ndarray] = {}
@@ -352,7 +360,7 @@ def _coprime_inner_sums(
                         if L not in primes:
                             primes[L] = factorize(L)
                         t_of_r[L] = _unit_table(theta, L, primes[L])
-                    t_m = t_of_r[L][np.asarray(m_arr % L, dtype=np.int64)]
+                    t_m = t_of_r[L].take(_lane_ints(m_arr % L, L))
                     sel = np.flatnonzero(t_m >= 0)
                     found[i][s] = (sel, t_m[sel])
                 elif L % 2 == 0 and (double := row_of.get(2 * L)) is not None and need[double]:

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from math import gcd
 
 import numpy as np
@@ -168,6 +169,75 @@ class TestBatchModInverse:
             batch_mod_inverse([1, 2], [3, 0])
         with pytest.raises(ValueError, match="positive"):
             batch_mod_inverse([], -1)
+
+
+def euclid_steps(v, m):
+    """The reference extended Euclid from (m, v): its division steps, gcd and
+    coefficient x of v, the integers the lane-wise Euclid must give."""
+    r0, r1, s0, s1, steps = m, v, 0, 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, steps = r1, r0 - q * r1, s1, s0 - q * s1, steps + 1
+    return steps, r0, s0
+
+
+class TestLazyEuclid:
+    """``_euclid`` drops finished lanes every four steps: a lane that ends
+    between checks alternates (g, 0) and (0, g), and must still give the
+    reference g and x."""
+
+    @staticmethod
+    def lanes_by_steps():
+        # 0 to 11 division steps: every step modulo the check interval of 4, at both parities
+        by_steps = {}
+        for m in range(1, 300):
+            for v in range(m):
+                by_steps.setdefault(euclid_steps(v, m)[0], []).append((v, m))
+        assert set(by_steps) == set(range(12))
+        return {k: lanes[::max(1, len(lanes) // 40)] for k, lanes in by_steps.items()}
+
+    @staticmethod
+    def check(lanes):
+        v, m = (np.asarray(col, dtype=np.int64) for col in zip(*lanes))
+        want = [euclid_steps(int(a), int(b))[1:] for a, b in lanes]
+        errors = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dtype in (np.int64, np.int32):
+                g, x = arith._euclid(v.astype(dtype), m.astype(dtype))
+                assert g.dtype == x.dtype == dtype
+                assert list(zip(g.tolist(), x.tolist())) == want
+            units = [(a, b) for a, b in lanes if gcd(a, b) == 1]
+            if units:
+                vals, mods = (np.asarray(col, dtype=np.int64) for col in zip(*units))
+                got = batch_mod_inverse(vals, mods)
+                assert got.dtype == np.int64 and got.tolist() == [pow(a, -1, b) for a, b in units]
+        # the division by a finished lane's zero leaves numpy's error state as it was
+        assert np.geterr() == errors
+
+    def test_lanes_finish_at_every_step(self):
+        by_steps = self.lanes_by_steps()
+        mixed = [lane for lanes in by_steps.values() for lane in lanes]
+        random.Random(5).shuffle(mixed)
+        self.check(mixed)
+        # a batch whose lanes all finish at one step, those below 4 before the first check
+        for lanes in by_steps.values():
+            self.check(lanes)
+
+    @pytest.mark.parametrize("lanes", (
+        [(0, 1)], [(0, 7)], [(5, 8)], [(0, 1), (0, 2), (0, 9)],  # one lane, v = 0, m = 1
+        [(0, 1)] * 5 + [(34, 55), (0, 6), (1, 2)],  # m = 1 and v = 0 beside a Fibonacci pair's 9 steps
+        [(2**61 - 3, 2**62 - 1), (1, 2**62 - 1), (0, 2**62 - 1)],  # the largest int64 modulus
+    ))
+    def test_edge_lanes(self, lanes):
+        if max(m for _, m in lanes) < 2**31:
+            self.check(lanes)
+            return
+        v, m = (np.asarray(col, dtype=np.int64) for col in zip(*lanes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, x = arith._euclid(v, m)
+        assert list(zip(g.tolist(), x.tolist())) == [euclid_steps(a, b)[1:] for a, b in lanes]
 
 
 class TestUnitInverses:

@@ -17,6 +17,7 @@ from golden_oracle import kloosterman_phase, phase_rule
 from klab import checks, forms
 from klab.arith import (
     _INT64_SAFE,
+    _exact_ints,
     _unit_inverses,
     batch_mod_inverse,
     euler_phi,
@@ -756,6 +757,80 @@ class TestChunkedPath:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
+
+
+@pytest.fixture
+def lane_widths(monkeypatch):
+    """Records (bound, dtype) for each array that the forms module builds
+    through :func:`klab.arith._lane_ints`."""
+    calls = []
+    lane_ints = forms._lane_ints
+
+    def spy(ints, bound):
+        out = lane_ints(ints, bound)
+        calls.append((bound, out.dtype))
+        return out
+
+    monkeypatch.setattr(forms, "_lane_ints", spy)
+    return calls
+
+
+class TestLaneWidth:
+    """The kernel's integer lanes are int32 while its bound, offsets
+    included, is below 2**31, and int64 from there; either width gives the
+    bits of the int64 path and of the per-cell rule."""
+
+    @pytest.mark.parametrize("Ls,wide", (([1000, 23, 1024], False), ([1000, 24, 1024], True)))
+    def test_phase_block_at_the_boundary(self, monkeypatch, lane_widths, Ls, wide):
+        # L = 1024's values begin at 1023 or 1024 in the buffer and max |a| is
+        # 2**21 - 1, so L * max |a| + offset is 2**31 - 1 or 2**31
+        table, begin = unit_phase_tables(Ls)
+        a_vals = [-(2**21 - 1), -7, 1, 3, 2**20 + 5, 2**21 - 1]
+        columns = [(0, 1024), (1, 1024), (5, 1024), (512, 1024), (1023, 1024), (3, 1000), (999, 1000)]
+        columns += [(7, Ls[1]), (Ls[1] - 1, Ls[1])]
+        t_vals = [t for t, _ in columns]
+        L = np.asarray([L for _, L in columns])
+        base = np.asarray([begin[L] for _, L in columns])
+        block = _phase_block(t_vals, a_vals, L, table, base)
+        assert set(lane_widths) == {(2**31 if wide else 2**31 - 1, np.dtype(np.int64 if wide else np.int32))}
+        residue = [[a * t % m for t, m in columns] for a in a_vals]
+        assert block.tobytes() == rule_bits(residue, L)
+        assert _phase_block(t_vals, a_vals, L).tobytes() == block.tobytes()
+        monkeypatch.setattr(forms, "_lane_ints", _exact_ints)
+        assert _phase_block(t_vals, a_vals, L, table, base).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("m_top,theta,wide", (
+        (2**31 - 1, 1, False), (2**31, 1, True), (-(2**31 - 1), -3, False),  # max |m| at the boundary
+        (40, 2**25 - 1, False), (40, -(2**25), True),  # |theta| * max L, with max L = 64: 2**31 - 64 and 2**31
+    ))
+    def test_family_at_the_boundary(self, monkeypatch, lane_widths, phase_evaluations, m_top, theta, wide):
+        # L = 2n, n in {1, 2, 3, 5, 8} and (16, 32]: folded rows, doubles,
+        # inverted rows, FFT sums and table blocks in one enumeration
+        ns = {1, 2, 3, 5, 8, *range(17, 33)}
+        bound = max(abs(m_top), abs(theta) * 64)
+        beta = build_sequence("random_unit", ns, seed=3)
+        specs = [TrilinearSpec(build_sequence("random_unit", set(range(1, 41)) | {m_top}, seed=seed), beta,
+                               build_sequence("random_unit", set(range(1, A + 1)), seed=4), theta, 2)
+                 for seed in (1, 2) for A in (4, 8)]
+
+        def run():
+            return [(r.value, r.terms) for r in trilinear_forms(specs)], [mean_square_direct(spec) for spec in specs]
+
+        values = run()
+        assert {dtype for b, dtype in lane_widths if b == bound} == {np.dtype(np.int64 if wide else np.int32)}
+        # the table blocks gather on int32 lanes whatever the m lists' width
+        assert any(name == "tables" for name, _ in phase_evaluations)
+        assert np.dtype(np.int32) in {dtype for b, dtype in lane_widths if b < bound}
+        assert values[0][0] == per_n_form(specs[0]) and values[1][0] == per_n_mean_square(specs[0])
+        # the per-cell rule, with no table
+        block = forms._phase_block
+        monkeypatch.setattr(forms, "_phase_block", lambda t_vals, a_vals, L, table=None, base=None:
+                            block(t_vals, a_vals, L))
+        assert repr(run()) == repr(values)
+        # the int64 path
+        monkeypatch.setattr(forms, "_phase_block", block)
+        monkeypatch.setattr(forms, "_lane_ints", _exact_ints)
+        assert repr(run()) == repr(values)
 
 
 class TestSharedEnumeration:
