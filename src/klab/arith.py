@@ -300,19 +300,22 @@ def _unit_inverses(units: np.ndarray, q: int, factors: dict[int, int]) -> np.nda
     inverses mod q, each in [0, q), of ``units``, an integer array of units
     in [0, q), ``factors`` being q's; exact for a product with a residue
     (bound q * q).  While q * q fits int64: u^(lambda(q) - 1) mod q by
-    square-and-multiply on the array, lambda from :func:`_carmichael`; above
+    square-and-multiply in place on a copy of the array, lambda from
+    :func:`_carmichael`; above
     that, where powers would run on object arrays, :func:`batch_mod_inverse`."""
     if not _fits_int64(q * q):
         return _exact_ints(batch_mod_inverse(_exact_ints(units, q), q), q * q)
-    base = _exact_ints(units, q * q)
+    base = _exact_ints(units, q * q).copy()  # squared in place: never the caller's array
     inv = np.full_like(base, 1 % q)
     e = _carmichael(factors) - 1
     while e:
         if e & 1:
-            inv = inv * base % q
+            inv *= base
+            inv %= q
         e >>= 1
         if e:
-            base = base * base % q
+            base *= base
+            base %= q
     return inv
 
 

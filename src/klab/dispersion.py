@@ -13,11 +13,15 @@ Contents:
 - behind all three, one per-modulus routine, ``_error``.  Its one table
   holds, for each residue r of alpha's support and of the m's asked for, the
   beta sum over the classes solving r x = a (mod q); it returns E_q, the
-  table at those m's and the coprime beta sum, for c_q, X_m and Y_m (the
-  split reads the sign of Re E_q only, so it forms no imaginary part);
+  table at those m's and the coprime beta sum, for c_q, X_m and Y_m.  The
+  split reads only c_q, the sign of Re E_q, so it gets that sign in place
+  of E_q: from numpy's sum of the main sum's products where a rigorous error
+  bound decides it, and from their fsum, the bits of Re E_q, where not;
 - all of it on numpy arrays, one modulus at a time: the sequences become
   index and value arrays once per call, and X and Y are arrays over the
-  window.  A table is indexed by residue when q is at most the number of
+  window, added to through the mask of the m coprime to q (alpha's
+  residues are read from the window's when its indices all lie there).
+  A table is indexed by residue when q is at most the number of
   residues looked up in it; above that it covers only the residues looked
   up, found by np.unique and searchsorted.  Both sizes sum beta's classes
   by one rule (np.bincount, and fsum for a class of three or more values)
@@ -343,8 +347,6 @@ def _residue_table(
     table = np.zeros(len(residues), dtype=complex)
     if indexed:
         full, counts = _class_sums(beta.v, keys, q)
-        cls = np.flatnonzero(counts)
-        sums = full[cls]
         table[unit] = full[x0]
     else:
         cls, ids = np.unique(keys, return_inverse=True)
@@ -355,6 +357,9 @@ def _residue_table(
     primes = list(factors)  # ascending
     if gcd(a_red, q) == 1:
         return table, coprime, coprime, primes, phi_q
+    if indexed:  # the classes beta has and their sums, as the sorted table lists them
+        cls = np.flatnonzero(counts)
+        sums = full[cls]
     # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
     g = np.gcd(residues, q)
     solvable = a_red % g == 0
@@ -366,14 +371,44 @@ def _residue_table(
     return table, solvable, coprime, primes, phi_q
 
 
+def _real_sign(p: np.ndarray, mean: float) -> int:
+    """The sign c_q of fsum(p) - mean (+1 at 0 and -1 at NaN), p being the
+    products alpha_m s whose fsum is Re of the main sum, mostly without that
+    fsum: numpy's sum decides it when it is far enough from ``mean``.
+
+    Proof.  Let n = len(p) < 2^40, T = sum |p_i|, S the exact sum and
+    u = 2^-53.  A float addition is exact or off by at most u times its
+    result, gradual underflow included, so a sum in any order, numpy's
+    pairwise one too, is within (n - 1) u T (1 + 2^-12) of S, and fsum(p),
+    S rounded once, within u T: the two differ by at most n u T (1 + 2^-12).
+    The bound below is at least 2 (n + 2) u T (1 - 2^-12) after its
+    roundings, or, where it rounds as a subnormal, less than that by at most
+    2^-1075: either way no less than that difference, a multiple of 2^-1074.
+    Rounding is monotone, so a computed |gap| above the bound is a true one,
+    and fsum(p) lies strictly on the same side of ``mean`` as p.sum().
+    Below 2^1020 no partial of fsum, each at most (1 + 2^-12) T, can
+    overflow, so fsum would not have raised either.  Otherwise, NaN and inf
+    included (no comparison with NaN holds), fsum decides.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN here takes fsum
+        approx, total = float(p.sum()), float(np.abs(p).sum())
+    gap = approx - mean
+    if abs(gap) > (len(p) + 2) * 2.0**-52 * (total + abs(mean)) and total < 2.0**1020:
+        return 1 if gap > 0 else -1
+    return 1 if fsum(p.tolist()) - mean >= 0 else -1
+
+
 def _error(
-    alpha: _Coeffs, beta: _Coeffs, q: int, a: int, ms: np.ndarray, imag: bool = True
-) -> tuple[complex | float, np.ndarray, np.ndarray, complex, int]:
+    alpha: _Coeffs, beta: _Coeffs, q: int, a: int, ms: np.ndarray, imag: bool = True, within: np.ndarray | None = None
+) -> tuple[complex | int, np.ndarray, np.ndarray, complex, int]:
     """The progression error E_q of alpha and beta, from one residue table
     of beta mod q over the residues of alpha's support and of ``ms``; with
-    it, what the split reads at ``ms``: the mask of the m coprime to q, their
-    table entries, the coprime beta sum and phi(q).  With ``imag`` false it
-    gives Re E_q alone, a float, for the split, which reads only its sign.
+    it, what the split reads at ``ms``: the mask of the m coprime to q, the
+    table at every m, the coprime beta sum and phi(q).  With ``imag`` false
+    it gives, in place of E_q, the split's c_q, the sign of Re E_q from
+    :func:`_real_sign`.  ``within``, when given, holds the positions in
+    ``ms`` of alpha's indices, all of which lie there: their residues are
+    then read from those of ``ms``, with no pass of their own.
 
     alpha_m s is formed from the float parts as Python's complex product
     forms it (numpy's complex ``*`` may round differently).  A 0j entry adds
@@ -382,23 +417,32 @@ def _error(
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    at = np.concatenate([_residues(alpha.n, q), _residues(ms, q)])
-    if _indexed(q, len(at)):
+    if within is None:
+        at = _residues(alpha.n, q)
+        if len(ms):
+            at = np.concatenate([at, _residues(ms, q)])
+    else:  # alpha's residues are among the window's
+        at = _residues(ms, q)
+    if _indexed(q, len(alpha.n) + len(ms)):
         residues = np.arange(q)
     else:
         residues, at = np.unique(at, return_inverse=True)
     table, solvable, coprime, primes, phi_q = _residue_table(beta, q, a, residues)
-    at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
+    if within is None:
+        at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
+    else:
+        at_alpha, at_m = at[within], at
     on = solvable[at_alpha]
     am, s = alpha.v[on], table[at_alpha[on]]
     ar, ai, sr, si = am.real, am.imag, s.real, s.imag
     cop_beta = _coprime_sum(beta, primes)
     mean = _coprime_sum(alpha, primes) * cop_beta / phi_q
-    real = fsum((ar * sr - ai * si).tolist())
-    # complex subtraction is by parts, so real - mean.real is Re E_q's bits
-    error = complex(real, fsum((ar * si + ai * sr).tolist())) - mean if imag else real - mean.real
-    on_m = coprime[at_m]
-    return error, on_m, table[at_m[on_m]], cop_beta, phi_q
+    read = coprime[at_m], table[at_m], cop_beta, phi_q
+    real = ar * sr - ai * si
+    if not imag:
+        return (_real_sign(real, mean.real), *read)
+    # complex subtraction is by parts, so Re E_q's bits are fsum(real) - mean.real
+    return (complex(fsum(real.tolist()), fsum((ar * si + ai * sr).tolist())) - mean, *read)
 
 
 def progression_error(
@@ -468,6 +512,10 @@ def dispersion_split(
     window = psi.window(m_scale)
     alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
     ms = _exact_ints(window, max(-window[0], window[-1]) if window else 0)
+    within = None  # alpha's positions in the window, when all its indices lie there
+    ns = alpha_c.n
+    if not len(ns) or (len(ms) and ms[0] <= ns[0] and ns[-1] <= ms[-1]):
+        within = np.searchsorted(ms, ns)
     x_vals = np.zeros(len(window), dtype=complex)
     y_vals = np.zeros(len(window), dtype=complex)
     c: dict[int, int] = {}
@@ -475,13 +523,13 @@ def dispersion_split(
         if gcd(a, q) != 1:
             c[q] = 0
             continue
-        re_error, on, s_m, cop_beta, phi_q = _error(alpha_c, beta_c, q, a, ms, False)
-        cq = c[q] = 1 if re_error >= 0 else -1
+        cq, on, s_m, cop_beta, phi_q = _error(alpha_c, beta_c, q, a, ms, False, within)
+        c[q] = cq
         # gcd(m, q) = 1: one solution class, one coprime pair.  X and Y take
-        # their terms in ascending q, as a per-m loop would; cq = +-1 makes
-        # cq * s_m exact under either complex product
-        x_vals[on] += cq * s_m
-        y_vals[on] += (cq / phi_q) * cop_beta
+        # their terms in ascending q, as a per-m loop would, and only at the
+        # m in ``on``; cq = +-1 makes cq * s_m exact under either complex product
+        np.add(x_vals, cq * s_m, out=x_vals, where=on)
+        np.add(y_vals, (cq / phi_q) * cop_beta, out=y_vals, where=on)
     weights = [psi(m / m_scale) for m in window]
     xs, ys = x_vals.tolist(), y_vals.tolist()
     U = fsum(w * abs(y) ** 2 for w, y in zip(weights, ys))

@@ -266,6 +266,17 @@ class TestUnitInverses:
             assert got.tolist() == [pow(int(u), -1, q) for u in units]
             assert all(0 <= x < q for x in got)
 
+    def test_leaves_the_callers_array(self):
+        # the powers square and multiply in place, on a copy of the units
+        for q in (1, 7, 12, 600, 2**31 - 1):
+            units = self.units(q) if q <= 600 else np.asarray([1, 2, 3, q - 1], dtype=np.int64)
+            kept = units.copy()
+            got = arith._unit_inverses(units, q, factorize(q))
+            assert np.array_equal(units, kept) and got is not units
+            assert got.tolist() == [pow(int(u), -1, q) for u in kept]
+        # q = 1 still maps its one unit 0 to 0
+        assert arith._unit_inverses(np.zeros(1, dtype=np.int64), 1, {}).tolist() == [0]
+
     def test_unit_mask(self):
         # the primes of q strike their multiples: the gcd mask, q = 1 included
         for q in range(1, 301):

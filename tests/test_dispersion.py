@@ -575,6 +575,196 @@ np.show_runtime()
         assert dict(split.c)[6] == dict(split.c)[9] == dict(split.c)[12] == 0
 
 
+class TestCertifiedSign:
+    """The split's c_q is the sign of Re E_q, +1 at 0: numpy's sum decides it
+    where its error bound certifies it, and fsum decides the rest."""
+
+    @staticmethod
+    def branches(monkeypatch):
+        """Record, per _real_sign call, whether it reached the fsum fallback."""
+        import klab.dispersion as disp
+
+        taken, fsums, sign = [], [], disp._real_sign
+
+        def counted(xs):
+            fsums.append(1)
+            return fsum(xs)
+
+        def spy(p, mean):
+            fsums.clear()
+            out = sign(p, mean)
+            taken.append("fsum" if fsums else "certified")
+            return out
+
+        monkeypatch.setattr(disp, "fsum", counted)
+        monkeypatch.setattr(disp, "_real_sign", spy)
+        return taken
+
+    @staticmethod
+    def want(alpha, beta, moduli, a):
+        return {q: 0 if gcd(a, q) != 1 else 1 if progression_error(alpha, beta, q, a).real >= 0 else -1
+                for q in moduli}
+
+    # signed zeros and magnitudes from 1e-300 to 1e150
+    seq_parts = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), st.floats(1e-300, 1e150)),
+    )
+    values = st.dictionaries(st.integers(1, 40), st.builds(complex, seq_parts, seq_parts), min_size=1, max_size=12)
+
+    @given(values, values, st.lists(st.integers(1, 30), min_size=1, max_size=6), st.integers(-12, 12),
+           st.sampled_from((2.0, 8.0, 16.0, 64.0)))
+    @settings(max_examples=150)
+    def test_signs_match_progression_error(self, alpha_vals, beta_vals, moduli, a, m_scale):
+        # the windows [1, 5], [4, 20], [8, 40] and [32, 160] hold all, some
+        # or none of alpha's indices in [1, 40]
+        alpha, beta = make_sequence(alpha_vals), make_sequence(beta_vals)
+        split = dispersion_split(alpha, beta, moduli, a, SmoothCutoff(), m_scale)
+        assert dict(split.c) == self.want(alpha, beta, set(moduli), a)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_and_near_ties(self, monkeypatch, seed):
+        # beta constant on (60, 120]: mod each q | 60 every class holds 60 / q
+        # values, so the main sum and the mean agree in exact arithmetic, and
+        # Re E_q is 0 or a few roundings away from it
+        rng = random.Random(seed)
+        scale = rng.choice((1.0, 1e-300, 1e150))
+        value = scale * complex(rng.choice((1.0, 0.1, -0.3)), rng.choice((0.0, -0.0, 0.7)))
+        beta = make_sequence({n: value for n in DyadicRange(60)})
+        alpha = make_sequence({m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * rng.choice((1.0, scale))
+                               for m in DyadicRange(8)})
+        moduli = [q for q in range(1, 61) if 60 % q == 0]
+        taken = self.branches(monkeypatch)
+        for a in (1, 7, -11, 0):
+            split = dispersion_split(alpha, beta, moduli, a, SmoothCutoff(), 8.0)
+            assert dict(split.c) == self.want(alpha, beta, moduli, a)
+        assert "fsum" in taken
+
+    parts = st.one_of(
+        st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)),
+        st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), st.floats(1e-320, 1.7e308)),
+    )
+
+    @given(st.lists(parts, max_size=40), st.booleans(), st.randoms(use_true_random=False),
+           st.integers(-4, 4), st.one_of(st.none(), parts))
+    @settings(max_examples=400)
+    def test_real_sign_is_fsums(self, p, mirror, rng, ulps, other):
+        # the sign of fsum(p) - mean, with mean a few ulps from fsum(p) or
+        # another value; an fsum that raises must raise from _real_sign too.
+        # A mirrored p cancels to its first entry, so numpy's sum of it may
+        # be off by far more than an ulp
+        import klab.dispersion as disp
+
+        if mirror:
+            p = p + [-x for x in p[1:]]
+            rng.shuffle(p)
+
+        def sign(mean):
+            try:
+                return 1 if fsum(p) - mean >= 0 else -1
+            except (OverflowError, ValueError) as e:
+                return type(e)
+
+        mean = other
+        if mean is None:
+            mean = 0.0 if isinstance(sign(0.0), type) else fsum(p)
+            for _ in range(abs(ulps)):
+                mean = math.nextafter(mean, math.copysign(math.inf, ulps))
+        want = sign(mean)
+        if isinstance(want, int):
+            assert disp._real_sign(np.array(p, dtype=float), mean) == want
+        else:
+            with pytest.raises(want):
+                disp._real_sign(np.array(p, dtype=float), mean)
+
+    def test_fsum_overflow_still_raises(self):
+        # numpy's sums absorb both small entries and stay finite, while their
+        # exact sum with the largest float overflows fsum: a sum of |p| near
+        # the top of the range takes fsum, which raises as it always did
+        import klab.dispersion as disp
+
+        p = np.array([sys.float_info.max, 9e291, 9e291])
+        assert math.isfinite(p.sum()) and math.isfinite(np.abs(p).sum())
+        with pytest.raises(OverflowError):
+            disp._real_sign(p, 0.0)
+
+    def test_toy_grids_reach_both_branches(self, monkeypatch):
+        # CI compares the toy grids' signs across CPUs: both branches must
+        # run there (exact cancellations, such as those of ones, take fsum)
+        taken = self.branches(monkeypatch)
+        psi = SmoothCutoff()
+        for g in checks.dispersion_toy_grids():
+            split = dispersion_split(g["alpha"], g["beta"], g["moduli"], g["a"], psi, g["m_scale"])
+            assert dict(split.c) == self.want(g["alpha"], g["beta"], g["moduli"], g["a"])
+        assert set(taken) == {"certified", "fsum"}
+        # q = 1 has E_1 = 0 exactly: the fallback
+        del taken[:]
+        dispersion_split(ones(DyadicRange(4)), ones(DyadicRange(4)), [1], 1, psi, 4.0)
+        assert taken == ["fsum"]
+
+
+class TestWindowResidues:
+    """Alpha's residues are read from the window's when alpha lies inside
+    it; inside or not, the split has the bits of a per-element Python loop."""
+
+    @staticmethod
+    def python_split(alpha, beta, moduli, a, psi, m_scale):
+        """dispersion_split as a per-element Python loop: c_q from the loop's
+        E_q, X_m and Y_m per m in ascending q, then the weighted fsums."""
+        window = psi.window(m_scale)
+        x, y, c = [0j] * len(window), [0j] * len(window), {}
+        for q in sorted(set(moduli)):
+            if gcd(a, q) != 1:
+                c[q] = 0
+                continue
+            cq = c[q] = 1 if TestProgressionError.python_loop(alpha, beta, q, a).real >= 0 else -1
+            classes, cop_beta = {}, []
+            for n, v in sorted(beta.values.items()):
+                classes.setdefault(n % q, []).append(v)
+                if gcd(n, q) == 1:
+                    cop_beta.append(v)
+            for i, m in enumerate(window):
+                if gcd(m, q) == 1:
+                    x[i] += cq * _csum(classes.get(a * pow(m, -1, q) % q, []))
+                    y[i] += (cq / euler_phi(q)) * _csum(cop_beta)
+        weights = [psi(m / m_scale) for m in window]
+        U = fsum(w * abs(v) ** 2 for w, v in zip(weights, y))
+        W = fsum(w * abs(v) ** 2 for w, v in zip(weights, x))
+        V = _csum([w * u * v.conjugate() for w, u, v in zip(weights, x, y)])
+        return U, V, W, c
+
+    # the window of m_scale 8 is [4, 20]; at 0.1 it is empty
+    @pytest.mark.parametrize("support,m_scale,inside", [
+        (DyadicRange(8), 8.0, True),  # (8, 16]
+        ({4, 5, 19, 20}, 8.0, True),  # both ends of the window
+        (range(15, 25), 8.0, False),  # partly outside
+        (DyadicRange(32), 8.0, False),  # (32, 64], fully outside
+        ({1, 2, 3}, 8.0, False),  # below the window
+        (DyadicRange(8), 0.1, False),  # an empty window
+    ])
+    @pytest.mark.parametrize("a", [1, -5, 6])
+    def test_against_python_loop(self, monkeypatch, support, m_scale, inside, a):
+        import klab.dispersion as disp
+
+        rng = random.Random(repr((sorted(support), m_scale, a)))
+        alpha = make_sequence({m: complex(rng.uniform(-1, 1), rng.choice((0.0, -0.0, rng.uniform(-1, 1))))
+                               for m in support})
+        beta = build_sequence("random_unit", DyadicRange(16), seed=rng.randrange(1 << 20))
+        # each case's lookups (8 to 49) lie between two of the moduli, so
+        # both table sizes run
+        moduli = [1, 2, 3, 5, 7, 11, 12, 30, 31, 60, 97]
+        psi, error, passed = SmoothCutoff(), disp._error, []
+
+        def spy(alpha_c, beta_c, q, a, ms, imag=True, within=None):
+            passed.append(within is not None)
+            return error(alpha_c, beta_c, q, a, ms, imag, within)
+
+        monkeypatch.setattr(disp, "_error", spy)
+        split = dispersion_split(alpha, beta, moduli, a, psi, m_scale)
+        assert (split.U, split.V, split.W, dict(split.c)) == self.python_split(alpha, beta, moduli, a, psi, m_scale)
+        assert passed and set(passed) == {inside}
+
+
 class TestTableCases:
     """A modulus q no larger than the number of residues looked up in its
     table gets the residue-indexed table, a larger one the sorted-residue
