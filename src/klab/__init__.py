@@ -21,12 +21,14 @@ from .bounds import (
     admissible_n_exponent,
     check_range_conditions,
     parse_exponent,
+    rhs_dispersion,
     rhs_mean_square_bound,
     rhs_trilinear_coprime,
     rhs_trilinear_fixed_factor,
 )
 from .dispersion import (
     DispersionSplit,
+    NotCoprime,
     SmoothCutoff,
     cauchy_schwarz_gap,
     completed_coprime_sum,
@@ -34,7 +36,7 @@ from .dispersion import (
     dispersion_split,
     progression_error,
     progression_error_total,
-    rhs_dispersion,
+    sw_discrepancy,
 )
 from .forms import (
     DecompositionMismatch,
@@ -51,10 +53,8 @@ from .sequences import (
     CoefficientSequence,
     DyadicRange,
     EmptySupport,
-    NotCoprime,
     build_sequence,
     make_sequence,
-    sw_discrepancy,
 )
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 Two kinds of machinery live here:
 
 - floating-point evaluators for the proven right-hand sides (the coprime
-  trilinear bound, its fixed-denominator-factor refinement, and the
-  squarefree mean-square bound), each reporting its additive terms
-  separately so term dominance can be studied;
+  trilinear bound, its fixed-denominator-factor refinement, the
+  squarefree mean-square bound and the dispersion bound), each reporting
+  its additive terms separately so term dominance can be studied;
 - exact ``fractions.Fraction`` arithmetic for the admissible exponent
   ranges of the unbalanced-convolution corollaries (nothing here ever
   rounds: every comparison is a rational comparison).
@@ -13,7 +13,8 @@ Two kinds of machinery live here:
 Reporting convention: ``terms`` are the displayed additive terms of a
 formula (sizes only); ``scale`` collects the displayed global multipliers
 (norms, the (1 + |theta| A / ...)^(1/2 or 1/4) prefactor, the epsilon
-bump); ``total = scale * sum(terms)`` in the evaluators here.
+bump); ``total = scale * sum(terms)``, and ``scale * sqrt(sum(terms))``
+for the dispersion bound.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "rhs_trilinear_coprime",
     "rhs_trilinear_fixed_factor",
     "rhs_mean_square_bound",
+    "rhs_dispersion",
     "admissible_n_exponent",
     "extremal_q_exponent",
     "check_range_conditions",
@@ -207,13 +209,65 @@ def rhs_mean_square_bound(
 # ---------------------------------------------------------------------------
 
 # Exact exponents of the dispersion bound's two tail terms D^C X^eps M^e_M Q^e_Q N^e_N
-# and of the baseline terms they improve on; everything below reads them here.
+# and of the baseline terms they improve on; rhs_dispersion and everything below read them here.
 DISPERSION_TAIL_EXPONENTS: dict[str, dict[str, Fraction]] = {
     "new_term4": {"Q": Fraction(15, 8), "N": Fraction(11, 4), "M": Fraction(0)},
     "new_term5": {"Q": Fraction(33, 20), "N": Fraction(51, 20), "M": Fraction(3, 20)},
     "old_term4": {"Q": Fraction(15, 8), "N": Fraction(23, 8), "M": Fraction(0)},
     "old_term5": {"Q": Fraction(33, 20), "N": Fraction(59, 20), "M": Fraction(3, 10)},
 }
+
+
+def rhs_dispersion(
+    M: float,
+    N: float,
+    Q: float,
+    D: float,
+    alpha_l2: float,
+    Estar: float,
+    kappa: float = 0.0,
+    C_exp: float = 0.0,
+    epsilon: float = 0.0,
+    X: float = 1.0,
+) -> RhsReport:
+    """The dispersion bound
+
+        ||alpha|| * ( M Q^{-1} Estar + (log X)^kappa N^2 Q
+                      + (log X)^kappa N^2 D^{-1/2} M
+                      + D^C X^eps (Q^(15/8) N^(11/4) + M^(3/20) Q^(33/20) N^(51/20)) )^(1/2)
+
+    Estar is a caller-supplied input (the small-moduli mean square has no
+    closed form here); pass the equidistribution-motivated proxy
+    N^2 Q (log N)^(-A) if desired.  kappa and C are free exponents.  The
+    report total is scale * sqrt(sum of terms) with scale = alpha_l2; meta
+    carries the two baseline tail terms and the new/old ratios, and flags
+    record both of the stated D-vs-N hypotheses.
+    """
+    check_rhs_inputs(epsilon, M, N, Q, D, X)
+    lk = math.log(X) ** kappa
+    dc = D**C_exp * X**epsilon
+    tails = {
+        name: dc * M ** float(e["M"]) * Q ** float(e["Q"]) * N ** float(e["N"])
+        for name, e in DISPERSION_TAIL_EXPONENTS.items()
+    }
+    terms = [
+        ("term1", M / Q * Estar),
+        ("term2", lk * N * N * Q),
+        ("term3", lk * N * N * M / math.sqrt(D)),
+        ("term4", tails["new_term4"]),
+        ("term5", tails["new_term5"]),
+    ]
+    meta = {"old_term4": tails["old_term4"], "old_term5": tails["old_term5"]}
+    for k in (4, 5):
+        if tails[f"old_term{k}"] > 0:
+            meta[f"ratio_term{k}"] = tails[f"new_term{k}"] / tails[f"old_term{k}"]
+    flags = []
+    if not N > D**10:
+        flags.append("N<=D^10")
+    if not D < N**10:
+        flags.append("D>=N^10")
+    total = alpha_l2 * math.sqrt(math.fsum(v for _, v in terms))
+    return RhsReport(tuple(terms), alpha_l2, total, tuple(flags), meta)
 
 
 def _size_slack(term: str, m: Fraction, q: Fraction, n: Fraction, eps: Fraction) -> Fraction:

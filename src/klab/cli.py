@@ -12,8 +12,8 @@ Three subcommands:
   deterministic CSV (rows sorted by grid coordinates, floats at 17
   significant digits) plus a JSON sidecar with the max observed lhs/rhs
   ratio;
-- ``klab ranges --q p/q [--corollary fr|new]`` prints the exact admissible
-  N-exponent ceilings per corollary variant.
+- ``klab ranges --q p/q`` prints the exact admissible N-exponent ceilings
+  of both corollaries (``new``, then ``fr``) per variant.
 
 Exit codes: 0 pass, 1 invariant failure, 2 usage/config error or an OS
 error such as an unwritable ``--out``.
@@ -264,13 +264,12 @@ def run_sweep(config_path: str, out_path: str, jobs: int = 1) -> dict:
     return summary
 
 
-def run_ranges(q_text: str, corollary: str = "new", out: str | None = None) -> str:
-    """Exact N-exponent ceilings for both corollaries at the given Q-exponent."""
+def run_ranges(q_text: str, out: str | None = None) -> str:
+    """Exact N-exponent ceilings for both corollaries, ``new`` then ``fr``, at the given Q-exponent."""
     q = bounds.parse_exponent(q_text)
-    order = [corollary] + [c for c in ("new", "fr") if c != corollary]
     lines = [f"q-exponent: {q}"]
     ceilings: dict[str, Fraction] = {}
-    for key in order:
+    for key in ("new", "fr"):
         ci = bounds.admissible_n_exponent(key, "i", q)
         ceilings[key] = ci.ceiling
         status = "feasible" if ci.feasible else "infeasible (ceiling <= 0)"
@@ -321,7 +320,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_ranges = sub.add_parser("ranges", help="exact exponent-range table")
     p_ranges.add_argument("--q", required=True, help="Q-exponent as a rational p/q")
-    p_ranges.add_argument("--corollary", choices=("fr", "new"), default="new")
     p_ranges.add_argument("--out", default=None, help="also write the table to this path")
 
     try:
@@ -356,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"wrote {args.out} ({summary['points']} rows); all rows degenerate")
             return 0
         if args.command == "ranges":
-            print(run_ranges(args.q, args.corollary, args.out), end="")
+            print(run_ranges(args.q, args.out), end="")
             return 0
     except (ConfigError, bounds.InvalidExponent, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,21 +5,23 @@ Contents:
 - :class:`SmoothCutoff`: a C-infinity plateau function built from the
   exp(-1/t) blend, with an exactly-known mass and a Fourier transform by
   one fixed trapezoid rule on the derivatives of its ramps (numpy only);
-- the progression error E (one modulus) and its absolute sum over a modulus
-  range;
+- the progression error E of a unit class a mod q (:class:`NotCoprime`
+  otherwise), its absolute sum over the moduli coprime to a of a range, and
+  :func:`sw_discrepancy`, one sequence's |E| against the point mass at 1;
 - the dispersion split U / V / W against a sign sequence c_q derived from
   the error signs, with V stored as the cross term so that
   sum_m psi(m/M) |X_m - Y_m|^2 = W - 2 Re V + U holds identically;
-- behind all three, one per-modulus routine, ``_error``.  Its one table
-  holds, for each residue r of alpha's support and of the m's asked for, the
-  beta sum over the classes solving r x = a (mod q); it returns E_q, the
-  table at those m's and the coprime beta sum, for c_q, X_m and Y_m.  The
-  split reads only c_q, the sign of Re E_q, so it gets that sign in place
-  of E_q: from numpy's sum of the main sum's products where a rigorous error
-  bound decides it, and from their fsum, the bits of Re E_q, where not;
+- behind all of them, one per-modulus routine, ``_error``.  Its one table
+  holds, for each unit r among the residues of alpha's support and of the
+  m's asked for, the beta sum over the class a r^{-1} mod q (0j elsewhere);
+  it returns E_q, the table at those m's and the coprime beta sum, for c_q,
+  X_m and Y_m.  The split reads only c_q, the sign of Re E_q, so it gets
+  that sign in place of E_q: from numpy's sum of the main sum's products
+  where a rigorous error bound decides it, and from their fsum, the bits of
+  Re E_q, where not;
 - all of it on numpy arrays, one modulus at a time: the sequences become
   index and value arrays once per call, and X and Y are arrays over the
-  window, added to through the mask of the m coprime to q (alpha's
+  window, Y added to through the mask of the m coprime to q (alpha's
   residues are read from the window's when its indices all lie there).
   A table is indexed by residue when q is at most the number of
   residues looked up in it; above that it covers only the residues looked
@@ -37,8 +39,7 @@ Contents:
   residues are int64 or Python integers as klab.arith decides;
 - completed progression sums: the smooth sum over one residue class against
   its truncated Fourier expansion, and the coprime-m sum against its
-  phi(q)/q main term;
-- the closed-form dispersion bound evaluator (tail exponents from klab.bounds).
+  phi(q)/q main term.  The dispersion bound is klab.bounds.rhs_dispersion.
 
 All evaluators are pure; the q- and m-loops can be partitioned across
 workers and reduced in index order.
@@ -55,10 +56,10 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .arith import _exact_ints, _totient, _unit_inverses, _unit_mask, divisor_count, euler_phi, factorize, unit_phases
-from .bounds import DISPERSION_TAIL_EXPONENTS, RhsReport, check_rhs_inputs
-from .sequences import CoefficientSequence, _csum
+from .sequences import CoefficientSequence, _csum, make_sequence
 
 __all__ = [
+    "NotCoprime",
     "PsiDoesNotMajorize",
     "NegativeQuadratic",
     "smooth_step",
@@ -66,6 +67,7 @@ __all__ = [
     "DispersionSplit",
     "progression_error",
     "progression_error_total",
+    "sw_discrepancy",
     "dispersion_split",
     "cauchy_schwarz_gap",
     "CompletionResult",
@@ -73,9 +75,11 @@ __all__ = [
     "completed_progression_sum",
     "completed_coprime_sum",
     "default_completion_bandwidth",
-    "rhs_dispersion",
-    "DISPERSION_TAIL_EXPONENTS",
 ]
+
+
+class NotCoprime(ValueError):
+    """Raised when a residue class a mod q with gcd(a, q) > 1 is supplied."""
 
 
 class PsiDoesNotMajorize(ValueError):
@@ -287,11 +291,11 @@ def _residues(ints: np.ndarray, q: int) -> np.ndarray:
     return _exact_ints(wide % q, q * q)
 
 
-def _class_sums(v: np.ndarray, ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The _csum of ``v`` over each class id 0..size-1 (0j if empty), and the
-    class sizes.  np.bincount adds in index order from +0.0, which for one or
-    two values is fsum's single rounding (-0.0 to +0.0 included); only a
-    class of three or more values goes through fsum."""
+def _class_sums(v: np.ndarray, ids: np.ndarray, size: int) -> np.ndarray:
+    """The _csum of ``v`` over each class id 0..size-1 (0j if empty).
+    np.bincount adds in index order from +0.0, which for one or two values
+    is fsum's single rounding (-0.0 to +0.0 included); only a class of three
+    or more values goes through fsum."""
     counts = np.bincount(ids, minlength=size)
     sums = np.empty(size, dtype=complex)
     sums.real = np.bincount(ids, v.real, size)
@@ -303,7 +307,7 @@ def _class_sums(v: np.ndarray, ids: np.ndarray, size: int) -> tuple[np.ndarray, 
         end = np.cumsum(counts)
         for k, i, j in zip(big.tolist(), (end - counts)[big].tolist(), end[big].tolist()):
             sums[k] = complex(fsum(re[i:j]), fsum(im[i:j]))
-    return sums, counts
+    return sums
 
 
 def _indexed(q: int, lookups: int) -> bool:
@@ -313,62 +317,41 @@ def _indexed(q: int, lookups: int) -> bool:
 
 def _residue_table(
     beta: _Coeffs, q: int, a: int, residues: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int]:
-    """The per-modulus congruence table of beta, the primes of q and phi(q),
-    all from one factorization of q.
+) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+    """The per-modulus congruence table of beta for a unit class a mod q, the
+    mask of the r coprime to q, the primes of q and phi(q), all from one
+    factorization of q.
 
-    For each of the distinct ``residues`` r (from :func:`_residues`), the
-    table holds the sum of beta over the gcd(r, q) solution classes x mod q
-    of r x = a (mod q): an fsum over the classes of the per-class fsums, 0j
-    when beta misses them all or no class solves it.  Two masks come with
-    it: the r for which some class solves it, and the r coprime to q.  With
-    gcd(a, q) = 1 they agree, and each r has the single class a r^{-1}; one
-    call of klab.arith's :func:`_unit_inverses` finds them all.
+    At each of the distinct ``residues`` r (from :func:`_residues`) coprime
+    to q the table holds the sum of beta over the class a r^{-1}, found by
+    one call of klab.arith's :func:`_unit_inverses`; 0j elsewhere.
 
-    At either table size :func:`_class_sums` sums beta's classes and
-    :func:`_unit_inverses` inverts the units.  With ``residues`` all of
-    0..q-1 (:func:`_indexed`), each residue is its own slot, and
-    klab.arith's :func:`_unit_mask` finds the units.  Otherwise the table
-    covers only the residues looked up, so a large q with small supports
-    stays cheap: gcd finds their units, and a residue finds its class among
-    np.unique's by searchsorted.
+    At either table size :func:`_class_sums` sums beta's classes.  With
+    ``residues`` all of 0..q-1 (:func:`_indexed`), each residue is its own
+    slot, and klab.arith's :func:`_unit_mask` finds the units.  Otherwise
+    the table covers only the residues looked up, so a large q with small
+    supports stays cheap: gcd finds their units, and a residue finds its
+    class among np.unique's by searchsorted.
     """
     factors = factorize(q)
-    phi_q = _totient(factors)
     keys = _residues(beta.n, q)
-    a_red = a % q
     indexed = _indexed(q, len(residues))
     if indexed:  # slot r is residue r
         coprime = _unit_mask(q, factors)
     else:
         coprime = np.gcd(residues, q) == 1
     unit = np.flatnonzero(coprime)
-    x0 = a_red * _unit_inverses(residues[unit], q, factors) % q
+    x0 = a % q * _unit_inverses(residues[unit], q, factors) % q
     table = np.zeros(len(residues), dtype=complex)
     if indexed:
-        full, counts = _class_sums(beta.v, keys, q)
-        table[unit] = full[x0]
+        table[unit] = _class_sums(beta.v, keys, q)[x0]
     else:
         cls, ids = np.unique(keys, return_inverse=True)
-        sums, _ = _class_sums(beta.v, ids, len(cls))
+        sums = _class_sums(beta.v, ids, len(cls))
         pos = np.searchsorted(cls, x0)
         hit = np.append(cls, q)[pos] == x0
         table[unit[hit]] = sums[pos[hit]]
-    primes = list(factors)  # ascending
-    if gcd(a_red, q) == 1:
-        return table, coprime, coprime, primes, phi_q
-    if indexed:  # the classes beta has and their sums, as the sorted table lists them
-        cls = np.flatnonzero(counts)
-        sums = full[cls]
-    # g > 1 solution classes x0 + k q/g, k < g: those beta has, from cls
-    g = np.gcd(residues, q)
-    solvable = a_red % g == 0
-    for j in np.flatnonzero(solvable & ~coprime).tolist():
-        gj = int(g[j])
-        step = q // gj
-        x0 = (a_red // gj) * pow(int(residues[j]) // gj, -1, step) % step
-        table[j] = _csum(sums[cls % step == x0])
-    return table, solvable, coprime, primes, phi_q
+    return table, coprime, list(factors), _totient(factors)  # primes ascending
 
 
 def _real_sign(p: np.ndarray, mean: float) -> int:
@@ -401,8 +384,9 @@ def _real_sign(p: np.ndarray, mean: float) -> int:
 def _error(
     alpha: _Coeffs, beta: _Coeffs, q: int, a: int, ms: np.ndarray, imag: bool = True, within: np.ndarray | None = None
 ) -> tuple[complex | int, np.ndarray, np.ndarray, complex, int]:
-    """The progression error E_q of alpha and beta, from one residue table
-    of beta mod q over the residues of alpha's support and of ``ms``; with
+    """The progression error E_q of alpha and beta in the unit class a mod q
+    (:class:`NotCoprime` otherwise), from one residue table of beta mod q
+    over the residues of alpha's support and of ``ms``; with
     it, what the split reads at ``ms``: the mask of the m coprime to q, the
     table at every m, the coprime beta sum and phi(q).  With ``imag`` false
     it gives, in place of E_q, the split's c_q, the sign of Re E_q from
@@ -411,12 +395,15 @@ def _error(
     then read from those of ``ms``, with no pass of their own.
 
     alpha_m s is formed from the float parts as Python's complex product
-    forms it (numpy's complex ``*`` may round differently).  A 0j entry adds
-    exact zeros to the main sum, which fsum leaves out.  The coprime sums
+    forms it (numpy's complex ``*`` may round differently), at the m coprime
+    to q.  A 0j entry adds exact zeros to the main sum, which fsum leaves
+    out.  The coprime sums
     are :func:`_coprime_sum`'s, the bits of an fsum over the coprime indices.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
+    if gcd(a, q) != 1:
+        raise NotCoprime(f"gcd({a}, {q}) = {gcd(a, q)} > 1")
     if within is None:
         at = _residues(alpha.n, q)
         if len(ms):
@@ -427,12 +414,12 @@ def _error(
         residues = np.arange(q)
     else:
         residues, at = np.unique(at, return_inverse=True)
-    table, solvable, coprime, primes, phi_q = _residue_table(beta, q, a, residues)
+    table, coprime, primes, phi_q = _residue_table(beta, q, a, residues)
     if within is None:
         at_alpha, at_m = at[:len(alpha.n)], at[len(alpha.n):]
     else:
         at_alpha, at_m = at[within], at
-    on = solvable[at_alpha]
+    on = coprime[at_alpha]
     am, s = alpha.v[on], table[at_alpha[on]]
     ar, ai, sr, si = am.real, am.imag, s.real, s.imag
     cop_beta = _coprime_sum(beta, primes)
@@ -448,11 +435,12 @@ def _error(
 def progression_error(
     alpha: CoefficientSequence, beta: CoefficientSequence, q: int, a: int
 ) -> complex:
-    """Signed error of the product sequence in the class a mod q:
+    """Signed error of the product sequence in the unit class a mod q:
 
         sum_{m n = a (q)} alpha_m beta_n - (1/phi(q)) sum_{(mn, q) = 1} alpha_m beta_n
 
-    computed exactly over the supports.
+    computed exactly over the supports.  Raises :class:`NotCoprime` when
+    gcd(a, q) > 1, where the class holds no m n coprime to q.
     """
     alpha_c = _coeffs(alpha)
     return _error(alpha_c, _coeffs(beta), q, a, alpha_c.n[:0])[0]
@@ -465,6 +453,20 @@ def progression_error_total(
     alpha_c, beta_c = _coeffs(alpha), _coeffs(beta)
     # q < 1 goes on to _error, which rejects it whatever gcd(q, a) is
     return fsum(abs(_error(alpha_c, beta_c, q, a, alpha_c.n[:0])[0]) for q in set(moduli) if q < 1 or gcd(q, a) == 1)
+
+
+def sw_discrepancy(beta: CoefficientSequence, q: int, a: int, r: int = 1) -> float:
+    """Discrepancy of beta in the unit class a mod q against its phi(q)-normalized mean,
+
+        |sum_{n = a (q), (n, r) = 1} beta_n - (1/phi(q)) sum_{(n, qr) = 1} beta_n|,
+
+    the |progression_error| of the point mass at 1 and beta on (n, r) = 1.
+    """
+    if q < 1 or r < 1:
+        raise ValueError("q and r must be positive")
+    if r > 1:
+        beta = make_sequence({n: v for n, v in beta.values.items() if gcd(n, r) == 1}, beta.support)
+    return abs(progression_error(make_sequence({1: 1}), beta, q, a))
 
 
 @dataclass(frozen=True)
@@ -525,10 +527,12 @@ def dispersion_split(
             continue
         cq, on, s_m, cop_beta, phi_q = _error(alpha_c, beta_c, q, a, ms, False, within)
         c[q] = cq
-        # gcd(m, q) = 1: one solution class, one coprime pair.  X and Y take
-        # their terms in ascending q, as a per-m loop would, and only at the
-        # m in ``on``; cq = +-1 makes cq * s_m exact under either complex product
-        np.add(x_vals, cq * s_m, out=x_vals, where=on)
+        # X and Y take their terms in ascending q, as a per-m loop would;
+        # cq = +-1 makes cq * s_m exact under either complex product.  Off
+        # ``on``, s_m is 0j: X starts at +0j, and a sum is -0.0 only when both
+        # terms are, so X never holds -0.0 and adding +-0 leaves it as it is.
+        # Y's term is not 0 there, so only Y takes the mask
+        np.add(x_vals, cq * s_m, out=x_vals)
         np.add(y_vals, (cq / phi_q) * cop_beta, out=y_vals, where=on)
     weights = [psi(m / m_scale) for m in window]
     xs, ys = x_vals.tolist(), y_vals.tolist()
@@ -618,55 +622,3 @@ def completed_coprime_sum(psi: SmoothCutoff, m_scale: float, q: int) -> CoprimeC
     main = (euler_phi(q) / q) * psi.mass() * m_scale
     error_bound = divisor_count(q) * math.log(2 * m_scale) ** 2
     return CoprimeCompletionResult(lhs, main, error_bound, abs(lhs - main) / error_bound)
-
-
-def rhs_dispersion(
-    M: float,
-    N: float,
-    Q: float,
-    D: float,
-    alpha_l2: float,
-    Estar: float,
-    kappa: float = 0.0,
-    C_exp: float = 0.0,
-    epsilon: float = 0.0,
-    X: float = 1.0,
-) -> RhsReport:
-    """The dispersion bound
-
-        ||alpha|| * ( M Q^{-1} Estar + (log X)^kappa N^2 Q
-                      + (log X)^kappa N^2 D^{-1/2} M
-                      + D^C X^eps (Q^(15/8) N^(11/4) + M^(3/20) Q^(33/20) N^(51/20)) )^(1/2)
-
-    Estar is a caller-supplied input (the small-moduli mean square has no
-    closed form here); pass the equidistribution-motivated proxy
-    N^2 Q (log N)^(-A) if desired.  kappa and C are free exponents.  The
-    report total is scale * sqrt(sum of terms) with scale = alpha_l2; meta
-    carries the two baseline tail terms and the new/old ratios, and flags
-    record both of the stated D-vs-N hypotheses.
-    """
-    check_rhs_inputs(epsilon, M, N, Q, D, X)
-    lk = math.log(X) ** kappa
-    dc = D**C_exp * X**epsilon
-    tails = {
-        name: dc * M ** float(e["M"]) * Q ** float(e["Q"]) * N ** float(e["N"])
-        for name, e in DISPERSION_TAIL_EXPONENTS.items()
-    }
-    terms = [
-        ("term1", M / Q * Estar),
-        ("term2", lk * N * N * Q),
-        ("term3", lk * N * N * M / math.sqrt(D)),
-        ("term4", tails["new_term4"]),
-        ("term5", tails["new_term5"]),
-    ]
-    meta = {"old_term4": tails["old_term4"], "old_term5": tails["old_term5"]}
-    for k in (4, 5):
-        if tails[f"old_term{k}"] > 0:
-            meta[f"ratio_term{k}"] = tails[f"new_term{k}"] / tails[f"old_term{k}"]
-    flags = []
-    if not N > D**10:
-        flags.append("N<=D^10")
-    if not D < N**10:
-        flags.append("D>=N^10")
-    total = alpha_l2 * math.sqrt(fsum(v for _, v in terms))
-    return RhsReport(tuple(terms), alpha_l2, total, tuple(flags), meta)

@@ -1,4 +1,4 @@
-"""Coefficient sequences, dyadic supports, and an equidistribution checker.
+"""Coefficient sequences and dyadic supports.
 
 A :class:`CoefficientSequence` is an immutable complex-valued map on a
 finite integer support with cached l1/l2 norms, an optional divisor
@@ -7,8 +7,7 @@ built once: the one view the form and dispersion evaluators read.  A
 dyadic support is (T, 2T]; an explicit support may hold indices that
 carry no value, and the mean squares still run over them.
 Sequences come from an index -> value map (:func:`make_sequence`) or one
-of a few standard kinds (:func:`build_sequence`), and
-:func:`sw_discrepancy` probes one in an arithmetic progression.
+of a few standard kinds (:func:`build_sequence`).
 """
 
 from __future__ import annotations
@@ -16,31 +15,25 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from math import fsum, gcd
+from math import fsum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arith import euler_phi, moebius, tau_k, unit_phases
+from .arith import moebius, tau_k, unit_phases
 
 __all__ = [
     "EmptySupport",
-    "NotCoprime",
     "DivisorBoundViolation",
     "DyadicRange",
     "CoefficientSequence",
     "make_sequence",
     "build_sequence",
-    "sw_discrepancy",
 ]
 
 
 class EmptySupport(ValueError):
     """Raised when a sequence is requested on an empty support."""
-
-
-class NotCoprime(ValueError):
-    """Raised when a residue class a mod q with gcd(a, q) > 1 is supplied."""
 
 
 class DivisorBoundViolation(ValueError):
@@ -196,21 +189,3 @@ def _csum(parts: Sequence[complex] | np.ndarray) -> complex:
     """math.fsum of the real parts and of the imaginary parts (0j when empty)."""
     z = np.asarray(parts, dtype=complex)
     return complex(fsum(z.real.tolist()), fsum(z.imag.tolist()))
-
-
-def sw_discrepancy(beta: CoefficientSequence, q: int, a: int, r: int = 1) -> float:
-    """Discrepancy of beta in the class a mod q against its phi(q)-normalized mean.
-
-    Returns |sum_{n = a (q), (n,r)=1} beta_n - (1/phi(q)) sum_{(n,qr)=1} beta_n|
-    computed exactly over the support.  Any coprime pair (q, a) is accepted;
-    classifying the sequence asymptotically is out of scope here.
-    """
-    if q < 1 or r < 1:
-        raise ValueError("q and r must be positive")
-    if gcd(a, q) != 1:
-        raise NotCoprime(f"gcd({a}, {q}) = {gcd(a, q)} > 1")
-    cls = a % q
-    ap_terms = [v for n, v in sorted(beta.values.items()) if n % q == cls and gcd(n, r) == 1]
-    cop_terms = [v for n, v in sorted(beta.values.items()) if gcd(n, q * r) == 1]
-    return abs(_csum(ap_terms) - _csum(cop_terms) / euler_phi(q))
-

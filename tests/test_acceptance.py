@@ -105,7 +105,7 @@ def test_c6_bound_formula_regression():
         got = bounds.rhs_mean_square_bound(*args).total
         assert abs(got - want) <= 1e-12 * abs(want)
     for args, want in DISP_GOLDEN:
-        got = dispersion.rhs_dispersion(*args).total
+        got = bounds.rhs_dispersion(*args).total
         assert abs(got - want) <= 1e-12 * abs(want)
     # at N = Q the tail-term savings are exactly N^(-1/8) and N^(-2/5) in
     # exact exponent arithmetic (the Q and N exponents merge)

@@ -13,11 +13,11 @@ from klab.bounds import (
     check_range_conditions,
     extremal_q_exponent,
     parse_exponent,
+    rhs_dispersion,
     rhs_mean_square_bound,
     rhs_trilinear_coprime,
     rhs_trilinear_fixed_factor,
 )
-from klab.dispersion import rhs_dispersion
 
 F = Fraction
 

@@ -465,24 +465,26 @@ class TestSweep:
 
 class TestRanges:
     def test_new_at_half(self):
-        table = run_ranges("1/2", "new")
+        table = run_ranges("1/2")
         assert "N <= X^(1/56)" in table
 
     def test_fr_at_half(self):
-        table = run_ranges("1/2", "fr")
+        # both corollaries, new first
+        table = run_ranges("1/2")
         assert "N <= X^(1/72)" in table
+        assert table.index("[new]") < table.index("[fr]")
 
     def test_infeasible_reported(self):
-        table = run_ranges("2/3", "new")
+        table = run_ranges("2/3")
         assert "infeasible" in table
 
     def test_zero_ceiling_is_not_negative(self):
-        table = run_ranges("17/33", "new")
+        table = run_ranges("17/33")
         assert table.count("N <= X^(0)  [infeasible (ceiling <= 0)]") == 2
         assert "negative" not in table
 
     def test_extremal_line(self):
-        table = run_ranges("1/2", "new")
+        table = run_ranges("1/2")
         assert "17/33" in table
 
     def test_unparseable_exit_2(self):
@@ -491,7 +493,8 @@ class TestRanges:
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "ranges.txt"
-        assert main(["ranges", "--q", "1/2", "--corollary", "new", "--out", str(out)]) == 0
+        assert main(["ranges", "--q", "1/2", "--out", str(out)]) == 0
+        assert out.read_text() == run_ranges("1/2")
         assert "1/56" in out.read_text()
 
 

@@ -14,15 +14,16 @@ from math import fsum, gcd
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golden_oracle import DISP_GOLDEN, DISP_PTS, phase_rule
-from klab import bounds, checks
+from klab import checks
 from klab.arith import _exact_ints, euler_phi, factorize
+from klab.bounds import DISPERSION_TAIL_EXPONENTS, rhs_dispersion
 from klab.dispersion import (
-    DISPERSION_TAIL_EXPONENTS,
     NegativeQuadratic,
+    NotCoprime,
     PsiDoesNotMajorize,
     SmoothCutoff,
     cauchy_schwarz_gap,
@@ -32,7 +33,6 @@ from klab.dispersion import (
     dispersion_split,
     progression_error,
     progression_error_total,
-    rhs_dispersion,
     smooth_step,
 )
 from klab.sequences import DyadicRange, _csum, build_sequence, make_sequence
@@ -237,6 +237,7 @@ class TestProgressionError:
     @given(st.integers(1, 60), st.integers(-30, 30), st.integers(0, 2**30))
     @settings(max_examples=200)
     def test_against_brute_force(self, q, a, seed):
+        assume(gcd(a, q) == 1)
         rng = random.Random(seed)
         alpha = build_sequence("random_unit", DyadicRange(rng.choice((2, 3, 5))),
                                seed=rng.randrange(1 << 20))
@@ -273,6 +274,7 @@ class TestProgressionError:
     def test_bit_for_bit_against_python_loop(self, q, a, seed):
         # signed zeros, exact cancellations and classes of one to many values;
         # repr tells -0.0 from 0.0
+        assume(gcd(a, q) == 1)
         rng = random.Random(seed)
         parts = (-0.0, 0.0, 1.0, -1.0, 0.1, -0.3)
 
@@ -292,32 +294,44 @@ class TestProgressionError:
         # near q, which leaves int64 from q = 2**31 on (2**31 - 1 is the last
         # int64 modulus, 2**31 the first on Python integers); 3**40 > 2**63
         # leaves it with q itself.  m = 3 with q = 3**40 and m = 10 k with q = 10**12
-        # = 2**12 5**12 have gcd(m, q) > 1.  Nothing of size q may be
-        # allocated.
+        # = 2**12 5**12 have gcd(m, q) > 1, and so does every even a with q = 2**31:
+        # such an a, and a = 0, is no unit class and raises.  Each a = m n puts
+        # the pair (m, n) in its class.  Nothing of size q may be allocated.
         rng = random.Random(q % 1000)
         ms = [3, 7, 11, 13, 10 * rng.randrange(1, 10**5), rng.randrange(10**5, 10**6)]
         ns = [rng.randrange(q // 2, q) for _ in range(6)]
         alpha = make_sequence({m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in ms})
         beta = make_sequence({n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns})
-        for a in [m * ns[0] for m in ms] + [1]:
+        units = 0
+        for a in [m * n for m in ms for n in ns] + [1, 2, 0]:
+            unit = gcd(a, q) == 1
             tracemalloc.start()
             try:
-                got = progression_error(alpha, beta, q, a)
+                if unit:
+                    got = progression_error(alpha, beta, q, a)
+                else:
+                    with pytest.raises(NotCoprime):
+                        progression_error(alpha, beta, q, a)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+            if not unit:
+                continue
+            units += 1
             want = self.brute(alpha, beta, q, a)
             assert abs(got - want) <= 1e-12 * (1 + abs(want))
             assert repr(got) == repr(self.python_loop(alpha, beta, q, a))
+        assert units >= 2
 
     def test_non_coprime_modulus_class(self):
-        # m = 4, q = 6, a = 2: gcd(4,6)=2 | 2, classes n = 2, 5 mod 6... direct check
-        alpha = ones({4})
-        beta = ones(DyadicRange(6))
-        got = progression_error(alpha, beta, 6, 2)
-        want = self.brute(alpha, beta, 6, 2)
-        assert abs(got - want) < 1e-13
+        # m = 4, q = 6, a = 2 has classes n = 2, 5 mod 6 with 4 n = 2, but
+        # E_q is defined for a unit class a mod q only: gcd(a, q) > 1 raises,
+        # a = 0 included
+        alpha, beta = ones({4}), ones(DyadicRange(6))
+        for q, a in ((6, 2), (6, -3), (6, 0), (1 << 31, 0), (1 << 31, 6), (3**40, 3)):
+            with pytest.raises(NotCoprime, match=f"gcd\\({a}, {q}\\) = {gcd(a, q)} > 1"):
+                progression_error(alpha, beta, q, a)
 
 
 class TestProgressionErrorTotal:
@@ -386,6 +400,10 @@ class TestZeroValues:
         psi = SmoothCutoff()
         moduli = [1, 2, 3, 5, 12, 16, 17, 30, 45, 49, 50, 64, 97, 1000, 2**31 + 11]
         for q in moduli:
+            if gcd(a, q) != 1:
+                with pytest.raises(NotCoprime):
+                    progression_error(alpha, beta, q, a)
+                continue
             got = progression_error(alpha, beta, q, a)
             assert repr(got) == repr(progression_error(alpha_plain, beta_plain, q, a))
             assert repr(got) == repr(TestProgressionError.python_loop(alpha, beta, q, a))
@@ -813,13 +831,17 @@ class TestTableCases:
     @pytest.mark.parametrize("a", [1, 6, 0, -7])
     def test_progression_error(self, monkeypatch, base, a):
         # alpha has 8 indices: q = 8 is indexed, q = 9 sorted; gcd(6, q) and
-        # gcd(0, q) exceed 1 at both
+        # gcd(0, q) exceed 1 at both, so those classes raise before any table
         rng = random.Random(100 * base + a)
         alpha, beta = self.seq(rng, 8), self.seq(rng, base)
         for q in (8, 9):
             def call():
                 return progression_error(alpha, beta, q, a)
 
+            if gcd(a, q) != 1:
+                with pytest.raises(NotCoprime):
+                    call()
+                continue
             assert self.run(monkeypatch, True, call) == self.run(monkeypatch, False, call)
 
     # beta on (1024, 2048] against q = 60, 66 and 210, above the 17 lookups
@@ -1155,7 +1177,6 @@ class TestRhsDispersion:
         assert s5 == Fraction(-2, 5)
         assert DISPERSION_TAIL_EXPONENTS["new_term5"]["M"] == Fraction(3, 20)
         assert DISPERSION_TAIL_EXPONENTS["old_term5"]["M"] == Fraction(3, 10)
-        assert DISPERSION_TAIL_EXPONENTS is bounds.DISPERSION_TAIL_EXPONENTS
 
     def test_hypothesis_flags(self):
         rep = rhs_dispersion(8, 4, 16, 2, 1.0, 0.0)

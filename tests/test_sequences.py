@@ -5,20 +5,20 @@ from math import fsum, gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golden_oracle import phase_rule
 from klab.arith import euler_phi, moebius
+from klab.dispersion import NotCoprime, sw_discrepancy
 from klab.sequences import (
     CoefficientSequence,
     DivisorBoundViolation,
     DyadicRange,
     EmptySupport,
-    NotCoprime,
+    _csum,
     build_sequence,
     make_sequence,
-    sw_discrepancy,
 )
 
 
@@ -270,3 +270,30 @@ class TestSwDiscrepancy:
                     if a >= 0 and gcd(a, q) == 1:
                         assert sw_discrepancy(s, q, a) <= 2.0, (base, q, a)
 
+    @staticmethod
+    def python_loop(beta, q, a, r):
+        """sw_discrepancy as its own loop computed it before it went through
+        progression_error: fsums over the class a mod q and over (n, qr) = 1."""
+        cls = a % q
+        ap_terms = [v for n, v in sorted(beta.values.items()) if n % q == cls and gcd(n, r) == 1]
+        cop_terms = [v for n, v in sorted(beta.values.items()) if gcd(n, q * r) == 1]
+        return abs(_csum(ap_terms) - _csum(cop_terms) / euler_phi(q))
+
+    parts = (-0.0, 0.0, 1.0, -1.0, 0.1, -0.3, 1e-300, 3e150)
+
+    @given(st.randoms(use_true_random=False), st.sampled_from((1, 2, 3, 6, 35)),
+           st.one_of(st.integers(1, 60), st.sampled_from((2**31 - 1, 2**31, 2**31 + 11))),
+           st.integers(-70, 70))
+    @settings(max_examples=300)
+    def test_bit_for_bit_against_python_loop(self, rng, r, q, a):
+        # explicit values with signed zeros on supports with index 0, negative
+        # indices or indices near q, and the standard kinds; repr shows every bit
+        assume(gcd(a, q) == 1)
+        kind = rng.choice(("values", "ones", "moebius", "random_unit"))
+        if kind == "values":
+            lo = rng.choice((rng.randrange(-40, 10), q - 20))
+            beta = make_sequence({n: complex(rng.choice(self.parts), rng.choice(self.parts))
+                                  for n in range(lo, lo + rng.randrange(1, 40))})
+        else:
+            beta = build_sequence(kind, DyadicRange(rng.choice((4, 16, 64))), seed=rng.randrange(1 << 20))
+        assert repr(sw_discrepancy(beta, q, a, r)) == repr(self.python_loop(beta, q, a, r))
